@@ -5,6 +5,14 @@ immutable; every operation is a pure function. The Hermitian eigensolver is
 a cyclic Jacobi sweep, and everything spectral in the higher modules rides
 on it: operator norms, Loewner comparisons, positive square roots, range
 projections and pseudo-inverses.
+
+Blocks are validated once, at the public boundary. ``AlgebraElement(...)``
+copies its input to complex128 and checks that every block is square of
+dimension >= 1 and finite. The results of arithmetic in this module go
+through the private ``AlgebraElement._of``, which trusts its caller to pass
+fresh, owning, square complex128 arrays computed from validated blocks; it
+still rejects non-finite entries, since arithmetic can overflow, and still
+marks every block read-only.
 """
 
 from __future__ import annotations
@@ -64,7 +72,10 @@ class ToleranceConfig:
 
     def __post_init__(self):
         for name in ("pos_slack", "cluster_tol", "rank_cutoff", "jacobi_off_tol"):
-            if not getattr(self, name) > 0.0:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+            if not value > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
         if self.max_sweeps <= 0:
             raise ValueError("max_sweeps must be strictly positive")
@@ -84,9 +95,15 @@ class AlgebraElement:
 
     The block signature (n_1, ..., n_r) is fixed per algebra; arithmetic is
     only defined between elements of equal signature. Entries must be finite.
+
+    The constructor copies each block to complex128 and checks that it is a
+    square matrix of dimension >= 1 with finite entries. ``_of`` is the
+    internal constructor for arithmetic results: its caller guarantees fresh,
+    owning, square complex128 arrays, so it skips the copy and the shape
+    check. Both reject non-finite entries and mark every block read-only.
     """
 
-    __slots__ = ("blocks",)
+    __slots__ = ("blocks", "signature")
 
     def __init__(self, blocks: Iterable[np.ndarray]):
         mats = []
@@ -94,20 +111,28 @@ class AlgebraElement:
             m = np.array(raw, dtype=np.complex128)
             if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
                 raise ValueError("blocks must be square matrices of dimension >= 1")
-            if not np.all(np.isfinite(m)):
-                raise ValueError("non-finite entry in block")
-            m.setflags(write=False)
             mats.append(m)
         if not mats:
             raise ValueError("an element needs at least one block")
+        self._seal(mats)
+
+    @classmethod
+    def _of(cls, mats: list[np.ndarray]) -> "AlgebraElement":
+        """Wrap blocks this module has just computed from validated blocks."""
+        el = cls.__new__(cls)
+        el._seal(mats)
+        return el
+
+    def _seal(self, mats: list[np.ndarray]):
+        for m in mats:
+            if not np.isfinite(m).all():
+                raise ValueError("non-finite entry in block")
+            m.flags.writeable = False
         object.__setattr__(self, "blocks", tuple(mats))
+        object.__setattr__(self, "signature", tuple(m.shape[0] for m in mats))
 
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraElement is immutable")
-
-    @property
-    def signature(self) -> tuple[int, ...]:
-        return tuple(b.shape[0] for b in self.blocks)
 
     @property
     def total_dim(self) -> int:
@@ -134,33 +159,33 @@ class AlgebraElement:
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check_signature(other)
-        return AlgebraElement([a + b for a, b in zip(self.blocks, other.blocks)])
+        return AlgebraElement._of([a + b for a, b in zip(self.blocks, other.blocks)])
 
     def __sub__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
         self._check_signature(other)
-        return AlgebraElement([a - b for a, b in zip(self.blocks, other.blocks)])
+        return AlgebraElement._of([a - b for a, b in zip(self.blocks, other.blocks)])
 
     def __neg__(self):
-        return AlgebraElement([-b for b in self.blocks])
+        return AlgebraElement._of([-b for b in self.blocks])
 
     def __mul__(self, other):
         if isinstance(other, AlgebraElement):
             self._check_signature(other)
-            return AlgebraElement([a @ b for a, b in zip(self.blocks, other.blocks)])
+            return AlgebraElement._of([a @ b for a, b in zip(self.blocks, other.blocks)])
         if isinstance(other, numbers.Number):
-            return AlgebraElement([complex(other) * b for b in self.blocks])
+            return AlgebraElement._of([complex(other) * b for b in self.blocks])
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, numbers.Number):
-            return AlgebraElement([complex(other) * b for b in self.blocks])
+            return AlgebraElement._of([complex(other) * b for b in self.blocks])
         return NotImplemented
 
     def __truediv__(self, other):
         if isinstance(other, numbers.Number):
-            return AlgebraElement([b / complex(other) for b in self.blocks])
+            return AlgebraElement._of([b / complex(other) for b in self.blocks])
         return NotImplemented
 
     def __eq__(self, other):
@@ -178,21 +203,22 @@ class AlgebraElement:
 
 def adjoint(x: AlgebraElement) -> AlgebraElement:
     """Blockwise conjugate transpose."""
-    return AlgebraElement([b.conj().T for b in x.blocks])
+    # b.T.conj() owns its data (b.conj().T would be a view) and is F-ordered
+    return AlgebraElement._of([b.T.conj() for b in x.blocks])
 
 
 def real_part(x: AlgebraElement) -> AlgebraElement:
     """Self-adjoint part (x + x*)/2."""
-    return AlgebraElement([0.5 * (b + b.conj().T) for b in x.blocks])
+    return AlgebraElement._of([0.5 * (b + b.conj().T) for b in x.blocks])
 
 
 def imag_part(x: AlgebraElement) -> AlgebraElement:
     """Self-adjoint part (x - x*)/2i, so that x = real_part + i imag_part."""
-    return AlgebraElement([(-0.5j) * (b - b.conj().T) for b in x.blocks])
+    return AlgebraElement._of([(-0.5j) * (b - b.conj().T) for b in x.blocks])
 
 
 def frobenius_norm(x: AlgebraElement) -> float:
-    return math.sqrt(sum(float(np.linalg.norm(b)) ** 2 for b in x.blocks))
+    return math.sqrt(sum(np.vdot(b, b).real for b in x.blocks))
 
 
 def trace_inner(x: AlgebraElement, y: AlgebraElement) -> complex:
@@ -228,7 +254,7 @@ class HermitianEigenSystem:
             if np.all(vals.imag == 0.0):
                 m = 0.5 * (m + m.conj().T)
             blocks.append(m)
-        return AlgebraElement(blocks)
+        return AlgebraElement._of(blocks)
 
     @property
     def min_eigenvalue(self) -> float:
@@ -297,14 +323,6 @@ def _jacobi_sweeps(a, vecs, target, skip, max_sweeps):
     return math.sqrt(off)
 
 
-try:  # pragma: no cover - exercised implicitly everywhere
-    from numba import njit as _njit
-
-    _jacobi_sweeps = _njit(cache=True)(_jacobi_sweeps)
-except ImportError:  # pragma: no cover
-    pass
-
-
 def _jacobi_eigh(mat: np.ndarray, rel_off_tol: float, max_sweeps: int):
     """Cyclic Jacobi diagonalization of one Hermitian block.
 
@@ -328,7 +346,8 @@ def _jacobi_eigh(mat: np.ndarray, rel_off_tol: float, max_sweeps: int):
         )
     w = np.real(np.diagonal(a)).copy()
     order = np.argsort(w, kind="stable")
-    return w[order], vecs[:, order]
+    # vecs[:, order] is an F-ordered view of a temporary; copy it to own it
+    return w[order], vecs[:, order].copy(order="F")
 
 
 def eigh_hermitian(
@@ -343,7 +362,7 @@ def eigh_hermitian(
         w.setflags(write=False)
         values.append(w)
         units.append(u)
-    return HermitianEigenSystem(tuple(values), AlgebraElement(units))
+    return HermitianEigenSystem(tuple(values), AlgebraElement._of(units))
 
 
 def simultaneous_eigh(

@@ -114,7 +114,7 @@ def polar_regularized(
     sigma = [np.sqrt(np.maximum(w, 0.0)) for w in eig.eigenvalues]
     kept = [s[s * s > cutoff] for s in sigma]
     sigma_min = min((float(s.min()) for s in kept if s.size), default=None)
-    absx = eig.assemble(lambda w: np.sqrt(np.maximum(w, 0.0)))
+    absx = eig.assemble(lambda w: np.sqrt(np.where(w > cutoff, w, 0.0)))
     absxstar = positive_sqrt(x * adjoint(x), t)
 
     terms: list[tuple[int, AlgebraElement]] = []

@@ -188,3 +188,10 @@ def test_tolerance_env_var(nilpotent_file, capsys, monkeypatch):
     # flags win over the environment
     code, out, _ = run_cli(capsys, "polar", nilpotent_file, "--pos-slack", "1e-8")
     assert json.loads(out)["tolerances"]["pos_slack"] == 1e-8
+
+
+def test_non_finite_tolerance_exit_two(nilpotent_file, capsys):
+    code, out, err = run_cli(capsys, "polar", nilpotent_file, "--pos-slack", "inf")
+    assert code == 2
+    assert "bad tolerance" in err
+    assert json.loads(out)["accepted"] is False

@@ -76,6 +76,10 @@ def test_tolerance_validation():
         ToleranceConfig(cluster_tol=1e-12, rank_cutoff=1e-10)
     with pytest.raises(ValueError):
         ToleranceConfig(max_sweeps=0)
+    for name in ("pos_slack", "cluster_tol", "rank_cutoff", "jacobi_off_tol"):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                ToleranceConfig(**{name: bad})
 
 
 # --- adjoint -----------------------------------------------------------------

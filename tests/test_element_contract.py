@@ -1,0 +1,98 @@
+"""The AlgebraElement constructor contract.
+
+The public constructor copies and validates its input; arithmetic results
+come from the internal constructor, which skips the copy and shape check
+but still rejects non-finite entries and freezes every block.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from awkit.core import (
+    AlgebraElement,
+    adjoint,
+    eigh_hermitian,
+    imag_part,
+    real_part,
+)
+from awkit.sampling import random_element
+
+signatures = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def produced(x, y):
+    """Every internal producer, applied to elements of equal signature."""
+    h = real_part(x)
+    eig = eigh_hermitian(h)
+    return {
+        "add": x + y,
+        "sub": x - y,
+        "neg": -x,
+        "mul": x * y,
+        "scalar_mul": x * 2.5,
+        "scalar_rmul": (1 - 2j) * x,
+        "div": x / 3,
+        "adjoint": adjoint(x),
+        "real_part": h,
+        "imag_part": imag_part(x),
+        "assemble": eig.assemble(lambda w: w * w),
+        "eigh_unitary": eig.unitary,
+    }
+
+
+def assert_sealed(el, signature, name=""):
+    assert el.signature == signature, name
+    for b in el.blocks:
+        assert b.dtype == np.complex128, name
+        assert not b.flags.writeable, name
+        assert b.base is None, name
+
+
+@settings(max_examples=40, deadline=None)
+@given(signatures, seeds)
+def test_internal_producers_seal_fresh_blocks(sig, seed):
+    rng = np.random.default_rng(seed)
+    x, y = random_element(sig, rng), random_element(sig, rng)
+    for name, el in produced(x, y).items():
+        assert_sealed(el, sig, name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(signatures, seeds)
+def test_public_constructor_copies(sig, seed):
+    rng = np.random.default_rng(seed)
+    raw = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in sig]
+    x = AlgebraElement(raw)
+    before = [b.copy() for b in x.blocks]
+    for r in raw:
+        r[...] = 7.0
+    assert all(np.array_equal(a, b) for a, b in zip(x.blocks, before))
+    assert_sealed(x, sig)
+
+
+def test_arithmetic_overflow_raises():
+    x = AlgebraElement([[[1e308]]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            x * 10
+        with pytest.raises(ValueError, match="non-finite"):
+            10 * x
+        with pytest.raises(ValueError, match="non-finite"):
+            x + x
+        with pytest.raises(ValueError, match="non-finite"):
+            x - (-x)
+        with pytest.raises(ValueError, match="non-finite"):
+            x * x
+        with pytest.raises(ValueError, match="non-finite"):
+            x / 1e-10
+
+
+def test_signature_is_read_only():
+    x = AlgebraElement([np.eye(2), np.eye(3)])
+    assert x.signature == (2, 3)
+    with pytest.raises(AttributeError):
+        x.signature = (5,)
+    assert x.signature == (2, 3)

@@ -131,6 +131,19 @@ def test_regularized_agrees_with_direct():
         check_invariants(x, reg)
 
 
+def test_regularized_absx_clamps_rank_deficient_input():
+    # |x| keeps no roundoff eigenvalues on ker x, so u*u matches rp(|x|).
+    # The snapped ladder u sits up to ~1e-8 from the direct route on such
+    # inputs (kernel roundoff amplified by n), hence the looser tol.
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        s = np.concatenate([rng.uniform(0.1, 2.0, size=3), np.zeros(2)])
+        x = element_with_singular_values((5,), [rng.permutation(s)], rng)
+        res = polar_regularized(x)
+        assert range_projection(res.absx).rank() == 3
+        check_invariants(x, res, tol=1e-7)
+
+
 def test_regularized_ladder_bound_and_certificate():
     rng = np.random.default_rng(22)
     for _ in range(5):
