@@ -49,10 +49,12 @@ from .order import (
     verify_certificate,
 )
 from .polar import (
+    PolarResiduals,
     PolarResult,
     SpectralCut,
     polar_direct,
     polar_regularized,
+    polar_residuals,
     resolvent_gap_inequality,
     spectral_cut,
     verify_polar,

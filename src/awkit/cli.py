@@ -28,7 +28,6 @@ from .lattice import (
     Subalgebra,
     closure_correspondence,
     generate_masa,
-    monotone_closure,
     principal_angles,
 )
 from .order import build_certificate, verify_certificate
@@ -36,9 +35,9 @@ from .polar import (
     DEFAULT_LADDER_MAX,
     polar_direct,
     polar_regularized,
+    polar_residuals,
     resolvent_gap_inequality,
     spectral_cut,
-    verify_polar,
 )
 from .selftest import run_all
 from .spectral import SpectralFunction, check_regularity, integrate, is_normal, spectral_measure
@@ -138,22 +137,7 @@ def _cmd_polar(args, tol):
         res = polar_direct(x, tol)
     else:
         res = polar_regularized(x, n_max=args.nmax, tol=tol)
-    scale = 1.0 + operator_norm(x, tol)
-    u, ustar = res.u, adjoint(res.u)
-    from .core import range_projection
-
-    residuals = {
-        "reconstruction_left": operator_norm(x - res.absxstar * u, tol) / scale,
-        "reconstruction_right": operator_norm(x - u * res.absx, tol) / scale,
-        "partial_isometry": operator_norm(u * ustar * u - u, tol),
-        "initial_projection": operator_norm(
-            ustar * u - range_projection(res.absx, tol).element, tol
-        ),
-        "final_projection": operator_norm(
-            u * ustar - range_projection(res.absxstar, tol).element, tol
-        ),
-    }
-    accepted = verify_polar(x, res.u, tol)
+    check = polar_residuals(x, res, tol)
     artifacts = {
         "u": element_to_json(res.u),
         "absx": element_to_json(res.absx),
@@ -161,7 +145,9 @@ def _cmd_polar(args, tol):
         "diagnostics": [[n, gap] for n, gap in res.diagnostics],
         "method": args.method,
     }
-    return _report("polar", tol, residuals=residuals, accepted=accepted, artifacts=artifacts), 0 if accepted else 1
+    return _report(
+        "polar", tol, residuals=check.residuals, accepted=check.accepted, artifacts=artifacts
+    ), 0 if check.accepted else 1
 
 
 def _cmd_spectral(args, tol):
@@ -222,16 +208,12 @@ def _cmd_closure(args, tol):
     b = Subalgebra.from_generators([g], tol)
     d1 = generate_masa([g], args.seed1, tol)
     d2 = generate_masa([g], args.seed2, tol)
-    c1 = monotone_closure(b, d1, tol)
-    c2 = monotone_closure(b, d2, tol)
+    corr = closure_correspondence(b, d1, d2, tol)
+    c1, c2 = corr.closures
     angles = principal_angles(c1, c2)
     angle = float(angles[-1]) if angles.size else 0.0
-    corr = closure_correspondence(b, d1, d2, tol)
-    delta = max(
-        (operator_norm(p.element - q.element, tol) for p, q in corr.pairs), default=0.0
-    )
-    residuals = {"closure_span_angle": angle, "correspondence_delta": delta}
-    accepted = angle <= 1e-8 and delta <= ACCEPT_TOL
+    residuals = {"closure_span_angle": angle, "correspondence_delta": corr.delta}
+    accepted = angle <= 1e-8 and corr.delta <= ACCEPT_TOL
     artifacts = {
         "closure_dim": c1.dim,
         "closure_basis_d1": [element_to_json(e) for e in c1.basis],

@@ -161,9 +161,17 @@ class Subalgebra:
 
 @dataclass(frozen=True)
 class ClosureCorrespondence:
-    """Pairing of closure projections computed inside two different MASAs."""
+    """Pairing of closure projections computed inside two different MASAs.
+
+    pairs holds (p, partner) for every projection p of the closure in the
+    first MASA; closures holds the monotone closures of the subalgebra in
+    the first and second MASA; delta is the largest operator_norm(p -
+    partner) over the pairs, the defect of the identity correspondence.
+    """
 
     pairs: tuple[tuple[Projection, Projection], ...]
+    closures: tuple[Subalgebra, Subalgebra]
+    delta: float
 
 
 def principal_angles(s1: Subalgebra, s2: Subalgebra) -> np.ndarray:
@@ -485,8 +493,10 @@ def closure_correspondence(
     """
     t = _tol(tol)
     c1 = monotone_closure(b, masa1, t)
-    monotone_closure(b, masa2, t)  # validates the second containment too
-    face_gens = minimal_projections(b, t)
+    c2 = monotone_closure(b, masa2, t)
+    face_gens = [
+        (e.element, range_projection(e.element, t)) for e in minimal_projections(b, t)
+    ]
     minimal = minimal_projections(c1, t)
     m = len(minimal)
     if m > MAX_ENUMERATED_FACES:
@@ -495,22 +505,21 @@ def closure_correspondence(
         )
     zero = AlgebraElement.zeros(b.signature)
     pairs = []
+    delta = 0.0
     for j_mask in range(1 << m):
         p = zero
         for i in range(m):
             if j_mask >> i & 1:
                 p = p + minimal[i].element
         face = [
-            e
-            for e in face_gens
-            if frobenius_norm(e.element - e.element * p)
-            <= t.pos_slack * (1.0 + frobenius_norm(e.element))
+            rp
+            for e, rp in face_gens
+            if frobenius_norm(e - e * p) <= t.pos_slack * (1.0 + frobenius_norm(e))
         ]
-        if face:
-            partner = sup_projections([range_projection(e.element, t) for e in face], t)
-        else:
-            partner = Projection(zero, t)
-        if operator_norm(p - partner.element, t) > t.pos_slack * 2.0:
+        partner = sup_projections(face, t) if face else Projection(zero, t)
+        gap = operator_norm(p - partner.element, t)
+        if gap > t.pos_slack * 2.0:
             raise RuntimeError("closure correspondence is not the identity map")
+        delta = max(delta, gap)
         pairs.append((Projection(p, t), partner))
-    return ClosureCorrespondence(pairs=tuple(pairs))
+    return ClosureCorrespondence(pairs=tuple(pairs), closures=(c1, c2), delta=delta)

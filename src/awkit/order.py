@@ -204,14 +204,15 @@ def verify_certificate(
             total = total + _I_POWERS[k] * c.components[k][j]
         r = operator_norm(total - a, t)
         residuals[SUM_DECOMPOSITION] = max(residuals[SUM_DECOMPOSITION], r)
-        if r > t.pos_slack * (1.0 + operator_norm(a, t)):
+        # pos_slack (1 + ||a||) >= pos_slack, so ||a|| is only needed above pos_slack
+        if r > t.pos_slack and r > t.pos_slack * (1.0 + operator_norm(a, t)):
             failing[SUM_DECOMPOSITION] = True
     total = AlgebraElement.zeros(c.limit.signature)
     for k in range(4):
         total = total + _I_POWERS[k] * c.component_limits[k]
     r = operator_norm(total - c.limit, t)
     residuals[SUM_DECOMPOSITION] = max(residuals[SUM_DECOMPOSITION], r)
-    if r > t.pos_slack * (1.0 + operator_norm(c.limit, t)):
+    if r > t.pos_slack and r > t.pos_slack * (1.0 + operator_norm(c.limit, t)):
         failing[SUM_DECOMPOSITION] = True
 
     for j in range(len(eps)):

@@ -34,9 +34,11 @@ from .spectral import BorelSubset, measure_of, spectral_measure
 
 __all__ = [
     "PolarResult",
+    "PolarResiduals",
     "SpectralCut",
     "polar_direct",
     "polar_regularized",
+    "polar_residuals",
     "verify_polar",
     "spectral_cut",
     "resolvent_gap_inequality",
@@ -58,6 +60,22 @@ class PolarResult:
     absx: AlgebraElement
     absxstar: AlgebraElement
     diagnostics: tuple[tuple[int, float], ...] = ()
+
+
+@dataclass(frozen=True)
+class PolarResiduals:
+    """The five polar identities as named residuals, with the accept rule.
+
+    residuals maps the fixed names reconstruction_left (x = |x*| u),
+    reconstruction_right (x = u |x|), partial_isometry (u u* u = u),
+    initial_projection (u*u = rp(|x|)) and final_projection
+    (u u* = rp(|x*|)) to block operator norms of the defects; the two
+    reconstruction residuals are divided by 1 + ||x||. accepted holds when
+    every unscaled defect is at most 10 pos_slack (1 + ||x||).
+    """
+
+    residuals: dict[str, float]
+    accepted: bool
 
 
 @dataclass(frozen=True)
@@ -120,7 +138,11 @@ def polar_regularized(
     terms: list[tuple[int, AlgebraElement]] = []
     prev = None
     for n in _ladder(n_max):
-        resolvent = eig.assemble(lambda w: 1.0 / (1.0 / n + np.sqrt(np.maximum(w, 0.0))))
+        # x vanishes on ker |x|, so the resolvent is set to 0 there rather
+        # than ~n, which would amplify the roundoff of x on that kernel
+        resolvent = eig.assemble(
+            lambda w: np.where(w > cutoff, 1.0 / (1.0 / n + np.sqrt(np.maximum(w, 0.0))), 0.0)
+        )
         u_n = x * resolvent
         terms.append((n, u_n))
         if prev is not None and operator_norm(u_n - prev, t) < t.rank_cutoff:
@@ -139,27 +161,52 @@ def polar_regularized(
     return PolarResult(u=u, absx=absx, absxstar=absxstar, diagnostics=diagnostics)
 
 
+def polar_residuals(
+    x: AlgebraElement, result: PolarResult, tol: ToleranceConfig | None = None
+) -> PolarResiduals:
+    """Residuals of the polar identities (Higham, Functions of Matrices,
+    SIAM 2008, ch. 8) for result.u, read against result.absx and
+    result.absxstar rather than recomputing |x| and |x*|.
+
+    Both polar routes build |x| and |x*| exactly as positive_sqrt does, so
+    their results can be passed as they are; any other candidate u must
+    come with those two square roots (see verify_polar).
+    """
+    t = _tol(tol)
+    u, ustar = result.u, adjoint(result.u)
+    defects = {
+        "reconstruction_left": operator_norm(x - result.absxstar * u, t),
+        "reconstruction_right": operator_norm(x - u * result.absx, t),
+        "partial_isometry": operator_norm(u * ustar * u - u, t),
+        "initial_projection": operator_norm(
+            ustar * u - range_projection(result.absx, t).element, t
+        ),
+        "final_projection": operator_norm(
+            u * ustar - range_projection(result.absxstar, t).element, t
+        ),
+    }
+    scale = 1.0 + operator_norm(x, t)
+    thr = 10.0 * t.pos_slack * scale
+    accepted = all(v <= thr for v in defects.values())
+    residuals = {
+        name: v / scale if name.startswith("reconstruction") else v
+        for name, v in defects.items()
+    }
+    return PolarResiduals(residuals=residuals, accepted=accepted)
+
+
 def verify_polar(
     x: AlgebraElement, u: AlgebraElement, tol: ToleranceConfig | None = None
 ) -> bool:
     """Uniqueness gate: accept u only when every polar identity holds.
 
-    Partial isometry, both factorizations x = |x*| u and x = u |x|, and both
-    range-projection matches u*u = rp(|x|), u u* = rp(|x*|).
+    A thin wrapper over polar_residuals for a bare candidate u: it computes
+    |x| and |x*| with positive_sqrt and applies the same accept rule.
     """
     t = _tol(tol)
     absx = positive_sqrt(adjoint(x) * x, t)
     absxstar = positive_sqrt(x * adjoint(x), t)
-    ustar = adjoint(u)
-    thr = 10.0 * t.pos_slack * (1.0 + operator_norm(x, t))
-    checks = [
-        u * ustar * u - u,
-        x - absxstar * u,
-        x - u * absx,
-        ustar * u - range_projection(absx, t).element,
-        u * ustar - range_projection(absxstar, t).element,
-    ]
-    return all(operator_norm(c, t) <= thr for c in checks)
+    return polar_residuals(x, PolarResult(u=u, absx=absx, absxstar=absxstar), t).accepted
 
 
 def spectral_cut(

@@ -5,9 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from awkit.cli import element_from_json, element_to_json, main
+from awkit.cli import element_from_json, element_to_json, load_matrix_file, main
 from awkit.core import AlgebraElement, frobenius_norm
-from awkit.sampling import random_element
+from awkit.polar import polar_direct, polar_regularized, polar_residuals, verify_polar
+from awkit.sampling import element_with_singular_values, random_element
 
 
 def write_matrix(path, element):
@@ -50,6 +51,43 @@ def test_polar_direct_subcommand(nilpotent_file, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["artifacts"]["diagnostics"] == []
+
+
+POLAR_ROUTES = {"direct": polar_direct, "regularized": polar_regularized}
+
+
+def _polar_input(kind):
+    rng = np.random.default_rng(5)
+    if kind == "rank-deficient":
+        s = np.concatenate([rng.uniform(0.1, 2.0, size=3), np.zeros(2)])
+        return element_with_singular_values((5,), [rng.permutation(s)], rng)
+    x = random_element((4, 3), rng)
+    return 1e-5 * x if kind == "scaled" else x
+
+
+@pytest.mark.parametrize("method", sorted(POLAR_ROUTES))
+def test_polar_report_reads_shared_residuals(tmp_path, capsys, method):
+    f = tmp_path / "x.json"
+    write_matrix(f, _polar_input("full-rank"))
+    code, out, _ = run_cli(capsys, "polar", str(f), "--method", method)
+    x = load_matrix_file(str(f))
+    check = polar_residuals(x, POLAR_ROUTES[method](x))
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["residuals"] == check.residuals
+    assert doc["accepted"] is check.accepted is True
+
+
+@pytest.mark.parametrize("kind", ["full-rank", "rank-deficient", "scaled"])
+@pytest.mark.parametrize("method", sorted(POLAR_ROUTES))
+def test_polar_accepted_matches_verify_polar(tmp_path, capsys, method, kind):
+    f = tmp_path / "x.json"
+    write_matrix(f, _polar_input(kind))
+    code, out, _ = run_cli(capsys, "polar", str(f), "--method", method)
+    x = load_matrix_file(str(f))
+    expected = verify_polar(x, POLAR_ROUTES[method](x).u)
+    assert json.loads(out)["accepted"] is expected
+    assert code == (0 if expected else 1)
 
 
 def test_spectral_rejects_non_normal(nilpotent_file, capsys):
@@ -165,13 +203,31 @@ def test_selftest_subcommand(capsys):
     assert err.count("PASS") == 10
 
 
-def test_report_determinism(nilpotent_file, capsys):
+def test_report_determinism(nilpotent_file, tmp_path, capsys):
     _, out1, _ = run_cli(capsys, "polar", nilpotent_file)
     _, out2, _ = run_cli(capsys, "polar", nilpotent_file)
     assert out1 == out2
     _, out3, _ = run_cli(capsys, "selftest", "--trials", "5", "--seed", "3")
     _, out4, _ = run_cli(capsys, "selftest", "--trials", "5", "--seed", "3")
     assert out3 == out4
+
+    g = tmp_path / "g.json"
+    write_matrix(g, AlgebraElement([np.diag([1.0, 1.0, 2.0]), np.diag([2.0, 3.0])]))
+    closure = ("closure", str(g), "--seed1", "1", "--seed2", "2")
+    d = tmp_path / "seq"
+    d.mkdir()
+    rng = np.random.default_rng(8)
+    limit = random_element((2, 1), rng)
+    for n in range(1, 6):
+        bump = random_element((2, 1), rng)
+        write_matrix(d / f"{n:03d}.json", limit + bump * (0.5 / (n * frobenius_norm(bump))))
+    write_matrix(tmp_path / "limit.json", limit)
+    certify = ("certify", str(d), "--limit", str(tmp_path / "limit.json"), "--rate", "1.0")
+    for argv in (closure, certify):
+        code1, out1, _ = run_cli(capsys, *argv)
+        code2, out2, _ = run_cli(capsys, *argv)
+        assert code1 == code2 == 0
+        assert out1 == out2
 
 
 def test_tolerance_flags_apply(nilpotent_file, capsys):

@@ -285,3 +285,16 @@ def test_principal_angles_detect_difference():
     assert spans_equal(d, d)
     angles = principal_angles(d, d2)
     assert float(angles[-1]) > 1e-3
+
+
+def test_correspondence_carries_closures_and_delta():
+    g = diag_el([1, 1, 2, 3], [2, 2])
+    b = Subalgebra.from_generators([g])
+    d = generate_masa([g], 5)
+    d2 = generate_masa([g], 6)
+    corr = closure_correspondence(b, d, d2)
+    c1, c2 = corr.closures
+    assert spans_equal(c1, monotone_closure(b, d))
+    assert spans_equal(c2, monotone_closure(b, d2))
+    assert corr.delta == max(operator_norm(p.element - q.element) for p, q in corr.pairs)
+    assert corr.delta <= 1e-9

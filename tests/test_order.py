@@ -1,5 +1,7 @@
 """Order-limit certificate tests: builder round-trips, tamper tags, calculus."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,29 @@ def test_tamper_term_tags_sum_decomposition():
     report = verify_certificate(bad)
     assert not report.accepted
     assert report.failing_condition == SUM_DECOMPOSITION
+
+
+def _tamper_term(cert, shift):
+    terms = list(cert.terms)
+    terms[2] = terms[2] + shift * AlgebraElement.identity(cert.limit.signature)
+    return replace(cert, terms=tuple(terms))
+
+
+def test_sum_decomposition_threshold_boundary():
+    # the term residual is shift; the threshold is pos_slack (1 + ||a||) with
+    # ||a|| = 1/3 + shift, so 1.2 pos_slack lies inside it and 1.5 above it
+    slack = ToleranceConfig().pos_slack
+    seq, limit = scalar_sequence(5)
+    cert = build_certificate(seq, limit, 1.0)
+
+    inside = verify_certificate(_tamper_term(cert, 1.2 * slack))
+    assert slack < inside.worst_residual < slack * (1.0 + 1.0 / 3.0)
+    assert inside.accepted
+
+    above = verify_certificate(_tamper_term(cert, 1.5 * slack))
+    assert above.worst_residual > slack * (1.0 + 1.0 / 3.0 + 1.5 * slack)
+    assert not above.accepted
+    assert above.failing_condition == SUM_DECOMPOSITION
 
 
 def test_tamper_envelope_tags_monotonicity():

@@ -18,6 +18,7 @@ from awkit.polar import (
     PolarResult,
     polar_direct,
     polar_regularized,
+    polar_residuals,
     resolvent_gap_inequality,
     spectral_cut,
     verify_polar,
@@ -131,17 +132,26 @@ def test_regularized_agrees_with_direct():
         check_invariants(x, reg)
 
 
-def test_regularized_absx_clamps_rank_deficient_input():
-    # |x| keeps no roundoff eigenvalues on ker x, so u*u matches rp(|x|).
-    # The snapped ladder u sits up to ~1e-8 from the direct route on such
-    # inputs (kernel roundoff amplified by n), hence the looser tol.
+def _rank_deficient_inputs():
     rng = np.random.default_rng(31)
     for _ in range(5):
         s = np.concatenate([rng.uniform(0.1, 2.0, size=3), np.zeros(2)])
-        x = element_with_singular_values((5,), [rng.permutation(s)], rng)
+        yield element_with_singular_values((5,), [rng.permutation(s)], rng)
+
+
+def test_regularized_absx_clamps_rank_deficient_input():
+    # |x| keeps no roundoff eigenvalues on ker x, so u*u matches rp(|x|)
+    for x in _rank_deficient_inputs():
         res = polar_regularized(x)
         assert range_projection(res.absx).rank() == 3
-        check_invariants(x, res, tol=1e-7)
+        check_invariants(x, res)
+
+
+def test_regularized_matches_direct_on_rank_deficient_input():
+    # the ladder's resolvent vanishes on ker |x|, so the kernel roundoff of x
+    # is not amplified by n and the snapped u agrees with the direct route
+    for x in _rank_deficient_inputs():
+        assert operator_norm(polar_regularized(x).u - polar_direct(x).u) <= 1e-12
 
 
 def test_regularized_ladder_bound_and_certificate():
@@ -199,6 +209,30 @@ def test_monotone_ladder_for_self_adjoint_input():
 
 
 # --- uniqueness gate ---------------------------------------------------------------
+
+
+def test_polar_residuals_names_and_accept_rule():
+    x = el([[0, 1], [0, 0]], [[2, 0], [1, 1]])
+    for res in (polar_direct(x), polar_regularized(x)):
+        check = polar_residuals(x, res)
+        assert list(check.residuals) == [
+            "reconstruction_left",
+            "reconstruction_right",
+            "partial_isometry",
+            "initial_projection",
+            "final_projection",
+        ]
+        assert check.accepted
+        assert max(check.residuals.values()) <= 1e-12
+        assert check.accepted == verify_polar(x, res.u)
+    # a wrong u fails the shared rule and the bare-u wrapper alike; with
+    # u -> -u the defect x - |x*| u is 2x, reported relative to 1 + ||x||
+    wrong = PolarResult(u=-1.0 * res.u, absx=res.absx, absxstar=res.absxstar)
+    check = polar_residuals(x, wrong)
+    norm_x = operator_norm(x)
+    assert check.residuals["reconstruction_left"] == pytest.approx(2 * norm_x / (1 + norm_x))
+    assert not check.accepted
+    assert not verify_polar(x, wrong.u)
 
 
 def test_verify_polar_accepts_genuine_and_rejects_tampered():
