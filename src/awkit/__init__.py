@@ -49,9 +49,11 @@ from .order import (
     verify_certificate,
 )
 from .polar import (
+    CutResiduals,
     PolarResiduals,
     PolarResult,
     SpectralCut,
+    cut_residuals,
     polar_direct,
     polar_regularized,
     polar_residuals,

@@ -19,9 +19,7 @@ import numpy as np
 from .core import (
     AlgebraElement,
     ToleranceConfig,
-    adjoint,
     operator_norm,
-    positive_sqrt,
 )
 from .errors import AlgebraError, NotNormal, TooManyPoints
 from .lattice import (
@@ -33,6 +31,7 @@ from .lattice import (
 from .order import build_certificate, verify_certificate
 from .polar import (
     DEFAULT_LADDER_MAX,
+    cut_residuals,
     polar_direct,
     polar_regularized,
     polar_residuals,
@@ -181,24 +180,15 @@ def _cmd_spectral(args, tol):
 def _cmd_cut(args, tol):
     x = load_matrix_file(args.file)
     cut = spectral_cut(x, mu=args.mu, tol=tol)
-    absxstar = positive_sqrt(x * adjoint(x), tol)
-    p, a = cut.p.element, cut.a
-    inner = a * (x * adjoint(x)) * a
-    residuals = {
-        "cut_identity": operator_norm(a * absxstar - p, tol),
-        "sqrt_identity": operator_norm(positive_sqrt(inner, tol) - p, tol),
-        "commutator_ap": operator_norm(a * p - p * a, tol),
-        "commutator_a_absxstar": operator_norm(a * absxstar - absxstar * a, tol),
-        "commutator_p_absxstar": operator_norm(p * absxstar - absxstar * p, tol),
-    }
-    nonzero = operator_norm(p, tol) > 0.5
-    accepted = nonzero and all(v <= ACCEPT_TOL for v in residuals.values())
+    check = cut_residuals(x, cut, tol)
     artifacts = {
-        "p": element_to_json(p),
-        "a": element_to_json(a),
+        "p": element_to_json(cut.p.element),
+        "a": element_to_json(cut.a),
         "mu": cut.mu,
     }
-    return _report("cut", tol, residuals=residuals, accepted=accepted, artifacts=artifacts), 0 if accepted else 1
+    return _report(
+        "cut", tol, residuals=check.residuals, accepted=check.accepted, artifacts=artifacts
+    ), 0 if check.accepted else 1
 
 
 def _cmd_closure(args, tol):

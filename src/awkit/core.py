@@ -4,7 +4,9 @@ Elements live in a fixed direct sum of square complex matrix blocks and are
 immutable; every operation is a pure function. The Hermitian eigensolver is
 a cyclic Jacobi sweep, and everything spectral in the higher modules rides
 on it: operator norms, Loewner comparisons, positive square roots, range
-projections and pseudo-inverses.
+projections and pseudo-inverses. The sweep rotates Python lists of built-in
+complex rather than numpy scalars, and reproduces numpy's complex128
+arithmetic bit for bit (see _jacobi_sweeps).
 
 Blocks are validated once, at the public boundary. ``AlgebraElement(...)``
 copies its input to complex128 and checks that every block is square of
@@ -265,62 +267,95 @@ class HermitianEigenSystem:
         return max(max(abs(float(w[0])), abs(float(w[-1]))) for w in self.eigenvalues)
 
 
+def _off_mass(rows) -> float:
+    """Off-diagonal Frobenius mass of a block held as row lists.
+
+    Summed row-major, entry by entry with the diagonal skipped, and never
+    as ||a||^2 - ||diag||^2, which cancels catastrophically. Each |a_ij| is
+    squared with ``** 2``, that is with C ``pow`` as numpy squares a float64,
+    because ``pow(h, 2)`` is not always the correctly rounded ``h * h``.
+    A square past the float range raises OverflowError where numpy gives
+    inf; the mass is inf either way.
+    """
+    off = 0.0
+    try:
+        for i, row in enumerate(rows):
+            for j, z in enumerate(row):
+                if i != j:
+                    off += abs(z) ** 2
+    except OverflowError:
+        return math.inf
+    return math.sqrt(off)
+
+
 def _jacobi_sweeps(a, vecs, target, skip, max_sweeps):
     """Cyclic Jacobi sweeps over one Hermitian block, in place.
 
-    Returns the final off-diagonal Frobenius mass. The mass is accumulated
-    entry by entry, not as ||a||^2 - ||diag||^2, which cancels catastrophically.
+    Returns the final off-diagonal Frobenius mass (see _off_mass). The
+    block and the eigenvector matrix are read once into row lists of
+    built-in complex, rotated there and written back once at the end: a
+    numpy scalar costs several times more per arithmetic operation. Every
+    value is bit-identical to the same rotations on numpy complex128
+    scalars, because the lists repeat numpy's arithmetic exactly:
+
+    - division: numpy divides complex128 by float64 through the complex
+      divisor (r, +0), as a multiply by the reciprocal 1/r that carries the
+      zero imaginary part (Python's apq / r divides, and differs in the
+      last bit);
+    - squares: ``** 2`` with overflow read as inf, as in _off_mass;
+    - products: a real factor enters as complex(c, 0.0), as numpy promotes
+      it, rather than relying on how Python multiplies a float into a
+      complex; and the off-diagonal mass keeps its summation order.
     """
-    n = a.shape[0]
+    rows = a.tolist()
+    vrows = vecs.tolist()
+    n = len(rows)
     for _ in range(max_sweeps):
-        off = 0.0
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    off += abs(a[i, j]) ** 2
-        off = math.sqrt(off)
+        off = _off_mass(rows)
         if off <= target:
-            return off
+            break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
+                rp, rq = rows[p], rows[q]
+                apq = rp[q]
                 r = abs(apq)
                 if r <= skip:
                     continue
-                phase = apq / r
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
+                s = 1.0 / r
+                phase = complex((apq.real + apq.imag * 0.0) * s, (apq.imag - apq.real * 0.0) * s)
+                tau = (rq[q].real - rp[p].real) / (2.0 * r)
                 if tau >= 0.0:
                     t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
                 else:
                     t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                sp = (t * c) * phase
+                cr = 1.0 / math.sqrt(1.0 + t * t)
+                c = complex(cr, 0.0)
+                sp = complex(t * cr, 0.0) * phase
                 spc = sp.conjugate()
-                for i in range(n):
-                    cp = a[i, p]
-                    cq = a[i, q]
-                    a[i, p] = c * cp - spc * cq
-                    a[i, q] = sp * cp + c * cq
+                for row, vrow in zip(rows, vrows):
+                    cp = row[p]
+                    cq = row[q]
+                    row[p] = c * cp - spc * cq
+                    row[q] = sp * cp + c * cq
+                    vp = vrow[p]
+                    vq = vrow[q]
+                    vrow[p] = c * vp - spc * vq
+                    vrow[q] = sp * vp + c * vq
+                # rows p and q of a, after their columns
                 for j in range(n):
-                    rp = a[p, j]
-                    rq = a[q, j]
-                    a[p, j] = c * rp - sp * rq
-                    a[q, j] = spc * rp + c * rq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = complex(a[p, p].real, 0.0)
-                a[q, q] = complex(a[q, q].real, 0.0)
-                for i in range(n):
-                    vp = vecs[i, p]
-                    vq = vecs[i, q]
-                    vecs[i, p] = c * vp - spc * vq
-                    vecs[i, q] = sp * vp + c * vq
-    off = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                off += abs(a[i, j]) ** 2
-    return math.sqrt(off)
+                    xp = rp[j]
+                    xq = rq[j]
+                    rp[j] = c * xp - sp * xq
+                    rq[j] = spc * xp + c * xq
+                rp[q] = 0j
+                rq[p] = 0j
+                rp[p] = complex(rp[p].real, 0.0)
+                rq[q] = complex(rq[q].real, 0.0)
+    else:
+        off = _off_mass(rows)
+    a[...] = rows
+    vecs[...] = vrows
+    return off
 
 
 def _jacobi_eigh(mat: np.ndarray, rel_off_tol: float, max_sweeps: int):

@@ -36,16 +36,20 @@ __all__ = [
     "PolarResult",
     "PolarResiduals",
     "SpectralCut",
+    "CutResiduals",
+    "CUT_RESIDUAL_TOL",
     "polar_direct",
     "polar_regularized",
     "polar_residuals",
     "verify_polar",
     "spectral_cut",
+    "cut_residuals",
     "resolvent_gap_inequality",
     "DEFAULT_LADDER_MAX",
 ]
 
 DEFAULT_LADDER_MAX = 2**20
+CUT_RESIDUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -80,11 +84,31 @@ class PolarResiduals:
 
 @dataclass(frozen=True)
 class SpectralCut:
-    """Projection p and positive a with a, p, |x*| commuting and a |x*| = p."""
+    """Projection p and positive a with a, p, |x*| commuting and a |x*| = p.
+
+    absxstar is the |x*| the cut was taken from.
+    """
 
     p: Projection
     a: AlgebraElement
+    absxstar: AlgebraElement
     mu: float | None = None
+
+
+@dataclass(frozen=True)
+class CutResiduals:
+    """The five spectral-cut identities as named residuals, with the accept rule.
+
+    residuals maps the fixed names cut_identity (a |x*| = p), sqrt_identity
+    ((a x x* a)^{1/2} = p), commutator_ap, commutator_a_absxstar and
+    commutator_p_absxstar to block operator norms of the defects. nonzero
+    holds when ||p|| > 1/2; accepted holds when p is nonzero and every
+    residual is at most CUT_RESIDUAL_TOL.
+    """
+
+    residuals: dict[str, float]
+    nonzero: bool
+    accepted: bool
 
 
 def polar_direct(
@@ -150,7 +174,8 @@ def polar_regularized(
         prev = u_n
 
     last_n, last_u = terms[-1]
-    u = polar_direct(last_u, t).u
+    # the direct route's u for last_u, without its unused |last_u*|
+    u = last_u * pseudo_inverse_on_range(positive_sqrt(adjoint(last_u) * last_u, t), t)
     diagnostics = tuple((n, operator_norm(u_n - u, t)) for n, u_n in terms)
     if sigma_min is not None:
         bound = (1.0 / last_n) / (1.0 / last_n + sigma_min)
@@ -233,12 +258,14 @@ def spectral_cut(
     one = AlgebraElement.identity(sig)
 
     if operator_norm(absxstar * absxstar - absxstar, t) <= t.pos_slack * (1.0 + norm_x):
-        return SpectralCut(p=Projection(gram_star, t), a=one, mu=None)
+        return SpectralCut(p=Projection(gram_star, t), a=one, absxstar=absxstar)
 
     eig = eigh_hermitian(absxstar, t)
     cutoff = t.rank_cutoff * max(1.0, eig.max_abs_eigenvalue)
     if eig.min_eigenvalue > cutoff:
-        return SpectralCut(p=Projection(one, t), a=pseudo_inverse_on_range(absxstar, t), mu=None)
+        return SpectralCut(
+            p=Projection(one, t), a=pseudo_inverse_on_range(absxstar, t), absxstar=absxstar
+        )
 
     m = spectral_measure(absxstar, t)
     points = sorted(m.domain_spectrum.points, key=lambda p: p.real)
@@ -249,7 +276,27 @@ def spectral_cut(
     p_el = one - measure_of(m, BorelSubset.of(inside)).element
     corner = p_el * gram_star * p_el
     a = positive_sqrt(pseudo_inverse_on_range(corner, t), t)
-    return SpectralCut(p=Projection(p_el, t), a=a, mu=float(mu))
+    return SpectralCut(p=Projection(p_el, t), a=a, absxstar=absxstar, mu=float(mu))
+
+
+def cut_residuals(
+    x: AlgebraElement, cut: SpectralCut, tol: ToleranceConfig | None = None
+) -> CutResiduals:
+    """Residuals of the spectral-cut identities for cut, read against
+    cut.absxstar rather than recomputing |x*|."""
+    t = _tol(tol)
+    p, a, absxstar = cut.p.element, cut.a, cut.absxstar
+    inner = a * (x * adjoint(x)) * a
+    residuals = {
+        "cut_identity": operator_norm(a * absxstar - p, t),
+        "sqrt_identity": operator_norm(positive_sqrt(inner, t) - p, t),
+        "commutator_ap": operator_norm(a * p - p * a, t),
+        "commutator_a_absxstar": operator_norm(a * absxstar - absxstar * a, t),
+        "commutator_p_absxstar": operator_norm(p * absxstar - absxstar * p, t),
+    }
+    nonzero = operator_norm(p, t) > 0.5
+    accepted = nonzero and all(v <= CUT_RESIDUAL_TOL for v in residuals.values())
+    return CutResiduals(residuals=residuals, nonzero=nonzero, accepted=accepted)
 
 
 def resolvent_gap_inequality(

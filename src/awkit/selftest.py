@@ -35,6 +35,7 @@ from .order import (
     verify_certificate,
 )
 from .polar import (
+    cut_residuals,
     polar_direct,
     polar_regularized,
     polar_residuals,
@@ -253,16 +254,10 @@ def check_spectral_cut(trials=100, seed=0, dims=(2, 8), tol=None) -> CriterionRe
             svals = np.concatenate([[0.0], rng.uniform(0.5, 2.0, size=n - 1)])
         branches[kind] += 1
         x = element_with_singular_values((n,), [svals], rng)
-        cut = spectral_cut(x, tol=t)
-        p, a = cut.p.element, cut.a
-        absxstar = positive_sqrt(x * adjoint(x), t)
-        if operator_norm(p, t) <= 0.5:
+        check = cut_residuals(x, spectral_cut(x, tol=t), t)
+        if not check.nonzero:
             worst = max(worst, 1.0)  # p must not vanish
-        for lhs, rhs in ((a, p), (a, absxstar), (p, absxstar)):
-            worst = max(worst, operator_norm(lhs * rhs - rhs * lhs, t))
-        worst = max(worst, operator_norm(a * absxstar - p, t))
-        inner = a * (x * adjoint(x)) * a
-        worst = max(worst, operator_norm(positive_sqrt(inner, t) - p, t))
+        worst = max(worst, *check.residuals.values())
     passed = worst <= RESIDUAL_TOL and all(v > 0 for v in branches.values())
     return CriterionResult(
         "spectral cut branches",

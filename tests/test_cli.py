@@ -7,7 +7,14 @@ import pytest
 
 from awkit.cli import element_from_json, element_to_json, load_matrix_file, main
 from awkit.core import AlgebraElement, frobenius_norm
-from awkit.polar import polar_direct, polar_regularized, polar_residuals, verify_polar
+from awkit.polar import (
+    cut_residuals,
+    polar_direct,
+    polar_regularized,
+    polar_residuals,
+    spectral_cut,
+    verify_polar,
+)
 from awkit.sampling import element_with_singular_values, random_element
 
 
@@ -120,6 +127,20 @@ def test_cut_subcommand(tmp_path, capsys):
     p = element_from_json(doc["artifacts"]["p"])
     assert np.allclose(p.blocks[0], np.diag([1.0, 0.0, 0.0]), atol=1e-9)
     assert doc["artifacts"]["mu"] == 1.0
+
+
+@pytest.mark.parametrize("svals", [[1.0, 1.0, 0.0], [0.5, 1.2, 2.0], [0.0, 0.6, 1.7]])
+def test_cut_report_reads_cut_residuals(tmp_path, capsys, svals):
+    f = tmp_path / "x.json"
+    x = element_with_singular_values((3,), [np.array(svals)], np.random.default_rng(33))
+    write_matrix(f, x)
+    code, out, _ = run_cli(capsys, "cut", str(f))
+    x = load_matrix_file(str(f))
+    check = cut_residuals(x, spectral_cut(x))
+    doc = json.loads(out)
+    assert doc["residuals"] == check.residuals
+    assert doc["accepted"] is check.accepted is True
+    assert code == 0
 
 
 def test_cut_rejects_bad_mu(tmp_path, capsys):

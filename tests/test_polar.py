@@ -5,6 +5,7 @@ import pytest
 
 from awkit.core import (
     AlgebraElement,
+    Projection,
     ToleranceConfig,
     adjoint,
     loewner_leq,
@@ -14,8 +15,12 @@ from awkit.core import (
 )
 from awkit.errors import BadCut, ZeroElement
 from awkit.order import build_certificate, verify_certificate
+from awkit import polar
 from awkit.polar import (
+    CUT_RESIDUAL_TOL,
     PolarResult,
+    SpectralCut,
+    cut_residuals,
     polar_direct,
     polar_regularized,
     polar_residuals,
@@ -152,6 +157,22 @@ def test_regularized_matches_direct_on_rank_deficient_input():
     # is not amplified by n and the snapped u agrees with the direct route
     for x in _rank_deficient_inputs():
         assert operator_norm(polar_regularized(x).u - polar_direct(x).u) <= 1e-12
+
+
+def test_regularized_takes_two_square_roots(monkeypatch):
+    # |x*| and the snap's |last_u|; the snap no longer computes |last_u*|
+    calls = []
+
+    def counted(h, tol=None):
+        calls.append(h)
+        return positive_sqrt(h, tol)
+
+    monkeypatch.setattr(polar, "positive_sqrt", counted)
+    svals = [np.array([0.0, 0.7, 1.3]), np.array([0.4, 1.0])]
+    x = element_with_singular_values((3, 2), svals, np.random.default_rng(31))
+    res = polar_regularized(x)
+    assert len(calls) == 2
+    check_invariants(x, res)
 
 
 def test_regularized_ladder_bound_and_certificate():
@@ -302,6 +323,42 @@ def test_cut_invariants_on_random_gap_inputs():
         assert operator_norm(cut.a * absxstar - p) <= 1e-9
         inner = cut.a * (x * adjoint(x)) * cut.a
         assert operator_norm(positive_sqrt(inner) - p) <= 1e-9
+
+
+def _cut_inputs():
+    rng = np.random.default_rng(32)
+    return {
+        "projection": element_with_singular_values((3,), [np.array([1.0, 1.0, 0.0])], rng),
+        "invertible": el([[2, 1], [1, 2]]),
+        "gap": element_with_singular_values((4,), [np.array([0.0, 0.6, 1.1, 1.7])], rng),
+    }
+
+
+@pytest.mark.parametrize("kind", ["projection", "invertible", "gap"])
+def test_cut_residuals_names_and_accept_rule(kind):
+    x = _cut_inputs()[kind]
+    cut = spectral_cut(x)
+    # the cut carries the |x*| it was taken from, bit for bit
+    assert cut.absxstar == positive_sqrt(x * adjoint(x))
+    check = cut_residuals(x, cut)
+    assert list(check.residuals) == [
+        "cut_identity",
+        "sqrt_identity",
+        "commutator_ap",
+        "commutator_a_absxstar",
+        "commutator_p_absxstar",
+    ]
+    assert check.nonzero and check.accepted
+    assert max(check.residuals.values()) <= CUT_RESIDUAL_TOL
+    # a doubled a breaks both identities, and a zero p is declined outright
+    doubled = SpectralCut(p=cut.p, a=2.0 * cut.a, absxstar=cut.absxstar, mu=cut.mu)
+    check = cut_residuals(x, doubled)
+    assert check.residuals["cut_identity"] == pytest.approx(1.0)
+    assert check.nonzero and not check.accepted
+    zero = Projection(AlgebraElement.zeros(x.signature))
+    check = cut_residuals(x, SpectralCut(p=zero, a=0.0 * cut.a, absxstar=cut.absxstar))
+    assert max(check.residuals.values()) == 0.0
+    assert not check.nonzero and not check.accepted
 
 
 def test_cut_rejections():
