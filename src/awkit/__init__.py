@@ -65,6 +65,7 @@ from .spectral import (
     BorelSubset,
     SpectralFunction,
     SpectralMeasure,
+    SpectralResiduals,
     Spectrum,
     check_regularity,
     integrate,
@@ -72,6 +73,7 @@ from .spectral import (
     measure_of,
     order_convergent_integral,
     spectral_measure,
+    spectral_residuals,
     spectrum_of,
 )
 

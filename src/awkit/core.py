@@ -6,7 +6,10 @@ a cyclic Jacobi sweep, and everything spectral in the higher modules rides
 on it: operator norms, Loewner comparisons, positive square roots, range
 projections and pseudo-inverses. The sweep rotates Python lists of built-in
 complex rather than numpy scalars, and reproduces numpy's complex128
-arithmetic bit for bit (see _jacobi_sweeps).
+arithmetic bit for bit (see _jacobi_sweeps). Eigenvectors are accumulated
+only when a caller reads them: operator norms, Loewner comparisons and
+other bound checks ask ``eigh_hermitian`` for eigenvalues alone, through
+the same kernel and with the same eigenvalues to the bit.
 
 Blocks are validated once, at the public boundary. ``AlgebraElement(...)``
 copies its input to complex128 and checks that every block is square of
@@ -242,13 +245,19 @@ def _require_self_adjoint(x: AlgebraElement, tol: ToleranceConfig, what: str):
 
 @dataclass(frozen=True)
 class HermitianEigenSystem:
-    """Blockwise eigendecomposition h = U diag(w) U* with ascending w per block."""
+    """Blockwise eigendecomposition h = U diag(w) U* with ascending w per block.
+
+    unitary is None when the system was computed for its eigenvalues alone
+    (``eigh_hermitian(h, vectors=False)``); such a system cannot assemble.
+    """
 
     eigenvalues: tuple[np.ndarray, ...]
-    unitary: AlgebraElement
+    unitary: AlgebraElement | None
 
     def assemble(self, transform: Callable[[np.ndarray], np.ndarray]) -> AlgebraElement:
         """Rebuild U diag(transform(w)) U*, hermitized exactly when values are real."""
+        if self.unitary is None:
+            raise ValueError("an eigenvalues-only system has no unitary to assemble")
         blocks = []
         for w, u in zip(self.eigenvalues, self.unitary.blocks):
             vals = np.asarray(transform(w), dtype=np.complex128)
@@ -294,7 +303,10 @@ def _jacobi_sweeps(a, vecs, target, skip, max_sweeps):
     Returns the final off-diagonal Frobenius mass (see _off_mass). The
     block and the eigenvector matrix are read once into row lists of
     built-in complex, rotated there and written back once at the end: a
-    numpy scalar costs several times more per arithmetic operation. Every
+    numpy scalar costs several times more per arithmetic operation. With
+    vecs None no eigenvectors are accumulated; each entry of the block is
+    computed on its own, so the block, the mass and every sweep decision
+    are the same to the bit either way. Every
     value is bit-identical to the same rotations on numpy complex128
     scalars, because the lists repeat numpy's arithmetic exactly:
 
@@ -308,7 +320,7 @@ def _jacobi_sweeps(a, vecs, target, skip, max_sweeps):
       complex; and the off-diagonal mass keeps its summation order.
     """
     rows = a.tolist()
-    vrows = vecs.tolist()
+    vrows = None if vecs is None else vecs.tolist()
     n = len(rows)
     for _ in range(max_sweeps):
         off = _off_mass(rows)
@@ -332,15 +344,17 @@ def _jacobi_sweeps(a, vecs, target, skip, max_sweeps):
                 c = complex(cr, 0.0)
                 sp = complex(t * cr, 0.0) * phase
                 spc = sp.conjugate()
-                for row, vrow in zip(rows, vrows):
+                for row in rows:
                     cp = row[p]
                     cq = row[q]
                     row[p] = c * cp - spc * cq
                     row[q] = sp * cp + c * cq
-                    vp = vrow[p]
-                    vq = vrow[q]
-                    vrow[p] = c * vp - spc * vq
-                    vrow[q] = sp * vp + c * vq
+                if vrows is not None:
+                    for vrow in vrows:
+                        vp = vrow[p]
+                        vq = vrow[q]
+                        vrow[p] = c * vp - spc * vq
+                        vrow[q] = sp * vp + c * vq
                 # rows p and q of a, after their columns
                 for j in range(n):
                     xp = rp[j]
@@ -354,19 +368,21 @@ def _jacobi_sweeps(a, vecs, target, skip, max_sweeps):
     else:
         off = _off_mass(rows)
     a[...] = rows
-    vecs[...] = vrows
+    if vecs is not None:
+        vecs[...] = vrows
     return off
 
 
-def _jacobi_eigh(mat: np.ndarray, rel_off_tol: float, max_sweeps: int):
+def _jacobi_eigh(mat: np.ndarray, rel_off_tol: float, max_sweeps: int, vectors: bool = True):
     """Cyclic Jacobi diagonalization of one Hermitian block.
 
-    Returns ascending eigenvalues and the unitary of eigenvector columns.
-    Raises NonConvergence when the off-diagonal Frobenius mass is still above
-    rel_off_tol * ||mat||_F after max_sweeps full sweeps.
+    Returns ascending eigenvalues and the unitary of eigenvector columns,
+    or None in its place when vectors is false. Raises NonConvergence when
+    the off-diagonal Frobenius mass is still above rel_off_tol * ||mat||_F
+    after max_sweeps full sweeps.
     """
     n = mat.shape[0]
-    vecs = np.eye(n, dtype=np.complex128)
+    vecs = np.eye(n, dtype=np.complex128) if vectors else None
     if n == 1:
         return np.array([mat[0, 0].real]), vecs
     a = 0.5 * (np.asarray(mat, dtype=np.complex128) + mat.conj().T)
@@ -381,23 +397,30 @@ def _jacobi_eigh(mat: np.ndarray, rel_off_tol: float, max_sweeps: int):
         )
     w = np.real(np.diagonal(a)).copy()
     order = np.argsort(w, kind="stable")
+    if vecs is None:
+        return w[order], None
     # vecs[:, order] is an F-ordered view of a temporary; copy it to own it
     return w[order], vecs[:, order].copy(order="F")
 
 
 def eigh_hermitian(
-    h: AlgebraElement, tol: ToleranceConfig | None = None
+    h: AlgebraElement, tol: ToleranceConfig | None = None, *, vectors: bool = True
 ) -> HermitianEigenSystem:
-    """Blockwise Hermitian eigendecomposition via cyclic Jacobi sweeps."""
+    """Blockwise Hermitian eigendecomposition via cyclic Jacobi sweeps.
+
+    With vectors=False the eigenvectors are not accumulated and the system's
+    unitary is None; the eigenvalues are bit-identical to the full solve's.
+    Callers that only read eigenvalues (norms, order and bound checks) use it.
+    """
     t = _tol(tol)
     _require_self_adjoint(h, t, "eigh_hermitian input")
     values, units = [], []
     for b in h.blocks:
-        w, u = _jacobi_eigh(b, t.jacobi_off_tol, t.max_sweeps)
+        w, u = _jacobi_eigh(b, t.jacobi_off_tol, t.max_sweeps, vectors)
         w.setflags(write=False)
         values.append(w)
         units.append(u)
-    return HermitianEigenSystem(tuple(values), AlgebraElement._of(units))
+    return HermitianEigenSystem(tuple(values), AlgebraElement._of(units) if vectors else None)
 
 
 def simultaneous_eigh(
@@ -436,7 +459,7 @@ def simultaneous_eigh(
 def operator_norm(x: AlgebraElement, tol: ToleranceConfig | None = None) -> float:
     """Largest singular value over blocks, via the top eigenvalue of x*x."""
     gram = adjoint(x) * x
-    eig = eigh_hermitian(gram, tol)
+    eig = eigh_hermitian(gram, tol, vectors=False)
     top = max(float(w[-1]) for w in eig.eigenvalues)
     return math.sqrt(max(top, 0.0))
 
@@ -451,7 +474,7 @@ def loewner_leq(
     t = _tol(tol)
     _require_self_adjoint(a, t, "loewner_leq left argument")
     _require_self_adjoint(b, t, "loewner_leq right argument")
-    eig = eigh_hermitian(b - a, t)
+    eig = eigh_hermitian(b - a, t, vectors=False)
     return eig.min_eigenvalue >= -t.pos_slack * (1.0 + eig.max_abs_eigenvalue)
 
 

@@ -5,6 +5,14 @@ class AlgebraError(Exception):
     """Base class for every domain error raised by awkit."""
 
 
+class BadArgument(ValueError):
+    """A numeric argument lies outside its documented domain, such as a
+    ladder or resolvent index below 1 or a negative or non-finite rate.
+
+    Not an AlgebraError: it rejects the question, not the mathematics.
+    """
+
+
 class SignatureMismatch(AlgebraError):
     """Arithmetic attempted between elements of different block signatures."""
 

@@ -216,7 +216,7 @@ def max_annihilator(
     for i, s in enumerate(elements):
         if frobenius_norm(s - adjoint(s)) > t.pos_slack * (1.0 + frobenius_norm(s)):
             raise NotPositive(f"element {i} is not self-adjoint")
-        eig = eigh_hermitian(real_part(s), t)
+        eig = eigh_hermitian(real_part(s), t, vectors=False)
         if eig.min_eigenvalue < -t.pos_slack * (1.0 + eig.max_abs_eigenvalue):
             raise NotPositive(f"element {i} is not positive")
     total = elements[0]

@@ -10,6 +10,7 @@ condition and reports the first failure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,7 +27,7 @@ from .core import (
     operator_norm,
     real_part,
 )
-from .errors import EnvelopeViolation, SignatureMismatch
+from .errors import BadArgument, EnvelopeViolation, SignatureMismatch
 
 __all__ = [
     "DominatorEnvelope",
@@ -98,19 +99,20 @@ def build_certificate(
     """
     t = _tol(tol)
     if len(seq) == 0:
-        raise ValueError("sequence must be non-empty")
-    if tail_rate < 0:
-        raise ValueError("tail_rate must be non-negative")
+        raise BadArgument("sequence must be non-empty")
+    # a NaN rate would pass every tail check, an infinite one vacuously
+    if not 0.0 <= tail_rate < math.inf:
+        raise BadArgument("tail_rate must be finite and non-negative")
     if indices is None:
         indices = tuple(range(1, len(seq) + 1))
     else:
         indices = tuple(int(i) for i in indices)
         if len(indices) != len(seq):
-            raise ValueError("indices length must match sequence length")
+            raise BadArgument("indices length must match sequence length")
         if any(i < 1 for i in indices) or any(
             a >= b for a, b in zip(indices, indices[1:])
         ):
-            raise ValueError("indices must be ascending naturals")
+            raise BadArgument("indices must be ascending naturals")
     sig = limit.signature
     gaps = [operator_norm(a - limit, t) for a in seq]
     for n, g in zip(indices, gaps):
@@ -185,7 +187,7 @@ def verify_certificate(
                 residuals[LOWER_BOUND] = max(residuals[LOWER_BOUND], defect)
                 failing[LOWER_BOUND] = True
                 continue
-            eig = eigh_hermitian(real_part(d), t)
+            eig = eigh_hermitian(real_part(d), t, vectors=False)
             lo, hi = eig.min_eigenvalue, max(float(w[-1]) for w in eig.eigenvalues)
             norm_d = max(abs(lo), abs(hi))
             low_resid = max(0.0, -lo)
@@ -226,7 +228,7 @@ def verify_certificate(
     last = c.indices[-1]
     tail_resid = max(0.0, eps[-1] - c.envelope.tail_rate / last)
     residuals[TAIL] = max(residuals[TAIL], tail_resid)
-    if tail_resid > t.pos_slack or c.envelope.tail_rate < 0:
+    if tail_resid > t.pos_slack or not 0.0 <= c.envelope.tail_rate < math.inf:
         failing[TAIL] = True
 
     worst = max(residuals.values())
@@ -310,14 +312,14 @@ def limit_calculus_check(
         if frobenius_norm(d - adjoint(d)) > t.pos_slack * (1.0 + frobenius_norm(d)):
             hypothesis = False
             break
-        eig = eigh_hermitian(real_part(d), t)
+        eig = eigh_hermitian(real_part(d), t, vectors=False)
         if eig.min_eigenvalue < -t.pos_slack * (1.0 + eig.max_abs_eigenvalue):
             hypothesis = False
             break
     if hypothesis:
         d = c2.limit - c1.limit
         defect = frobenius_norm(d - adjoint(d))
-        eig = eigh_hermitian(real_part(d), t)
+        eig = eigh_hermitian(real_part(d), t, vectors=False)
         resid = max(0.0, -eig.min_eigenvalue, defect)
         worst = max(worst, resid)
         if resid > t.pos_slack * (1.0 + eig.max_abs_eigenvalue) and failing is None:

@@ -29,7 +29,7 @@ from .core import (
     pseudo_inverse_on_range,
     range_projection,
 )
-from .errors import BadCut, SlowConvergence, ZeroElement
+from .errors import BadArgument, BadCut, SlowConvergence, ZeroElement
 from .spectral import BorelSubset, measure_of, spectral_measure
 
 __all__ = [
@@ -149,7 +149,7 @@ def polar_regularized(
     """
     t = _tol(tol)
     if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+        raise BadArgument("n_max must be at least 1")
     gram = adjoint(x) * x
     eig = eigh_hermitian(gram, t)
     cutoff = t.rank_cutoff * max(1.0, eig.max_abs_eigenvalue)
@@ -260,7 +260,7 @@ def spectral_cut(
     if operator_norm(absxstar * absxstar - absxstar, t) <= t.pos_slack * (1.0 + norm_x):
         return SpectralCut(p=Projection(gram_star, t), a=one, absxstar=absxstar)
 
-    eig = eigh_hermitian(absxstar, t)
+    eig = eigh_hermitian(absxstar, t, vectors=False)
     cutoff = t.rank_cutoff * max(1.0, eig.max_abs_eigenvalue)
     if eig.min_eigenvalue > cutoff:
         return SpectralCut(
@@ -309,7 +309,7 @@ def resolvent_gap_inequality(
     """
     t = _tol(tol)
     if n < 1 or m < 1:
-        raise ValueError("resolvent indices must be positive")
+        raise BadArgument("resolvent indices must be positive")
     gram = adjoint(x) * x
     eig = eigh_hermitian(gram, t)
 

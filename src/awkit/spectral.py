@@ -51,10 +51,14 @@ __all__ = [
     "integrate",
     "check_regularity",
     "order_convergent_integral",
+    "SpectralResiduals",
+    "spectral_residuals",
     "REGULARITY_POINT_LIMIT",
+    "SPECTRAL_RESIDUAL_TOL",
 ]
 
 REGULARITY_POINT_LIMIT = 12
+SPECTRAL_RESIDUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -219,6 +223,31 @@ def spectral_measure(
     return SpectralMeasure(domain_spectrum=spectrum, atoms=MappingProxyType(atoms))
 
 
+@dataclass(frozen=True)
+class SpectralResiduals:
+    """The spectral reconstruction as a named residual, with the accept rule.
+
+    residuals maps the fixed name reconstruction (a = integral of z dm(z))
+    to ||integrate(identity, m) - a|| / (1 + ||a||) in block operator norm;
+    accepted holds when it is at most SPECTRAL_RESIDUAL_TOL.
+    """
+
+    residuals: dict[str, float]
+    accepted: bool
+
+
+def spectral_residuals(
+    a: AlgebraElement, m: SpectralMeasure, tol: ToleranceConfig | None = None
+) -> SpectralResiduals:
+    """Residual of the reconstruction of a from its spectral measure m."""
+    t = _tol(tol)
+    ident = SpectralFunction.identity(m.domain_spectrum)
+    recon = operator_norm(integrate(ident, m) - a, t) / (1.0 + operator_norm(a, t))
+    return SpectralResiduals(
+        residuals={"reconstruction": recon}, accepted=recon <= SPECTRAL_RESIDUAL_TOL
+    )
+
+
 def spectrum_of(a: AlgebraElement, tol: ToleranceConfig | None = None) -> Spectrum:
     """Clustered spectrum of a normal element."""
     return spectral_measure(a, tol).domain_spectrum
@@ -269,7 +298,7 @@ def check_regularity(m: SpectralMeasure, tol: ToleranceConfig | None = None) -> 
         )
     for p in points:
         atom = m.atoms[p].element
-        eig = eigh_hermitian(atom, t)
+        eig = eigh_hermitian(atom, t, vectors=False)
         if eig.min_eigenvalue < -t.pos_slack:
             return False
     atom_vecs = np.array(

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from awkit.cli import element_from_json, element_to_json, load_matrix_file, main
+from awkit import cli
+from awkit.cli import build_parser, element_from_json, element_to_json, load_matrix_file, main
 from awkit.core import AlgebraElement, frobenius_norm
 from awkit.polar import (
     cut_residuals,
@@ -15,7 +16,8 @@ from awkit.polar import (
     spectral_cut,
     verify_polar,
 )
-from awkit.sampling import element_with_singular_values, random_element
+from awkit.sampling import element_with_singular_values, random_element, random_normal_element
+from awkit.spectral import spectral_measure, spectral_residuals
 
 
 def write_matrix(path, element):
@@ -115,6 +117,18 @@ def test_spectral_on_normal_input(tmp_path, capsys):
     assert doc["artifacts"]["regularity"] is True
     mults = sorted(entry["multiplicity"] for entry in doc["artifacts"]["spectrum"])
     assert mults == [1, 2]
+
+
+def test_spectral_report_reads_spectral_residuals(tmp_path, capsys):
+    f = tmp_path / "a.json"
+    write_matrix(f, random_normal_element((3, 2), np.random.default_rng(4)))
+    code, out, _ = run_cli(capsys, "spectral", str(f))
+    a = load_matrix_file(str(f))
+    check = spectral_residuals(a, spectral_measure(a))
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["residuals"] == check.residuals
+    assert doc["accepted"] is check.accepted is True
 
 
 def test_cut_subcommand(tmp_path, capsys):
@@ -272,3 +286,56 @@ def test_non_finite_tolerance_exit_two(nilpotent_file, capsys):
     assert code == 2
     assert "bad tolerance" in err
     assert json.loads(out)["accepted"] is False
+
+
+def test_parser_built_once(nilpotent_file, capsys, monkeypatch):
+    built = []
+
+    def counting_build():
+        built.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    code1, out1, _ = run_cli(capsys, "polar", nilpotent_file)
+    code2, out2, _ = run_cli(capsys, "polar", nilpotent_file)
+    assert len(built) == 1
+    assert code1 == code2 == 0
+    assert out1 == out2
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("polar", "{x}", "--nmax", "0"),
+        ("ineq", "{x}", "--n", "0", "--m", "1"),
+        ("certify", "{seq}", "--limit", "{limit}", "--rate", "-1"),
+        ("certify", "{seq}", "--limit", "{limit}", "--rate", "nan"),
+        ("certify", "{seq}", "--limit", "{limit}", "--rate", "inf"),
+    ],
+    ids=["nmax-0", "ineq-n-0", "rate-negative", "rate-nan", "rate-inf"],
+)
+def test_bad_numeric_argument_exit_two(tmp_path, nilpotent_file, capsys, argv):
+    seq = tmp_path / "seq"
+    seq.mkdir()
+    one = AlgebraElement.identity((2,))
+    for n in range(1, 4):
+        write_matrix(seq / f"{n:03d}.json", one * (1.0 / n))
+    limit = tmp_path / "limit.json"
+    write_matrix(limit, AlgebraElement.zeros((2,)))
+    paths = {"x": nilpotent_file, "seq": str(seq), "limit": str(limit)}
+    code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert code == 2
+    assert err.startswith("malformed input:")
+    lines = out.splitlines()
+    assert len(lines) == 1
+    doc = _strict_json(lines[0])
+    assert doc["accepted"] is False
+    assert doc["error"]

@@ -5,16 +5,22 @@ which rotated numpy complex128 scalars in place, kept verbatim as a named
 oracle. The list kernel must return the same off-diagonal mass, rotated
 block and eigenvectors bit for bit (signed zeros included), and
 ``_jacobi_eigh`` must return or raise exactly what it did with the oracle.
+Without eigenvectors (vecs None) the kernel must still return the same mass
+and block, and ``eigh_hermitian(h, vectors=False)`` the same eigenvalues or
+the same exception as the full solve.
 """
 
 import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from awkit import core
+from awkit.core import AlgebraElement, ToleranceConfig, eigh_hermitian, frobenius_norm
+from awkit.errors import NonConvergence, NotSelfAdjoint
 
 
 def _reference_sweeps(a, vecs, target, skip, max_sweeps):
@@ -83,11 +89,12 @@ def same_bits(x, y) -> bool:
 # 1e160 makes squares overflow (the mass and ||a||_F read inf); 1e-150 and
 # 1e150 are far from unit scale but square within range
 SCALES = (1.0, 1e-150, 1e150, 1e160)
+BUDGETS = (1, 2, 100)  # max_sweeps
 
 
 @st.composite
-def blocks(draw):
-    """(matrix, relative off tolerance, sweep budget) for one block.
+def matrices(draw, scales=SCALES):
+    """One scaled square matrix of dimension 1..8, not yet hermitized.
 
     Entries in [-1, 1] include signed zeros. Kinds: generic complex,
     real-symmetric, already diagonal, and unitarily rotated spectra with
@@ -108,10 +115,15 @@ def blocks(draw):
         q, _ = np.linalg.qr(re + 1j * im)
         lam = np.array(draw(st.lists(st.sampled_from((-1.0, 0.5, 2.0)), min_size=n, max_size=n)))
         m = (q * lam) @ q.conj().T
-    scale = draw(st.sampled_from(SCALES))
+    return m * draw(st.sampled_from(scales))
+
+
+@st.composite
+def blocks(draw):
+    """(matrix, relative off tolerance, sweep budget) for one block."""
+    m = draw(matrices())
     rel = draw(st.sampled_from((1e-14, 1e-8, 1.0)))
-    max_sweeps = draw(st.sampled_from((1, 2, 100)))
-    return m * scale, rel, max_sweeps
+    return m, rel, draw(st.sampled_from(BUDGETS))
 
 
 def outcome(fn):
@@ -130,7 +142,7 @@ def test_list_kernel_matches_numpy_scalar_kernel_bit_for_bit(block):
     m, rel, max_sweeps = block
     n = m.shape[0]
     a = 0.5 * (m + m.conj().T)
-    a_ref, a_new = a.copy(), a.copy()
+    a_ref, a_new, a_val = a.copy(), a.copy(), a.copy()
     v_ref = np.eye(n, dtype=np.complex128)
     v_new = v_ref.copy()
     # numpy warns where a square overflows; both kernels then read inf
@@ -139,9 +151,12 @@ def test_list_kernel_matches_numpy_scalar_kernel_bit_for_bit(block):
         skip = target / (2.0 * n)
         off_ref = _reference_sweeps(a_ref, v_ref, target, skip, max_sweeps)
         off_new = core._jacobi_sweeps(a_new, v_new, target, skip, max_sweeps)
+        off_val = core._jacobi_sweeps(a_val, None, target, skip, max_sweeps)
     assert same_bits(np.float64(off_new), np.float64(off_ref))
     assert same_bits(a_new, a_ref)
     assert same_bits(v_new, v_ref)
+    assert same_bits(np.float64(off_val), np.float64(off_ref))
+    assert same_bits(a_val, a_ref)
 
     with np.errstate(over="ignore"):
         with mock.patch.object(core, "_jacobi_sweeps", _reference_sweeps):
@@ -152,3 +167,41 @@ def test_list_kernel_matches_numpy_scalar_kernel_bit_for_bit(block):
     else:
         assert same_bits(got[0], want[0])
         assert same_bits(got[1], want[1])
+
+
+@st.composite
+def hermitian_elements(draw):
+    """(element, sweep budget): one to three hermitized blocks of dimension 1..8.
+
+    No 1e160 scale: there ||h||_F overflows, so the self-adjointness slack
+    pos_slack (1 + ||h||_F) is infinite and no skew part is detected.
+    """
+    mats = draw(st.lists(matrices(scales=(1.0, 1e-150, 1e150)), min_size=1, max_size=3))
+    element = AlgebraElement([0.5 * (m + m.conj().T) for m in mats])
+    return element, draw(st.sampled_from(BUDGETS))
+
+
+@settings(max_examples=200)
+@given(hermitian_elements())
+def test_eigenvalues_only_mode_matches_full_solve_bit_for_bit(drawn):
+    h, max_sweeps = drawn
+    tol = ToleranceConfig(max_sweeps=max_sweeps)
+    with np.errstate(over="ignore"):
+        full = outcome(lambda: eigh_hermitian(h, tol))
+        vals = outcome(lambda: eigh_hermitian(h, tol, vectors=False))
+        if isinstance(full, tuple):
+            assert full[0] is NonConvergence
+            assert vals == full
+        else:
+            assert vals.unitary is None
+            assert len(vals.eigenvalues) == len(full.eigenvalues)
+            for got, want in zip(vals.eigenvalues, full.eigenvalues):
+                assert same_bits(got, want)
+                assert not got.flags.writeable
+            with pytest.raises(ValueError, match="eigenvalues-only"):
+                vals.assemble(np.sqrt)
+        # a skew part well above the slack at every scale
+        skew = h + 1j * (1.0 + frobenius_norm(h)) * AlgebraElement.identity(h.signature)
+        want = outcome(lambda: eigh_hermitian(skew, tol))
+        assert want == (NotSelfAdjoint, "eigh_hermitian input must be self-adjoint")
+        assert outcome(lambda: eigh_hermitian(skew, tol, vectors=False)) == want

@@ -201,6 +201,24 @@ def test_tamper_tail_rate_tags_tail():
     assert report.failing_condition == TAIL
 
 
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), -1.0])
+def test_build_rejects_non_finite_or_negative_rate(rate):
+    # max(0, eps - nan / n) is 0, so a NaN rate would pass every tail check
+    seq, limit = scalar_sequence(5)
+    with pytest.raises(ValueError, match="tail_rate"):
+        build_certificate(seq, limit, rate)
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+def test_verify_tags_non_finite_tail_rate(rate):
+    seq, limit = scalar_sequence(5)
+    cert = build_certificate(seq, limit, 1.0)
+    bad = replace(cert, envelope=DominatorEnvelope(eps=cert.envelope.eps, tail_rate=rate))
+    report = verify_certificate(bad)
+    assert not report.accepted
+    assert report.failing_condition == TAIL
+
+
 def test_calculus_scalar_examples():
     seq, limit = scalar_sequence(6)
     c1 = build_certificate(seq, limit, 1.0)

@@ -22,6 +22,7 @@ from awkit.spectral import (
     measure_of,
     order_convergent_integral,
     spectral_measure,
+    spectral_residuals,
     spectrum_of,
 )
 
@@ -233,3 +234,19 @@ def test_order_convergent_integral_certificates():
 
     with pytest.raises(IncompleteOrdering):
         order_convergent_integral(f, m, m.domain_spectrum.points[:-1])
+
+
+def test_spectral_residuals_name_scaling_and_accept_rule():
+    rng = np.random.default_rng(11)
+    a = random_normal_element((3, 2), rng)
+    m = spectral_measure(a)
+    recon = integrate(SpectralFunction.identity(m.domain_spectrum), m)
+    check = spectral_residuals(a, m)
+    assert set(check.residuals) == {"reconstruction"}
+    assert check.residuals["reconstruction"] == operator_norm(recon - a) / (1.0 + operator_norm(a))
+    assert check.accepted
+    # the same measure read against 2a is off by ||a|| / (1 + 2 ||a||)
+    wrong = spectral_residuals(2.0 * a, m)
+    norm = operator_norm(a)
+    assert wrong.residuals["reconstruction"] == pytest.approx(norm / (1.0 + 2.0 * norm), rel=1e-9)
+    assert not wrong.accepted
