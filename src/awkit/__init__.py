@@ -25,7 +25,6 @@ from .core import (
     range_projection,
     real_part,
     simultaneous_eigh,
-    trace_inner,
 )
 from .lattice import (
     ClosureCorrespondence,

@@ -18,12 +18,7 @@ import numpy as np
 
 from .core import AlgebraElement, ToleranceConfig
 from .errors import AlgebraError, BadArgument, NotNormal, TooManyPoints
-from .lattice import (
-    Subalgebra,
-    closure_correspondence,
-    generate_masa,
-    principal_angles,
-)
+from .lattice import Subalgebra, closure_correspondence, generate_masa
 from .order import build_certificate, verify_certificate
 from .polar import (
     DEFAULT_LADDER_MAX,
@@ -36,8 +31,6 @@ from .polar import (
 )
 from .selftest import run_all
 from .spectral import check_regularity, is_normal, spectral_measure, spectral_residuals
-
-ACCEPT_TOL = 1e-9
 
 
 class MalformedInput(Exception):
@@ -194,11 +187,8 @@ def _cmd_closure(args, tol):
     d1 = generate_masa([g], args.seed1, tol)
     d2 = generate_masa([g], args.seed2, tol)
     corr = closure_correspondence(b, d1, d2, tol)
+    accepted = corr.accepted
     c1, c2 = corr.closures
-    angles = principal_angles(c1, c2)
-    angle = float(angles[-1]) if angles.size else 0.0
-    residuals = {"closure_span_angle": angle, "correspondence_delta": corr.delta}
-    accepted = angle <= 1e-8 and corr.delta <= ACCEPT_TOL
     artifacts = {
         "closure_dim": c1.dim,
         "closure_basis_d1": [element_to_json(e) for e in c1.basis],
@@ -206,7 +196,7 @@ def _cmd_closure(args, tol):
         "projection_pairs": len(corr.pairs),
     }
     return _report(
-        "closure", tol, seed=[args.seed1, args.seed2], residuals=residuals,
+        "closure", tol, seed=[args.seed1, args.seed2], residuals=corr.residuals,
         accepted=accepted, artifacts=artifacts,
     ), 0 if accepted else 1
 

@@ -25,11 +25,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
+    BadArgument,
     NonConvergence,
     NotPositive,
     NotSelfAdjoint,
@@ -46,15 +48,16 @@ __all__ = [
     "real_part",
     "imag_part",
     "frobenius_norm",
-    "trace_inner",
     "operator_norm",
     "loewner_leq",
     "eigh_hermitian",
     "simultaneous_eigh",
+    "joint_eigenspaces",
     "positive_sqrt",
     "range_projection",
     "pseudo_inverse_on_range",
     "is_self_adjoint",
+    "is_normal",
 ]
 
 
@@ -62,11 +65,27 @@ __all__ = [
 class ToleranceConfig:
     """All numerical thresholds used by the toolkit.
 
-    pos_slack       absolute slack for positivity / self-adjointness checks
+    pos_slack       slack relative to the input. Positive: min w >= -pos_slack
+                    (1 + max |w|) over the eigenvalues w
+                    (HermitianEigenSystem.is_positive). Self-adjoint:
+                    ||x - x*||_F <= pos_slack (1 + ||x||_F) (is_self_adjoint).
+                    Normal: ||a a* - a* a|| <= pos_slack (1 + ||a||^2)
+                    (is_normal).
     cluster_tol     relative gap below which eigenvalues are merged
-    rank_cutoff     relative threshold below which eigenvalues count as zero
-    jacobi_off_tol  relative off-diagonal mass at which the sweep stops
+    rank_cutoff     eigenvalues w <= rank_cutoff max(1, max |w|) count as zero
+                    (HermitianEigenSystem.rank_cutoff, read by root, the range
+                    projection, the pseudo-inverse, the ladder and the cut)
+    jacobi_off_tol  off-diagonal mass, relative to ||h||_F, at which the
+                    sweep stops
     max_sweeps      hard budget of cyclic Jacobi sweeps
+
+    Rules that still differ: Projection and Subalgebra.is_commutative test
+    against an absolute 2 pos_slack, check_regularity against an absolute
+    -pos_slack; the ladder stops once ||u_n - u_{n-1}|| < rank_cutoff;
+    _orthonormal_rows cuts singular values relative to the largest; the
+    cluster gap is cluster_tol max(1, ||m||_F) in simultaneous_eigh,
+    cluster_tol max(1, ||a||) in spectral_measure and cluster_tol
+    (1 + |tuple|) per value tuple in minimal_projections.
     """
 
     pos_slack: float = 1e-10
@@ -131,7 +150,7 @@ class AlgebraElement:
     def _seal(self, mats: list[np.ndarray]):
         for m in mats:
             if not np.isfinite(m).all():
-                raise ValueError("non-finite entry in block")
+                raise BadArgument("non-finite entry in block")
             m.flags.writeable = False
         object.__setattr__(self, "blocks", tuple(mats))
         object.__setattr__(self, "signature", tuple(m.shape[0] for m in mats))
@@ -150,9 +169,6 @@ class AlgebraElement:
     @classmethod
     def zeros(cls, signature: Sequence[int]) -> "AlgebraElement":
         return cls([np.zeros((n, n), dtype=np.complex128) for n in signature])
-
-    def map_blocks(self, fn: Callable[[np.ndarray], np.ndarray]) -> "AlgebraElement":
-        return AlgebraElement([fn(b) for b in self.blocks])
 
     def _check_signature(self, other: "AlgebraElement"):
         if self.signature != other.signature:
@@ -226,12 +242,6 @@ def frobenius_norm(x: AlgebraElement) -> float:
     return math.sqrt(sum(np.vdot(b, b).real for b in x.blocks))
 
 
-def trace_inner(x: AlgebraElement, y: AlgebraElement) -> complex:
-    """Trace inner product sum_k tr(x_k* y_k)."""
-    x._check_signature(y)
-    return complex(sum(np.vdot(a, b) for a, b in zip(x.blocks, y.blocks)))
-
-
 def is_self_adjoint(x: AlgebraElement, tol: ToleranceConfig | None = None) -> bool:
     t = _tol(tol)
     defect = frobenius_norm(x - adjoint(x))
@@ -267,13 +277,31 @@ class HermitianEigenSystem:
             blocks.append(m)
         return AlgebraElement._of(blocks)
 
-    @property
+    @cached_property
     def min_eigenvalue(self) -> float:
         return min(float(w[0]) for w in self.eigenvalues)
 
+    @cached_property
+    def max_eigenvalue(self) -> float:
+        return max(float(w[-1]) for w in self.eigenvalues)
+
     @property
     def max_abs_eigenvalue(self) -> float:
-        return max(max(abs(float(w[0])), abs(float(w[-1]))) for w in self.eigenvalues)
+        """max |w|, read off the extreme eigenvalues."""
+        return max(0.0, self.max_eigenvalue, -self.min_eigenvalue)
+
+    def is_positive(self, t: ToleranceConfig) -> bool:
+        """min w >= -pos_slack (1 + max |w|): positive within slack."""
+        return self.min_eigenvalue >= -t.pos_slack * (1.0 + self.max_abs_eigenvalue)
+
+    def rank_cutoff(self, t: ToleranceConfig) -> float:
+        """Eigenvalues at or below rank_cutoff max(1, max |w|) count as zero."""
+        return t.rank_cutoff * max(1.0, self.max_abs_eigenvalue)
+
+    def root(self, t: ToleranceConfig) -> AlgebraElement:
+        """Square root with the eigenvalues at or below the rank cutoff set to 0."""
+        cutoff = self.rank_cutoff(t)
+        return self.assemble(lambda w: np.sqrt(np.where(w > cutoff, w, 0.0)))
 
 
 def _off_mass(rows) -> float:
@@ -456,12 +484,31 @@ def simultaneous_eigh(
     return basis, groups
 
 
+def joint_eigenspaces(
+    family: Sequence[AlgebraElement], tol: ToleranceConfig | None = None
+) -> list[tuple[np.ndarray, list[np.ndarray]]]:
+    """simultaneous_eigh per block over the real and imaginary parts of a
+    commuting normal family, in family order."""
+    parts = [p for x in family for p in (real_part(x), imag_part(x))]
+    return [
+        simultaneous_eigh([p.blocks[k] for p in parts], tol)
+        for k in range(len(family[0].blocks))
+    ]
+
+
 def operator_norm(x: AlgebraElement, tol: ToleranceConfig | None = None) -> float:
     """Largest singular value over blocks, via the top eigenvalue of x*x."""
     gram = adjoint(x) * x
-    eig = eigh_hermitian(gram, tol, vectors=False)
-    top = max(float(w[-1]) for w in eig.eigenvalues)
+    top = eigh_hermitian(gram, tol, vectors=False).max_eigenvalue
     return math.sqrt(max(top, 0.0))
+
+
+def is_normal(a: AlgebraElement, tol: ToleranceConfig | None = None) -> bool:
+    """True when a commutes with its adjoint within slack."""
+    t = _tol(tol)
+    astar = adjoint(a)
+    norm = operator_norm(a, t)
+    return operator_norm(a * astar - astar * a, t) <= t.pos_slack * (1.0 + norm * norm)
 
 
 def loewner_leq(
@@ -474,8 +521,7 @@ def loewner_leq(
     t = _tol(tol)
     _require_self_adjoint(a, t, "loewner_leq left argument")
     _require_self_adjoint(b, t, "loewner_leq right argument")
-    eig = eigh_hermitian(b - a, t, vectors=False)
-    return eig.min_eigenvalue >= -t.pos_slack * (1.0 + eig.max_abs_eigenvalue)
+    return eigh_hermitian(b - a, t, vectors=False).is_positive(t)
 
 
 def positive_sqrt(
@@ -490,11 +536,9 @@ def positive_sqrt(
     """
     t = _tol(tol)
     eig = eigh_hermitian(h, t)
-    norm = eig.max_abs_eigenvalue
-    if eig.min_eigenvalue < -t.pos_slack * (1.0 + norm):
+    if not eig.is_positive(t):
         raise NotPositive(f"min eigenvalue {eig.min_eigenvalue:.3e} below slack")
-    cutoff = t.rank_cutoff * max(1.0, norm)
-    return eig.assemble(lambda w: np.sqrt(np.where(w > cutoff, w, 0.0)))
+    return eig.root(t)
 
 
 def range_projection(
@@ -506,7 +550,7 @@ def range_projection(
     """
     t = _tol(tol)
     eig = eigh_hermitian(h, t)
-    cutoff = t.rank_cutoff * max(1.0, eig.max_abs_eigenvalue)
+    cutoff = eig.rank_cutoff(t)
     el = eig.assemble(lambda w: np.where(np.abs(w) > cutoff, 1.0, 0.0))
     return Projection(el, t)
 
@@ -517,10 +561,9 @@ def pseudo_inverse_on_range(
     """Inverse of a positive element on its range, zero on its kernel."""
     t = _tol(tol)
     eig = eigh_hermitian(h, t)
-    norm = eig.max_abs_eigenvalue
-    if eig.min_eigenvalue < -t.pos_slack * (1.0 + norm):
+    if not eig.is_positive(t):
         raise NotPositive(f"min eigenvalue {eig.min_eigenvalue:.3e} below slack")
-    cutoff = t.rank_cutoff * max(1.0, norm)
+    cutoff = eig.rank_cutoff(t)
 
     def invert(w: np.ndarray) -> np.ndarray:
         out = np.zeros_like(w)

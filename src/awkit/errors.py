@@ -7,7 +7,8 @@ class AlgebraError(Exception):
 
 class BadArgument(ValueError):
     """A numeric argument lies outside its documented domain, such as a
-    ladder or resolvent index below 1 or a negative or non-finite rate.
+    ladder or resolvent index below 1, a negative or non-finite rate, or a
+    finite input whose arithmetic overflows to a non-finite entry.
 
     Not an AlgebraError: it rejects the question, not the mathematics.
     """
@@ -54,7 +55,7 @@ class IncompleteFunction(AlgebraError):
 
 
 class TooManyPoints(AlgebraError):
-    """Subset enumeration is limited to small spectra."""
+    """Subset enumeration is limited to small spectra and few minimal projections."""
 
 
 class IncompleteOrdering(AlgebraError):

@@ -25,13 +25,14 @@ from .core import (
     adjoint,
     eigh_hermitian,
     frobenius_norm,
-    imag_part,
+    is_normal,
+    is_self_adjoint,
+    joint_eigenspaces,
     operator_norm,
     range_projection,
     real_part,
-    simultaneous_eigh,
 )
-from .errors import NotCommuting, NotContained, NotNormal, NotPositive
+from .errors import NotCommuting, NotContained, NotNormal, NotPositive, TooManyPoints
 
 __all__ = [
     "Subalgebra",
@@ -46,10 +47,13 @@ __all__ = [
     "principal_angles",
     "spans_equal",
     "SPAN_ANGLE_TOL",
+    "CLOSURE_RESIDUAL_TOL",
 ]
 
 # basis-free subalgebra equality threshold on principal angles
 SPAN_ANGLE_TOL = 1e-8
+# largest correspondence delta a closure report accepts
+CLOSURE_RESIDUAL_TOL = 1e-9
 
 # face enumeration walks subsets of minimal projections
 MAX_ENUMERATED_FACES = 20
@@ -126,12 +130,6 @@ class Subalgebra:
         return self.dim == sum(self.signature) and self.is_commutative(tol)
 
     @classmethod
-    def from_basis_unchecked(
-        cls, signature: Sequence[int], basis: Sequence[AlgebraElement]
-    ) -> "Subalgebra":
-        return cls(tuple(signature), tuple(basis))
-
-    @classmethod
     def from_generators(
         cls,
         generators: Sequence[AlgebraElement],
@@ -172,6 +170,19 @@ class ClosureCorrespondence:
     pairs: tuple[tuple[Projection, Projection], ...]
     closures: tuple[Subalgebra, Subalgebra]
     delta: float
+
+    @property
+    def residuals(self) -> dict[str, float]:
+        """closure_span_angle, the largest principal angle between the two
+        closures, and correspondence_delta, the delta above."""
+        angles = principal_angles(*self.closures)
+        angle = float(angles[-1]) if angles.size else 0.0
+        return {"closure_span_angle": angle, "correspondence_delta": self.delta}
+
+    @property
+    def accepted(self) -> bool:
+        """The closures span equal spaces and delta is at most CLOSURE_RESIDUAL_TOL."""
+        return spans_equal(*self.closures) and self.delta <= CLOSURE_RESIDUAL_TOL
 
 
 def principal_angles(s1: Subalgebra, s2: Subalgebra) -> np.ndarray:
@@ -214,10 +225,9 @@ def max_annihilator(
     if not elements:
         raise ValueError("max_annihilator needs a non-empty family")
     for i, s in enumerate(elements):
-        if frobenius_norm(s - adjoint(s)) > t.pos_slack * (1.0 + frobenius_norm(s)):
+        if not is_self_adjoint(s, t):
             raise NotPositive(f"element {i} is not self-adjoint")
-        eig = eigh_hermitian(real_part(s), t, vectors=False)
-        if eig.min_eigenvalue < -t.pos_slack * (1.0 + eig.max_abs_eigenvalue):
+        if not eigh_hermitian(real_part(s), t, vectors=False).is_positive(t):
             raise NotPositive(f"element {i} is not positive")
     total = elements[0]
     for s in elements[1:]:
@@ -228,12 +238,10 @@ def max_annihilator(
 
 def _require_commuting_normal(generators, t):
     for i, g in enumerate(generators):
-        gstar = adjoint(g)
-        scale = operator_norm(g, t)
-        if operator_norm(g * gstar - gstar * g, t) > t.pos_slack * (1.0 + scale * scale):
+        if not is_normal(g, t):
             raise NotNormal(f"generator {i} does not commute with its adjoint")
         for j, h in enumerate(generators[i + 1 :], start=i + 1):
-            bound = t.pos_slack * (1.0 + scale * operator_norm(h, t))
+            bound = t.pos_slack * (1.0 + operator_norm(g, t) * operator_norm(h, t))
             if operator_norm(g * h - h * g, t) > bound:
                 raise NotCommuting(f"generators {i} and {j} do not commute")
 
@@ -257,12 +265,7 @@ def generate_masa(
     sig = seed_commuting[0].signature
     rng = np.random.default_rng(refinement_seed)
     basis_elements = []
-    for k, n in enumerate(sig):
-        mats = []
-        for g in seed_commuting:
-            mats.append(real_part(g).blocks[k])
-            mats.append(imag_part(g).blocks[k])
-        basis, groups = simultaneous_eigh(mats, t)
+    for k, (basis, groups) in enumerate(joint_eigenspaces(seed_commuting, t)):
         for idx in groups:
             if len(idx) > 1:
                 g = rng.standard_normal((len(idx), len(idx))) + 1j * rng.standard_normal(
@@ -271,7 +274,7 @@ def generate_masa(
                 q, r = np.linalg.qr(g)
                 d = np.diagonal(r)
                 basis[:, idx] = basis[:, idx] @ (q * (d / np.abs(d)))
-        for col in range(n):
+        for col in range(sig[k]):
             v = basis[:, col : col + 1]
             m = v @ v.conj().T
             blocks = [
@@ -279,7 +282,7 @@ def generate_masa(
                 for j, d in enumerate(sig)
             ]
             basis_elements.append(AlgebraElement(blocks))
-    out = Subalgebra.from_basis_unchecked(sig, basis_elements)
+    out = Subalgebra(sig, tuple(basis_elements))
     if not out.is_masa(t):
         raise RuntimeError("refined diagonal algebra failed the MASA postcondition")
     return out
@@ -320,7 +323,7 @@ def relative_commutant(
     rows = _orthonormal_rows(
         np.array([_vec(b) for b in basis_elements]), t.rank_cutoff
     )
-    return Subalgebra.from_basis_unchecked(sig, [_unvec(r, sig) for r in rows])
+    return Subalgebra(sig, tuple(_unvec(r, sig) for r in rows))
 
 
 def minimal_projections(
@@ -336,12 +339,7 @@ def minimal_projections(
         raise NotCommuting("minimal projections require a commutative subalgebra")
     sig = s.signature
     carriers = []  # (block, columns, value tuple)
-    for k, n in enumerate(sig):
-        mats = []
-        for b in s.basis:
-            mats.append(real_part(b).blocks[k])
-            mats.append(imag_part(b).blocks[k])
-        basis, groups = simultaneous_eigh(mats, t)
+    for k, (basis, groups) in enumerate(joint_eigenspaces(s.basis, t)):
         for idx in groups:
             v = basis[:, idx]
             tup = np.array(
@@ -422,7 +420,7 @@ def _closure_step(current: Subalgebra, masa: Subalgebra, t) -> Subalgebra:
     minimal = minimal_projections(current, t)
     masa_minimal = minimal_projections(masa, t)
     if len(minimal) > MAX_ENUMERATED_FACES:
-        raise ValueError(
+        raise TooManyPoints(
             f"face enumeration capped at {MAX_ENUMERATED_FACES} minimal projections"
         )
     masks = _support_masks(minimal, masa_minimal, t)
@@ -500,7 +498,7 @@ def closure_correspondence(
     minimal = minimal_projections(c1, t)
     m = len(minimal)
     if m > MAX_ENUMERATED_FACES:
-        raise ValueError(
+        raise TooManyPoints(
             f"projection enumeration capped at {MAX_ENUMERATED_FACES} minimal projections"
         )
     zero = AlgebraElement.zeros(b.signature)

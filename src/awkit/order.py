@@ -24,6 +24,7 @@ from .core import (
     eigh_hermitian,
     frobenius_norm,
     imag_part,
+    is_self_adjoint,
     operator_norm,
     real_part,
 )
@@ -181,23 +182,19 @@ def verify_certificate(
         comp_limit = c.component_limits[k]
         for j in range(len(c.indices)):
             d = c.components[k][j] - comp_limit
-            defect = frobenius_norm(d - adjoint(d))
-            scale = 1.0 + frobenius_norm(d)
-            if defect > t.pos_slack * scale:
+            if not is_self_adjoint(d, t):
+                defect = frobenius_norm(d - adjoint(d))
                 residuals[LOWER_BOUND] = max(residuals[LOWER_BOUND], defect)
                 failing[LOWER_BOUND] = True
                 continue
             eig = eigh_hermitian(real_part(d), t, vectors=False)
-            lo, hi = eig.min_eigenvalue, max(float(w[-1]) for w in eig.eigenvalues)
-            norm_d = max(abs(lo), abs(hi))
-            low_resid = max(0.0, -lo)
-            residuals[LOWER_BOUND] = max(residuals[LOWER_BOUND], low_resid)
-            if low_resid > t.pos_slack * (1.0 + norm_d):
+            residuals[LOWER_BOUND] = max(residuals[LOWER_BOUND], -eig.min_eigenvalue)
+            if not eig.is_positive(t):
                 failing[LOWER_BOUND] = True
             bound = 2.0 * eps[j]
-            up_resid = max(0.0, hi - bound)
+            up_resid = max(0.0, eig.max_eigenvalue - bound)
             residuals[UPPER_BOUND] = max(residuals[UPPER_BOUND], up_resid)
-            if up_resid > t.pos_slack * (1.0 + norm_d + bound):
+            if up_resid > t.pos_slack * (1.0 + eig.max_abs_eigenvalue + bound):
                 failing[UPPER_BOUND] = True
 
     for j, a in enumerate(c.terms):
@@ -306,16 +303,11 @@ def limit_calculus_check(
         r1 * bound_b + r2 * operator_norm(c1.limit, t),
     ))
     # (iv) order preservation where the termwise hypothesis holds
-    hypothesis = True
-    for j1, j2 in pairs:
-        d = c2.terms[j2] - c1.terms[j1]
-        if frobenius_norm(d - adjoint(d)) > t.pos_slack * (1.0 + frobenius_norm(d)):
-            hypothesis = False
-            break
-        eig = eigh_hermitian(real_part(d), t, vectors=False)
-        if eig.min_eigenvalue < -t.pos_slack * (1.0 + eig.max_abs_eigenvalue):
-            hypothesis = False
-            break
+    diffs = (c2.terms[j2] - c1.terms[j1] for j1, j2 in pairs)
+    hypothesis = all(
+        is_self_adjoint(d, t) and eigh_hermitian(real_part(d), t, vectors=False).is_positive(t)
+        for d in diffs
+    )
     if hypothesis:
         d = c2.limit - c1.limit
         defect = frobenius_norm(d - adjoint(d))

@@ -152,11 +152,11 @@ def polar_regularized(
         raise BadArgument("n_max must be at least 1")
     gram = adjoint(x) * x
     eig = eigh_hermitian(gram, t)
-    cutoff = t.rank_cutoff * max(1.0, eig.max_abs_eigenvalue)
+    cutoff = eig.rank_cutoff(t)
     sigma = [np.sqrt(np.maximum(w, 0.0)) for w in eig.eigenvalues]
     kept = [s[s * s > cutoff] for s in sigma]
     sigma_min = min((float(s.min()) for s in kept if s.size), default=None)
-    absx = eig.assemble(lambda w: np.sqrt(np.where(w > cutoff, w, 0.0)))
+    absx = eig.root(t)
     absxstar = positive_sqrt(x * adjoint(x), t)
 
     terms: list[tuple[int, AlgebraElement]] = []
@@ -247,6 +247,8 @@ def spectral_cut(
     [0, mu], defaulting mu to half the smallest nonzero spectrum point.
     """
     t = _tol(tol)
+    if mu is not None and not np.isfinite(mu):
+        raise BadArgument("cut point must be finite")
     norm_x = operator_norm(x, t)
     if norm_x <= t.pos_slack:
         raise ZeroElement("spectral cut needs a nonzero element")
@@ -261,7 +263,7 @@ def spectral_cut(
         return SpectralCut(p=Projection(gram_star, t), a=one, absxstar=absxstar)
 
     eig = eigh_hermitian(absxstar, t, vectors=False)
-    cutoff = t.rank_cutoff * max(1.0, eig.max_abs_eigenvalue)
+    cutoff = eig.rank_cutoff(t)
     if eig.min_eigenvalue > cutoff:
         return SpectralCut(
             p=Projection(one, t), a=pseudo_inverse_on_range(absxstar, t), absxstar=absxstar

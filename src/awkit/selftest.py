@@ -22,7 +22,8 @@ from .core import (
     positive_sqrt,
     range_projection,
 )
-from .lattice import Subalgebra, closure_correspondence, generate_masa, principal_angles, spans_equal
+from .errors import BadArgument
+from .lattice import Subalgebra, closure_correspondence, generate_masa
 from .order import (
     DominatorEnvelope,
     ENVELOPE_MONOTONICITY,
@@ -61,7 +62,6 @@ from .spectral import (
 __all__ = ["CriterionResult", "run_all", "CRITERIA"]
 
 RESIDUAL_TOL = 1e-9
-ANGLE_TOL = 1e-8
 
 
 @dataclass
@@ -295,10 +295,9 @@ def check_closure_agreement(trials=50, seed=0, dims=(2, 5), tol=None) -> Criteri
         d1 = generate_masa([g], seed + 2 * k + 1, t)
         d2 = generate_masa([g], seed + 2 * k + 2, t)
         corr = closure_correspondence(b, d1, d2, t)
-        c1, c2 = corr.closures
-        if not spans_equal(c1, c2, ANGLE_TOL):
-            worst = max(worst, float(principal_angles(c1, c2)[-1]))
         worst = max(worst, corr.delta)
+        if not corr.accepted:
+            worst = max(worst, *corr.residuals.values())
         lookup = [(p.element, q.element) for p, q in corr.pairs]
         # product preservation through the pairing
         for p1, q1 in lookup:
@@ -453,6 +452,8 @@ def run_all(
     tol: ToleranceConfig | None = None,
 ) -> list[CriterionResult]:
     """Run every acceptance suite; per-suite counts scale with trials/200."""
+    if trials < 1:
+        raise BadArgument("trials must be at least 1")
     results = []
     for fn, nominal in CRITERIA.values():
         count = max(1, round(nominal * trials / 200))

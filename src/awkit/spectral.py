@@ -23,12 +23,10 @@ from .core import (
     Projection,
     ToleranceConfig,
     _tol,
-    adjoint,
     eigh_hermitian,
-    imag_part,
+    is_normal,
+    joint_eigenspaces,
     operator_norm,
-    real_part,
-    simultaneous_eigh,
 )
 from .errors import (
     IncompleteFunction,
@@ -124,14 +122,6 @@ class SpectralMeasure:
             raise UnknownPoint(f"{point} is not a spectrum point") from None
 
 
-def is_normal(a: AlgebraElement, tol: ToleranceConfig | None = None) -> bool:
-    """True when a commutes with its adjoint within slack."""
-    t = _tol(tol)
-    astar = adjoint(a)
-    norm = operator_norm(a, t)
-    return operator_norm(a * astar - astar * a, t) <= t.pos_slack * (1.0 + norm * norm)
-
-
 def _cluster_complex(values, ctol):
     """Single-link clustering of complex values.
 
@@ -181,11 +171,8 @@ def _normal_eigensystem(a: AlgebraElement, t: ToleranceConfig):
     """Per-block joint eigenvectors of h and k with complex Rayleigh values."""
     if not is_normal(a, t):
         raise NotNormal("spectral decomposition needs a normal element")
-    h = real_part(a)
-    k = imag_part(a)
     per_block = []
-    for hk, kk, ak in zip(h.blocks, k.blocks, a.blocks):
-        basis, _ = simultaneous_eigh([hk, kk], t)
+    for ak, (basis, _) in zip(a.blocks, joint_eigenspaces([a], t)):
         vals = np.diagonal(basis.conj().T @ ak @ basis).copy()
         per_block.append((basis, vals))
     return per_block

@@ -8,6 +8,7 @@ import pytest
 from awkit import cli
 from awkit.cli import build_parser, element_from_json, element_to_json, load_matrix_file, main
 from awkit.core import AlgebraElement, frobenius_norm
+from awkit.lattice import Subalgebra, closure_correspondence, generate_masa
 from awkit.polar import (
     cut_residuals,
     polar_direct,
@@ -177,6 +178,19 @@ def test_closure_subcommand(tmp_path, capsys):
     assert doc["residuals"]["correspondence_delta"] <= 1e-9
 
 
+def test_closure_report_reads_correspondence_residuals(tmp_path, capsys):
+    g = AlgebraElement([np.diag([1.0, 1.0, 2.0]), np.diag([2.0, 3.0])])
+    f = tmp_path / "g.json"
+    write_matrix(f, g)
+    code, out, _ = run_cli(capsys, "closure", str(f), "--seed1", "3", "--seed2", "4")
+    b = Subalgebra.from_generators([g])
+    corr = closure_correspondence(b, generate_masa([g], 3), generate_masa([g], 4))
+    doc = json.loads(out)
+    assert doc["residuals"] == corr.residuals
+    assert doc["accepted"] is corr.accepted is True
+    assert code == 0
+
+
 def test_certify_subcommand(tmp_path, capsys):
     d = tmp_path / "seq"
     d.mkdir()
@@ -311,6 +325,13 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+def _one_report(out):
+    """The only line of stdout, read as strict JSON."""
+    lines = out.splitlines()
+    assert len(lines) == 1
+    return _strict_json(lines[0])
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -319,8 +340,15 @@ def _strict_json(text):
         ("certify", "{seq}", "--limit", "{limit}", "--rate", "-1"),
         ("certify", "{seq}", "--limit", "{limit}", "--rate", "nan"),
         ("certify", "{seq}", "--limit", "{limit}", "--rate", "inf"),
+        ("cut", "{x}", "--mu", "nan"),
+        ("cut", "{x}", "--mu", "inf"),
+        ("selftest", "--trials", "0"),
+        ("selftest", "--trials", "-3"),
     ],
-    ids=["nmax-0", "ineq-n-0", "rate-negative", "rate-nan", "rate-inf"],
+    ids=[
+        "nmax-0", "ineq-n-0", "rate-negative", "rate-nan", "rate-inf",
+        "mu-nan", "mu-inf", "trials-0", "trials-negative",
+    ],
 )
 def test_bad_numeric_argument_exit_two(tmp_path, nilpotent_file, capsys, argv):
     seq = tmp_path / "seq"
@@ -334,8 +362,50 @@ def test_bad_numeric_argument_exit_two(tmp_path, nilpotent_file, capsys, argv):
     code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
     assert code == 2
     assert err.startswith("malformed input:")
-    lines = out.splitlines()
-    assert len(lines) == 1
-    doc = _strict_json(lines[0])
+    doc = _one_report(out)
+    assert doc["accepted"] is False
+    assert doc["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("polar", "{x}"),
+        ("spectral", "{x}"),
+        ("cut", "{x}"),
+        ("closure", "{x}", "--seed1", "1", "--seed2", "2"),
+        ("certify", "{seq}", "--limit", "{zero}", "--rate", "1.0"),
+        ("ineq", "{x}", "--n", "1", "--m", "2"),
+    ],
+    ids=["polar", "spectral", "cut", "closure", "certify", "ineq"],
+)
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_overflowing_input_exit_two(tmp_path, capsys, argv):
+    # finite entries whose products overflow: x x* holds 1e600
+    big = AlgebraElement([np.diag([1e300, 1.0])])
+    x = tmp_path / "x.json"
+    write_matrix(x, big)
+    seq = tmp_path / "seq"
+    seq.mkdir()
+    write_matrix(seq / "001.json", big)
+    zero = tmp_path / "zero.json"
+    write_matrix(zero, AlgebraElement.zeros((2,)))
+    paths = {"x": x, "seq": seq, "zero": zero}
+    code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert code == 2
+    assert err.startswith("malformed input:") and "non-finite" in err
+    doc = _one_report(out)
+    assert doc["accepted"] is False
+    assert "non-finite" in doc["error"]
+
+
+def test_closure_over_face_limit_exits_one(tmp_path, capsys):
+    # 21 distinct eigenvalues give 21 minimal projections, over the limit of 20
+    g = tmp_path / "g.json"
+    write_matrix(g, AlgebraElement([np.diag(np.arange(1.0, 8.0) + 7 * k) for k in range(3)]))
+    code, out, err = run_cli(capsys, "closure", str(g), "--seed1", "1", "--seed2", "2")
+    assert code == 1
+    assert err.startswith("rejected:") and "capped at 20" in err
+    doc = _one_report(out)
     assert doc["accepted"] is False
     assert doc["error"]

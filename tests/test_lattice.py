@@ -1,5 +1,7 @@
 """Projection lattice tests: suprema, annihilators, MASAs, closures."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from awkit.core import (
 )
 from awkit.errors import NotCommuting, NotContained, NotNormal, NotPositive
 from awkit.lattice import (
+    CLOSURE_RESIDUAL_TOL,
+    SPAN_ANGLE_TOL,
     Subalgebra,
     closure_correspondence,
     generate_masa,
@@ -242,7 +246,7 @@ def test_correspondence_explicit_rotation():
     c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
     vecs = [np.array([c, s, 0.0]), np.array([-s, c, 0.0]), np.array([0.0, 0.0, 1.0])]
     basis = [el(np.outer(v, v.conj())) for v in vecs]
-    d2 = Subalgebra.from_basis_unchecked((3,), basis)
+    d2 = Subalgebra((3,), tuple(basis))
     assert d2.is_masa()
     corr = closure_correspondence(b, d, d2)
     for p, q in corr.pairs:
@@ -298,3 +302,24 @@ def test_correspondence_carries_closures_and_delta():
     assert spans_equal(c2, monotone_closure(b, d2))
     assert corr.delta == max(operator_norm(p.element - q.element) for p, q in corr.pairs)
     assert corr.delta <= 1e-9
+
+
+def test_correspondence_residuals_and_accept_rule():
+    g = diag_el([1, 1, 2, 3], [2, 2])
+    b = Subalgebra.from_generators([g])
+    corr = closure_correspondence(b, generate_masa([g], 5), generate_masa([g], 6))
+    c1, c2 = corr.closures
+    assert corr.residuals == {
+        "closure_span_angle": float(principal_angles(c1, c2)[-1]),
+        "correspondence_delta": corr.delta,
+    }
+    assert corr.accepted
+    # the delta bound is CLOSURE_RESIDUAL_TOL, inclusive
+    assert replace(corr, delta=CLOSURE_RESIDUAL_TOL).accepted
+    assert not replace(corr, delta=2.0 * CLOSURE_RESIDUAL_TOL).accepted
+    # closures of one dimension but different spans are declined
+    other = Subalgebra.from_generators([diag_el([1, 2, 2, 3], [2, 2])])
+    assert other.dim == c1.dim
+    apart = replace(corr, closures=(c1, other))
+    assert not apart.accepted
+    assert apart.residuals["closure_span_angle"] > SPAN_ANGLE_TOL
