@@ -5,13 +5,16 @@ component sequences squeezed between their limits and a shared scalar
 dominator envelope 2 eps_n 1, together with an analytic c/n tail bound that
 discharges the part of the statement a finite prefix cannot see. The builder
 turns norm convergence into such a witness; the verifier re-checks every
-condition and reports the first failure.
+condition and reports the first failure. It checks on stacked blocks: each
+block position of all components is one numpy array, and only the
+eigenvalue solves run component by component.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -19,6 +22,10 @@ import numpy as np
 from .core import (
     AlgebraElement,
     ToleranceConfig,
+    _NON_FINITE,
+    _eigh_blocks,
+    _frobenius,
+    _is_self_adjoint_blocks,
     _tol,
     adjoint,
     eigh_hermitian,
@@ -28,7 +35,7 @@ from .core import (
     operator_norm,
     real_part,
 )
-from .errors import BadArgument, EnvelopeViolation, SignatureMismatch
+from .errors import BadArgument, EnvelopeViolation, NotSelfAdjoint, SignatureMismatch
 
 __all__ = [
     "DominatorEnvelope",
@@ -156,6 +163,26 @@ def _check_shape(c: OrderLimitCertificate):
         raise ValueError("component sequence length disagrees with prefix")
 
 
+def _gather(elements, sig) -> list[np.ndarray]:
+    """One (len(elements), n_b, n_b) array per block position b of sig. An
+    element of another signature contributes zeros, which are never read."""
+    return [
+        np.array([x.blocks[b] if x.signature == sig else np.zeros((n, n), np.complex128)
+                  for x in elements])
+        for b, n in enumerate(sig)
+    ]
+
+
+def _adj(a: np.ndarray) -> np.ndarray:
+    """Adjoint of every matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _each(test, stacks) -> list:
+    """Per slot of the leading axes: test holds at every entry at every block position."""
+    return np.logical_and.reduce([test(a).all(axis=(-2, -1)) for a in stacks]).tolist()
+
+
 def verify_certificate(
     c: OrderLimitCertificate, tol: ToleranceConfig | None = None
 ) -> LimitReport:
@@ -164,11 +191,22 @@ def verify_certificate(
     Measured residuals per condition, reported against the first failure in
     priority order: lower-bound, upper-bound, sum-decomposition,
     envelope-monotonicity, tail.
+
+    The checks run on stacked blocks. For each block position the blocks of
+    all 4N components and their four limits form one (4, N + 1, n_b, n_b)
+    array, and the differences, their skew and Hermitian parts, and the
+    N + 1 sum-decomposition residuals with their Gram matrices are one numpy
+    expression each; only the eigenvalue solves run per component. Every
+    value, decision and exception is the one the same checks give on
+    elements, one component at a time: a component whose skew part is not
+    exactly zero is tested with the is_self_adjoint rule, and an overflowing
+    intermediate raises BadArgument as element arithmetic does.
     """
     t = _tol(tol)
     _check_shape(c)
     eps = c.envelope.eps
-    one = AlgebraElement.identity(c.limit.signature)
+    n = len(c.indices)
+    sig = c.limit.signature
     residuals = {
         LOWER_BOUND: 0.0,
         UPPER_BOUND: 0.0,
@@ -178,41 +216,90 @@ def verify_certificate(
     }
     failing = {tag: False for tag in residuals}
 
-    for k in range(4):
-        comp_limit = c.component_limits[k]
-        for j in range(len(c.indices)):
-            d = c.components[k][j] - comp_limit
-            if not is_self_adjoint(d, t):
-                defect = frobenius_norm(d - adjoint(d))
-                residuals[LOWER_BOUND] = max(residuals[LOWER_BOUND], defect)
-                failing[LOWER_BOUND] = True
-                continue
-            eig = eigh_hermitian(real_part(d), t, vectors=False)
-            residuals[LOWER_BOUND] = max(residuals[LOWER_BOUND], -eig.min_eigenvalue)
-            if not eig.is_positive(t):
-                failing[LOWER_BOUND] = True
-            bound = 2.0 * eps[j]
-            up_resid = max(0.0, eig.max_eigenvalue - bound)
-            residuals[UPPER_BOUND] = max(residuals[UPPER_BOUND], up_resid)
-            if up_resid > t.pos_slack * (1.0 + eig.max_abs_eigenvalue + bound):
-                failing[UPPER_BOUND] = True
+    with np.errstate(over="ignore", invalid="ignore"):
+        # one stack per run of component sequences whose limits share a
+        # signature; a well-formed certificate has a single run
+        runs = [
+            (lsig, tuple(ks))
+            for lsig, ks in groupby(range(4), key=lambda k: c.component_limits[k].signature)
+        ]
+        for lsig, ks in runs:
+            parts = [
+                p.reshape(len(ks), n + 1, *p.shape[1:])
+                for p in _gather(
+                    [x for k in ks for x in (*c.components[k], c.component_limits[k])], lsig
+                )
+            ]
+            diff = [p[:, :n] - p[:, n:] for p in parts]
+            skew = [d - _adj(d) for d in diff]
+            herm = [0.5 * (d + _adj(d)) for d in diff]
+            finite = _each(np.isfinite, diff + skew)
+            exact = _each(lambda a: a == 0, skew)
+            finite_herm = _each(np.isfinite, herm)
+            for i, k in enumerate(ks):
+                for j in range(n):
+                    x = c.components[k][j]
+                    if x.signature != lsig:
+                        raise SignatureMismatch(f"signatures differ: {x.signature} vs {lsig}")
+                    if not finite[i][j]:
+                        raise BadArgument(_NON_FINITE)
+                    if not exact[i][j]:
+                        skew_ij = [s[i, j] for s in skew]
+                        if not _is_self_adjoint_blocks([d[i, j] for d in diff], skew_ij, t):
+                            defect = _frobenius(skew_ij)
+                            residuals[LOWER_BOUND] = max(residuals[LOWER_BOUND], defect)
+                            failing[LOWER_BOUND] = True
+                            continue
+                    if not finite_herm[i][j]:
+                        raise BadArgument(_NON_FINITE)
+                    eig = _eigh_blocks([h[i, j] for h in herm], t, vectors=False)
+                    residuals[LOWER_BOUND] = max(residuals[LOWER_BOUND], -eig.min_eigenvalue)
+                    if not eig.is_positive(t):
+                        failing[LOWER_BOUND] = True
+                    bound = 2.0 * eps[j]
+                    up_resid = max(0.0, eig.max_eigenvalue - bound)
+                    residuals[UPPER_BOUND] = max(residuals[UPPER_BOUND], up_resid)
+                    if up_resid > t.pos_slack * (1.0 + eig.max_abs_eigenvalue + bound):
+                        failing[UPPER_BOUND] = True
 
-    for j, a in enumerate(c.terms):
-        total = AlgebraElement.zeros(c.limit.signature)
+        if runs != [(sig, (0, 1, 2, 3))]:
+            # some component has another signature than the limit: the sum
+            # of the first term's parts meets it and raises
+            total = AlgebraElement.zeros(sig)
+            for k in range(4):
+                total = total + _I_POWERS[k] * c.components[k][0]
+        # parts is now the single (4, N + 1, n_b, n_b) stack; row N holds the limits
+        wholes = (*c.terms, c.limit)
+        targets = _gather(wholes, sig)
+        total = [np.zeros_like(a) for a in targets]
         for k in range(4):
-            total = total + _I_POWERS[k] * c.components[k][j]
-        r = operator_norm(total - a, t)
-        residuals[SUM_DECOMPOSITION] = max(residuals[SUM_DECOMPOSITION], r)
-        # pos_slack (1 + ||a||) >= pos_slack, so ||a|| is only needed above pos_slack
-        if r > t.pos_slack and r > t.pos_slack * (1.0 + operator_norm(a, t)):
-            failing[SUM_DECOMPOSITION] = True
-    total = AlgebraElement.zeros(c.limit.signature)
-    for k in range(4):
-        total = total + _I_POWERS[k] * c.component_limits[k]
-    r = operator_norm(total - c.limit, t)
-    residuals[SUM_DECOMPOSITION] = max(residuals[SUM_DECOMPOSITION], r)
-    if r > t.pos_slack and r > t.pos_slack * (1.0 + operator_norm(c.limit, t)):
-        failing[SUM_DECOMPOSITION] = True
+            total = [s + _I_POWERS[k] * p[k] for s, p in zip(total, parts)]
+        diff = [s - a for s, a in zip(total, targets)]
+        gram = [_adj(d) @ d for d in diff]
+        skew = [g - _adj(g) for g in gram]
+        finite_total = _each(np.isfinite, total)
+        finite = _each(np.isfinite, diff + gram)
+        exact = _each(lambda a: a == 0, skew)
+        finite_skew = _each(np.isfinite, skew)
+        for j, a in enumerate(wholes):
+            if not finite_total[j]:
+                raise BadArgument(_NON_FINITE)
+            if a.signature != sig:
+                raise SignatureMismatch(f"signatures differ: {sig} vs {a.signature}")
+            if not finite[j]:
+                raise BadArgument(_NON_FINITE)
+            gram_j = [g[j] for g in gram]
+            if not exact[j]:
+                if not finite_skew[j]:
+                    raise BadArgument(_NON_FINITE)
+                if not _is_self_adjoint_blocks(gram_j, [s[j] for s in skew], t):
+                    raise NotSelfAdjoint("eigh_hermitian input must be self-adjoint")
+            # operator_norm(total - a), from the Gram matrix it would form
+            r = math.sqrt(max(_eigh_blocks(gram_j, t, vectors=False).max_eigenvalue, 0.0))
+            residuals[SUM_DECOMPOSITION] = max(residuals[SUM_DECOMPOSITION], r)
+            # pos_slack (1 + ||a||) >= pos_slack, so ||a|| is only needed above pos_slack
+            if r > t.pos_slack and r > t.pos_slack * (1.0 + operator_norm(a, t)):
+                failing[SUM_DECOMPOSITION] = True
 
     for j in range(len(eps)):
         drop = max(0.0, -eps[j])

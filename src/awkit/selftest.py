@@ -451,12 +451,15 @@ def run_all(
     dims: tuple[int, int] = (1, 8),
     tol: ToleranceConfig | None = None,
 ) -> list[CriterionResult]:
-    """Run every acceptance suite; per-suite counts scale with trials/200."""
+    """Run every acceptance suite; per-suite counts scale with trials/200.
+
+    The spectral-cut suite runs at least three trials, one per cut branch.
+    """
     if trials < 1:
         raise BadArgument("trials must be at least 1")
     results = []
     for fn, nominal in CRITERIA.values():
-        count = max(1, round(nominal * trials / 200))
+        count = max(3 if fn is check_spectral_cut else 1, round(nominal * trials / 200))
         if fn is check_order_calculus:
             results.append(
                 fn(

@@ -252,6 +252,16 @@ def test_selftest_subcommand(capsys):
     assert err.count("PASS") == 10
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("trials", [1, 2, 3, 4, 5])
+def test_selftest_small_trial_counts_pass(capsys, trials, seed):
+    # the spectral-cut suite keeps one trial per cut branch however few are asked for
+    code, out, err = run_cli(capsys, "selftest", "--trials", str(trials), "--seed", str(seed))
+    assert code == 0, err
+    assert "PASS spectral cut branches: 3 trials" in err
+    assert _one_report(out)["accepted"] is True
+
+
 def test_report_determinism(nilpotent_file, tmp_path, capsys):
     _, out1, _ = run_cli(capsys, "polar", nilpotent_file)
     _, out2, _ = run_cli(capsys, "polar", nilpotent_file)
@@ -379,7 +389,7 @@ def test_bad_numeric_argument_exit_two(tmp_path, nilpotent_file, capsys, argv):
     ],
     ids=["polar", "spectral", "cut", "closure", "certify", "ineq"],
 )
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_input_exit_two(tmp_path, capsys, argv):
     # finite entries whose products overflow: x x* holds 1e600
     big = AlgebraElement([np.diag([1e300, 1.0])])
