@@ -263,12 +263,24 @@ def _dims(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors become malformed-input reports.
+
+    Subcommand parsers are made with the class of their parent, so one
+    override covers them all; --help still prints and exits 0.
+    """
+
+    def error(self, message):
+        command = self.prog.partition(" ")[2] or None
+        raise MalformedInput(message, command)
+
+
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--pos-slack", type=float, default=None)
     shared.add_argument("--cluster-tol", type=float, default=None)
     shared.add_argument("--rank-cutoff", type=float, default=None)
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="awkit",
         description="Workbench for finite-dimensional *-algebras: polar and "
         "spectral decompositions, spectral cuts, monotone closures, and "
@@ -333,7 +345,13 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    try:
+        args = _parser.parse_args(argv)
+    except MalformedInput as exc:
+        message, command = exc.args
+        sys.stderr.write(f"malformed input: {message}\n")
+        _emit({"command": command, "accepted": False, "error": message})
+        return 2
     try:
         tol = _tolerances(args)
     except ValueError as exc:

@@ -18,6 +18,11 @@ through the private ``AlgebraElement._of``, which trusts its caller to pass
 fresh, owning, square complex128 arrays computed from validated blocks; it
 still rejects non-finite entries, since arithmetic can overflow, and still
 marks every block read-only.
+
+Derived data is memoized on the immutable object it is derived from, keyed
+by its name and the resolved ToleranceConfig (see _memoized): an element
+keeps its operator norm and its normality verdict. A raised exception is
+never cached.
 """
 
 from __future__ import annotations
@@ -115,6 +120,36 @@ def _tol(tol: ToleranceConfig | None) -> ToleranceConfig:
 
 
 _NON_FINITE = "non-finite entry in block"
+_MISSING = object()
+
+
+def _memo_of(owner) -> dict:
+    """The private memo of an immutable owner, made on first use."""
+    try:
+        return owner._memo
+    except AttributeError:
+        memo = {}
+        object.__setattr__(owner, "_memo", memo)
+        return memo
+
+
+def _memoized(owner, name: str, t: ToleranceConfig, compute):
+    """compute(owner, t), cached on the immutable owner under (name, t).
+
+    An exception propagates and caches nothing, so the next call computes
+    (and fails) afresh.
+    """
+    memo = _memo_of(owner)
+    key = (name, t)
+    value = memo.get(key, _MISSING)
+    if value is _MISSING:
+        value = memo[key] = compute(owner, t)
+    return value
+
+
+def _remember(owner, name: str, t: ToleranceConfig, value):
+    """Store value as what _memoized(owner, name, t, ...) returns from now on."""
+    _memo_of(owner)[(name, t)] = value
 
 
 class AlgebraElement:
@@ -130,7 +165,7 @@ class AlgebraElement:
     check. Both reject non-finite entries and mark every block read-only.
     """
 
-    __slots__ = ("blocks", "signature")
+    __slots__ = ("blocks", "signature", "_memo")
 
     def __init__(self, blocks: Iterable[np.ndarray]):
         mats = []
@@ -426,6 +461,9 @@ def _jacobi_eigh(mat: np.ndarray, rel_off_tol: float, max_sweeps: int, vectors: 
         return np.array([mat[0, 0].real]), vecs
     a = 0.5 * (np.asarray(mat, dtype=np.complex128) + mat.conj().T)
     scale = float(np.linalg.norm(a))
+    if not math.isfinite(scale):
+        # a target of inf would stop the sweeps before the first rotation
+        raise BadArgument("Frobenius norm of a block overflows")
     if scale == 0.0:
         return np.zeros(n), vecs
     target = rel_off_tol * scale
@@ -515,14 +553,21 @@ def joint_eigenspaces(
 
 def operator_norm(x: AlgebraElement, tol: ToleranceConfig | None = None) -> float:
     """Largest singular value over blocks, via the top eigenvalue of x*x."""
+    return _memoized(x, "operator_norm", _tol(tol), _operator_norm)
+
+
+def _operator_norm(x: AlgebraElement, t: ToleranceConfig) -> float:
     gram = adjoint(x) * x
-    top = eigh_hermitian(gram, tol, vectors=False).max_eigenvalue
+    top = eigh_hermitian(gram, t, vectors=False).max_eigenvalue
     return math.sqrt(max(top, 0.0))
 
 
 def is_normal(a: AlgebraElement, tol: ToleranceConfig | None = None) -> bool:
     """True when a commutes with its adjoint within slack."""
-    t = _tol(tol)
+    return _memoized(a, "is_normal", _tol(tol), _is_normal)
+
+
+def _is_normal(a: AlgebraElement, t: ToleranceConfig) -> bool:
     astar = adjoint(a)
     norm = operator_norm(a, t)
     return operator_norm(a * astar - astar * a, t) <= t.pos_slack * (1.0 + norm * norm)

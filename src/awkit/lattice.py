@@ -8,6 +8,10 @@ face-supremum construction and iterated to a fixed point. At finite
 dimension the closure of a unital closed commutative subalgebra is itself,
 and the closure correspondence between two MASAs is the identity on
 projections; both facts are asserted rather than assumed.
+
+A Subalgebra memoizes its commutativity verdict and its minimal projections,
+keyed by name and the resolved ToleranceConfig as in ``core``; a MASA made
+by generate_masa starts with its rank-one projections stored.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from .core import (
     AlgebraElement,
     Projection,
     ToleranceConfig,
+    _memoized,
+    _remember,
     _tol,
     adjoint,
     eigh_hermitian,
@@ -117,7 +123,9 @@ class Subalgebra:
         return all(self.contains(b, tol) for b in other.basis)
 
     def is_commutative(self, tol: ToleranceConfig | None = None) -> bool:
-        t = _tol(tol)
+        return _memoized(self, "is_commutative", _tol(tol), Subalgebra._commutes)
+
+    def _commutes(self, t: ToleranceConfig) -> bool:
         for i, a in enumerate(self.basis):
             for b in self.basis[i + 1 :]:
                 if frobenius_norm(a * b - b * a) > t.pos_slack * 2.0:
@@ -285,6 +293,12 @@ def generate_masa(
     out = Subalgebra(sig, tuple(basis_elements))
     if not out.is_masa(t):
         raise RuntimeError("refined diagonal algebra failed the MASA postcondition")
+    # the rank-one basis projections are the MASA's minimal projections
+    try:
+        minimal = [Projection(e, t) for e in basis_elements]
+    except ValueError:
+        return out  # left to minimal_projections, as before
+    _remember(out, "minimal_projections", t, _sorted_by_rank(minimal))
     return out
 
 
@@ -333,8 +347,21 @@ def minimal_projections(
 
     Joint eigenspaces of the basis are grouped by their joint eigenvalue
     tuples across blocks; each tuple class yields one minimal projection.
+    Returns a fresh list of the projections memoized on s.
     """
-    t = _tol(tol)
+    return list(_memoized(s, "minimal_projections", _tol(tol), _minimal_projections))
+
+
+def _sorted_by_rank(projections: list[Projection]) -> tuple[Projection, ...]:
+    """Largest block traces first, block by block; ties keep their order."""
+
+    def key(p):
+        return tuple(-float(np.trace(b).real) for b in p.element.blocks)
+
+    return tuple(sorted(projections, key=key))
+
+
+def _minimal_projections(s: Subalgebra, t: ToleranceConfig) -> tuple[Projection, ...]:
     if not s.is_commutative(t):
         raise NotCommuting("minimal projections require a commutative subalgebra")
     sig = s.signature
@@ -378,10 +405,7 @@ def minimal_projections(
         raise RuntimeError(
             f"found {len(projections)} minimal projections in a {s.dim}-dimensional algebra"
         )
-    projections.sort(
-        key=lambda p: tuple(-float(np.trace(b).real) for b in p.element.blocks)
-    )
-    return projections
+    return _sorted_by_rank(projections)
 
 
 def _support_masks(minimal: Sequence[Projection], masa_minimal: Sequence[Projection], t):

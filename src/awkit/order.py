@@ -183,6 +183,13 @@ def _each(test, stacks) -> list:
     return np.logical_and.reduce([test(a).all(axis=(-2, -1)) for a in stacks]).tolist()
 
 
+# Below this modulus no square of an entry, and no sum of fewer than 2^64 of
+# them, overflows, so the Frobenius norm is finite and an exactly zero skew
+# part passes the is_self_adjoint rule; with a larger entry the norm may be
+# NaN, which fails it, and the rule itself is evaluated.
+_SQUARES_FINITE = 2.0**480
+
+
 def verify_certificate(
     c: OrderLimitCertificate, tol: ToleranceConfig | None = None
 ) -> LimitReport:
@@ -199,8 +206,9 @@ def verify_certificate(
     expression each; only the eigenvalue solves run per component. Every
     value, decision and exception is the one the same checks give on
     elements, one component at a time: a component whose skew part is not
-    exactly zero is tested with the is_self_adjoint rule, and an overflowing
-    intermediate raises BadArgument as element arithmetic does.
+    exactly zero, or that has an entry of 2^480 or more, is tested with the
+    is_self_adjoint rule, and an overflowing intermediate raises BadArgument
+    as element arithmetic does.
     """
     t = _tol(tol)
     _check_shape(c)
@@ -235,6 +243,7 @@ def verify_certificate(
             herm = [0.5 * (d + _adj(d)) for d in diff]
             finite = _each(np.isfinite, diff + skew)
             exact = _each(lambda a: a == 0, skew)
+            small = _each(lambda a: np.abs(a) < _SQUARES_FINITE, diff)
             finite_herm = _each(np.isfinite, herm)
             for i, k in enumerate(ks):
                 for j in range(n):
@@ -243,7 +252,7 @@ def verify_certificate(
                         raise SignatureMismatch(f"signatures differ: {x.signature} vs {lsig}")
                     if not finite[i][j]:
                         raise BadArgument(_NON_FINITE)
-                    if not exact[i][j]:
+                    if not (exact[i][j] and small[i][j]):
                         skew_ij = [s[i, j] for s in skew]
                         if not _is_self_adjoint_blocks([d[i, j] for d in diff], skew_ij, t):
                             defect = _frobenius(skew_ij)

@@ -419,3 +419,29 @@ def test_closure_over_face_limit_exits_one(tmp_path, capsys):
     doc = _one_report(out)
     assert doc["accepted"] is False
     assert doc["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        (("ineq", "{x}", "--n", "abc", "--m", "1"), "ineq"),
+        (("closure", "{x}", "--seed1", "1"), "closure"),
+        (("bogus", "{x}"), None),
+    ],
+    ids=["bad-int", "missing-required-flag", "unknown-subcommand"],
+)
+def test_argument_errors_print_one_report(nilpotent_file, capsys, argv, command):
+    code, out, err = run_cli(capsys, *(a.format(x=nilpotent_file) for a in argv))
+    assert code == 2
+    assert err.startswith("malformed input:")
+    doc = _one_report(out)
+    assert doc["command"] == command
+    assert doc["accepted"] is False
+    assert doc["error"]
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ineq", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: awkit ineq")

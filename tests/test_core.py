@@ -21,8 +21,15 @@ from awkit.core import (
     positive_sqrt,
     pseudo_inverse_on_range,
     range_projection,
+    simultaneous_eigh,
 )
-from awkit.errors import NonConvergence, NotPositive, NotSelfAdjoint, SignatureMismatch
+from awkit.errors import (
+    BadArgument,
+    NonConvergence,
+    NotPositive,
+    NotSelfAdjoint,
+    SignatureMismatch,
+)
 from awkit.sampling import random_element, random_projection, random_self_adjoint, random_signature
 
 
@@ -338,3 +345,19 @@ def test_orthogonal_projection_sums_are_least_upper_bounds():
         # least among sampled dominating projections
         dom = el(u @ u.conj().T)  # identity, dominates everything
         assert loewner_leq(q.element, dom)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_block_norm_raises_bad_argument():
+    # the eigenvalues are 0 and 2e200, but ||h||_F overflows; the sweeps
+    # would stop at an infinite target and return the diagonal
+    h = [[1e200, 1e200], [1e200, 1e200]]
+    with pytest.raises(BadArgument, match="Frobenius norm of a block overflows"):
+        eigh_hermitian(el(h))
+    with pytest.raises(BadArgument, match="Frobenius norm of a block overflows"):
+        eigh_hermitian(el(h), vectors=False)
+    with pytest.raises(BadArgument, match="Frobenius norm of a block overflows"):
+        simultaneous_eigh([np.array(h, dtype=complex)])
+    # just inside the range the same block solves
+    w = eigh_hermitian(el(np.array(h) * 1e-50)).eigenvalues[0]
+    assert np.allclose(w, [0.0, 2e150], rtol=1e-12, atol=1e138)

@@ -1,0 +1,160 @@
+"""Derived data memoized on immutable elements and subalgebras.
+
+An element keeps its operator norm and normality verdict, a subalgebra its
+commutativity verdict and minimal projections, each keyed by name and the
+resolved ToleranceConfig. These tests pin the key (each configuration gets
+its own answer), that exceptions are not cached, how often one CLI call
+computes each value, and that the projections generate_masa stores are the
+ones the computed route finds.
+"""
+
+import json
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from awkit import cli, core, lattice
+from awkit.core import AlgebraElement, ToleranceConfig, is_normal, operator_norm
+from awkit.errors import NonConvergence
+from awkit.lattice import Subalgebra, generate_masa, minimal_projections
+from awkit.sampling import haar_unitary_block, random_element, random_normal_element
+
+LOOSE = ToleranceConfig(pos_slack=1e-6)
+
+
+def test_is_normal_answers_per_tolerance():
+    # [a, a*] has norm 1e-8: above 1e-10 (1 + ||a||^2), below 1e-6 (1 + ||a||^2)
+    def fresh():
+        return AlgebraElement([[[1.0, 1e-4], [0.0, 1.0]]])
+
+    a = fresh()
+    assert is_normal(a) is False
+    assert is_normal(a, LOOSE) is True
+    assert is_normal(a) is False
+    b = fresh()
+    assert is_normal(b, LOOSE) is True
+    assert is_normal(b, core.DEFAULT_TOL) is False
+    assert is_normal(b, LOOSE) is True
+
+
+def test_is_commutative_answers_per_tolerance():
+    # ||ab - ba||_F = sqrt(2) 1e-8: above 2e-10, below 2e-6
+    a = AlgebraElement([[[1.0, 0.0], [0.0, 0.0]]])
+    b = AlgebraElement([[[0.0, 1e-8], [1e-8, 0.0]]])
+    s = Subalgebra((2,), (a, b))
+    assert s.is_commutative(LOOSE) is True
+    assert s.is_commutative() is False
+    assert s.is_commutative(LOOSE) is True
+    assert s.is_masa() is False
+
+
+def test_exceptions_are_not_cached():
+    x = random_element((6,), np.random.default_rng(3))
+    one_sweep = ToleranceConfig(max_sweeps=1)
+    for _ in range(2):
+        with pytest.raises(NonConvergence):
+            operator_norm(x, one_sweep)
+    for _ in range(2):
+        with pytest.raises(NonConvergence):
+            is_normal(x, one_sweep)
+    assert np.isclose(operator_norm(x), np.linalg.norm(x.blocks[0], 2), rtol=1e-12)
+    assert is_normal(x) is False
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records its first argument."""
+    body = getattr(module, name)
+    seen = []
+
+    def counted(owner, t):
+        seen.append(owner)
+        return body(owner, t)
+
+    monkeypatch.setattr(module, name, counted)
+    return seen
+
+
+def _degenerate_normal():
+    rng = np.random.default_rng(11)
+    blocks = []
+    for vals in ([1.0, 1.0, 2j, 2j, -1.0], [1.0, 2j, 2j]):
+        u = haar_unitary_block(len(vals), rng)
+        blocks.append((u * np.array(vals)) @ u.conj().T)
+    return AlgebraElement(blocks)
+
+
+def _run(capsys, *argv):
+    code = cli.main(list(argv))
+    out = capsys.readouterr().out
+    assert code == 0, out
+    return json.loads(out)
+
+
+def test_closure_call_computes_each_value_once(tmp_path, capsys, monkeypatch):
+    g = _degenerate_normal()
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps(cli.element_to_json(g)))
+    minimal = _counting(monkeypatch, lattice, "_minimal_projections")
+    normal = _counting(monkeypatch, core, "_is_normal")
+    commutes = _counting(monkeypatch, Subalgebra, "_commutes")
+    doc = _run(capsys, "closure", str(f), "--seed1", "1", "--seed2", "2")
+    assert doc["accepted"] is True
+    b = Subalgebra.from_generators([g])
+    assert sum(s == b for s in minimal) == 1
+    # no subalgebra is decomposed or tested twice; the MASAs never need it
+    for seen in (minimal, commutes):
+        assert max(Counter(map(id, seen)).values()) == 1
+    assert all(s.dim < sum(s.signature) for s in minimal)
+    assert len(normal) == 1
+
+
+def test_spectral_call_tests_normality_once(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps(cli.element_to_json(_degenerate_normal())))
+    normal = _counting(monkeypatch, core, "_is_normal")
+    norms = _counting(monkeypatch, core, "_operator_norm")
+    doc = _run(capsys, "spectral", str(f))
+    assert doc["accepted"] is True
+    assert len(normal) == 1
+    assert max(Counter(map(id, norms)).values()) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stored_masa_projections_match_the_computed_route(seed):
+    g = _degenerate_normal()
+    d = generate_masa([g], seed)
+    stored = minimal_projections(d)
+    assert minimal_projections(d) == stored and minimal_projections(d) is not stored
+    computed = list(lattice._minimal_projections(d, core.DEFAULT_TOL))
+    assert len(stored) == len(computed) == d.dim
+    unmatched = list(range(len(computed)))
+    for p in stored:
+        gaps = [
+            max(float(np.abs(a - b).max()) for a, b in zip(p.element.blocks, q.element.blocks))
+            for q in (computed[i] for i in unmatched)
+        ]
+        best = int(np.argmin(gaps))
+        assert gaps[best] <= 1e-12
+        unmatched.pop(best)
+    # sorted the way minimal_projections sorts: block traces, largest first
+    keys = [tuple(-float(np.trace(b).real) for b in p.element.blocks) for p in stored]
+    assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("seed", [2, 8])
+def test_masa_whose_rank_one_projections_fail_the_check_stores_nothing(seed):
+    # at pos_slack 1e-16 the rank-one projections of these MASAs miss the
+    # Projection idempotency check; generate_masa still returns the MASA,
+    # and minimal_projections answers, or raises, as the computed route does
+    t = ToleranceConfig(pos_slack=1e-16)
+    g = random_normal_element((3,), np.random.default_rng(seed))
+    d = generate_masa([g], 0, t)
+
+    def outcome(fn):
+        try:
+            return len(fn(d, t))
+        except ValueError as exc:
+            return str(exc)
+
+    assert outcome(minimal_projections) == outcome(lattice._minimal_projections)
