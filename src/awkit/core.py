@@ -23,6 +23,14 @@ Derived data is memoized on the immutable object it is derived from, keyed
 by its name and the resolved ToleranceConfig (see _memoized): an element
 keeps its operator norm and its normality verdict. A raised exception is
 never cached.
+
+A norm that only feeds a threshold test is decided, where it can be, from
+bounds on the Gram matrix rather than by an eigensolve (see _norm_against):
+with lo the largest diagonal entry of x*x and hi its largest block trace,
+lo <= ||x||^2 <= hi, so ||x|| against a bound b is settled when lo >= 4 b^2
+or hi < b^2 / 4, ties included, and eigensolved otherwise. The ladder's stop
+test, the normality and generator commutator tests and the spectral cut's
+projection and nonzero tests use it; norms whose value is reported do not.
 """
 
 from __future__ import annotations
@@ -453,7 +461,9 @@ def _jacobi_eigh(mat: np.ndarray, rel_off_tol: float, max_sweeps: int, vectors: 
     Returns ascending eigenvalues and the unitary of eigenvector columns,
     or None in its place when vectors is false. Raises NonConvergence when
     the off-diagonal Frobenius mass is still above rel_off_tol * ||mat||_F
-    after max_sweeps full sweeps.
+    after max_sweeps full sweeps, and BadArgument when that norm overflows;
+    callers run it under np.errstate(over="ignore"), so that the overflow
+    raises without a numpy warning.
     """
     n = mat.shape[0]
     vecs = np.eye(n, dtype=np.complex128) if vectors else None
@@ -491,12 +501,13 @@ def eigh_hermitian(
     """
     t = _tol(tol)
     _require_self_adjoint(h, t, "eigh_hermitian input")
-    return _eigh_blocks(h.blocks, t, vectors)
+    with np.errstate(over="ignore"):
+        return _eigh_blocks(h.blocks, t, vectors)
 
 
 def _eigh_blocks(blocks, t: ToleranceConfig, vectors: bool) -> HermitianEigenSystem:
     """The per-block Jacobi solves of eigh_hermitian, on blocks whose caller
-    has already made its self-adjointness check."""
+    has already made its self-adjointness check and set np.errstate."""
     values, units = [], []
     for b in blocks:
         w, u = _jacobi_eigh(b, t.jacobi_off_tol, t.max_sweeps, vectors)
@@ -506,6 +517,8 @@ def _eigh_blocks(blocks, t: ToleranceConfig, vectors: bool) -> HermitianEigenSys
     return HermitianEigenSystem(tuple(values), AlgebraElement._of(units) if vectors else None)
 
 
+# an overflowing block norm raises BadArgument in _jacobi_eigh, without a warning
+@np.errstate(over="ignore")
 def simultaneous_eigh(
     mats: Sequence[np.ndarray], tol: ToleranceConfig | None = None
 ) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -557,9 +570,54 @@ def operator_norm(x: AlgebraElement, tol: ToleranceConfig | None = None) -> floa
 
 
 def _operator_norm(x: AlgebraElement, t: ToleranceConfig) -> float:
-    gram = adjoint(x) * x
+    return _gram_norm(adjoint(x) * x, t)
+
+
+def _gram_norm(gram: AlgebraElement, t: ToleranceConfig) -> float:
+    """sqrt of the top eigenvalue of the Gram matrix x*x, clamped at 0."""
     top = eigh_hermitian(gram, t, vectors=False).max_eigenvalue
     return math.sqrt(max(top, 0.0))
+
+
+# the range of max_i (x*x)_ii in which _norm_against decides from the bounds
+_GRAM_SCALE_MIN, _GRAM_SCALE_MAX = 1e-150, 1e150
+
+
+def _norm_against(x: AlgebraElement, bound: float, t: ToleranceConfig) -> float:
+    """A value that compares with bound as operator_norm(x, t) does.
+
+    For callers that only test ||x|| <, <=, > or >= bound. A norm already
+    memoized on x is returned as it is. Otherwise it forms the Gram matrix
+    x*x and runs its self-adjointness check as _operator_norm does, so it
+    raises the same BadArgument and NotSelfAdjoint. Per block, the largest
+    diagonal entry of x*x is at most the top eigenvalue and the trace at
+    least; with lo the largest such entry and hi the largest block trace,
+    lo <= ||x||^2 <= hi. It returns sqrt(lo) when lo >= 4 bound^2 and
+    sqrt(hi) when hi < bound^2 / 4: the factor of 2 on each side absorbs
+    the eigensolve's roundoff, so every comparison, ties included, gives
+    the exact norm's verdict. In between, and whenever lo lies outside
+    [1e-150, 1e150] (where the eigensolve's Frobenius scale underflows or
+    overflows and its answer is no longer bracketed by lo and hi), it
+    returns the eigensolved norm. It never writes to the memo.
+
+    The one difference from operator_norm: under a max_sweeps too small to
+    converge, a NonConvergence that only a skipped eigensolve would have
+    raised is not raised.
+    """
+    known = getattr(x, "_memo", {}).get(("operator_norm", t), _MISSING)
+    if known is not _MISSING:
+        return known
+    gram = adjoint(x) * x
+    _require_self_adjoint(gram, t, "eigh_hermitian input")
+    diagonals = [b.diagonal().real for b in gram.blocks]
+    lo = max(float(d.max()) for d in diagonals)
+    if _GRAM_SCALE_MIN <= lo <= _GRAM_SCALE_MAX:
+        if lo >= 4.0 * bound * bound:
+            return math.sqrt(lo)
+        hi = max(float(d.sum()) for d in diagonals)
+        if hi < 0.25 * bound * bound:
+            return math.sqrt(hi)
+    return _gram_norm(gram, t)
 
 
 def is_normal(a: AlgebraElement, tol: ToleranceConfig | None = None) -> bool:
@@ -570,7 +628,8 @@ def is_normal(a: AlgebraElement, tol: ToleranceConfig | None = None) -> bool:
 def _is_normal(a: AlgebraElement, t: ToleranceConfig) -> bool:
     astar = adjoint(a)
     norm = operator_norm(a, t)
-    return operator_norm(a * astar - astar * a, t) <= t.pos_slack * (1.0 + norm * norm)
+    bound = t.pos_slack * (1.0 + norm * norm)
+    return _norm_against(a * astar - astar * a, bound, t) <= bound
 
 
 def loewner_leq(

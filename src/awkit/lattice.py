@@ -26,6 +26,7 @@ from .core import (
     Projection,
     ToleranceConfig,
     _memoized,
+    _norm_against,
     _remember,
     _tol,
     adjoint,
@@ -250,7 +251,7 @@ def _require_commuting_normal(generators, t):
             raise NotNormal(f"generator {i} does not commute with its adjoint")
         for j, h in enumerate(generators[i + 1 :], start=i + 1):
             bound = t.pos_slack * (1.0 + operator_norm(g, t) * operator_norm(h, t))
-            if operator_norm(g * h - h * g, t) > bound:
+            if _norm_against(g * h - h * g, bound, t) > bound:
                 raise NotCommuting(f"generators {i} and {j} do not commute")
 
 

@@ -20,6 +20,7 @@ from .core import (
     AlgebraElement,
     Projection,
     ToleranceConfig,
+    _norm_against,
     _tol,
     adjoint,
     eigh_hermitian,
@@ -169,7 +170,7 @@ def polar_regularized(
         )
         u_n = x * resolvent
         terms.append((n, u_n))
-        if prev is not None and operator_norm(u_n - prev, t) < t.rank_cutoff:
+        if prev is not None and _norm_against(u_n - prev, t.rank_cutoff, t) < t.rank_cutoff:
             break
         prev = u_n
 
@@ -259,7 +260,8 @@ def spectral_cut(
     sig = x.signature
     one = AlgebraElement.identity(sig)
 
-    if operator_norm(absxstar * absxstar - absxstar, t) <= t.pos_slack * (1.0 + norm_x):
+    bound = t.pos_slack * (1.0 + norm_x)
+    if _norm_against(absxstar * absxstar - absxstar, bound, t) <= bound:
         return SpectralCut(p=Projection(gram_star, t), a=one, absxstar=absxstar)
 
     eig = eigh_hermitian(absxstar, t, vectors=False)
@@ -296,7 +298,7 @@ def cut_residuals(
         "commutator_a_absxstar": operator_norm(a * absxstar - absxstar * a, t),
         "commutator_p_absxstar": operator_norm(p * absxstar - absxstar * p, t),
     }
-    nonzero = operator_norm(p, t) > 0.5
+    nonzero = _norm_against(p, 0.5, t) > 0.5
     accepted = nonzero and all(v <= CUT_RESIDUAL_TOL for v in residuals.values())
     return CutResiduals(residuals=residuals, nonzero=nonzero, accepted=accepted)
 

@@ -347,7 +347,7 @@ def test_orthogonal_projection_sums_are_least_upper_bounds():
         assert loewner_leq(q.element, dom)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_block_norm_raises_bad_argument():
     # the eigenvalues are 0 and 2e200, but ||h||_F overflows; the sweeps
     # would stop at an infinite target and return the diagonal
