@@ -263,6 +263,17 @@ def _dims(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _seed(text: str) -> int:
+    """A non-negative integer, as numpy's seeding requires."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"seeds must be non-negative integers, not {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors become malformed-input reports.
 
@@ -305,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("closure", help="monotone closures in two seeded MASAs")
     p.add_argument("file")
-    p.add_argument("--seed1", type=int, required=True)
-    p.add_argument("--seed2", type=int, required=True)
+    p.add_argument("--seed1", type=_seed, required=True)
+    p.add_argument("--seed2", type=_seed, required=True)
 
     p = add_parser("certify", help="order-convergence certificate for a file sequence")
     p.add_argument("dir")
@@ -320,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("selftest", help="run every acceptance suite")
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--dims", type=_dims, default=(1, 8))
     return parser
 

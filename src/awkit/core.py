@@ -19,6 +19,17 @@ fresh, owning, square complex128 arrays computed from validated blocks; it
 still rejects non-finite entries, since arithmetic can overflow, and still
 marks every block read-only.
 
+Self-adjointness and projections are checked where an operand enters from
+outside, and nowhere after. ``eigh_hermitian`` checks its input and hands it
+to ``_eigh_blocks``, the one Jacobi solve; an operand this package forms
+and knows to be Hermitian (a Gram matrix x*x, the real part of an element,
+a square root it has assembled, an atom of a spectral measure) goes straight
+to ``_eigh_blocks``, whose sweep reads the Hermitian part of each block. A
+projection this package assembles (a 0/1 spectral assembly, a sum of
+rank-one projections v v*, 1 minus a projection) is wrapped by
+``Projection._of`` without its certification; ``Projection(...)`` certifies
+an element that may come from outside.
+
 Derived data is memoized on the immutable object it is derived from, keyed
 by its name and the resolved ToleranceConfig (see _memoized): an element
 keeps its operator norm and its normality verdict. A raised exception is
@@ -475,7 +486,15 @@ def _jacobi_eigh(mat: np.ndarray, rel_off_tol: float, max_sweeps: int, vectors: 
         # a target of inf would stop the sweeps before the first rotation
         raise BadArgument("Frobenius norm of a block overflows")
     if scale == 0.0:
-        return np.zeros(n), vecs
+        big = float(np.abs(a).max())
+        if big == 0.0:
+            return np.zeros(n), vecs
+        # every square underflowed: solve a 2^-e, whose largest entry lies in
+        # [1/2, 1), and scale its eigenvalues back by 2^e
+        e = math.frexp(big)[1]
+        w, u = _jacobi_eigh(np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e),
+                            rel_off_tol, max_sweeps, vectors)
+        return np.ldexp(w, e), u
     target = rel_off_tol * scale
     off = _jacobi_sweeps(a, vecs, target, target / (2.0 * n), max_sweeps)
     if off > target:
@@ -501,19 +520,20 @@ def eigh_hermitian(
     """
     t = _tol(tol)
     _require_self_adjoint(h, t, "eigh_hermitian input")
-    with np.errstate(over="ignore"):
-        return _eigh_blocks(h.blocks, t, vectors)
+    return _eigh_blocks(h.blocks, t, vectors)
 
 
-def _eigh_blocks(blocks, t: ToleranceConfig, vectors: bool) -> HermitianEigenSystem:
-    """The per-block Jacobi solves of eigh_hermitian, on blocks whose caller
-    has already made its self-adjointness check and set np.errstate."""
+def _eigh_blocks(blocks, t: ToleranceConfig, vectors: bool = True) -> HermitianEigenSystem:
+    """The per-block Jacobi solves, unchecked: for blocks that eigh_hermitian
+    has checked or that this package formed Hermitian. An overflowing block
+    norm raises BadArgument without a numpy warning."""
     values, units = [], []
-    for b in blocks:
-        w, u = _jacobi_eigh(b, t.jacobi_off_tol, t.max_sweeps, vectors)
-        w.setflags(write=False)
-        values.append(w)
-        units.append(u)
+    with np.errstate(over="ignore"):
+        for b in blocks:
+            w, u = _jacobi_eigh(b, t.jacobi_off_tol, t.max_sweeps, vectors)
+            w.setflags(write=False)
+            values.append(w)
+            units.append(u)
     return HermitianEigenSystem(tuple(values), AlgebraElement._of(units) if vectors else None)
 
 
@@ -575,7 +595,7 @@ def _operator_norm(x: AlgebraElement, t: ToleranceConfig) -> float:
 
 def _gram_norm(gram: AlgebraElement, t: ToleranceConfig) -> float:
     """sqrt of the top eigenvalue of the Gram matrix x*x, clamped at 0."""
-    top = eigh_hermitian(gram, t, vectors=False).max_eigenvalue
+    top = _eigh_blocks(gram.blocks, t, vectors=False).max_eigenvalue
     return math.sqrt(max(top, 0.0))
 
 
@@ -588,16 +608,15 @@ def _norm_against(x: AlgebraElement, bound: float, t: ToleranceConfig) -> float:
 
     For callers that only test ||x|| <, <=, > or >= bound. A norm already
     memoized on x is returned as it is. Otherwise it forms the Gram matrix
-    x*x and runs its self-adjointness check as _operator_norm does, so it
-    raises the same BadArgument and NotSelfAdjoint. Per block, the largest
-    diagonal entry of x*x is at most the top eigenvalue and the trace at
-    least; with lo the largest such entry and hi the largest block trace,
-    lo <= ||x||^2 <= hi. It returns sqrt(lo) when lo >= 4 bound^2 and
+    x*x as _operator_norm does, so it raises the same BadArgument. Per
+    block, the largest diagonal entry of x*x is at most the top eigenvalue
+    and the trace at least; with lo the largest such entry and hi the
+    largest block trace, lo <= ||x||^2 <= hi. It returns sqrt(lo) when lo >= 4 bound^2 and
     sqrt(hi) when hi < bound^2 / 4: the factor of 2 on each side absorbs
     the eigensolve's roundoff, so every comparison, ties included, gives
     the exact norm's verdict. In between, and whenever lo lies outside
-    [1e-150, 1e150] (where the eigensolve's Frobenius scale underflows or
-    overflows and its answer is no longer bracketed by lo and hi), it
+    [1e-150, 1e150] (near where the eigensolve's Frobenius scale
+    underflows or overflows, and its answer may leave the bracket), it
     returns the eigensolved norm. It never writes to the memo.
 
     The one difference from operator_norm: under a max_sweeps too small to
@@ -608,7 +627,6 @@ def _norm_against(x: AlgebraElement, bound: float, t: ToleranceConfig) -> float:
     if known is not _MISSING:
         return known
     gram = adjoint(x) * x
-    _require_self_adjoint(gram, t, "eigh_hermitian input")
     diagonals = [b.diagonal().real for b in gram.blocks]
     lo = max(float(d.max()) for d in diagonals)
     if _GRAM_SCALE_MIN <= lo <= _GRAM_SCALE_MAX:
@@ -642,7 +660,7 @@ def loewner_leq(
     t = _tol(tol)
     _require_self_adjoint(a, t, "loewner_leq left argument")
     _require_self_adjoint(b, t, "loewner_leq right argument")
-    return eigh_hermitian(b - a, t, vectors=False).is_positive(t)
+    return _eigh_blocks((b - a).blocks, t, vectors=False).is_positive(t)
 
 
 def positive_sqrt(
@@ -672,8 +690,7 @@ def range_projection(
     t = _tol(tol)
     eig = eigh_hermitian(h, t)
     cutoff = eig.rank_cutoff(t)
-    el = eig.assemble(lambda w: np.where(np.abs(w) > cutoff, 1.0, 0.0))
-    return Projection(el, t)
+    return Projection._of(eig.assemble(lambda w: np.where(np.abs(w) > cutoff, 1.0, 0.0)))
 
 
 def pseudo_inverse_on_range(
@@ -708,6 +725,13 @@ class Projection:
         if frobenius_norm(element * element - element) > slack:
             raise ValueError("not a projection: fails idempotency")
         object.__setattr__(self, "element", element)
+
+    @classmethod
+    def _of(cls, element: AlgebraElement) -> "Projection":
+        """Wrap an element that is a projection by construction, uncertified."""
+        p = cls.__new__(cls)
+        object.__setattr__(p, "element", element)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("Projection is immutable")

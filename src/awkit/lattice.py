@@ -25,12 +25,12 @@ from .core import (
     AlgebraElement,
     Projection,
     ToleranceConfig,
+    _eigh_blocks,
     _memoized,
     _norm_against,
     _remember,
     _tol,
     adjoint,
-    eigh_hermitian,
     frobenius_norm,
     is_normal,
     is_self_adjoint,
@@ -236,13 +236,13 @@ def max_annihilator(
     for i, s in enumerate(elements):
         if not is_self_adjoint(s, t):
             raise NotPositive(f"element {i} is not self-adjoint")
-        if not eigh_hermitian(real_part(s), t, vectors=False).is_positive(t):
+        if not _eigh_blocks(real_part(s).blocks, t, vectors=False).is_positive(t):
             raise NotPositive(f"element {i} is not positive")
     total = elements[0]
     for s in elements[1:]:
         total = total + s
     rp = range_projection(total, t)
-    return Projection(AlgebraElement.identity(total.signature) - rp.element, t)
+    return Projection._of(AlgebraElement.identity(total.signature) - rp.element)
 
 
 def _require_commuting_normal(generators, t):
@@ -295,10 +295,7 @@ def generate_masa(
     if not out.is_masa(t):
         raise RuntimeError("refined diagonal algebra failed the MASA postcondition")
     # the rank-one basis projections are the MASA's minimal projections
-    try:
-        minimal = [Projection(e, t) for e in basis_elements]
-    except ValueError:
-        return out  # left to minimal_projections, as before
+    minimal = [Projection._of(e) for e in basis_elements]
     _remember(out, "minimal_projections", t, _sorted_by_rank(minimal))
     return out
 
@@ -401,7 +398,7 @@ def _minimal_projections(s: Subalgebra, t: ToleranceConfig) -> tuple[Projection,
             k, v, _ = carriers[i]
             mat = v @ v.conj().T
             blocks[k] = blocks[k] + 0.5 * (mat + mat.conj().T)
-        projections.append(Projection(AlgebraElement(blocks), t))
+        projections.append(Projection._of(AlgebraElement(blocks)))
     if len(projections) != s.dim:
         raise RuntimeError(
             f"found {len(projections)} minimal projections in a {s.dim}-dimensional algebra"
@@ -539,10 +536,10 @@ def closure_correspondence(
             for e, rp in face_gens
             if frobenius_norm(e - e * p) <= t.pos_slack * (1.0 + frobenius_norm(e))
         ]
-        partner = sup_projections(face, t) if face else Projection(zero, t)
+        partner = sup_projections(face, t) if face else Projection._of(zero)
         gap = operator_norm(p - partner.element, t)
         if gap > t.pos_slack * 2.0:
             raise RuntimeError("closure correspondence is not the identity map")
         delta = max(delta, gap)
-        pairs.append((Projection(p, t), partner))
+        pairs.append((Projection._of(p), partner))
     return ClosureCorrespondence(pairs=tuple(pairs), closures=(c1, c2), delta=delta)

@@ -20,10 +20,10 @@ from .core import (
     AlgebraElement,
     Projection,
     ToleranceConfig,
+    _eigh_blocks,
     _norm_against,
     _tol,
     adjoint,
-    eigh_hermitian,
     loewner_leq,
     operator_norm,
     positive_sqrt,
@@ -120,8 +120,8 @@ def polar_direct(
     u = x pinv(|x|) vanishes on ker |x|; the zero element yields u = 0.
     """
     t = _tol(tol)
-    absx = positive_sqrt(adjoint(x) * x, t)
-    absxstar = positive_sqrt(x * adjoint(x), t)
+    absx = _eigh_blocks((adjoint(x) * x).blocks, t).root(t)
+    absxstar = _eigh_blocks((x * adjoint(x)).blocks, t).root(t)
     u = x * pseudo_inverse_on_range(absx, t)
     return PolarResult(u=u, absx=absx, absxstar=absxstar)
 
@@ -152,13 +152,13 @@ def polar_regularized(
     if n_max < 1:
         raise BadArgument("n_max must be at least 1")
     gram = adjoint(x) * x
-    eig = eigh_hermitian(gram, t)
+    eig = _eigh_blocks(gram.blocks, t)
     cutoff = eig.rank_cutoff(t)
     sigma = [np.sqrt(np.maximum(w, 0.0)) for w in eig.eigenvalues]
     kept = [s[s * s > cutoff] for s in sigma]
     sigma_min = min((float(s.min()) for s in kept if s.size), default=None)
     absx = eig.root(t)
-    absxstar = positive_sqrt(x * adjoint(x), t)
+    absxstar = _eigh_blocks((x * adjoint(x)).blocks, t).root(t)
 
     terms: list[tuple[int, AlgebraElement]] = []
     prev = None
@@ -176,7 +176,8 @@ def polar_regularized(
 
     last_n, last_u = terms[-1]
     # the direct route's u for last_u, without its unused |last_u*|
-    u = last_u * pseudo_inverse_on_range(positive_sqrt(adjoint(last_u) * last_u, t), t)
+    abs_last = _eigh_blocks((adjoint(last_u) * last_u).blocks, t).root(t)
+    u = last_u * pseudo_inverse_on_range(abs_last, t)
     diagnostics = tuple((n, operator_norm(u_n - u, t)) for n, u_n in terms)
     if sigma_min is not None:
         bound = (1.0 / last_n) / (1.0 / last_n + sigma_min)
@@ -194,7 +195,7 @@ def polar_residuals(
     SIAM 2008, ch. 8) for result.u, read against result.absx and
     result.absxstar rather than recomputing |x| and |x*|.
 
-    Both polar routes build |x| and |x*| exactly as positive_sqrt does, so
+    Both polar routes build |x| and |x*| as positive_sqrt would, so
     their results can be passed as they are; any other candidate u must
     come with those two square roots (see verify_polar).
     """
@@ -227,11 +228,11 @@ def verify_polar(
     """Uniqueness gate: accept u only when every polar identity holds.
 
     A thin wrapper over polar_residuals for a bare candidate u: it computes
-    |x| and |x*| with positive_sqrt and applies the same accept rule.
+    |x| and |x*| as both polar routes do and applies the same accept rule.
     """
     t = _tol(tol)
-    absx = positive_sqrt(adjoint(x) * x, t)
-    absxstar = positive_sqrt(x * adjoint(x), t)
+    absx = _eigh_blocks((adjoint(x) * x).blocks, t).root(t)
+    absxstar = _eigh_blocks((x * adjoint(x)).blocks, t).root(t)
     return polar_residuals(x, PolarResult(u=u, absx=absx, absxstar=absxstar), t).accepted
 
 
@@ -256,7 +257,7 @@ def spectral_cut(
     if mu is not None and not 0.0 < mu < norm_x:
         raise BadCut(f"cut point must lie strictly between 0 and {norm_x:.6g}")
     gram_star = x * adjoint(x)
-    absxstar = positive_sqrt(gram_star, t)
+    absxstar = _eigh_blocks(gram_star.blocks, t).root(t)
     sig = x.signature
     one = AlgebraElement.identity(sig)
 
@@ -264,11 +265,11 @@ def spectral_cut(
     if _norm_against(absxstar * absxstar - absxstar, bound, t) <= bound:
         return SpectralCut(p=Projection(gram_star, t), a=one, absxstar=absxstar)
 
-    eig = eigh_hermitian(absxstar, t, vectors=False)
+    eig = _eigh_blocks(absxstar.blocks, t, vectors=False)
     cutoff = eig.rank_cutoff(t)
     if eig.min_eigenvalue > cutoff:
         return SpectralCut(
-            p=Projection(one, t), a=pseudo_inverse_on_range(absxstar, t), absxstar=absxstar
+            p=Projection._of(one), a=pseudo_inverse_on_range(absxstar, t), absxstar=absxstar
         )
 
     m = spectral_measure(absxstar, t)
@@ -280,7 +281,7 @@ def spectral_cut(
     p_el = one - measure_of(m, BorelSubset.of(inside)).element
     corner = p_el * gram_star * p_el
     a = positive_sqrt(pseudo_inverse_on_range(corner, t), t)
-    return SpectralCut(p=Projection(p_el, t), a=a, absxstar=absxstar, mu=float(mu))
+    return SpectralCut(p=Projection._of(p_el), a=a, absxstar=absxstar, mu=float(mu))
 
 
 def cut_residuals(
@@ -315,7 +316,7 @@ def resolvent_gap_inequality(
     if n < 1 or m < 1:
         raise BadArgument("resolvent indices must be positive")
     gram = adjoint(x) * x
-    eig = eigh_hermitian(gram, t)
+    eig = _eigh_blocks(gram.blocks, t)
 
     def resolvent(j: int) -> AlgebraElement:
         return eig.assemble(lambda w: 1.0 / (1.0 / j + np.sqrt(np.maximum(w, 0.0))))

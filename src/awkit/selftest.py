@@ -466,6 +466,7 @@ def run_all(
                     trials=count,
                     violations=max(5, round(20 * trials / 200)),
                     seed=seed,
+                    dims=_dim_range(dims, hi_cap=4),
                     tol=tol,
                 )
             )

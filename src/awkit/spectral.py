@@ -22,8 +22,8 @@ from .core import (
     AlgebraElement,
     Projection,
     ToleranceConfig,
+    _eigh_blocks,
     _tol,
-    eigh_hermitian,
     is_normal,
     joint_eigenspaces,
     operator_norm,
@@ -205,7 +205,7 @@ def spectral_measure(
     atoms = {}
     for i, p in enumerate(points):
         blocks = [0.5 * (m + m.conj().T) for m in sums[i]]
-        atoms[p] = Projection(AlgebraElement(blocks), t)
+        atoms[p] = Projection._of(AlgebraElement(blocks))
     spectrum = Spectrum(points=tuple(points), multiplicities=tuple(mults))
     return SpectralMeasure(domain_spectrum=spectrum, atoms=MappingProxyType(atoms))
 
@@ -284,8 +284,7 @@ def check_regularity(m: SpectralMeasure, tol: ToleranceConfig | None = None) -> 
             f"subset enumeration is limited to {REGULARITY_POINT_LIMIT} points"
         )
     for p in points:
-        atom = m.atoms[p].element
-        eig = eigh_hermitian(atom, t, vectors=False)
+        eig = _eigh_blocks(m.atoms[p].element.blocks, t, vectors=False)
         if eig.min_eigenvalue < -t.pos_slack:
             return False
     atom_vecs = np.array(

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from awkit import cli
+from awkit import cli, selftest
 from awkit.cli import build_parser, element_from_json, element_to_json, load_matrix_file, main
 from awkit.core import AlgebraElement, frobenius_norm
 from awkit.lattice import Subalgebra, closure_correspondence, generate_masa
@@ -17,7 +17,12 @@ from awkit.polar import (
     spectral_cut,
     verify_polar,
 )
-from awkit.sampling import element_with_singular_values, random_element, random_normal_element
+from awkit.sampling import (
+    element_with_singular_values,
+    random_element,
+    random_normal_element,
+    random_signature,
+)
 from awkit.spectral import spectral_measure, spectral_residuals
 
 
@@ -427,8 +432,14 @@ def test_closure_over_face_limit_exits_one(tmp_path, capsys):
         (("ineq", "{x}", "--n", "abc", "--m", "1"), "ineq"),
         (("closure", "{x}", "--seed1", "1"), "closure"),
         (("bogus", "{x}"), None),
+        (("closure", "{x}", "--seed1", "-5", "--seed2", "1"), "closure"),
+        (("closure", "{x}", "--seed1", "1", "--seed2", "-1"), "closure"),
+        (("selftest", "--seed", "-500", "--trials", "1"), "selftest"),
     ],
-    ids=["bad-int", "missing-required-flag", "unknown-subcommand"],
+    ids=[
+        "bad-int", "missing-required-flag", "unknown-subcommand",
+        "negative-seed1", "negative-seed2", "negative-selftest-seed",
+    ],
 )
 def test_argument_errors_print_one_report(nilpotent_file, capsys, argv, command):
     code, out, err = run_cli(capsys, *(a.format(x=nilpotent_file) for a in argv))
@@ -445,3 +456,18 @@ def test_help_still_exits_zero(capsys):
         main(["ineq", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: awkit ineq")
+
+
+def test_selftest_dims_reach_the_order_calculus_suite(capsys, monkeypatch):
+    seen = []
+
+    def spy(rng, max_blocks=3, dims=(1, 8)):
+        seen.append(dims)
+        return random_signature(rng, max_blocks=max_blocks, dims=dims)
+
+    only = {"order-calculus": selftest.CRITERIA["order-calculus"]}
+    monkeypatch.setattr(selftest, "CRITERIA", only)
+    monkeypatch.setattr(selftest, "random_signature", spy)
+    code, _, _ = run_cli(capsys, "selftest", "--trials", "1", "--dims", "3..3")
+    assert code == 0
+    assert seen and set(seen) == {(3, 3)}

@@ -1,0 +1,85 @@
+"""The CLI contract under bad numbers: every numeric flag of every subcommand,
+set to 0, -1, nan, inf and garbage, still gives one strict JSON report.
+
+Each call must exit 0, 1 or 2 without an escaped exception, print exactly
+one line of JSON with no NaN or Infinity on stdout, and start stderr with
+``malformed input:`` or ``bad tolerance:`` on exit 2 and ``rejected:`` on
+exit 1.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from awkit.cli import element_to_json, main
+from awkit.core import AlgebraElement
+
+VALUES = ("0", "-1", "nan", "inf", "abc")
+
+# per subcommand: positional arguments and the flags a valid call passes
+BASE = {
+    "polar": (("{x}",), {}),
+    "cut": (("{x}",), {}),
+    "closure": (("{x}",), {"--seed1": "1", "--seed2": "2"}),
+    "certify": (("{seq}",), {"--limit": "{limit}", "--rate": "1.0"}),
+    "ineq": (("{x}",), {"--n": "1", "--m": "2"}),
+    "selftest": ((), {"--trials": "1"}),
+}
+
+FLAGS = (
+    ("polar", "--nmax"),
+    # the shared tolerance flags, once
+    ("polar", "--pos-slack"),
+    ("polar", "--cluster-tol"),
+    ("polar", "--rank-cutoff"),
+    ("cut", "--mu"),
+    ("closure", "--seed1"),
+    ("closure", "--seed2"),
+    ("certify", "--rate"),
+    ("ineq", "--n"),
+    ("ineq", "--m"),
+    ("selftest", "--trials"),
+    ("selftest", "--seed"),
+    ("selftest", "--dims"),
+)
+
+PREFIXES = {1: ("rejected:",), 2: ("malformed input:", "bad tolerance:")}
+
+
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory):
+    d = tmp_path_factory.mktemp("contract")
+    # normal, invertible and with distinct eigenvalues: every subcommand
+    # accepts it with valid flags
+    x = AlgebraElement([np.diag([1.0, 2.0j])])
+    (d / "x.json").write_text(json.dumps(element_to_json(x)))
+    seq = d / "seq"
+    seq.mkdir()
+    one = AlgebraElement.identity((2,))
+    for n in range(1, 4):
+        (seq / f"{n:03d}.json").write_text(json.dumps(element_to_json(one * (1.0 / n))))
+    (d / "limit.json").write_text(json.dumps(element_to_json(AlgebraElement.zeros((2,)))))
+    return {"x": str(d / "x.json"), "seq": str(seq), "limit": str(d / "limit.json")}
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("value", VALUES)
+@pytest.mark.parametrize("command, flag", FLAGS, ids=[f"{c}{f}" for c, f in FLAGS])
+def test_bad_number_gives_one_report(paths, capsys, command, flag, value):
+    positional, flags = BASE[command]
+    flags = {**flags, flag: value}
+    argv = [command, *positional] + [a for kv in flags.items() for a in kv]
+    code = main([a.format(**paths) for a in argv])
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2)
+    lines = out.splitlines()
+    assert len(lines) == 1, out
+    doc = json.loads(lines[0], parse_constant=_reject_constant)
+    assert doc["command"] == command
+    if code:
+        assert err.startswith(PREFIXES[code]), err
+        assert doc["accepted"] is False

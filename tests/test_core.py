@@ -361,3 +361,45 @@ def test_overflowing_block_norm_raises_bad_argument():
     # just inside the range the same block solves
     w = eigh_hermitian(el(np.array(h) * 1e-50)).eigenvalues[0]
     assert np.allclose(w, [0.0, 2e150], rtol=1e-12, atol=1e138)
+
+
+def test_block_whose_squares_underflow_is_solved_rescaled():
+    # every entry squares to 0, so ||h||_F underflows; the block is solved
+    # at the scale of its largest entry and its eigenvalues scaled back
+    h = el(np.diag([3e-170, 1e-170]))
+    eig = eigh_hermitian(h)
+    assert eig.eigenvalues[0].tolist() == [1e-170, 3e-170]
+    assert eig.assemble(lambda w: w) == h
+    assert eigh_hermitian(h, vectors=False).eigenvalues[0].tolist() == [1e-170, 3e-170]
+    # subnormal entries too
+    w = eigh_hermitian(el([[0.0, 1e-310], [1e-310, 0.0]])).eigenvalues[0]
+    assert w.tolist() == [-1e-310, 1e-310]
+
+
+def test_norm_whose_gram_squares_underflow():
+    # x*x holds 2e-200, whose squares underflow: the norm is 2e-100, not 0
+    assert operator_norm(el(np.full((2, 2), 1e-100))) == pytest.approx(2e-100, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda h: eigh_hermitian(h, vectors=False),
+        lambda h: loewner_leq(AlgebraElement.zeros((1, 2)), h),
+        positive_sqrt,
+        range_projection,
+        pseudo_inverse_on_range,
+    ],
+    ids=["eigh_hermitian", "loewner_leq", "positive_sqrt", "range_projection", "pseudo_inverse"],
+)
+def test_public_entry_points_still_check_their_input(entry):
+    # internal operands skip the check; outside input does not
+    with pytest.raises(NotSelfAdjoint):
+        entry(el([[1.0]], [[0, 1], [0, 0]]))
+
+
+def test_projection_still_certifies_outside_input():
+    with pytest.raises(ValueError, match="fails idempotency"):
+        Projection(el(np.diag([1.0, 0.5])))
+    with pytest.raises(ValueError, match="fails self-adjointness"):
+        Projection(el([[0, 1], [0, 0]]))

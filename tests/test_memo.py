@@ -144,9 +144,9 @@ def test_stored_masa_projections_match_the_computed_route(seed):
 
 @pytest.mark.parametrize("seed", [2, 8])
 def test_masa_whose_rank_one_projections_fail_the_check_stores_nothing(seed):
-    # at pos_slack 1e-16 the rank-one projections of these MASAs miss the
-    # Projection idempotency check; generate_masa still returns the MASA,
-    # and minimal_projections answers, or raises, as the computed route does
+    # at pos_slack 1e-16 the rank-one projections of these MASAs would miss
+    # the Projection idempotency check, which neither route runs on them any
+    # more: minimal_projections answers, or raises, as the computed route does
     t = ToleranceConfig(pos_slack=1e-16)
     g = random_normal_element((3,), np.random.default_rng(seed))
     d = generate_masa([g], 0, t)

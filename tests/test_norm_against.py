@@ -9,6 +9,7 @@ operator_norm raises, and it must leave the element's memo as it found it.
 
 import operator
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -16,7 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from awkit import core, polar
-from awkit.core import AlgebraElement, ToleranceConfig, _norm_against, adjoint, operator_norm
+from awkit.core import (
+    AlgebraElement,
+    ToleranceConfig,
+    _norm_against,
+    adjoint,
+    eigh_hermitian,
+    operator_norm,
+)
 from awkit.errors import BadArgument, NonConvergence, NotSelfAdjoint
 from awkit.polar import polar_regularized
 from awkit.sampling import haar_unitary_block
@@ -102,8 +110,8 @@ def test_zero_element():
 
 def test_where_the_eigensolve_scale_underflows():
     # x*x has entries near 1e-200, whose squares underflow: the eigensolve's
-    # Frobenius scale is 0 and operator_norm reads 0, below sqrt(lo); the
-    # helper must give the eigensolve's verdict, not the bounds'
+    # Frobenius scale is 0 and it solves the block rescaled; below the range
+    # where the bounds decide, the helper must give the eigensolve's verdict
     x = AlgebraElement([np.full((2, 2), 1e-100)])
     assert _norm_against(x, 1e-140, DEFAULT) == operator_norm(_fresh(x))
     _assert_agrees(x)
@@ -122,13 +130,16 @@ def test_same_bad_argument_on_overflow():
 
 
 def test_same_not_self_adjoint_below_roundoff():
+    # the Gram matrix x*x is not exactly Hermitian, so eigh_hermitian rejects
+    # it at pos_slack 1e-20; operator_norm forms it itself and solves it
+    # unchecked, to the bits it gives at the default tolerance
     x = AlgebraElement([haar_unitary_block(3, np.random.default_rng(5)) * 2.0])
     t = ToleranceConfig(pos_slack=1e-20)
-    with pytest.raises(NotSelfAdjoint) as exact:
-        operator_norm(_fresh(x), t)
-    with pytest.raises(NotSelfAdjoint) as decided:
-        _norm_against(x, 1.0, t)
-    assert str(decided.value) == str(exact.value)
+    norm = operator_norm(_fresh(x), t)
+    assert struct.pack("<d", norm) == struct.pack("<d", operator_norm(_fresh(x)))
+    _assert_agrees(x, t)
+    with pytest.raises(NotSelfAdjoint, match="eigh_hermitian input must be self-adjoint"):
+        eigh_hermitian(adjoint(x) * x, t)
 
 
 def test_memoized_norm_is_returned_and_memo_is_left_alone():
@@ -179,9 +190,10 @@ def test_ladder_loop_makes_no_operator_norm_call(monkeypatch):
     ])
     norms = _counting(monkeypatch, core, "_operator_norm")
     solves = _counting(monkeypatch, core, "_eigh_blocks")
+    own_solves = _counting(monkeypatch, polar, "_eigh_blocks")
     stop_tests = _counting(monkeypatch, polar, "_norm_against")
     result = polar_regularized(x)
     rungs = len(result.diagnostics)
     assert len(stop_tests) == rungs - 1 == 20
     assert len(norms) == rungs
-    assert len(solves) == 4 + rungs
+    assert len(solves) + len(own_solves) == 4 + rungs

@@ -5,6 +5,7 @@ import pytest
 
 from awkit.core import (
     AlgebraElement,
+    HermitianEigenSystem,
     Projection,
     ToleranceConfig,
     adjoint,
@@ -15,7 +16,6 @@ from awkit.core import (
 )
 from awkit.errors import BadCut, ZeroElement
 from awkit.order import build_certificate, verify_certificate
-from awkit import polar
 from awkit.polar import (
     CUT_RESIDUAL_TOL,
     PolarResult,
@@ -160,18 +160,20 @@ def test_regularized_matches_direct_on_rank_deficient_input():
 
 
 def test_regularized_takes_two_square_roots(monkeypatch):
-    # |x*| and the snap's |last_u|; the snap no longer computes |last_u*|
+    # |x*| and the snap's |last_u|, besides |x| from the ladder's own
+    # eigensystem; the snap no longer computes |last_u*|
     calls = []
+    root = HermitianEigenSystem.root
 
-    def counted(h, tol=None):
-        calls.append(h)
-        return positive_sqrt(h, tol)
+    def counted(eig, t):
+        calls.append(eig)
+        return root(eig, t)
 
-    monkeypatch.setattr(polar, "positive_sqrt", counted)
+    monkeypatch.setattr(HermitianEigenSystem, "root", counted)
     svals = [np.array([0.0, 0.7, 1.3]), np.array([0.4, 1.0])]
     x = element_with_singular_values((3, 2), svals, np.random.default_rng(31))
     res = polar_regularized(x)
-    assert len(calls) == 2
+    assert len(calls) == 1 + 2
     check_invariants(x, res)
 
 
