@@ -3,15 +3,18 @@
 Subalgebras are stored as orthonormal bases under the trace inner product.
 Maximal commutative subalgebras (MASAs) arise from jointly diagonalizing
 commuting normal generators and refining each degenerate eigenspace with a
-seeded random orthonormal basis; monotone closures are computed by the
-face-supremum construction and iterated to a fixed point. At finite
-dimension the closure of a unital closed commutative subalgebra is itself,
-and the closure correspondence between two MASAs is the identity on
-projections; both facts are asserted rather than assumed.
+seeded random orthonormal basis. Monotone closures are computed by the
+face-supremum construction in one pass: every face supremum is a sum of the
+subalgebra's minimal projections, so the closure does not depend on the
+MASA it is taken in, which is only checked. At finite dimension the closure
+of a unital closed commutative subalgebra is itself, and the closure
+correspondence between two MASAs is the identity on projections; both facts
+are asserted rather than assumed.
 
-A Subalgebra memoizes its commutativity verdict and its minimal projections,
-keyed by name and the resolved ToleranceConfig as in ``core``; a MASA made
-by generate_masa starts with its rank-one projections stored.
+A Subalgebra memoizes its commutativity verdict, its minimal projections and
+its monotone closure, keyed by name and the resolved ToleranceConfig as in
+``core``; a MASA made by generate_masa starts with its rank-one projections
+stored.
 """
 
 from __future__ import annotations
@@ -39,7 +42,14 @@ from .core import (
     range_projection,
     real_part,
 )
-from .errors import NotCommuting, NotContained, NotNormal, NotPositive, TooManyPoints
+from .errors import (
+    NotCommuting,
+    NotContained,
+    NotNormal,
+    NotPositive,
+    SignatureMismatch,
+    TooManyPoints,
+)
 
 __all__ = [
     "Subalgebra",
@@ -107,6 +117,10 @@ class Subalgebra:
         return np.array([_vec(b) for b in self.basis])
 
     def project(self, x: AlgebraElement) -> AlgebraElement:
+        if x.signature != self.signature:
+            raise SignatureMismatch(
+                f"signatures differ: {self.signature} vs {x.signature}"
+            )
         m = self._basis_matrix()
         coeff = m.conj() @ _vec(x)
         return _unvec(coeff @ m, self.signature)
@@ -152,6 +166,7 @@ class Subalgebra:
         sig = generators[0].signature
         pool = [AlgebraElement.identity(sig)]
         for g in generators:
+            generators[0]._check_signature(g)
             pool.append(g)
             pool.append(adjoint(g))
         rows = _orthonormal_rows(np.array([_vec(p) for p in pool]), t.rank_cutoff)
@@ -172,7 +187,8 @@ class ClosureCorrespondence:
 
     pairs holds (p, partner) for every projection p of the closure in the
     first MASA; closures holds the monotone closures of the subalgebra in
-    the first and second MASA; delta is the largest operator_norm(p -
+    the first and second MASA, one object since the closure does not depend
+    on the MASA (see monotone_closure); delta is the largest operator_norm(p -
     partner) over the pairs, the defect of the identity correspondence.
     """
 
@@ -406,19 +422,19 @@ def _minimal_projections(s: Subalgebra, t: ToleranceConfig) -> tuple[Projection,
     return _sorted_by_rank(projections)
 
 
-def _support_masks(minimal: Sequence[Projection], masa_minimal: Sequence[Projection], t):
-    """Bitmask of MASA rank-one projections carrying each minimal projection."""
-    masks = []
+def _require_atom_sums(
+    minimal: Sequence[Projection], masa_minimal: Sequence[Projection], t
+) -> None:
+    """Raise NotContained unless every minimal projection is the sum of the
+    MASA rank-one projections it overlaps by more than 1/2."""
     for e in minimal:
-        mask = 0
         recover = AlgebraElement.zeros(e.element.signature)
-        for j, f in enumerate(masa_minimal):
+        for f in masa_minimal:
             overlap = sum(
                 float(np.trace(a @ b).real)
                 for a, b in zip(e.element.blocks, f.element.blocks)
             )
             if overlap > 0.5:
-                mask |= 1 << j
                 recover = recover + f.element
         if frobenius_norm(recover - e.element) > t.pos_slack * (
             1.0 + frobenius_norm(e.element)
@@ -426,48 +442,19 @@ def _support_masks(minimal: Sequence[Projection], masa_minimal: Sequence[Project
             raise NotContained(
                 "a minimal projection is not a sum of the MASA's rank-one projections"
             )
-        masks.append(mask)
-    return masks
 
 
-def _closure_step(current: Subalgebra, masa: Subalgebra, t) -> Subalgebra:
-    """One closure pass: adjoin, for every projection p of the MASA, the
-    MASA-supremum of the face {x in current, 0 <= x <= 1, x <= p}.
-
-    The supremum of a face equals the sum of the minimal projections under
-    p, so distinct suprema are enumerated through unions of support sets
-    rather than through all projections of the MASA; every projection of the
-    MASA realizes one of these unions and conversely.
-    """
-    minimal = minimal_projections(current, t)
-    masa_minimal = minimal_projections(masa, t)
-    if len(minimal) > MAX_ENUMERATED_FACES:
-        raise TooManyPoints(
-            f"face enumeration capped at {MAX_ENUMERATED_FACES} minimal projections"
-        )
-    masks = _support_masks(minimal, masa_minimal, t)
-    m = len(minimal)
-    seen = set()
-    extra = []
-    for j_mask in range(1 << m):
-        union = 0
-        for i in range(m):
+def _subset_sums(ps: Sequence[Projection], signature) -> list[AlgebraElement]:
+    """The sum of every subset of ps, subset j holding ps[i] for each set bit
+    i of j, each summed from zero in increasing i."""
+    sums = []
+    for j_mask in range(1 << len(ps)):
+        total = AlgebraElement.zeros(signature)
+        for i, p in enumerate(ps):
             if j_mask >> i & 1:
-                union |= masks[i]
-        dominated = 0
-        for i in range(m):
-            if masks[i] & ~union == 0:
-                dominated |= 1 << i
-        if dominated in seen:
-            continue
-        seen.add(dominated)
-        total = AlgebraElement.zeros(current.signature)
-        for i in range(m):
-            if dominated >> i & 1:
-                total = total + minimal[i].element
-        extra.append(total)
-    gens = [p.element for p in minimal] + extra
-    return Subalgebra.from_generators(gens, t)
+                total = total + p.element
+        sums.append(total)
+    return sums
 
 
 def monotone_closure(
@@ -475,9 +462,16 @@ def monotone_closure(
 ) -> Subalgebra:
     """Monotone closure of a commutative subalgebra inside a MASA containing it.
 
-    Iterates the face-supremum pass to a fixed point. At finite dimension
-    the closure of a unital closed subalgebra is the subalgebra itself; this
-    is asserted on the result.
+    The closure adjoins, for every projection p of the MASA, the supremum of
+    the face {x in b, 0 <= x <= 1, x <= p}. Each minimal projection of b is
+    a sum of the MASA's rank-one projections, so that supremum is the sum of
+    the minimal projections of b under p, and every sum of them is the
+    supremum of some face. The closure is therefore generated by b's minimal
+    projections and their subset sums, whichever MASA contains b: the MASA
+    is checked on every call, and the closure is computed once per
+    subalgebra and tolerance. At
+    finite dimension the closure of a unital closed subalgebra is the
+    subalgebra itself; this is asserted on the result.
     """
     t = _tol(tol)
     if not b.is_commutative(t):
@@ -486,17 +480,24 @@ def monotone_closure(
         raise ValueError("closure must be taken inside a maximal commutative subalgebra")
     if not masa.contains_subalgebra(b, t):
         raise NotContained("subalgebra does not lie inside the MASA")
-    current = b
-    for _ in range(sum(b.signature) + 1):
-        nxt = _closure_step(current, masa, t)
-        if spans_equal(nxt, current):
-            if not spans_equal(current, b):
-                raise RuntimeError(
-                    "closure of a unital closed subalgebra moved at finite dimension"
-                )
-            return nxt
-        current = nxt
-    raise RuntimeError("monotone closure failed to reach a fixed point")
+    minimal = minimal_projections(b, t)
+    masa_minimal = minimal_projections(masa, t)
+    if len(minimal) > MAX_ENUMERATED_FACES:
+        raise TooManyPoints(
+            f"face enumeration capped at {MAX_ENUMERATED_FACES} minimal projections"
+        )
+    _require_atom_sums(minimal, masa_minimal, t)
+    return _memoized(b, "monotone_closure", t, lambda b, t: _closure(b, minimal, t))
+
+
+def _closure(b: Subalgebra, minimal: list[Projection], t: ToleranceConfig):
+    gens = [p.element for p in minimal] + _subset_sums(minimal, b.signature)
+    closure = Subalgebra.from_generators(gens, t)
+    if not spans_equal(closure, b):
+        raise RuntimeError(
+            "closure of a unital closed subalgebra moved at finite dimension"
+        )
+    return closure
 
 
 def closure_correspondence(
@@ -508,8 +509,11 @@ def closure_correspondence(
     """Pair every projection of the closure in the first MASA with the
     supremum of its face computed inside the second MASA.
 
-    At finite dimension the pairing is the identity map, asserted within
-    pos_slack on every pair.
+    Both MASAs are checked as monotone_closure checks them. The closure does
+    not depend on the MASA: every face supremum is a sum of b's minimal
+    projections, so the two closures are the one closure memoized on b. The
+    pairing, the identity map at finite dimension, is verified within
+    pos_slack on every one of its 2^m projections.
     """
     t = _tol(tol)
     c1 = monotone_closure(b, masa1, t)
@@ -517,20 +521,10 @@ def closure_correspondence(
     face_gens = [
         (e.element, range_projection(e.element, t)) for e in minimal_projections(b, t)
     ]
-    minimal = minimal_projections(c1, t)
-    m = len(minimal)
-    if m > MAX_ENUMERATED_FACES:
-        raise TooManyPoints(
-            f"projection enumeration capped at {MAX_ENUMERATED_FACES} minimal projections"
-        )
     zero = AlgebraElement.zeros(b.signature)
     pairs = []
     delta = 0.0
-    for j_mask in range(1 << m):
-        p = zero
-        for i in range(m):
-            if j_mask >> i & 1:
-                p = p + minimal[i].element
+    for p in _subset_sums(minimal_projections(c1, t), b.signature):
         face = [
             rp
             for e, rp in face_gens

@@ -14,7 +14,13 @@ from awkit.core import (
     operator_norm,
     range_projection,
 )
-from awkit.errors import NotCommuting, NotContained, NotNormal, NotPositive
+from awkit.errors import (
+    NotCommuting,
+    NotContained,
+    NotNormal,
+    NotPositive,
+    SignatureMismatch,
+)
 from awkit.lattice import (
     CLOSURE_RESIDUAL_TOL,
     SPAN_ANGLE_TOL,
@@ -125,6 +131,18 @@ def test_from_generators_closes_and_contains_identity():
         for b in s.basis:
             assert s.contains(a * b)
         assert s.contains(adjoint(a))
+
+
+def test_from_generators_rejects_mixed_signatures():
+    gens = [AlgebraElement.identity((2,)), AlgebraElement.identity((3,))]
+    with pytest.raises(SignatureMismatch, match=r"signatures differ: \(2,\) vs \(3,\)"):
+        Subalgebra.from_generators(gens)
+
+
+def test_membership_rejects_element_of_another_signature():
+    s = Subalgebra.from_generators([diag_el([1, 2])])
+    with pytest.raises(SignatureMismatch, match=r"signatures differ: \(2,\) vs \(2, 1\)"):
+        s.contains(AlgebraElement.identity((2, 1)))
 
 
 def test_generate_masa_dimension_forced():

@@ -1,11 +1,11 @@
 """Derived data memoized on immutable elements and subalgebras.
 
 An element keeps its operator norm and normality verdict, a subalgebra its
-commutativity verdict and minimal projections, each keyed by name and the
-resolved ToleranceConfig. These tests pin the key (each configuration gets
-its own answer), that exceptions are not cached, how often one CLI call
-computes each value, and that the projections generate_masa stores are the
-ones the computed route finds.
+commutativity verdict, minimal projections and monotone closure, each keyed
+by name and the resolved ToleranceConfig. These tests pin the key (each
+configuration gets its own answer), that exceptions are not cached, how
+often one CLI call computes each value, and that the projections
+generate_masa stores are the ones the computed route finds.
 """
 
 import json
@@ -98,8 +98,19 @@ def test_closure_call_computes_each_value_once(tmp_path, capsys, monkeypatch):
     minimal = _counting(monkeypatch, lattice, "_minimal_projections")
     normal = _counting(monkeypatch, core, "_is_normal")
     commutes = _counting(monkeypatch, Subalgebra, "_commutes")
+    build = Subalgebra.from_generators.__func__
+    built = []
+
+    def counted_build(cls, generators, tol=None):
+        built.append(len(generators))
+        return build(cls, generators, tol)
+
+    monkeypatch.setattr(Subalgebra, "from_generators", classmethod(counted_build))
     doc = _run(capsys, "closure", str(f), "--seed1", "1", "--seed2", "2")
     assert doc["accepted"] is True
+    # b, then its closure, built once for both MASAs from the 3 minimal
+    # projections and their 2^3 subset sums
+    assert built == [1, 3 + 8]
     b = Subalgebra.from_generators([g])
     assert sum(s == b for s in minimal) == 1
     # no subalgebra is decomposed or tested twice; the MASAs never need it
