@@ -70,6 +70,7 @@ from .spectral import (
     integrate,
     is_normal,
     measure_of,
+    measure_residuals,
     order_convergent_integral,
     spectral_measure,
     spectral_residuals,

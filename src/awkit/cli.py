@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import AlgebraElement, ToleranceConfig
-from .errors import AlgebraError, BadArgument, NotNormal, TooManyPoints
+from .errors import AlgebraError, BadArgument, NotNormal
 from .lattice import Subalgebra, closure_correspondence, generate_masa
 from .order import build_certificate, verify_certificate
 from .polar import (
@@ -143,10 +143,7 @@ def _cmd_spectral(args, tol):
         raise NotNormal("input is not normal")
     m = spectral_measure(a, tol)
     check = spectral_residuals(a, m, tol)
-    try:
-        regular = check_regularity(m, tol)
-    except TooManyPoints:
-        regular = None
+    regular = check_regularity(m, tol)
     artifacts = {
         "spectrum": [
             {"point": [p.real, p.imag], "multiplicity": mult}
@@ -158,7 +155,7 @@ def _cmd_spectral(args, tol):
         ],
         "regularity": regular,
     }
-    accepted = check.accepted and regular is not False
+    accepted = check.accepted and regular
     return _report(
         "spectral", tol, residuals=check.residuals, accepted=accepted, artifacts=artifacts
     ), 0 if accepted else 1

@@ -58,6 +58,7 @@ from .errors import (
     BadArgument,
     NonConvergence,
     NotPositive,
+    NotProjection,
     NotSelfAdjoint,
     SignatureMismatch,
 )
@@ -103,9 +104,9 @@ class ToleranceConfig:
                     sweep stops
     max_sweeps      hard budget of cyclic Jacobi sweeps
 
-    Rules that still differ: Projection and Subalgebra.is_commutative test
-    against an absolute 2 pos_slack, check_regularity against an absolute
-    -pos_slack; the ladder stops once ||u_n - u_{n-1}|| < rank_cutoff;
+    Rules that still differ: Projection, Subalgebra.is_commutative and
+    check_regularity test against an absolute 2 pos_slack; the ladder stops
+    once ||u_n - u_{n-1}|| < rank_cutoff;
     _orthonormal_rows cuts singular values relative to the largest; the
     cluster gap is cluster_tol max(1, ||m||_F) in simultaneous_eigh,
     cluster_tol max(1, ||a||) in spectral_measure and cluster_tol
@@ -721,9 +722,9 @@ class Projection:
         t = _tol(tol)
         slack = t.pos_slack * 2.0
         if frobenius_norm(element - adjoint(element)) > slack:
-            raise ValueError("not a projection: fails self-adjointness")
+            raise NotProjection("not a projection: fails self-adjointness")
         if frobenius_norm(element * element - element) > slack:
-            raise ValueError("not a projection: fails idempotency")
+            raise NotProjection("not a projection: fails idempotency")
         object.__setattr__(self, "element", element)
 
     @classmethod

@@ -42,6 +42,16 @@ class NotNormal(AlgebraError):
     """A normal element (commuting with its adjoint) was required."""
 
 
+class NotProjection(AlgebraError, ValueError):
+    """An element offered as a projection is not idempotent or not
+    self-adjoint within 2 pos_slack."""
+
+
+class PostconditionFailed(AlgebraError, RuntimeError):
+    """A construction's result lacks a property it has in exact arithmetic,
+    as a tolerance far from roundoff can make it."""
+
+
 class NotContained(AlgebraError):
     """A subalgebra inclusion precondition failed."""
 
@@ -71,4 +81,5 @@ class ZeroElement(AlgebraError):
 
 
 class BadCut(AlgebraError):
-    """A spectral cut point lies outside the admissible open interval."""
+    """A spectral cut point lies outside the admissible open interval, or
+    no spectrum point lies above the rank cutoff to place the default one."""

@@ -47,6 +47,7 @@ from .errors import (
     NotContained,
     NotNormal,
     NotPositive,
+    PostconditionFailed,
     SignatureMismatch,
     TooManyPoints,
 )
@@ -309,7 +310,7 @@ def generate_masa(
             basis_elements.append(AlgebraElement(blocks))
     out = Subalgebra(sig, tuple(basis_elements))
     if not out.is_masa(t):
-        raise RuntimeError("refined diagonal algebra failed the MASA postcondition")
+        raise PostconditionFailed("refined diagonal algebra failed the MASA postcondition")
     # the rank-one basis projections are the MASA's minimal projections
     minimal = [Projection._of(e) for e in basis_elements]
     _remember(out, "minimal_projections", t, _sorted_by_rank(minimal))
@@ -416,10 +417,15 @@ def _minimal_projections(s: Subalgebra, t: ToleranceConfig) -> tuple[Projection,
             blocks[k] = blocks[k] + 0.5 * (mat + mat.conj().T)
         projections.append(Projection._of(AlgebraElement(blocks)))
     if len(projections) != s.dim:
-        raise RuntimeError(
+        raise PostconditionFailed(
             f"found {len(projections)} minimal projections in a {s.dim}-dimensional algebra"
         )
     return _sorted_by_rank(projections)
+
+
+def _overlap(x: AlgebraElement, y: AlgebraElement) -> float:
+    """Re tr(x y), summed over the blocks."""
+    return sum(float(np.trace(a @ b).real) for a, b in zip(x.blocks, y.blocks))
 
 
 def _require_atom_sums(
@@ -430,11 +436,7 @@ def _require_atom_sums(
     for e in minimal:
         recover = AlgebraElement.zeros(e.element.signature)
         for f in masa_minimal:
-            overlap = sum(
-                float(np.trace(a @ b).real)
-                for a, b in zip(e.element.blocks, f.element.blocks)
-            )
-            if overlap > 0.5:
+            if _overlap(e.element, f.element) > 0.5:
                 recover = recover + f.element
         if frobenius_norm(recover - e.element) > t.pos_slack * (
             1.0 + frobenius_norm(e.element)
@@ -494,7 +496,7 @@ def _closure(b: Subalgebra, minimal: list[Projection], t: ToleranceConfig):
     gens = [p.element for p in minimal] + _subset_sums(minimal, b.signature)
     closure = Subalgebra.from_generators(gens, t)
     if not spans_equal(closure, b):
-        raise RuntimeError(
+        raise PostconditionFailed(
             "closure of a unital closed subalgebra moved at finite dimension"
         )
     return closure
@@ -519,21 +521,20 @@ def closure_correspondence(
     c1 = monotone_closure(b, masa1, t)
     c2 = monotone_closure(b, masa2, t)
     face_gens = [
-        (e.element, range_projection(e.element, t)) for e in minimal_projections(b, t)
+        (e.element, e.rank(), range_projection(e.element, t))
+        for e in minimal_projections(b, t)
     ]
     zero = AlgebraElement.zeros(b.signature)
     pairs = []
     delta = 0.0
     for p in _subset_sums(minimal_projections(c1, t), b.signature):
-        face = [
-            rp
-            for e, rp in face_gens
-            if frobenius_norm(e - e * p) <= t.pos_slack * (1.0 + frobenius_norm(e))
-        ]
+        # e and p commute and p sums minimal projections, so tr(e p) is
+        # tr(e) when e <= p and 0 otherwise, up to roundoff
+        face = [rp for e, rank, rp in face_gens if 2.0 * _overlap(e, p) > rank]
         partner = sup_projections(face, t) if face else Projection._of(zero)
         gap = operator_norm(p - partner.element, t)
         if gap > t.pos_slack * 2.0:
-            raise RuntimeError("closure correspondence is not the identity map")
+            raise PostconditionFailed("closure correspondence is not the identity map")
         delta = max(delta, gap)
         pairs.append((Projection._of(p), partner))
     return ClosureCorrespondence(pairs=tuple(pairs), closures=(c1, c2), delta=delta)

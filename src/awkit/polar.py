@@ -276,6 +276,8 @@ def spectral_cut(
     points = sorted(m.domain_spectrum.points, key=lambda p: p.real)
     if mu is None:
         nonzero = [p.real for p in points if p.real > cutoff]
+        if not nonzero:
+            raise BadCut("no clustered spectrum point of |x*| lies above the rank cutoff")
         mu = nonzero[0] / 2.0
     inside = [p for p in points if p.real <= mu]
     p_el = one - measure_of(m, BorelSubset.of(inside)).element

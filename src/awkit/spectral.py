@@ -5,9 +5,10 @@ parts are diagonalized simultaneously, and the resulting complex eigenvalues
 are clustered into spectrum points. Each point carries an orthogonal
 projection atom; the atom map is a finitely additive projection-valued
 measure whose weighted sum reconstructs the element. On a finite discrete
-spectrum every subset is both closed and open, so the measure-regularity
-identities degenerate; check_regularity pins that degeneracy by full subset
-enumeration.
+spectrum every subset is both closed and open, so inner and outer
+regularity reduce to the measure axioms: the atoms are pairwise orthogonal
+projections summing to 1. measure_residuals names their defects, and
+check_regularity accepts them.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from .core import (
     AlgebraElement,
     Projection,
     ToleranceConfig,
-    _eigh_blocks,
     _tol,
+    adjoint,
+    frobenius_norm,
     is_normal,
     joint_eigenspaces,
     operator_norm,
@@ -32,7 +34,6 @@ from .errors import (
     IncompleteFunction,
     IncompleteOrdering,
     NotNormal,
-    TooManyPoints,
     UnknownPoint,
 )
 from .order import OrderLimitCertificate, build_certificate
@@ -47,15 +48,14 @@ __all__ = [
     "spectral_measure",
     "measure_of",
     "integrate",
+    "measure_residuals",
     "check_regularity",
     "order_convergent_integral",
     "SpectralResiduals",
     "spectral_residuals",
-    "REGULARITY_POINT_LIMIT",
     "SPECTRAL_RESIDUAL_TOL",
 ]
 
-REGULARITY_POINT_LIMIT = 12
 SPECTRAL_RESIDUAL_TOL = 1e-9
 
 
@@ -265,52 +265,41 @@ def integrate(f: SpectralFunction, m: SpectralMeasure) -> AlgebraElement:
     return total
 
 
-def check_regularity(m: SpectralMeasure, tol: ToleranceConfig | None = None) -> bool:
-    """Verify the inner/outer approximation identities on a finite discrete
-    spectrum by full subset enumeration.
+def measure_residuals(m: SpectralMeasure) -> dict[str, float]:
+    """Frobenius defects of the measure axioms, each the largest over the
+    atoms p, q in domain order: idempotency ||p p - p||, self_adjointness
+    ||p - p*||, orthogonality ||p q|| over pairs p before q, and
+    completeness ||sum p - 1||, summed from zero in domain order."""
+    atoms = [m.atoms[p].element for p in m.domain_spectrum.points]
+    sig = atoms[0].signature
+    idem = adj = orth = 0.0
+    total = AlgebraElement.zeros(sig)
+    for i, p in enumerate(atoms):
+        idem = max(idem, frobenius_norm(p * p - p))
+        adj = max(adj, frobenius_norm(p - adjoint(p)))
+        for q in atoms[i + 1 :]:
+            orth = max(orth, frobenius_norm(p * q))
+        total = total + p
+    return {
+        "idempotency": idem,
+        "self_adjointness": adj,
+        "orthogonality": orth,
+        "completeness": frobenius_norm(total - AlgebraElement.identity(sig)),
+    }
 
-    Every subset is closed and open, so each identity reduces to the lattice
-    monotonicity of the measure with attainment at the set itself: per-atom
-    positivity plus exact additivity along single-point extensions covers
-    every closed-in-open pair by transitivity of the Loewner order. Returns
-    True; False indicates an implementation bug, not a mathematical
-    possibility.
+
+def check_regularity(m: SpectralMeasure, tol: ToleranceConfig | None = None) -> bool:
+    """Inner and outer regularity of m on its finite discrete spectrum.
+
+    Every subset is closed and open, so both identities hold exactly when
+    m is a projection-valued measure: its atoms are pairwise orthogonal
+    projections summing to 1, which makes m finitely additive and monotone.
+    Accepts when every defect of measure_residuals is at most 2 pos_slack,
+    the rule Projection certifies by; an idempotent self-adjoint atom is
+    positive, so no eigensolve is needed.
     """
-    t = _tol(tol)
-    points = m.domain_spectrum.points
-    n_pts = len(points)
-    if n_pts > REGULARITY_POINT_LIMIT:
-        raise TooManyPoints(
-            f"subset enumeration is limited to {REGULARITY_POINT_LIMIT} points"
-        )
-    for p in points:
-        eig = _eigh_blocks(m.atoms[p].element.blocks, t, vectors=False)
-        if eig.min_eigenvalue < -t.pos_slack:
-            return False
-    atom_vecs = np.array(
-        [np.concatenate([b.ravel() for b in m.atoms[p].element.blocks]) for p in points]
-    )
-    length = atom_vecs.shape[1]
-    subset_rows = np.zeros((1 << n_pts, length), dtype=complex)
-    for mask in range(1, 1 << n_pts):
-        low = (mask & -mask).bit_length() - 1
-        subset_rows[mask] = subset_rows[mask ^ (1 << low)] + atom_vecs[low]
-    # measure_of agreement on a few subsets ties the table to the public op
-    probe_masks = {0, (1 << n_pts) - 1, (1 << n_pts) // 2}
-    for mask in probe_masks:
-        sel = [points[i] for i in range(n_pts) if mask >> i & 1]
-        direct = measure_of(m, BorelSubset.of(sel))
-        vec = np.concatenate([b.ravel() for b in direct.element.blocks])
-        if np.linalg.norm(vec - subset_rows[mask]) > t.pos_slack:
-            return False
-    # single-point extensions: m(E + {p}) - m(E) = atom(p) within slack
-    for i in range(n_pts):
-        bit = 1 << i
-        masks = np.array([mask for mask in range(1 << n_pts) if not mask & bit])
-        resid = subset_rows[masks | bit] - subset_rows[masks] - atom_vecs[i]
-        if float(np.abs(resid).max()) > t.pos_slack:
-            return False
-    return True
+    bound = _tol(tol).pos_slack * 2.0
+    return all(v <= bound for v in measure_residuals(m).values())
 
 
 def order_convergent_integral(

@@ -1,5 +1,6 @@
 """Timing of closure_correspondence and spectral_measure on seeded
-degenerate normal elements, by signature.
+degenerate normal elements, by signature, and of check_regularity by the
+number of spectrum points.
 
     PYTHONPATH=src python -m pytest tests/bench_lattice.py --benchmark-only
 
@@ -15,7 +16,7 @@ import pytest
 from awkit.core import AlgebraElement
 from awkit.lattice import Subalgebra, closure_correspondence, generate_masa
 from awkit.sampling import haar_unitary_block
-from awkit.spectral import spectral_measure
+from awkit.spectral import check_regularity, spectral_measure
 
 SIGNATURES = [(5,), (3, 4), (5, 5)]
 
@@ -48,3 +49,14 @@ def test_spectral_measure(benchmark, sig):
     blocks = degenerate_normal(sig).blocks
     m = benchmark(lambda: spectral_measure(AlgebraElement(blocks)))
     assert m.domain_spectrum.total_dim == sum(sig)
+
+
+@pytest.mark.parametrize("n_points", [4, 8, 12])
+def test_check_regularity(benchmark, n_points):
+    """One block with n_points distinct eigenvalues on the unit circle."""
+    rng = np.random.default_rng(n_points)
+    u = haar_unitary_block(n_points, rng)
+    points = np.exp(2j * np.pi * np.arange(n_points) / n_points)
+    m = spectral_measure(AlgebraElement([(u * points) @ u.conj().T]))
+    assert len(m.domain_spectrum.points) == n_points
+    assert benchmark(check_regularity, m)

@@ -1,5 +1,7 @@
 """The CLI contract under bad numbers: every numeric flag of every subcommand,
-set to 0, -1, nan, inf and garbage, still gives one strict JSON report.
+set to 0, -1, nan, inf and garbage, still gives one strict JSON report; so
+do valid tolerances far from the defaults, on which a construction fails its
+own postcondition.
 
 Each call must exit 0, 1 or 2 without an escaped exception, print exactly
 one line of JSON with no NaN or Infinity on stdout, and start stderr with
@@ -83,3 +85,44 @@ def test_bad_number_gives_one_report(paths, capsys, command, flag, value):
     if code:
         assert err.startswith(PREFIXES[code]), err
         assert doc["accepted"] is False
+
+
+# valid tolerance flags on which a construction fails its own check: each is
+# a rejection with one report, never an escaped exception
+REJECTIONS = {
+    # refining the degenerate eigenspace leaves commutators above 2e-20
+    "masa-postcondition": (
+        [np.diag([1.0, 1.0, 1.0, 2.0])],
+        ("closure", "--seed1", "1", "--seed2", "2", "--pos-slack", "1e-20"),
+    ),
+    # the two value tuples of b's minimal projections cluster into one
+    "minimal-projection-count": (
+        [np.diag([1.0, 2.0j])],
+        ("closure", "--seed1", "1", "--seed2", "2", "--rank-cutoff", "0.5", "--cluster-tol", "0.9"),
+    ),
+    "closure-moved": (
+        [np.zeros((2, 2)), np.eye(2)],
+        ("closure", "--seed1", "1", "--seed2", "2", "--rank-cutoff", "0.5", "--cluster-tol", "0.9"),
+    ),
+    # |x*| = diag(2, 1) passes as a projection within 0.9 (1 + 2); x x* does not
+    "cut-projection-branch": ([np.diag([2.0, 1.0])], ("cut", "--pos-slack", "0.9")),
+    # 0 and 0.8 cluster at 0.4, below the cutoff 0.5: no default cut point
+    "cut-no-point-above-cutoff": (
+        [np.diag([0.0, 0.8])],
+        ("cut", "--rank-cutoff", "0.5", "--cluster-tol", "0.9"),
+    ),
+}
+
+
+@pytest.mark.parametrize("blocks, argv", REJECTIONS.values(), ids=REJECTIONS.keys())
+def test_failed_postcondition_is_one_rejection(tmp_path, capsys, blocks, argv):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(element_to_json(AlgebraElement(blocks))))
+    code = main([argv[0], str(path), *argv[1:]])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert err.startswith("rejected:"), err
+    (line,) = out.splitlines()
+    doc = json.loads(line, parse_constant=_reject_constant)
+    assert doc["command"] == argv[0]
+    assert doc["accepted"] is False

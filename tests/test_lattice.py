@@ -8,6 +8,7 @@ import pytest
 from awkit.core import (
     AlgebraElement,
     Projection,
+    ToleranceConfig,
     adjoint,
     frobenius_norm,
     loewner_leq,
@@ -341,3 +342,15 @@ def test_correspondence_residuals_and_accept_rule():
     apart = replace(corr, closures=(c1, other))
     assert not apart.accepted
     assert apart.residuals["closure_span_angle"] > SPAN_ANGLE_TOL
+
+
+@pytest.mark.parametrize("slack", [1e-10, 0.3, 0.6, 0.9])
+def test_correspondence_faces_need_no_slack(slack):
+    # a rank-one minimal projection e orthogonal to p has ||e - e p||_F = 1,
+    # within any slack of 1/2 or more; the face test must still leave it out
+    g = diag_el([1, 1, 2, 3], [2, 2])
+    b = Subalgebra.from_generators([g])
+    t = ToleranceConfig(pos_slack=slack)
+    corr = closure_correspondence(b, generate_masa([g], 5, t), generate_masa([g], 6, t), t)
+    assert corr.delta <= 1e-12
+    assert corr.accepted

@@ -8,7 +8,6 @@ from awkit.errors import (
     IncompleteFunction,
     IncompleteOrdering,
     NotNormal,
-    TooManyPoints,
     UnknownPoint,
 )
 from awkit.order import verify_certificate
@@ -16,6 +15,8 @@ from awkit.sampling import random_normal_element, random_signature
 from awkit.spectral import (
     BorelSubset,
     SpectralFunction,
+    SpectralMeasure,
+    Spectrum,
     check_regularity,
     integrate,
     is_normal,
@@ -206,11 +207,37 @@ def test_check_regularity_degenerate_identities():
         assert check_regularity(spectral_measure(a))
 
 
-def test_check_regularity_point_limit():
-    vals = np.arange(13, dtype=float)
-    m = spectral_measure(diag_el(vals))
-    with pytest.raises(TooManyPoints):
-        check_regularity(m)
+@pytest.mark.parametrize("n_points", [13, 40])
+def test_check_regularity_beyond_twelve_points(n_points):
+    # the checks are per atom and per pair, with no subset enumeration to cap
+    m = spectral_measure(diag_el(np.arange(n_points, dtype=float)))
+    assert len(m.domain_spectrum.points) == n_points
+    assert check_regularity(m)
+
+
+def _tampered(m, atoms):
+    """m with its atoms replaced by the given point -> element map."""
+    mults = dict(zip(m.domain_spectrum.points, m.domain_spectrum.multiplicities))
+    spectrum = Spectrum(tuple(atoms), tuple(mults[p] for p in atoms))
+    return SpectralMeasure(spectrum, {p: Projection._of(e) for p, e in atoms.items()})
+
+
+def test_check_regularity_rejects_tampered_measures():
+    m = spectral_measure(diag_el([1.0, 1.0, 2.0, 3.0]))
+    one, two, three = sorted(m.domain_spectrum.points, key=lambda p: p.real)
+    atoms = {p: m.atoms[p].element for p in (one, two, three)}
+    c, s = np.cos(0.4), np.sin(0.4)
+    v = el([[1, 0, 0, 0], [0, c, -s, 0], [0, s, c, 0], [0, 0, 0, 1]])
+    tampers = {
+        "dropped": {one: atoms[one], two: atoms[two]},
+        "scaled": {**atoms, two: 2.0 * atoms[two]},
+        "duplicated": {**atoms, three: atoms[two]},
+        # still a projection, but it overlaps the atom at 2 and the sum is not 1
+        "rotated": {**atoms, one: v * atoms[one] * adjoint(v)},
+    }
+    assert check_regularity(_tampered(m, atoms))
+    for name, tampered in tampers.items():
+        assert not check_regularity(_tampered(m, tampered)), name
 
 
 def test_order_convergent_integral_certificates():
