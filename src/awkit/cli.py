@@ -184,11 +184,10 @@ def _cmd_closure(args, tol):
     d2 = generate_masa([g], args.seed2, tol)
     corr = closure_correspondence(b, d1, d2, tol)
     accepted = corr.accepted
-    c1, c2 = corr.closures
+    closure = corr.closures[0]
     artifacts = {
-        "closure_dim": c1.dim,
-        "closure_basis_d1": [element_to_json(e) for e in c1.basis],
-        "closure_basis_d2": [element_to_json(e) for e in c2.basis],
+        "closure_dim": closure.dim,
+        "closure_basis_d1": [element_to_json(e) for e in closure.basis],
         "projection_pairs": len(corr.pairs),
     }
     return _report(

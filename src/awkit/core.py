@@ -110,7 +110,15 @@ class ToleranceConfig:
     _orthonormal_rows cuts singular values relative to the largest; the
     cluster gap is cluster_tol max(1, ||m||_F) in simultaneous_eigh,
     cluster_tol max(1, ||a||) in spectral_measure and cluster_tol
-    (1 + |tuple|) per value tuple in minimal_projections.
+    (1 + |tuple|) per value tuple in minimal_projections. The limit step of
+    limit_calculus_check's order preservation accepts d = lim c2 - lim c1
+    when max(0, -min w, ||d - d*||_F) <= pos_slack (1 + max |w|) over the
+    eigenvalues w of Re d. relative_commutant skips a block with
+    ||b_k||_F <= rank_cutoff, an absolute test, and cuts the constraint's
+    singular values s at rank_cutoff max(1, s_0). spectral_cut declines x as
+    zero when ||x|| <= pos_slack, an absolute test; it takes its projection
+    branch on two rules, |||x*|^2 - |x*||| <= pos_slack (1 + ||x||) and
+    Projection's 2 pos_slack on x x*.
     """
 
     pos_slack: float = 1e-10

@@ -7,9 +7,9 @@ seeded random orthonormal basis. Monotone closures are computed by the
 face-supremum construction in one pass: every face supremum is a sum of the
 subalgebra's minimal projections, so the closure does not depend on the
 MASA it is taken in, which is only checked. At finite dimension the closure
-of a unital closed commutative subalgebra is itself, and the closure
-correspondence between two MASAs is the identity on projections; both facts
-are asserted rather than assumed.
+of a unital closed commutative subalgebra is itself, asserted on the result,
+and the closure correspondence is the identity on projections, checked pair
+by pair on bitmasks over the subalgebra's minimal projections.
 
 A Subalgebra memoizes its commutativity verdict, its minimal projections and
 its monotone closure, keyed by name and the resolved ToleranceConfig as in
@@ -513,28 +513,29 @@ def closure_correspondence(
 
     Both MASAs are checked as monotone_closure checks them. The closure does
     not depend on the MASA: every face supremum is a sum of b's minimal
-    projections, so the two closures are the one closure memoized on b. The
-    pairing, the identity map at finite dimension, is verified within
-    pos_slack on every one of its 2^m projections.
+    projections, so the two closures are the one closure memoized on b.
+    The partner of p, the supremum of its face, is the sum of the minimal
+    projections e_i of b under p, picked by bit i of a mask; the e_i are
+    pairwise orthogonal. The pairing, the identity map at finite dimension,
+    is checked within 2 pos_slack on each of its 2^m projections.
     """
     t = _tol(tol)
     c1 = monotone_closure(b, masa1, t)
     c2 = monotone_closure(b, masa2, t)
-    face_gens = [
-        (e.element, e.rank(), range_projection(e.element, t))
-        for e in minimal_projections(b, t)
-    ]
-    zero = AlgebraElement.zeros(b.signature)
+    minimal = minimal_projections(b, t)
+    sups = _subset_sums(minimal, b.signature)
     pairs = []
     delta = 0.0
     for p in _subset_sums(minimal_projections(c1, t), b.signature):
         # e and p commute and p sums minimal projections, so tr(e p) is
         # tr(e) when e <= p and 0 otherwise, up to roundoff
-        face = [rp for e, rank, rp in face_gens if 2.0 * _overlap(e, p) > rank]
-        partner = sup_projections(face, t) if face else Projection._of(zero)
-        gap = operator_norm(p - partner.element, t)
+        mask = sum(
+            1 << i for i, e in enumerate(minimal) if 2.0 * _overlap(e.element, p) > e.rank()
+        )
+        partner = sups[mask]
+        gap = operator_norm(p - partner, t)
         if gap > t.pos_slack * 2.0:
             raise PostconditionFailed("closure correspondence is not the identity map")
         delta = max(delta, gap)
-        pairs.append((Projection._of(p), partner))
+        pairs.append((Projection._of(p), Projection._of(partner)))
     return ClosureCorrespondence(pairs=tuple(pairs), closures=(c1, c2), delta=delta)

@@ -30,7 +30,7 @@ from .core import (
     pseudo_inverse_on_range,
     range_projection,
 )
-from .errors import BadArgument, BadCut, SlowConvergence, ZeroElement
+from .errors import BadArgument, BadCut, NotProjection, SlowConvergence, ZeroElement
 from .spectral import BorelSubset, measure_of, spectral_measure
 
 __all__ = [
@@ -244,9 +244,11 @@ def spectral_cut(
     """Cut the spectrum of |x*| below mu to produce p != 0 and positive a
     with a |x*| = (a x x* a)^{1/2} = p.
 
-    Branches: |x*| a projection -> (a, p) = (1, x x*); |x*| invertible ->
-    (p, a) = (1, (x x*)^{-1/2}); otherwise remove the spectrum inside
-    [0, mu], defaulting mu to half the smallest nonzero spectrum point.
+    Branches: |x*| a projection -> (a, p) = (1, x x*), taken when both
+    |||x*|^2 - |x*||| <= pos_slack (1 + ||x||) and x x* passes Projection's
+    absolute 2 pos_slack rule; |x*| invertible -> (p, a) = (1, (x x*)^{-1/2});
+    otherwise remove the spectrum inside [0, mu], defaulting mu to half the
+    smallest nonzero spectrum point.
     """
     t = _tol(tol)
     if mu is not None and not np.isfinite(mu):
@@ -263,7 +265,10 @@ def spectral_cut(
 
     bound = t.pos_slack * (1.0 + norm_x)
     if _norm_against(absxstar * absxstar - absxstar, bound, t) <= bound:
-        return SpectralCut(p=Projection(gram_star, t), a=one, absxstar=absxstar)
+        try:
+            return SpectralCut(p=Projection(gram_star, t), a=one, absxstar=absxstar)
+        except NotProjection:
+            pass  # x x* fails the absolute rule: cut |x*| as a general element
 
     eig = _eigh_blocks(absxstar.blocks, t, vectors=False)
     cutoff = eig.rank_cutoff(t)

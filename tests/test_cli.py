@@ -181,6 +181,9 @@ def test_closure_subcommand(tmp_path, capsys):
     assert doc["seed"] == [1, 2]
     assert doc["artifacts"]["closure_dim"] == 2
     assert doc["residuals"]["correspondence_delta"] <= 1e-9
+    # the closure does not depend on the MASA and is listed once
+    assert sorted(doc["artifacts"]) == ["closure_basis_d1", "closure_dim", "projection_pairs"]
+    assert len(doc["artifacts"]["closure_basis_d1"]) == 2
 
 
 def test_closure_report_reads_correspondence_residuals(tmp_path, capsys):

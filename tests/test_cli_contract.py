@@ -104,8 +104,6 @@ REJECTIONS = {
         [np.zeros((2, 2)), np.eye(2)],
         ("closure", "--seed1", "1", "--seed2", "2", "--rank-cutoff", "0.5", "--cluster-tol", "0.9"),
     ),
-    # |x*| = diag(2, 1) passes as a projection within 0.9 (1 + 2); x x* does not
-    "cut-projection-branch": ([np.diag([2.0, 1.0])], ("cut", "--pos-slack", "0.9")),
     # 0 and 0.8 cluster at 0.4, below the cutoff 0.5: no default cut point
     "cut-no-point-above-cutoff": (
         [np.diag([0.0, 0.8])],
@@ -126,3 +124,17 @@ def test_failed_postcondition_is_one_rejection(tmp_path, capsys, blocks, argv):
     doc = json.loads(line, parse_constant=_reject_constant)
     assert doc["command"] == argv[0]
     assert doc["accepted"] is False
+
+
+def test_cut_falls_through_when_x_x_star_is_no_projection(tmp_path, capsys):
+    # |x*| = diag(2, 1) passes the relative projection test within 0.9 (1 + 2),
+    # x x* = diag(4, 1) fails Projection's 2 pos_slack rule: |x*| is
+    # invertible, and the cut is p = 1
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(element_to_json(AlgebraElement([np.diag([2.0, 1.0])]))))
+    code = main(["cut", str(path), "--pos-slack", "0.9"])
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["accepted"] is True
+    assert doc["artifacts"]["p"] == element_to_json(AlgebraElement.identity((2,)))

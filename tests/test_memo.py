@@ -14,7 +14,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from awkit import cli, core, lattice
+from awkit import cli, core, lattice, order, polar
 from awkit.core import AlgebraElement, ToleranceConfig, is_normal, operator_norm
 from awkit.errors import NonConvergence
 from awkit.lattice import Subalgebra, generate_masa, minimal_projections
@@ -118,6 +118,26 @@ def test_closure_call_computes_each_value_once(tmp_path, capsys, monkeypatch):
         assert max(Counter(map(id, seen)).values()) == 1
     assert all(s.dim < sum(s.signature) for s in minimal)
     assert len(normal) == 1
+
+
+def test_closure_call_eigensolves(tmp_path, capsys, monkeypatch):
+    # eigenvalues only: one for the input's norm in its normality verdict and
+    # one per gap ||p - partner|| over the 2^3 pairs; the face suprema are
+    # sums of b's minimal projections and take none
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps(cli.element_to_json(_degenerate_normal())))
+    body = core._eigh_blocks
+    solves = []
+
+    def counted(blocks, t, vectors=True):
+        solves.append(vectors)
+        return body(blocks, t, vectors)
+
+    for module in (core, lattice, order, polar):
+        monkeypatch.setattr(module, "_eigh_blocks", counted)
+    doc = _run(capsys, "closure", str(f), "--seed1", "1", "--seed2", "2")
+    assert doc["artifacts"]["projection_pairs"] == 8
+    assert solves == [False] * (1 + 8)
 
 
 def test_spectral_call_tests_normality_once(tmp_path, capsys, monkeypatch):
