@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -259,14 +260,35 @@ def _dims(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _seed(text: str) -> int:
-    """A non-negative integer, as numpy's seeding requires."""
+def _int_at_least(low: int):
+    """An argparse type for integers of at least low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer of at least {low}, not {text!r}")
+        return value
+
+    return parse
+
+
+# numpy's seeding requires a non-negative integer
+_seed = _int_at_least(0)
+# ladder lengths, resolvent indices and trial counts
+_positive_int = _int_at_least(1)
+
+
+def _finite_float(text: str) -> float:
+    """An argparse type for finite floats: a rate or a cut point."""
     try:
-        value = int(text)
+        value = float(text)
     except ValueError:
-        value = None
-    if value is None or value < 0:
-        raise argparse.ArgumentTypeError(f"seeds must be non-negative integers, not {text!r}")
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, not {text!r}")
     return value
 
 
@@ -300,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("polar", help="polar decomposition of a matrix file")
     p.add_argument("file")
-    p.add_argument("--nmax", type=int, default=DEFAULT_LADDER_MAX)
+    p.add_argument("--nmax", type=_positive_int, default=DEFAULT_LADDER_MAX)
     p.add_argument("--method", choices=["regularized", "direct"], default="regularized")
 
     p = add_parser("spectral", help="spectral measure of a normal element")
@@ -308,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("cut", help="spectral cut below a point")
     p.add_argument("file")
-    p.add_argument("--mu", type=float, default=None)
+    p.add_argument("--mu", type=_finite_float, default=None)
 
     p = add_parser("closure", help="monotone closures in two seeded MASAs")
     p.add_argument("file")
@@ -318,15 +340,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("certify", help="order-convergence certificate for a file sequence")
     p.add_argument("dir")
     p.add_argument("--limit", required=True)
-    p.add_argument("--rate", type=float, required=True)
+    p.add_argument("--rate", type=_finite_float, required=True)
 
     p = add_parser("ineq", help="squared resolvent-gap inequality check")
     p.add_argument("file")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--m", type=_positive_int, required=True)
 
     p = add_parser("selftest", help="run every acceptance suite")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_positive_int, default=200)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--dims", type=_dims, default=(1, 8))
     return parser

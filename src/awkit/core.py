@@ -98,8 +98,9 @@ class ToleranceConfig:
                     (is_normal).
     cluster_tol     relative gap below which eigenvalues are merged
     rank_cutoff     eigenvalues w <= rank_cutoff max(1, max |w|) count as zero
-                    (HermitianEigenSystem.rank_cutoff, read by root, the range
-                    projection, the pseudo-inverse, the ladder and the cut)
+                    (HermitianEigenSystem.rank_cutoff, read by root,
+                    inverse_root, the range projection, the pseudo-inverse,
+                    the ladder and the cut)
     jacobi_off_tol  off-diagonal mass, relative to ||h||_F, at which the
                     sweep stops
     max_sweeps      hard budget of cyclic Jacobi sweeps
@@ -118,7 +119,10 @@ class ToleranceConfig:
     singular values s at rank_cutoff max(1, s_0). spectral_cut declines x as
     zero when ||x|| <= pos_slack, an absolute test; it takes its projection
     branch on two rules, |||x*|^2 - |x*||| <= pos_slack (1 + ||x||) and
-    Projection's 2 pos_slack on x x*.
+    Projection's 2 pos_slack on x x*. polar_regularized raises
+    SlowConvergence when its final gap exceeds the analytic bound by more
+    than 10 pos_slack, an absolute margin between two quantities that are
+    equal in exact arithmetic: below roundoff, roundoff decides the verdict.
     """
 
     pos_slack: float = 1e-10
@@ -376,6 +380,15 @@ class HermitianEigenSystem:
         """Square root with the eigenvalues at or below the rank cutoff set to 0."""
         cutoff = self.rank_cutoff(t)
         return self.assemble(lambda w: np.sqrt(np.where(w > cutoff, w, 0.0)))
+
+    def inverse_root(self, t: ToleranceConfig) -> AlgebraElement:
+        """Inverse square root on the range: w^{-1/2} above the rank cutoff,
+        0 at or below it."""
+        cutoff = self.rank_cutoff(t)
+        # the cutoff is positive, so the clamp keeps 1/sqrt off 0 and below
+        return self.assemble(
+            lambda w: np.where(w > cutoff, 1.0 / np.sqrt(np.maximum(w, cutoff)), 0.0)
+        )
 
 
 def _off_mass(rows) -> float:

@@ -4,10 +4,17 @@ Two routes to the same partial isometry: a direct route through the
 eigendecomposition of x*x, and a regularized route through the resolvent
 ladder u_n = x (1/n + |x|)^{-1} along geometric indices, snapped onto an
 exact partial isometry. The direct route serves as the independent oracle
-for the ladder. The spectral cut produces a nonzero projection p and a
-positive a with a |x*| = p by truncating the spectrum of |x*| below a cut
-point; its three branches cover projections, invertible elements, and
-singular elements with a spectral gap.
+for the ladder. The ladder's diagnostics ||u_n - u|| are measured as
+||(u_n - u) V|| with V the unitary of its eigensystem of x*x: V leaves the
+norm unchanged, and since u_n - u = u (f_n(|x|) - P), with
+f_n(s) = s / (1/n + s) and P the range projection of |x|, the Gram matrix
+in that basis is diagonal up to roundoff, so its Jacobi solve stops after
+0-1 sweeps.
+
+The spectral cut produces a nonzero projection p and a positive a with
+a |x*| = p by truncating the spectrum of |x*| below a cut point; its three
+branches cover projections, invertible elements, and singular elements
+with a spectral gap.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ from .core import (
     adjoint,
     loewner_leq,
     operator_norm,
-    positive_sqrt,
     pseudo_inverse_on_range,
     range_projection,
 )
@@ -58,7 +64,8 @@ class PolarResult:
     """Partial isometry u with x = |x*| u = u |x|.
 
     diagnostics holds (n, ||u_n - u||) ladder pairs when the regularized
-    route produced the result.
+    route produced the result, each norm measured in the eigenbasis of x*x
+    (a unitary factor leaves it unchanged).
     """
 
     u: AlgebraElement
@@ -146,7 +153,11 @@ def polar_regularized(
     stabilize below rank_cutoff, and snaps the final term onto an exact
     partial isometry with one direct-route projection (disclosed through the
     diagnostics). Raises SlowConvergence when the final gap exceeds the
-    analytic bound (1/n) / (1/n + sigma_min).
+    analytic bound (1/n) / (1/n + sigma_min) by more than 10 pos_slack.
+
+    Each diagnostic is ||(u_n - u) V||, V the unitary of the ladder's
+    eigensystem of x*x: the norm of u_n - u, since V is unitary, read off a
+    Gram matrix that V makes diagonal up to roundoff.
     """
     t = _tol(tol)
     if n_max < 1:
@@ -178,7 +189,7 @@ def polar_regularized(
     # the direct route's u for last_u, without its unused |last_u*|
     abs_last = _eigh_blocks((adjoint(last_u) * last_u).blocks, t).root(t)
     u = last_u * pseudo_inverse_on_range(abs_last, t)
-    diagnostics = tuple((n, operator_norm(u_n - u, t)) for n, u_n in terms)
+    diagnostics = tuple((n, operator_norm((u_n - u) * eig.unitary, t)) for n, u_n in terms)
     if sigma_min is not None:
         bound = (1.0 / last_n) / (1.0 / last_n + sigma_min)
         if diagnostics[-1][1] > bound + 10.0 * t.pos_slack:
@@ -248,7 +259,8 @@ def spectral_cut(
     |||x*|^2 - |x*||| <= pos_slack (1 + ||x||) and x x* passes Projection's
     absolute 2 pos_slack rule; |x*| invertible -> (p, a) = (1, (x x*)^{-1/2});
     otherwise remove the spectrum inside [0, mu], defaulting mu to half the
-    smallest nonzero spectrum point.
+    smallest nonzero spectrum point, and take a = (p x x* p)^{-1/2} on the
+    range of p.
     """
     t = _tol(tol)
     if mu is not None and not np.isfinite(mu):
@@ -286,8 +298,10 @@ def spectral_cut(
         mu = nonzero[0] / 2.0
     inside = [p for p in points if p.real <= mu]
     p_el = one - measure_of(m, BorelSubset.of(inside)).element
+    # the corner p x x* p is formed here: solved unchecked, and inverted
+    # under the square root in its own eigensystem
     corner = p_el * gram_star * p_el
-    a = positive_sqrt(pseudo_inverse_on_range(corner, t), t)
+    a = _eigh_blocks(corner.blocks, t).inverse_root(t)
     return SpectralCut(p=Projection._of(p_el), a=a, absxstar=absxstar, mu=float(mu))
 
 
@@ -301,7 +315,7 @@ def cut_residuals(
     inner = a * (x * adjoint(x)) * a
     residuals = {
         "cut_identity": operator_norm(a * absxstar - p, t),
-        "sqrt_identity": operator_norm(positive_sqrt(inner, t) - p, t),
+        "sqrt_identity": operator_norm(_eigh_blocks(inner.blocks, t).root(t) - p, t),
         "commutator_ap": operator_norm(a * p - p * a, t),
         "commutator_a_absxstar": operator_norm(a * absxstar - absxstar * a, t),
         "commutator_p_absxstar": operator_norm(p * absxstar - absxstar * p, t),

@@ -327,6 +327,19 @@ def test_cut_invariants_on_random_gap_inputs():
         assert operator_norm(positive_sqrt(inner) - p) <= 1e-9
 
 
+def test_cut_below_roundoff_solves_the_operands_it_forms():
+    # at pos_slack 1e-20 the corner p x x* p and the residual's a x x* a
+    # fail a self-adjointness or positivity check on roundoff alone; the cut
+    # forms both, so it solves them unchecked and accepts
+    t = ToleranceConfig(pos_slack=1e-20)
+    rng = np.random.default_rng(30)
+    for _ in range(10):
+        n = int(rng.integers(2, 6))
+        svals = np.concatenate([[0.0], rng.uniform(0.5, 2.0, size=n - 1)])
+        x = element_with_singular_values((n,), [svals], rng)
+        assert cut_residuals(x, spectral_cut(x, tol=t), t).accepted
+
+
 def _cut_inputs():
     rng = np.random.default_rng(32)
     return {

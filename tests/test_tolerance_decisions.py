@@ -18,6 +18,7 @@ import pytest
 from awkit.core import (
     DEFAULT_TOL,
     AlgebraElement,
+    eigh_hermitian,
     loewner_leq,
     positive_sqrt,
     pseudo_inverse_on_range,
@@ -101,6 +102,7 @@ def test_rank_cut_sites_flip_together(side, head):
     last = len(head)
     root = positive_sqrt(h).blocks[0][last, last]
     inverse = pseudo_inverse_on_range(h).blocks[0][last, last]
+    inverse_root = eigh_hermitian(h).inverse_root(DEFAULT_TOL).blocks[0][last, last]
     # x*x = diag(head, s*s) with s*s on the same side of the cut as w
     x = diag(*np.sqrt(head), np.sqrt(w))
     absx = polar_regularized(x).absx.blocks[0][last, last]
@@ -108,6 +110,7 @@ def test_rank_cut_sites_flip_together(side, head):
         "range_projection": range_projection(h).rank() == last + 1,
         "positive_sqrt": root != 0.0,
         "pseudo_inverse_on_range": inverse != 0.0,
+        "inverse_root": inverse_root != 0.0,
         "polar_regularized": absx != 0.0,
     }
     assert decisions == dict.fromkeys(decisions, kept)
