@@ -39,9 +39,11 @@ A norm that only feeds a threshold test is decided, where it can be, from
 bounds on the Gram matrix rather than by an eigensolve (see _norm_against):
 with lo the largest diagonal entry of x*x and hi its largest block trace,
 lo <= ||x||^2 <= hi, so ||x|| against a bound b is settled when lo >= 4 b^2
-or hi < b^2 / 4, ties included, and eigensolved otherwise. The ladder's stop
-test, the normality and generator commutator tests and the spectral cut's
-projection and nonzero tests use it; norms whose value is reported do not.
+or hi < b^2 / 4, ties included, and eigensolved otherwise. The normality
+and generator commutator tests and the spectral cut's projection and
+nonzero tests use it; the resolvent ladder's stop test applies the same
+rule, _gram_against, to the Gram matrices it has stacked; norms whose value
+is reported do not.
 """
 
 from __future__ import annotations
@@ -355,6 +357,21 @@ class HermitianEigenSystem:
             blocks.append(m)
         return AlgebraElement._of(blocks)
 
+    def assemble_stack(self, values: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """Per block, one (k, n, n) array whose slice i is the block that
+        ``assemble`` rebuilds from the real values values[b][i].
+
+        The slices keep assemble's bits: the elementwise steps are exact or
+        correctly rounded per entry, and a stacked matmul makes the same BLAS
+        call per slice as a 2-D one. The blocks are not wrapped as elements,
+        so their entries are not checked for finiteness.
+        """
+        stacks = []
+        for v, u in zip(values, self.unitary.blocks):
+            m = (u * np.asarray(v, dtype=np.complex128)[:, None, :]) @ u.conj().T
+            stacks.append(0.5 * (m + m.conj().swapaxes(-1, -2)))
+        return stacks
+
     @cached_property
     def min_eigenvalue(self) -> float:
         return min(float(w[0]) for w in self.eigenvalues)
@@ -612,13 +629,24 @@ def operator_norm(x: AlgebraElement, tol: ToleranceConfig | None = None) -> floa
 
 
 def _operator_norm(x: AlgebraElement, t: ToleranceConfig) -> float:
-    return _gram_norm(adjoint(x) * x, t)
+    return _gram_norm((adjoint(x) * x).blocks, t)
 
 
-def _gram_norm(gram: AlgebraElement, t: ToleranceConfig) -> float:
+def _gram_norm(gram_blocks, t: ToleranceConfig) -> float:
     """sqrt of the top eigenvalue of the Gram matrix x*x, clamped at 0."""
-    top = _eigh_blocks(gram.blocks, t, vectors=False).max_eigenvalue
-    return math.sqrt(max(top, 0.0))
+    return _norm_from_gram(_eigh_blocks(gram_blocks, t, vectors=False))
+
+
+def _norm_from_gram(eig: HermitianEigenSystem) -> float:
+    """||x|| read off eig, an eigensystem of the Gram matrix x*x."""
+    return math.sqrt(max(eig.max_eigenvalue, 0.0))
+
+
+def _remember_norm(x: AlgebraElement, gram_eig: HermitianEigenSystem, t: ToleranceConfig):
+    """Memoize ||x|| read off gram_eig, a solve of adjoint(x) * x: the value
+    operator_norm(x, t) computes, since the eigenvalues do not depend on
+    whether the solve accumulated eigenvectors."""
+    _remember(x, "operator_norm", t, _norm_from_gram(gram_eig))
 
 
 # the range of max_i (x*x)_ii in which _norm_against decides from the bounds
@@ -630,26 +658,34 @@ def _norm_against(x: AlgebraElement, bound: float, t: ToleranceConfig) -> float:
 
     For callers that only test ||x|| <, <=, > or >= bound. A norm already
     memoized on x is returned as it is. Otherwise it forms the Gram matrix
-    x*x as _operator_norm does, so it raises the same BadArgument. Per
-    block, the largest diagonal entry of x*x is at most the top eigenvalue
-    and the trace at least; with lo the largest such entry and hi the
-    largest block trace, lo <= ||x||^2 <= hi. It returns sqrt(lo) when lo >= 4 bound^2 and
-    sqrt(hi) when hi < bound^2 / 4: the factor of 2 on each side absorbs
-    the eigensolve's roundoff, so every comparison, ties included, gives
-    the exact norm's verdict. In between, and whenever lo lies outside
-    [1e-150, 1e150] (near where the eigensolve's Frobenius scale
-    underflows or overflows, and its answer may leave the bracket), it
-    returns the eigensolved norm. It never writes to the memo.
+    x*x as _operator_norm does, so it raises the same BadArgument, and
+    decides by _gram_against. It never writes to the memo.
+    """
+    known = getattr(x, "_memo", {}).get(("operator_norm", t), _MISSING)
+    if known is not _MISSING:
+        return known
+    return _gram_against((adjoint(x) * x).blocks, bound, t)
+
+
+def _gram_against(gram_blocks, bound: float, t: ToleranceConfig) -> float:
+    """A value that compares with bound as ||x|| does, given the blocks of
+    the Gram matrix x*x.
+
+    Per block, the largest diagonal entry of x*x is at most the top
+    eigenvalue and the trace at least; with lo the largest such entry and hi
+    the largest block trace, lo <= ||x||^2 <= hi. It returns sqrt(lo) when
+    lo >= 4 bound^2 and sqrt(hi) when hi < bound^2 / 4: the factor of 2 on
+    each side absorbs the eigensolve's roundoff, so every comparison, ties
+    included, gives the exact norm's verdict. In between, and whenever lo
+    lies outside [1e-150, 1e150] (near where the eigensolve's Frobenius
+    scale underflows or overflows, and its answer may leave the bracket),
+    it returns the eigensolved norm, _gram_norm(gram_blocks, t).
 
     The one difference from operator_norm: under a max_sweeps too small to
     converge, a NonConvergence that only a skipped eigensolve would have
     raised is not raised.
     """
-    known = getattr(x, "_memo", {}).get(("operator_norm", t), _MISSING)
-    if known is not _MISSING:
-        return known
-    gram = adjoint(x) * x
-    diagonals = [b.diagonal().real for b in gram.blocks]
+    diagonals = [b.diagonal().real for b in gram_blocks]
     lo = max(float(d.max()) for d in diagonals)
     if _GRAM_SCALE_MIN <= lo <= _GRAM_SCALE_MAX:
         if lo >= 4.0 * bound * bound:
@@ -657,7 +693,7 @@ def _norm_against(x: AlgebraElement, bound: float, t: ToleranceConfig) -> float:
         hi = max(float(d.sum()) for d in diagonals)
         if hi < 0.25 * bound * bound:
             return math.sqrt(hi)
-    return _gram_norm(gram, t)
+    return _gram_norm(gram_blocks, t)
 
 
 def is_normal(a: AlgebraElement, tol: ToleranceConfig | None = None) -> bool:

@@ -20,6 +20,7 @@ stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -197,18 +198,29 @@ class ClosureCorrespondence:
     closures: tuple[Subalgebra, Subalgebra]
     delta: float
 
+    @cached_property
+    def span_angle(self) -> float:
+        """The largest principal angle between the two closures, 0 when there
+        is none; measured once for residuals and accepted."""
+        angles = principal_angles(*self.closures)
+        return float(angles[-1]) if angles.size else 0.0
+
     @property
     def residuals(self) -> dict[str, float]:
-        """closure_span_angle, the largest principal angle between the two
-        closures, and correspondence_delta, the delta above."""
-        angles = principal_angles(*self.closures)
-        angle = float(angles[-1]) if angles.size else 0.0
-        return {"closure_span_angle": angle, "correspondence_delta": self.delta}
+        """closure_span_angle, the span_angle above, and
+        correspondence_delta, the delta above."""
+        return {"closure_span_angle": self.span_angle, "correspondence_delta": self.delta}
 
     @property
     def accepted(self) -> bool:
-        """The closures span equal spaces and delta is at most CLOSURE_RESIDUAL_TOL."""
-        return spans_equal(*self.closures) and self.delta <= CLOSURE_RESIDUAL_TOL
+        """The closures span equal spaces, as spans_equal decides, and delta
+        is at most CLOSURE_RESIDUAL_TOL."""
+        c1, c2 = self.closures
+        return (
+            c1.dim == c2.dim
+            and self.span_angle <= SPAN_ANGLE_TOL
+            and self.delta <= CLOSURE_RESIDUAL_TOL
+        )
 
 
 def principal_angles(s1: Subalgebra, s2: Subalgebra) -> np.ndarray:
@@ -517,7 +529,8 @@ def closure_correspondence(
     The partner of p, the supremum of its face, is the sum of the minimal
     projections e_i of b under p, picked by bit i of a mask; the e_i are
     pairwise orthogonal. The pairing, the identity map at finite dimension,
-    is checked within 2 pos_slack on each of its 2^m projections.
+    is checked within 2 pos_slack on each of its 2^m projections; the empty
+    face's gap, 0 - 0, is 0 without an eigensolve.
     """
     t = _tol(tol)
     c1 = monotone_closure(b, masa1, t)
@@ -526,14 +539,15 @@ def closure_correspondence(
     sups = _subset_sums(minimal, b.signature)
     pairs = []
     delta = 0.0
-    for p in _subset_sums(minimal_projections(c1, t), b.signature):
+    for j, p in enumerate(_subset_sums(minimal_projections(c1, t), b.signature)):
         # e and p commute and p sums minimal projections, so tr(e p) is
         # tr(e) when e <= p and 0 otherwise, up to roundoff
         mask = sum(
             1 << i for i, e in enumerate(minimal) if 2.0 * _overlap(e.element, p) > e.rank()
         )
         partner = sups[mask]
-        gap = operator_norm(p - partner, t)
+        # the empty face: p is the empty sum, exactly 0, and so is its partner
+        gap = operator_norm(p - partner, t) if j else 0.0
         if gap > t.pos_slack * 2.0:
             raise PostconditionFailed("closure correspondence is not the identity map")
         delta = max(delta, gap)

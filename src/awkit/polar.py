@@ -11,6 +11,15 @@ f_n(s) = s / (1/n + s) and P the range projection of |x|, the Gram matrix
 in that basis is diagonal up to roundoff, so its Jacobi solve stops after
 0-1 sweeps.
 
+Every rung depends only on that eigensystem, so the ladder builds its rungs
+stacked, one (k, n, n) array per block, rather than as k separate elements.
+This changes no bit of any result: elementwise float and complex steps are
+exact or correctly rounded entry by entry, however the arrays are laid
+out, and numpy's stacked matmul makes the same BLAS call on each slice as
+the 2-D matmul on the same layout. Only the Jacobi solves, which numpy
+cannot reproduce bit for bit, stay per slice. Both routes memoize ||x|| from
+their solve of x*x, so polar_residuals reads its scale without an eigensolve.
+
 The spectral cut produces a nonzero projection p and a positive a with
 a |x*| = p by truncating the spectrum of |x*| below a cut point; its three
 branches cover projections, invertible elements, and singular elements
@@ -27,8 +36,12 @@ from .core import (
     AlgebraElement,
     Projection,
     ToleranceConfig,
+    _NON_FINITE,
     _eigh_blocks,
+    _gram_against,
+    _gram_norm,
     _norm_against,
+    _remember_norm,
     _tol,
     adjoint,
     loewner_leq,
@@ -127,7 +140,9 @@ def polar_direct(
     u = x pinv(|x|) vanishes on ker |x|; the zero element yields u = 0.
     """
     t = _tol(tol)
-    absx = _eigh_blocks((adjoint(x) * x).blocks, t).root(t)
+    eig = _eigh_blocks((adjoint(x) * x).blocks, t)
+    _remember_norm(x, eig, t)
+    absx = eig.root(t)
     absxstar = _eigh_blocks((x * adjoint(x)).blocks, t).root(t)
     u = x * pseudo_inverse_on_range(absx, t)
     return PolarResult(u=u, absx=absx, absxstar=absxstar)
@@ -140,6 +155,16 @@ def _ladder(n_max: int) -> list[int]:
         n *= 2
     ns.append(n_max)
     return ns
+
+
+def _finite_rungs(k: int, stacks) -> int:
+    """How many leading rungs of k hold only finite entries. Each stack is a
+    list of per-block (j, n, n) arrays whose slices are the last j rungs."""
+    ok = np.ones(k, dtype=bool)
+    for stack in stacks:
+        for s in stack:
+            ok[k - len(s):] &= np.isfinite(s).all(axis=(1, 2))
+    return k if ok.all() else int(ok.argmin())
 
 
 def polar_regularized(
@@ -155,15 +180,23 @@ def polar_regularized(
     diagnostics). Raises SlowConvergence when the final gap exceeds the
     analytic bound (1/n) / (1/n + sigma_min) by more than 10 pos_slack.
 
-    Each diagnostic is ||(u_n - u) V||, V the unitary of the ladder's
-    eigensystem of x*x: the norm of u_n - u, since V is unitary, read off a
-    Gram matrix that V makes diagonal up to roundoff.
+    The rungs are built together from the one eigensystem V diag(w) V* of
+    x*x, one (k, n, n) array per block: the resolvent values of all k rungs,
+    V diag(r) V* and x times it, and the Gram matrices of consecutive
+    differences. The stop tests are decided in rung order by _gram_against,
+    the rule of _norm_against, and the rungs after the first that stops are
+    dropped unread. Each diagnostic is ||(u_n - u) V||, the norm of u_n - u
+    since V is unitary, read off a Gram matrix that V makes diagonal up to
+    roundoff. Each slice has the bits of the rung built on its own (see the
+    module docstring), and a rung raises, in rung order, what it raised on
+    its own: the BadArgument of a non-finite entry, an eigensolve's error,
+    or the OverflowError of an n past the float range.
     """
     t = _tol(tol)
     if n_max < 1:
         raise BadArgument("n_max must be at least 1")
-    gram = adjoint(x) * x
-    eig = _eigh_blocks(gram.blocks, t)
+    eig = _eigh_blocks((adjoint(x) * x).blocks, t)
+    _remember_norm(x, eig, t)
     cutoff = eig.rank_cutoff(t)
     sigma = [np.sqrt(np.maximum(w, 0.0)) for w in eig.eigenvalues]
     kept = [s[s * s > cutoff] for s in sigma]
@@ -171,32 +204,55 @@ def polar_regularized(
     absx = eig.root(t)
     absxstar = _eigh_blocks((x * adjoint(x)).blocks, t).root(t)
 
-    terms: list[tuple[int, AlgebraElement]] = []
-    prev = None
-    for n in _ladder(n_max):
-        # x vanishes on ker |x|, so the resolvent is set to 0 there rather
-        # than ~n, which would amplify the roundoff of x on that kernel
-        resolvent = eig.assemble(
-            lambda w: np.where(w > cutoff, 1.0 / (1.0 / n + np.sqrt(np.maximum(w, 0.0))), 0.0)
-        )
-        u_n = x * resolvent
-        terms.append((n, u_n))
-        if prev is not None and _norm_against(u_n - prev, t.rank_cutoff, t) < t.rank_cutoff:
+    ns = _ladder(n_max)
+    inverses, overflow = [], None
+    for n in ns:
+        try:
+            inverses.append(1.0 / n)
+        except OverflowError as exc:  # raised once the ladder reaches this rung
+            overflow = exc
             break
-        prev = u_n
+    k = len(inverses)
+    inv = np.array(inverses)[:, None]
+    # x vanishes on ker |x|, so the resolvent is set to 0 there rather than
+    # ~n, which would amplify the roundoff of x on that kernel
+    resolvents = eig.assemble_stack(
+        [np.where(w > cutoff, 1.0 / (inv + s), 0.0) for w, s in zip(eig.eigenvalues, sigma)]
+    )
+    terms = [b @ r for b, r in zip(x.blocks, resolvents)]
+    steps = [u[1:] - u[:-1] for u in terms]
+    grams = [d.swapaxes(-1, -2).conj() @ d for d in steps]
+    finite = _finite_rungs(k, (resolvents, terms, steps, grams))
+    for last in range(k):
+        if last == finite:
+            raise BadArgument(_NON_FINITE)
+        if last and _gram_against([g[last - 1] for g in grams], t.rank_cutoff, t) < t.rank_cutoff:
+            break
+    else:
+        if overflow is not None:
+            raise overflow
 
-    last_n, last_u = terms[-1]
+    last_u = AlgebraElement._of([u[last].copy() for u in terms])
     # the direct route's u for last_u, without its unused |last_u*|
     abs_last = _eigh_blocks((adjoint(last_u) * last_u).blocks, t).root(t)
     u = last_u * pseudo_inverse_on_range(abs_last, t)
-    diagnostics = tuple((n, operator_norm((u_n - u) * eig.unitary, t)) for n, u_n in terms)
+    gaps = [u_n[: last + 1] - b for u_n, b in zip(terms, u.blocks)]
+    rotated = [g @ v for g, v in zip(gaps, eig.unitary.blocks)]
+    gap_grams = [e.swapaxes(-1, -2).conj() @ e for e in rotated]
+    finite = _finite_rungs(last + 1, (gaps, rotated, gap_grams))
+    diagnostics = []
+    for i in range(last + 1):
+        if i == finite:
+            raise BadArgument(_NON_FINITE)
+        diagnostics.append((ns[i], _gram_norm([g[i] for g in gap_grams], t)))
+    last_n = ns[last]
     if sigma_min is not None:
         bound = (1.0 / last_n) / (1.0 / last_n + sigma_min)
         if diagnostics[-1][1] > bound + 10.0 * t.pos_slack:
             raise SlowConvergence(
                 f"ladder gap {diagnostics[-1][1]:.3e} above bound {bound:.3e} at n={last_n}"
             )
-    return PolarResult(u=u, absx=absx, absxstar=absxstar, diagnostics=diagnostics)
+    return PolarResult(u=u, absx=absx, absxstar=absxstar, diagnostics=tuple(diagnostics))
 
 
 def polar_residuals(

@@ -1,4 +1,6 @@
-"""Timing of polar_regularized on the full ladder (n_max = 2^20), by signature.
+"""Timing of the polar layer by signature: polar_regularized on the full
+ladder (n_max = 2^20) and on n_max = 64, and polar_residuals alone on the
+ladder's result.
 
     PYTHONPATH=src python -m pytest tests/bench_polar.py --benchmark-only
 
@@ -10,17 +12,43 @@ import numpy as np
 import pytest
 
 from awkit.core import AlgebraElement
-from awkit.polar import polar_regularized
+from awkit.polar import polar_regularized, polar_residuals
 from awkit.sampling import haar_unitary_block
 
+SIGNATURES = [(1,), (2, 3), (8,), (3, 5, 8)]
 
-@pytest.mark.parametrize("sig", [(1,), (2, 3), (8,), (3, 5, 8)], ids=str)
-def test_polar_regularized(benchmark, sig):
+
+def _element(sig):
     # x = W diag(sigma) V* per block, sigma in [0.1, 2]: every rung runs
     rng = np.random.default_rng(sum(sig))
-    x = AlgebraElement([
+    return AlgebraElement([
         (haar_unitary_block(n, rng) * rng.uniform(0.1, 2.0, n)) @ haar_unitary_block(n, rng)
         for n in sig
     ])
-    result = benchmark(polar_regularized, x)
+
+
+@pytest.mark.parametrize("sig", SIGNATURES, ids=str)
+def test_polar_regularized(benchmark, sig):
+    result = benchmark(polar_regularized, _element(sig))
     assert len(result.diagnostics) == 21
+
+
+@pytest.mark.parametrize("sig", SIGNATURES, ids=str)
+def test_polar_regularized_nmax_64(benchmark, sig):
+    result = benchmark(polar_regularized, _element(sig), 64)
+    assert len(result.diagnostics) == 7
+
+
+@pytest.mark.parametrize("sig", SIGNATURES, ids=str)
+def test_polar_residuals(benchmark, sig):
+    # each round checks a fresh copy of x against the ladder's result on that
+    # copy, so that no norm memoized by an earlier round is read; the ladder
+    # runs in the untimed setup
+    x = _element(sig)
+
+    def fresh():
+        y = AlgebraElement(x.blocks)
+        return (y, polar_regularized(y)), {}
+
+    check = benchmark.pedantic(polar_residuals, setup=fresh, rounds=50)
+    assert check.accepted

@@ -122,8 +122,10 @@ def test_closure_call_computes_each_value_once(tmp_path, capsys, monkeypatch):
 
 def test_closure_call_eigensolves(tmp_path, capsys, monkeypatch):
     # eigenvalues only: one for the input's norm in its normality verdict and
-    # one per gap ||p - partner|| over the 2^3 pairs; the face suprema are
-    # sums of b's minimal projections and take none
+    # one per gap ||p - partner|| over the 2^3 pairs but the empty face's,
+    # 0 - 0; the face suprema are sums of b's minimal projections and take
+    # none. principal_angles runs once in the closure's own check against b
+    # and once for the two closures, shared by the residuals and the verdict
     f = tmp_path / "g.json"
     f.write_text(json.dumps(cli.element_to_json(_degenerate_normal())))
     body = core._eigh_blocks
@@ -135,9 +137,61 @@ def test_closure_call_eigensolves(tmp_path, capsys, monkeypatch):
 
     for module in (core, lattice, order, polar):
         monkeypatch.setattr(module, "_eigh_blocks", counted)
+    angles = []
+    angles_body = lattice.principal_angles
+
+    def counted_angles(s1, s2):
+        angles.append((s1, s2))
+        return angles_body(s1, s2)
+
+    monkeypatch.setattr(lattice, "principal_angles", counted_angles)
     doc = _run(capsys, "closure", str(f), "--seed1", "1", "--seed2", "2")
     assert doc["artifacts"]["projection_pairs"] == 8
-    assert solves == [False] * (1 + 8)
+    assert solves == [False] * (1 + 7)
+    assert len(angles) == 2
+
+
+@pytest.mark.parametrize("method", ["regularized", "direct"])
+def test_polar_residuals_reads_the_norm_of_x_from_the_route(tmp_path, capsys, monkeypatch, method):
+    # the route solved x*x and memoized ||x|| on x: the verifier's scale
+    # 1 + ||x|| takes no eigensolve, and its 7 solves are the 5 defect norms
+    # and the range projections of |x| and |x*|
+    rng = np.random.default_rng(6)
+    x = AlgebraElement([
+        (haar_unitary_block(n, rng) * rng.uniform(0.1, 2.0, n)) @ haar_unitary_block(n, rng)
+        for n in (3, 4)
+    ])
+    f = tmp_path / "x.json"
+    f.write_text(json.dumps(cli.element_to_json(x)))
+    norms = _counting(monkeypatch, core, "_operator_norm")
+    body = core._eigh_blocks
+    solves = []
+
+    def counted(blocks, t, vectors=True):
+        solves.append(vectors)
+        return body(blocks, t, vectors)
+
+    for module in (core, polar):
+        monkeypatch.setattr(module, "_eigh_blocks", counted)
+    residuals_body = polar.polar_residuals
+    inside = {}
+
+    def checked(y, result, tol=None):
+        norms.clear()
+        solves.clear()
+        check = residuals_body(y, result, tol)
+        inside["norms"], inside["solves"] = list(norms), len(solves)
+        inside["scale"] = (y, operator_norm(y, tol))
+        return check
+
+    monkeypatch.setattr(cli, "polar_residuals", checked)
+    doc = _run(capsys, "polar", str(f), "--method", method)
+    assert doc["accepted"] is True
+    y, norm = inside["scale"]
+    assert all(owner is not y for owner in inside["norms"])
+    assert len(inside["norms"]) == 5
+    assert inside["solves"] == 7
+    assert np.isclose(norm, max(np.linalg.norm(b, 2) for b in x.blocks), rtol=1e-12)
 
 
 def test_spectral_call_tests_normality_once(tmp_path, capsys, monkeypatch):

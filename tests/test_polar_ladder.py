@@ -4,14 +4,15 @@
 ``awkit.polar.polar_regularized``, which decided the ladder's stop test
 ``||u_n - u_{n-1}|| < rank_cutoff`` with a full ``operator_norm`` and
 measured each diagnostic as ``operator_norm(u_n - u)``, kept verbatim as a
-named oracle. The ladder now decides the stop test with
-``core._norm_against``, and measures each diagnostic as
-``operator_norm((u_n - u) V)`` with V the unitary of its eigensystem of
+named oracle. The ladder now decides the stop test by the Gram-bounds rule
+of ``core._norm_against`` (``core._gram_against``), and measures each
+diagnostic as ||(u_n - u) V|| with V the unitary of its eigensystem of
 x*x: V leaves the norm unchanged and diagonalizes the Gram matrix of
 u_n - u = u (f_n(|x|) - P) up to roundoff (f_n(s) = s / (1/n + s), P the
 range projection of |x|), so the Jacobi solve stops after 0-1 sweeps
-where it took 3-5.5. The rounding of each gap moves; nothing
-else does.
+where it took 3-5.5. The rounding of each gap moves; nothing else does.
+(``tests/test_polar_stacked.py`` holds the ladder to the body that built
+each rung on its own, bit for bit.)
 
 On inputs with zero singular values, at scales from 1e-12 to 1e12, for
 several ladder lengths, on inputs whose ladder stops early, and on inputs
@@ -220,9 +221,10 @@ def test_ladder_matches_reference_where_it_stops_early(sig, seed, log_sigma, zer
     assert len(polar_regularized(x).diagnostics) < len(_ladder(DEFAULT_LADDER_MAX))
 
 
-def _undecided(x, bound):
-    """True when the Gram bounds of x leave ||x|| against bound to the eigensolve."""
-    diagonals = [b.diagonal().real for b in (adjoint(x) * x).blocks]
+def _undecided(gram_blocks, bound):
+    """True when the Gram bounds leave ||x|| against bound to the eigensolve,
+    given the blocks of x*x."""
+    diagonals = [b.diagonal().real for b in gram_blocks]
     lo = max(float(d.max()) for d in diagonals)
     hi = max(float(d.sum()) for d in diagonals)
     return not (lo >= 4.0 * bound * bound or hi < 0.25 * bound * bound)
@@ -253,12 +255,12 @@ def test_ladder_matches_reference_near_the_stop_threshold(sig, seed, rung, facto
     _assert_same(x, DEFAULT_LADDER_MAX, t)
     seen = []
 
-    def spy(diff, bound, tol):
-        seen.append(_undecided(diff, bound))
-        return norm_against(diff, bound, tol)
+    def spy(gram_blocks, bound, tol):
+        seen.append(_undecided(gram_blocks, bound))
+        return gram_against(gram_blocks, bound, tol)
 
-    norm_against = polar._norm_against
-    with mock.patch.object(polar, "_norm_against", spy):
+    gram_against = polar._gram_against
+    with mock.patch.object(polar, "_gram_against", spy):
         polar_regularized(AlgebraElement(x.blocks), DEFAULT_LADDER_MAX, t)
     assert any(seen)
 
