@@ -185,12 +185,7 @@ def _cmd_closure(args, tol):
     d2 = generate_masa([g], args.seed2, tol)
     corr = closure_correspondence(b, d1, d2, tol)
     accepted = corr.accepted
-    closure = corr.closures[0]
-    artifacts = {
-        "closure_dim": closure.dim,
-        "closure_basis_d1": [element_to_json(e) for e in closure.basis],
-        "projection_pairs": len(corr.pairs),
-    }
+    artifacts = {"closure_dim": corr.closures[0].dim, "projection_pairs": len(corr.pairs)}
     return _report(
         "closure", tol, seed=[args.seed1, args.seed2], residuals=corr.residuals,
         accepted=accepted, artifacts=artifacts,

@@ -125,6 +125,11 @@ class ToleranceConfig:
     SlowConvergence when its final gap exceeds the analytic bound by more
     than 10 pos_slack, an absolute margin between two quantities that are
     equal in exact arithmetic: below roundoff, roundoff decides the verdict.
+    A monotone closure puts a MASA's rank-one projection f in the face
+    supremum of b's minimal projection e when Re tr(e f) > 1/2, a test with
+    no tolerance; it accepts that supremum s when ||s - e||_F <= pos_slack
+    (1 + ||e||_F); closure_correspondence accepts each pair of suprema when
+    their gap is at most 2 pos_slack, an absolute test.
     """
 
     pos_slack: float = 1e-10

@@ -64,10 +64,6 @@ class IncompleteFunction(AlgebraError):
     """A spectral function is missing a value on some spectrum point."""
 
 
-class TooManyPoints(AlgebraError):
-    """Subset enumeration is limited to small spectra and few minimal projections."""
-
-
 class IncompleteOrdering(AlgebraError):
     """An ordering failed to enumerate the spectrum exactly once."""
 

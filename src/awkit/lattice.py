@@ -3,18 +3,18 @@
 Subalgebras are stored as orthonormal bases under the trace inner product.
 Maximal commutative subalgebras (MASAs) arise from jointly diagonalizing
 commuting normal generators and refining each degenerate eigenspace with a
-seeded random orthonormal basis. Monotone closures are computed by the
-face-supremum construction in one pass: every face supremum is a sum of the
-subalgebra's minimal projections, so the closure does not depend on the
-MASA it is taken in, which is only checked. At finite dimension the closure
-of a unital closed commutative subalgebra is itself, asserted on the result,
-and the closure correspondence is the identity on projections, checked pair
-by pair on bitmasks over the subalgebra's minimal projections.
+seeded random orthonormal basis. A monotone closure is computed inside a
+MASA from the m face suprema of the subalgebra's minimal projections, each a
+sum of the MASA's rank-one projections; at finite dimension the closure of a
+unital closed commutative subalgebra is itself, asserted on the result. The
+closure correspondence computes the closure in each of two MASAs and pairs
+their face suprema atom by atom: m pairs, each within 2 pos_slack, so every
+projection of the closure, a sum of distinct atoms, lies within m delta of
+its partner.
 
-A Subalgebra memoizes its commutativity verdict, its minimal projections and
-its monotone closure, keyed by name and the resolved ToleranceConfig as in
-``core``; a MASA made by generate_masa starts with its rank-one projections
-stored.
+A Subalgebra memoizes its commutativity verdict and its minimal
+projections, keyed by name and the resolved ToleranceConfig as in ``core``;
+a MASA made by generate_masa starts with its rank-one projections stored.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .errors import (
     NotPositive,
     PostconditionFailed,
     SignatureMismatch,
-    TooManyPoints,
 )
 
 __all__ = [
@@ -73,9 +72,6 @@ __all__ = [
 SPAN_ANGLE_TOL = 1e-8
 # largest correspondence delta a closure report accepts
 CLOSURE_RESIDUAL_TOL = 1e-9
-
-# face enumeration walks subsets of minimal projections
-MAX_ENUMERATED_FACES = 20
 
 
 def _vec(x: AlgebraElement) -> np.ndarray:
@@ -187,11 +183,13 @@ class Subalgebra:
 class ClosureCorrespondence:
     """Pairing of closure projections computed inside two different MASAs.
 
-    pairs holds (p, partner) for every projection p of the closure in the
-    first MASA; closures holds the monotone closures of the subalgebra in
-    the first and second MASA, one object since the closure does not depend
-    on the MASA (see monotone_closure); delta is the largest operator_norm(p -
-    partner) over the pairs, the defect of the identity correspondence.
+    pairs holds (s_i, t_i) for each minimal projection e_i of the
+    subalgebra, s_i and t_i the suprema of the face of e_i in the first and
+    the second MASA; closures holds the monotone closures computed in the
+    first and the second MASA, two separate computations; delta is the
+    largest operator_norm(s_i - t_i) over the pairs. Every projection of the
+    closure is a sum of distinct s_i, its partner the same sum of the t_i,
+    so its gap is at most m delta.
     """
 
     pairs: tuple[tuple[Projection, Projection], ...]
@@ -442,9 +440,12 @@ def _overlap(x: AlgebraElement, y: AlgebraElement) -> float:
 
 def _require_atom_sums(
     minimal: Sequence[Projection], masa_minimal: Sequence[Projection], t
-) -> None:
-    """Raise NotContained unless every minimal projection is the sum of the
-    MASA rank-one projections it overlaps by more than 1/2."""
+) -> list[AlgebraElement]:
+    """The face suprema s_1..s_m of b's minimal projections e_1..e_m in the
+    MASA: s_i sums the MASA's rank-one projections that e_i overlaps by more
+    than 1/2. Raise NotContained unless each s_i is e_i within pos_slack (1 +
+    ||e_i||_F)."""
+    sums = []
     for e in minimal:
         recover = AlgebraElement.zeros(e.element.signature)
         for f in masa_minimal:
@@ -456,18 +457,7 @@ def _require_atom_sums(
             raise NotContained(
                 "a minimal projection is not a sum of the MASA's rank-one projections"
             )
-
-
-def _subset_sums(ps: Sequence[Projection], signature) -> list[AlgebraElement]:
-    """The sum of every subset of ps, subset j holding ps[i] for each set bit
-    i of j, each summed from zero in increasing i."""
-    sums = []
-    for j_mask in range(1 << len(ps)):
-        total = AlgebraElement.zeros(signature)
-        for i, p in enumerate(ps):
-            if j_mask >> i & 1:
-                total = total + p.element
-        sums.append(total)
+        sums.append(recover)
     return sums
 
 
@@ -477,41 +467,34 @@ def monotone_closure(
     """Monotone closure of a commutative subalgebra inside a MASA containing it.
 
     The closure adjoins, for every projection p of the MASA, the supremum of
-    the face {x in b, 0 <= x <= 1, x <= p}. Each minimal projection of b is
-    a sum of the MASA's rank-one projections, so that supremum is the sum of
-    the minimal projections of b under p, and every sum of them is the
-    supremum of some face. The closure is therefore generated by b's minimal
-    projections and their subset sums, whichever MASA contains b: the MASA
-    is checked on every call, and the closure is computed once per
-    subalgebra and tolerance. At
+    the face {x in b, 0 <= x <= 1, x <= p}. Each minimal projection e_i of b
+    is a sum of the MASA's rank-one projections, so every face supremum is a
+    sum of the suprema s_i of the faces of the e_i, and the closure is
+    generated by s_1..s_m, read off the MASA's own rank-one projections. At
     finite dimension the closure of a unital closed subalgebra is the
     subalgebra itself; this is asserted on the result.
     """
-    t = _tol(tol)
+    return _closure_in(b, masa, _tol(tol))[0]
+
+
+def _closure_in(
+    b: Subalgebra, masa: Subalgebra, t: ToleranceConfig
+) -> tuple[Subalgebra, list[AlgebraElement]]:
+    """The monotone closure of b in the MASA and the face suprema s_1..s_m
+    that generate it."""
     if not b.is_commutative(t):
         raise NotCommuting("closure requires a commutative subalgebra")
     if not masa.is_masa(t):
         raise ValueError("closure must be taken inside a maximal commutative subalgebra")
     if not masa.contains_subalgebra(b, t):
         raise NotContained("subalgebra does not lie inside the MASA")
-    minimal = minimal_projections(b, t)
-    masa_minimal = minimal_projections(masa, t)
-    if len(minimal) > MAX_ENUMERATED_FACES:
-        raise TooManyPoints(
-            f"face enumeration capped at {MAX_ENUMERATED_FACES} minimal projections"
-        )
-    _require_atom_sums(minimal, masa_minimal, t)
-    return _memoized(b, "monotone_closure", t, lambda b, t: _closure(b, minimal, t))
-
-
-def _closure(b: Subalgebra, minimal: list[Projection], t: ToleranceConfig):
-    gens = [p.element for p in minimal] + _subset_sums(minimal, b.signature)
-    closure = Subalgebra.from_generators(gens, t)
+    sups = _require_atom_sums(minimal_projections(b, t), minimal_projections(masa, t), t)
+    closure = Subalgebra.from_generators(sups, t)
     if not spans_equal(closure, b):
         raise PostconditionFailed(
             "closure of a unital closed subalgebra moved at finite dimension"
         )
-    return closure
+    return closure, sups
 
 
 def closure_correspondence(
@@ -520,34 +503,24 @@ def closure_correspondence(
     masa2: Subalgebra,
     tol: ToleranceConfig | None = None,
 ) -> ClosureCorrespondence:
-    """Pair every projection of the closure in the first MASA with the
-    supremum of its face computed inside the second MASA.
+    """Pair the face suprema of the closure in the first MASA with those
+    computed inside the second MASA.
 
-    Both MASAs are checked as monotone_closure checks them. The closure does
-    not depend on the MASA: every face supremum is a sum of b's minimal
-    projections, so the two closures are the one closure memoized on b.
-    The partner of p, the supremum of its face, is the sum of the minimal
-    projections e_i of b under p, picked by bit i of a mask; the e_i are
-    pairwise orthogonal. The pairing, the identity map at finite dimension,
-    is checked within 2 pos_slack on each of its 2^m projections; the empty
-    face's gap, 0 - 0, is 0 without an eigensolve.
+    The closure is computed in each MASA as monotone_closure computes it,
+    from that MASA's rank-one projections. The supremum s_i of the face of
+    b's minimal projection e_i in the first MASA is paired with its
+    supremum in the second, m pairs. The pairing, the identity map at finite
+    dimension, is checked within 2 pos_slack on each pair. Every projection
+    of the closure is a sum of distinct s_i and its partner the same sum in
+    the second MASA, so its gap is at most m delta.
     """
     t = _tol(tol)
-    c1 = monotone_closure(b, masa1, t)
-    c2 = monotone_closure(b, masa2, t)
-    minimal = minimal_projections(b, t)
-    sups = _subset_sums(minimal, b.signature)
+    c1, sups1 = _closure_in(b, masa1, t)
+    c2, sups2 = _closure_in(b, masa2, t)
     pairs = []
     delta = 0.0
-    for j, p in enumerate(_subset_sums(minimal_projections(c1, t), b.signature)):
-        # e and p commute and p sums minimal projections, so tr(e p) is
-        # tr(e) when e <= p and 0 otherwise, up to roundoff
-        mask = sum(
-            1 << i for i, e in enumerate(minimal) if 2.0 * _overlap(e.element, p) > e.rank()
-        )
-        partner = sups[mask]
-        # the empty face: p is the empty sum, exactly 0, and so is its partner
-        gap = operator_norm(p - partner, t) if j else 0.0
+    for p, partner in zip(sups1, sups2):
+        gap = operator_norm(p - partner, t)
         if gap > t.pos_slack * 2.0:
             raise PostconditionFailed("closure correspondence is not the identity map")
         delta = max(delta, gap)

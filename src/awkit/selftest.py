@@ -17,7 +17,6 @@ from .core import (
     ToleranceConfig,
     _tol,
     adjoint,
-    frobenius_norm,
     operator_norm,
     positive_sqrt,
     range_projection,
@@ -284,19 +283,14 @@ def check_closure_agreement(trials=50, seed=0, dims=(2, 5), tol=None) -> Criteri
         worst = max(worst, corr.delta)
         if not corr.accepted:
             worst = max(worst, *corr.residuals.values())
-        lookup = [(p.element, q.element) for p, q in corr.pairs]
-        # product preservation through the pairing
-        for p1, q1 in lookup:
-            for p2, q2 in lookup:
-                prod = p1 * p2
-                partner = next(
-                    (qq for pp, qq in lookup if frobenius_norm(pp - prod) <= 1e-6),
-                    None,
-                )
-                if partner is None:
-                    worst = max(worst, 1.0)
-                else:
-                    worst = max(worst, operator_norm(partner - q1 * q2, t))
+        # each side is an orthogonal family of projections, q_i q_j = d_ij q_i,
+        # so the pairing carries products of closure projections to products
+        for side in zip(*corr.pairs):
+            for i, qi in enumerate(side):
+                for j, qj in enumerate(side):
+                    prod = qi.element * qj.element
+                    defect = prod - qi.element if i == j else prod
+                    worst = max(worst, operator_norm(defect, t))
     return CriterionResult("monotone closure agreement", worst <= RESIDUAL_TOL, trials, worst)
 
 

@@ -1,5 +1,6 @@
 """Timing of closure_correspondence and spectral_measure on seeded
-degenerate normal elements, by signature, and of check_regularity by the
+degenerate normal elements, by signature, of closure_correspondence on 21
+distinct eigenvalues over three blocks, and of check_regularity by the
 number of spectrum points.
 
     PYTHONPATH=src python -m pytest tests/bench_lattice.py --benchmark-only
@@ -32,9 +33,18 @@ def degenerate_normal(sig) -> AlgebraElement:
     return AlgebraElement(blocks)
 
 
-@pytest.mark.parametrize("sig", SIGNATURES, ids=str)
-def test_closure_correspondence(benchmark, sig):
-    blocks = degenerate_normal(sig).blocks
+def distinct_points() -> AlgebraElement:
+    """diag(1..21) over three blocks of 7: 21 minimal projections."""
+    return AlgebraElement([np.diag(np.arange(1.0, 8.0) + 7 * k) for k in range(3)])
+
+
+@pytest.mark.parametrize(
+    "x",
+    [*map(degenerate_normal, SIGNATURES), distinct_points()],
+    ids=[*map(str, SIGNATURES), "21-points"],
+)
+def test_closure_correspondence(benchmark, x):
+    blocks = x.blocks
 
     def closure():
         g = AlgebraElement(blocks)

@@ -181,9 +181,9 @@ def test_closure_subcommand(tmp_path, capsys):
     assert doc["seed"] == [1, 2]
     assert doc["artifacts"]["closure_dim"] == 2
     assert doc["residuals"]["correspondence_delta"] <= 1e-9
-    # the closure does not depend on the MASA and is listed once
-    assert sorted(doc["artifacts"]) == ["closure_basis_d1", "closure_dim", "projection_pairs"]
-    assert len(doc["artifacts"]["closure_basis_d1"]) == 2
+    # no closure basis: the two closures are compared by the residuals
+    assert sorted(doc["artifacts"]) == ["closure_dim", "projection_pairs"]
+    assert doc["artifacts"]["projection_pairs"] == 2
 
 
 def test_closure_report_reads_correspondence_residuals(tmp_path, capsys):
@@ -417,16 +417,16 @@ def test_overflowing_input_exit_two(tmp_path, capsys, argv):
     assert "non-finite" in doc["error"]
 
 
-def test_closure_over_face_limit_exits_one(tmp_path, capsys):
-    # 21 distinct eigenvalues give 21 minimal projections, over the limit of 20
+def test_closure_over_former_face_limit_is_accepted(tmp_path, capsys):
+    # 21 distinct eigenvalues give 21 minimal projections, over the 20 the
+    # face enumeration once allowed; the closure takes one supremum each
     g = tmp_path / "g.json"
     write_matrix(g, AlgebraElement([np.diag(np.arange(1.0, 8.0) + 7 * k) for k in range(3)]))
     code, out, err = run_cli(capsys, "closure", str(g), "--seed1", "1", "--seed2", "2")
-    assert code == 1
-    assert err.startswith("rejected:") and "capped at 20" in err
+    assert code == 0, err
     doc = _one_report(out)
-    assert doc["accepted"] is False
-    assert doc["error"]
+    assert doc["accepted"] is True
+    assert doc["artifacts"] == {"closure_dim": 21, "projection_pairs": 21}
 
 
 @pytest.mark.parametrize(

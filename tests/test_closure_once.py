@@ -1,19 +1,22 @@
-"""The one-pass monotone closure against the fixed-point body it replaced.
+"""The monotone closure from m face suprema against the fixed-point body it
+replaced.
 
-``_reference_monotone_closure`` is the earlier body of
+``_reference_monotone_closure`` is an earlier body of
 ``awkit.lattice.monotone_closure``, kept verbatim with its helpers
-``_support_masks`` and ``_closure_step`` as a named oracle. It built the
-closure inside each MASA from support masks over the MASA's rank-one
-projections and iterated the face-supremum pass to a fixed point. The masks
-are nonempty and pairwise disjoint, so every pass adjoined the 2^m subset
-sums of b's minimal projections, whichever MASA it ran in, and the loop
-returned on its first pass. The closure is now built once per subalgebra
-and memoized on it; the MASA is only checked.
+``_support_masks`` and ``_closure_step`` as a named oracle, with local
+copies of the face cap and its exception. It built the closure inside each
+MASA from support masks over the MASA's rank-one projections and iterated
+the face-supremum pass to a fixed point. The masks are nonempty and pairwise
+disjoint, so every pass adjoined the 2^m subset sums of b's minimal
+projections, whichever MASA it ran in, and the loop returned on its first
+pass. The closure is now generated by the m face suprema alone, each read
+off the MASA's own rank-one projections, and computed afresh in every MASA.
 
 On degenerate normal generators, in two seeded MASAs, at several slacks,
 and on the MASA itself, the scalars, a hand-rotated MASA and a MASA that
-contains b only within a loose slack, both must return the same basis
-bytes or raise the same exception with the same message.
+contains b only within a loose slack, both must return closures of the same
+signature and dimension with equal spans, or raise the same exception with
+the same message. Basis bytes differ, since the generators differ.
 """
 
 import numpy as np
@@ -22,9 +25,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from awkit.core import AlgebraElement, ToleranceConfig, _tol, frobenius_norm
-from awkit.errors import NotCommuting, NotContained, SignatureMismatch, TooManyPoints
+from awkit.errors import (
+    AlgebraError,
+    NotCommuting,
+    NotContained,
+    SignatureMismatch,
+)
 from awkit.lattice import (
-    MAX_ENUMERATED_FACES,
     Subalgebra,
     closure_correspondence,
     generate_masa,
@@ -35,6 +42,12 @@ from awkit.lattice import (
 from awkit.sampling import haar_unitary_block
 
 # --- the earlier body, verbatim -------------------------------------------------
+
+MAX_ENUMERATED_FACES = 20
+
+
+class TooManyPoints(AlgebraError):
+    """Subset enumeration is limited to small spectra and few minimal projections."""
 
 
 def _support_masks(minimal, masa_minimal, t):
@@ -133,16 +146,21 @@ def _reference_monotone_closure(b, masa, tol=None):
 
 def _outcome(closure, b, masa, tol):
     try:
-        c = closure(b, masa, tol)
+        return closure(b, masa, tol)
     except Exception as exc:  # compared by type and message
         return type(exc), str(exc)
-    return c.signature, b"".join(blk.tobytes() for e in c.basis for blk in e.blocks)
 
 
 def _assert_same(b, masa, tol=None):
     want = _outcome(_reference_monotone_closure, b, masa, tol)
-    assert _outcome(monotone_closure, b, masa, tol) == want
-    return want
+    got = _outcome(monotone_closure, b, masa, tol)
+    if isinstance(want, tuple):
+        assert got == want
+        return want
+    assert isinstance(got, Subalgebra)
+    assert (got.signature, got.dim) == (want.signature, want.dim)
+    assert spans_equal(got, want)
+    return got.signature, got.dim
 
 
 def diag_el(*vals_per_block):
@@ -222,30 +240,34 @@ def test_atom_check_rejects_what_membership_accepts():
     )
 
 
-# --- the memo skips no check ----------------------------------------------------
+# --- each MASA computes its own closure ----------------------------------------
 
 
-def test_memoized_closure_still_checks_the_masa():
+def test_closure_checks_the_masa_on_every_call():
     g = diag_el([1, 1, 2])
     b = Subalgebra.from_generators([g])
     d1, d2 = generate_masa([g], 1), generate_masa([g], 2)
     closure = monotone_closure(b, d1)
-    assert monotone_closure(b, d2) is closure
+    again = monotone_closure(b, d2)
+    assert again is not closure and spans_equal(again, closure)
     with pytest.raises(ValueError, match="maximal commutative"):
         monotone_closure(b, b)
     with pytest.raises(NotContained):
         monotone_closure(b, _tilted_masa(0.1))
     corr = closure_correspondence(b, d1, d2)
-    assert corr.closures[0] is corr.closures[1] is closure
+    c1, c2 = corr.closures
+    assert c1 is not c2 and c1 is not closure and c2 is not again
+    assert spans_equal(c1, c2)
 
 
-def test_closure_is_memoized_per_tolerance():
+def test_closure_is_computed_on_every_call():
     g = diag_el([1, 1, 2])
     b = Subalgebra.from_generators([g])
     d = generate_masa([g], 3)
     loose = ToleranceConfig(pos_slack=1e-6)
-    assert monotone_closure(b, d, loose) is not monotone_closure(b, d)
-    assert monotone_closure(b, d, loose) is monotone_closure(b, d, ToleranceConfig(pos_slack=1e-6))
+    closures = [monotone_closure(b, d, loose), monotone_closure(b, d), monotone_closure(b, d)]
+    assert len(set(map(id, closures))) == 3
+    assert all(spans_equal(c, b) for c in closures)
 
 
 # --- signatures -----------------------------------------------------------------

@@ -1,23 +1,24 @@
-"""The bitmask pairing of the closure correspondence against the loop it
+"""The atom pairing of the closure correspondence against the loop it
 replaced.
 
-``_reference_closure_correspondence`` is the earlier body of
-``awkit.lattice.closure_correspondence``, kept verbatim as a named oracle.
-It took the range projection of each of b's minimal projections and paired
-each projection p of the closure with the range projection of the sum of
-those under p (``sup_projections``), an eigensolve per p. b's minimal
-projections are pairwise orthogonal, so that supremum is their plain sum;
-the pairing now reads it off the subset sums of b's minimal projections by
-a bitmask.
+``_reference_closure_correspondence`` is an earlier body of
+``awkit.lattice.closure_correspondence``, kept verbatim with a local copy
+of its ``_subset_sums`` as a named oracle. It took the range projection of
+each of b's minimal projections and paired each of the 2^m projections p of
+the closure with the range projection of the sum of those under p
+(``sup_projections``), an eigensolve per p. The correspondence now pairs
+the m face suprema of b's minimal projections, computed in each MASA; every
+projection of the closure is a sum of distinct ones.
 
 On the degenerate normal generators, MASA seeds and slacks of
 ``test_closure_once.py`` (Hypothesis is derandomized in conftest.py), both
-must give the same projections p, bit for bit, the same pair count and the
-same verdict, or raise the same exception with the same message; partners
-and delta may differ by roundoff, at most PAIR_TOL. The gap check stays
-independent: closure projections tilted away from b's are rejected. Under
-unitary conjugation of the generator the correspondence is accepted with
-the same closure dimension.
+must give the same verdict, or raise the same exception with the same
+message. The new pairs, summed over the minimal projections the oracle
+finds under each of its p, must reproduce that p and its partner within
+PAIR_TOL, and the deltas agree within PAIR_TOL. A second MASA whose face
+suprema are tilted away from the first's is rejected. Under unitary
+conjugation of the generator the correspondence is accepted with the same
+closure dimension.
 """
 
 import numpy as np
@@ -25,8 +26,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from awkit import lattice
 from awkit.core import (
-    DEFAULT_TOL,
     AlgebraElement,
     Projection,
     ToleranceConfig,
@@ -42,11 +43,11 @@ from awkit.lattice import (
     ClosureCorrespondence,
     Subalgebra,
     _overlap,
-    _subset_sums,
     closure_correspondence,
     generate_masa,
     minimal_projections,
     monotone_closure,
+    spans_equal,
     sup_projections,
 )
 from awkit.sampling import haar_unitary_block
@@ -55,6 +56,19 @@ from awkit.sampling import haar_unitary_block
 PAIR_TOL = 1e-12
 
 # --- the earlier body, verbatim -------------------------------------------------
+
+
+def _subset_sums(ps, signature):
+    """The sum of every subset of ps, subset j holding ps[i] for each set bit
+    i of j, each summed from zero in increasing i."""
+    sums = []
+    for j_mask in range(1 << len(ps)):
+        total = AlgebraElement.zeros(signature)
+        for i, p in enumerate(ps):
+            if j_mask >> i & 1:
+                total = total + p.element
+        sums.append(total)
+    return sums
 
 
 def _reference_closure_correspondence(b, masa1, masa2, tol=None):
@@ -100,8 +114,10 @@ def _outcome(correspondence, b, masa1, masa2, tol):
         return type(exc), str(exc)
 
 
-def _bytes(p):
-    return b"".join(blk.tobytes() for blk in p.element.blocks)
+def _close(x, y):
+    return all(
+        float(np.abs(a - c).max(initial=0.0)) <= PAIR_TOL for a, c in zip(x.blocks, y.blocks)
+    )
 
 
 def _assert_same(b, masa1, masa2, tol=None):
@@ -111,11 +127,17 @@ def _assert_same(b, masa1, masa2, tol=None):
         assert got == want
         return None
     assert isinstance(got, ClosureCorrespondence)
-    assert [_bytes(p) for p, _ in got.pairs] == [_bytes(p) for p, _ in want.pairs]
     assert got.accepted == want.accepted
-    for (_, q), (_, r) in zip(got.pairs, want.pairs):
-        for x, y in zip(q.element.blocks, r.element.blocks):
-            assert float(np.abs(x - y).max(initial=0.0)) <= PAIR_TOL
+    minimal = minimal_projections(b, tol)
+    assert len(got.pairs) == len(minimal) and len(want.pairs) == 2 ** len(minimal)
+    for p, partner in want.pairs:
+        # the oracle's face test: b's minimal projections under p
+        under = [2.0 * _overlap(e.element, p.element) > e.rank() for e in minimal]
+        sums = [AlgebraElement.zeros(b.signature) for _ in range(2)]
+        for inside, pair in zip(under, got.pairs):
+            if inside:
+                sums = [total + q.element for total, q in zip(sums, pair)]
+        assert _close(sums[0], p.element) and _close(sums[1], partner.element)
     assert abs(got.delta - want.delta) <= PAIR_TOL
     return got
 
@@ -159,7 +181,7 @@ def test_pairing_matches_range_projection_body(g, seeds, slack):
 )
 def test_correspondence_under_unitary_conjugation(g, v_seed, seeds):
     # V g V* generates the conjugate subalgebra: its closure has the same
-    # dimension m, and the correspondence pairs all 2^m projections
+    # dimension m, and the correspondence pairs its m face suprema
     rng = np.random.default_rng(v_seed)
     v = AlgebraElement([haar_unitary_block(n, rng) for n in g.signature])
     dims = []
@@ -169,7 +191,7 @@ def test_correspondence_under_unitary_conjugation(g, v_seed, seeds):
         )
         dims.append(corr.closures[0].dim)
         assert corr.accepted
-        assert len(corr.pairs) == 2 ** dims[-1]
+        assert len(corr.pairs) == dims[-1]
         assert corr.delta <= CLOSURE_RESIDUAL_TOL
     assert dims[0] == dims[1]
 
@@ -185,20 +207,20 @@ def _rotated_degenerate():
 
 @pytest.mark.parametrize("slack", [1e-20, 1e-16, 1e-12, 1e-10, 0.3, 0.9])
 def test_pairing_matches_on_fixed_generators(slack):
-    # below roundoff the MASA check fails in both; from 1e-12 up both pair
-    # the 2^3 projections
+    # below roundoff the MASA check fails in both; from 1e-12 up the oracle
+    # pairs the 2^3 projections and the correspondence the 3 face suprema
     g = _rotated_degenerate()
     t = ToleranceConfig(pos_slack=slack)
     corr = _assert_same(Subalgebra.from_generators([g]), *(generate_masa([g], s) for s in (1, 2)), t)
     assert (corr is None) == (slack < 1e-12)
     if corr is not None:
-        assert len(corr.pairs) == 8 and corr.accepted
+        assert len(corr.pairs) == 3 and corr.accepted
 
 
 def test_pairing_matches_when_masas_equal():
     d = generate_masa([diag_el([1, 2, 3])], 0)
     corr = _assert_same(d, d, d)
-    assert len(corr.pairs) == 8 and corr.delta <= CLOSURE_RESIDUAL_TOL
+    assert len(corr.pairs) == 3 and corr.delta <= CLOSURE_RESIDUAL_TOL
 
 
 def _tilt(x, rng, angle=1e-6):
@@ -213,18 +235,45 @@ def _tilt(x, rng, angle=1e-6):
 
 
 def test_pairing_still_checks_the_closure_against_b():
-    # the closure's minimal projections, tilted by one unitary near 1, are
-    # still orthogonal projections summing to 1 and fall in the same faces;
-    # their gap to b's is about 1e-6, far above 2 pos_slack
+    # the second MASA's stored rank-one projections, tilted by one unitary
+    # near 1, are still orthogonal projections summing to 1 and fall in the
+    # same faces; their sums lie within the atom check's slack of b's
+    # minimal projections, but the closure they generate is tilted about
+    # 1e-6 from b, above SPAN_ANGLE_TOL. The closure in the first MASA,
+    # untouched, is accepted.
+    g = _rotated_degenerate()
+    b = Subalgebra.from_generators([g])
+    t = ToleranceConfig(pos_slack=1e-4)
+    d1, d2 = generate_masa([g], 1, t), generate_masa([g], 2, t)
+    tilted = tuple(
+        Projection._of(_tilt(f.element, np.random.default_rng(0)))
+        for f in minimal_projections(d2, t)
+    )
+    _remember(d2, "minimal_projections", t, tilted)
+    assert monotone_closure(b, d1, t).dim == 3
+    assert _assert_same(b, d1, d2, t) is None
+    with pytest.raises(PostconditionFailed, match="moved at finite dimension"):
+        closure_correspondence(b, d1, d2, t)
+    with pytest.raises(PostconditionFailed, match="moved at finite dimension"):
+        closure_correspondence(b, d2, d1, t)
+
+
+def test_pairing_rejects_a_perturbed_supremum(monkeypatch):
+    # one face supremum of the second MASA scaled by 1 + 1e-3: the closure
+    # it generates spans b, but its pair's gap is 1e-3
     g = _rotated_degenerate()
     b = Subalgebra.from_generators([g])
     d1, d2 = generate_masa([g], 1), generate_masa([g], 2)
-    closure = monotone_closure(b, d1)
-    tilted = tuple(
-        Projection._of(_tilt(e.element, np.random.default_rng(0)))
-        for e in minimal_projections(closure)
-    )
-    _remember(closure, "minimal_projections", DEFAULT_TOL, tilted)
-    assert _assert_same(b, d1, d2) is None
+    body = lattice._require_atom_sums
+
+    def perturbed(minimal, masa_minimal, t):
+        sums = body(minimal, masa_minimal, t)
+        if masa_minimal[0] is minimal_projections(d2, t)[0]:
+            sums[0] = 1.001 * sums[0]
+        return sums
+
+    monkeypatch.setattr(lattice, "_require_atom_sums", perturbed)
+    assert spans_equal(monotone_closure(b, d2), b)
     with pytest.raises(PostconditionFailed, match="not the identity map"):
         closure_correspondence(b, d1, d2)
+    assert closure_correspondence(b, d1, d1).delta == 0.0

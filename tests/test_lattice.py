@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from awkit.core import (
     AlgebraElement,
@@ -246,10 +248,10 @@ def test_correspondence_rotated_masa_is_identity():
     d2 = generate_masa([g], 2)
     assert not spans_equal(d, d2)  # refinements differ inside the eigenspace
     corr = closure_correspondence(b, d, d2)
-    assert len(corr.pairs) == 4  # 2^2 projections in the closure
+    assert len(corr.pairs) == 2  # the face suprema of the 2 minimal projections
     for p, q in corr.pairs:
         assert operator_norm(p.element - q.element) <= 1e-9
-    # the closure projection diag(1,1,0) appears among the pairs
+    # the face supremum diag(1,1,0) appears among the pairs
     found = any(
         np.allclose(p.element.blocks[0], np.diag([1.0, 1.0, 0.0]), atol=1e-9)
         for p, _ in corr.pairs
@@ -283,7 +285,7 @@ def test_masa_is_generated_by_its_projections():
 def test_correspondence_trivial_when_masas_equal():
     d = generate_masa([diag_el([1, 2, 3])], 0)
     corr = closure_correspondence(d, d, d)
-    assert len(corr.pairs) == 8
+    assert len(corr.pairs) == 3
     for p, q in corr.pairs:
         assert p.element == q.element or operator_norm(p.element - q.element) <= 1e-9
 
@@ -317,6 +319,7 @@ def test_correspondence_carries_closures_and_delta():
     d2 = generate_masa([g], 6)
     corr = closure_correspondence(b, d, d2)
     c1, c2 = corr.closures
+    assert c1 is not c2  # computed once in each MASA
     assert spans_equal(c1, monotone_closure(b, d))
     assert spans_equal(c2, monotone_closure(b, d2))
     assert corr.delta == max(operator_norm(p.element - q.element) for p, q in corr.pairs)
@@ -353,4 +356,29 @@ def test_correspondence_faces_need_no_slack(slack):
     t = ToleranceConfig(pos_slack=slack)
     corr = closure_correspondence(b, generate_masa([g], 5, t), generate_masa([g], 6, t), t)
     assert corr.delta <= 1e-12
+    assert corr.accepted
+
+
+@settings(max_examples=20)
+@given(
+    points=st.lists(st.lists(st.integers(0, 23), min_size=1, max_size=8), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(points=[list(range(8 * k, 8 * k + 8)) for k in range(3)], seed=0)
+def test_closure_dimension_counts_distinct_eigenvalues(points, seed):
+    # g = U diag(lambda) U* per block, lambda among 24 points of the unit
+    # circle: b's minimal projections are g's spectral projections, one per
+    # distinct eigenvalue across the blocks, and so are the face suprema
+    # paired in each MASA
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for idx in points:
+        u = haar_unitary_block(len(idx), rng)
+        blocks.append((u * np.exp(2j * np.pi * np.array(idx) / 24)) @ u.conj().T)
+    g = AlgebraElement(blocks)
+    b = Subalgebra.from_generators([g])
+    corr = closure_correspondence(b, generate_masa([g], 1), generate_masa([g], 2))
+    distinct = len({v for idx in points for v in idx})
+    assert [c.dim for c in corr.closures] == [distinct, distinct]
+    assert len(corr.pairs) == distinct
     assert corr.accepted

@@ -1,8 +1,8 @@
 """Derived data memoized on immutable elements and subalgebras.
 
 An element keeps its operator norm and normality verdict, a subalgebra its
-commutativity verdict, minimal projections and monotone closure, each keyed
-by name and the resolved ToleranceConfig. These tests pin the key (each
+commutativity verdict and minimal projections, each keyed by name and the
+resolved ToleranceConfig. These tests pin the key (each
 configuration gets its own answer), that exceptions are not cached, how
 often one CLI call computes each value, and that the projections
 generate_masa stores are the ones the computed route finds.
@@ -108,12 +108,12 @@ def test_closure_call_computes_each_value_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(Subalgebra, "from_generators", classmethod(counted_build))
     doc = _run(capsys, "closure", str(f), "--seed1", "1", "--seed2", "2")
     assert doc["accepted"] is True
-    # b, then its closure, built once for both MASAs from the 3 minimal
-    # projections and their 2^3 subset sums
-    assert built == [1, 3 + 8]
+    # b, then its closure in each MASA from the 3 face suprema there
+    assert built == [1, 3, 3]
     b = Subalgebra.from_generators([g])
     assert sum(s == b for s in minimal) == 1
-    # no subalgebra is decomposed or tested twice; the MASAs never need it
+    # no subalgebra is decomposed or tested twice; the MASAs and the
+    # closures never need it
     for seen in (minimal, commutes):
         assert max(Counter(map(id, seen)).values()) == 1
     assert all(s.dim < sum(s.signature) for s in minimal)
@@ -122,10 +122,10 @@ def test_closure_call_computes_each_value_once(tmp_path, capsys, monkeypatch):
 
 def test_closure_call_eigensolves(tmp_path, capsys, monkeypatch):
     # eigenvalues only: one for the input's norm in its normality verdict and
-    # one per gap ||p - partner|| over the 2^3 pairs but the empty face's,
-    # 0 - 0; the face suprema are sums of b's minimal projections and take
-    # none. principal_angles runs once in the closure's own check against b
-    # and once for the two closures, shared by the residuals and the verdict
+    # one per gap ||s_i - t_i|| over the 3 pairs of face suprema, which are
+    # sums of the MASAs' rank-one projections and take none. principal_angles
+    # runs once in each closure's own check against b and once for the two
+    # closures, shared by the residuals and the verdict
     f = tmp_path / "g.json"
     f.write_text(json.dumps(cli.element_to_json(_degenerate_normal())))
     body = core._eigh_blocks
@@ -146,9 +146,9 @@ def test_closure_call_eigensolves(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(lattice, "principal_angles", counted_angles)
     doc = _run(capsys, "closure", str(f), "--seed1", "1", "--seed2", "2")
-    assert doc["artifacts"]["projection_pairs"] == 8
-    assert solves == [False] * (1 + 7)
-    assert len(angles) == 2
+    assert doc["artifacts"]["projection_pairs"] == 3
+    assert solves == [False] * (1 + 3)
+    assert len(angles) == 3
 
 
 @pytest.mark.parametrize("method", ["regularized", "direct"])

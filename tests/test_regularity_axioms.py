@@ -3,11 +3,11 @@
 ``_reference_check_regularity`` is the earlier body of
 ``awkit.spectral.check_regularity``, kept verbatim as a named oracle. It
 checked per-atom positivity by eigensolve and finite additivity on a 2^n
-table of subset sums, and raised TooManyPoints above 12 points. On a finite
-discrete spectrum both regularity identities hold exactly when the atoms are
-pairwise orthogonal projections summing to 1, which is what
-check_regularity now accepts. On normal elements with at most 12 spectrum
-points both must give the same verdict.
+table of subset sums, and raised TooManyPoints (kept here as a local copy)
+above 12 points. On a finite discrete spectrum both regularity identities
+hold exactly when the atoms are pairwise orthogonal projections summing to
+1, which is what check_regularity now accepts. On normal elements with at
+most 12 spectrum points both must give the same verdict.
 
 ``_reference_worst_defect`` is the inline loop the spectral-measure
 self-test ran before ``measure_residuals`` took its place; the largest named
@@ -27,7 +27,7 @@ from awkit.core import (
     adjoint,
     frobenius_norm,
 )
-from awkit.errors import TooManyPoints
+from awkit.errors import AlgebraError
 from awkit.sampling import haar_unitary_block
 from awkit.spectral import (
     BorelSubset,
@@ -38,9 +38,14 @@ from awkit.spectral import (
     spectral_measure,
 )
 
+# --- the earlier bodies, verbatim -----------------------------------------------
+
 REGULARITY_POINT_LIMIT = 12
 
-# --- the earlier bodies, verbatim -----------------------------------------------
+
+class TooManyPoints(AlgebraError):
+    """Subset enumeration is limited to small spectra and few minimal projections."""
+
 
 
 def _reference_check_regularity(m, tol=None):
