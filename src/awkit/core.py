@@ -119,9 +119,9 @@ class ToleranceConfig:
     eigenvalues w of Re d. relative_commutant skips a block with
     ||b_k||_F <= rank_cutoff, an absolute test, and cuts the constraint's
     singular values s at rank_cutoff max(1, s_0). spectral_cut declines x as
-    zero when ||x|| <= pos_slack, an absolute test; it takes its projection
-    branch on two rules, |||x*|^2 - |x*||| <= pos_slack (1 + ||x||) and
-    Projection's 2 pos_slack on x x*. polar_regularized raises
+    zero when ||x|| <= pos_slack, an absolute test; it keeps the singular
+    values s of x whose square lies above the rank cutoff of x x*, and takes
+    p = 1_{s > mu}, a rule with no tolerance. polar_regularized raises
     SlowConvergence when its final gap exceeds the analytic bound by more
     than 10 pos_slack, an absolute margin between two quantities that are
     equal in exact arithmetic: below roundoff, roundoff decides the verdict.
@@ -759,7 +759,8 @@ def range_projection(
 def pseudo_inverse_on_range(
     h: AlgebraElement, tol: ToleranceConfig | None = None
 ) -> AlgebraElement:
-    """Inverse of a positive element on its range, zero on its kernel."""
+    """Inverse of a positive element on its range, zero on its kernel: in
+    this package, polar_direct's inverse of |x|, the ladder's oracle."""
     t = _tol(tol)
     eig = eigh_hermitian(h, t)
     if not eig.is_positive(t):

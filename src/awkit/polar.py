@@ -2,11 +2,13 @@
 
 Two routes to the same partial isometry: a direct route through the
 eigendecomposition of x*x, and a regularized route through the resolvent
-ladder u_n = x (1/n + |x|)^{-1} along geometric indices, snapped onto an
-exact partial isometry. The direct route serves as the independent oracle
-for the ladder. The ladder's diagnostics ||u_n - u|| are measured as
-||(u_n - u) V|| with V the unitary of its eigensystem of x*x: V leaves the
-norm unchanged, and since u_n - u = u (f_n(|x|) - P), with
+ladder u_n = x (1/n + |x|)^{-1} along geometric indices. The ladder's u is
+the limit of its rungs, read in closed form off the eigensystem
+V diag(w) V* of x*x that the rungs are built from: x V diag(w^{-1/2}) V* on
+the range of |x|, 0 on its kernel. The direct route, which inverts the |x|
+it has assembled, serves as the independent oracle for the ladder. The
+ladder's diagnostics ||u_n - u|| are measured as ||(u_n - u) V||: V leaves
+the norm unchanged, and since u_n - u = u (f_n(|x|) - P), with
 f_n(s) = s / (1/n + s) and P the range projection of |x|, the Gram matrix
 in that basis is diagonal up to roundoff, so its Jacobi solve stops after
 0-1 sweeps.
@@ -21,9 +23,9 @@ cannot reproduce bit for bit, stay per slice. Both routes memoize ||x|| from
 their solve of x*x, so polar_residuals reads its scale without an eigensolve.
 
 The spectral cut produces a nonzero projection p and a positive a with
-a |x*| = p by truncating the spectrum of |x*| below a cut point; its three
-branches cover projections, invertible elements, and singular elements
-with a spectral gap.
+a |x*| = p by one rule on the eigensystem of x x* from which it builds
+|x*|: p keeps the singular values of x above the cut point mu, and a
+inverts them there.
 """
 
 from __future__ import annotations
@@ -49,8 +51,7 @@ from .core import (
     pseudo_inverse_on_range,
     range_projection,
 )
-from .errors import BadArgument, BadCut, NotProjection, SlowConvergence, ZeroElement
-from .spectral import BorelSubset, measure_of, spectral_measure
+from .errors import BadArgument, BadCut, SlowConvergence, ZeroElement
 
 __all__ = [
     "PolarResult",
@@ -107,13 +108,14 @@ class PolarResiduals:
 class SpectralCut:
     """Projection p and positive a with a, p, |x*| commuting and a |x*| = p.
 
-    absxstar is the |x*| the cut was taken from.
+    absxstar is the |x*| the cut was taken from, and mu the cut point used:
+    p is the spectral projection of |x*| on (mu, inf).
     """
 
     p: Projection
     a: AlgebraElement
     absxstar: AlgebraElement
-    mu: float | None = None
+    mu: float
 
 
 @dataclass(frozen=True)
@@ -138,6 +140,8 @@ def polar_direct(
     """Polar decomposition through the eigendecomposition of x*x.
 
     u = x pinv(|x|) vanishes on ker |x|; the zero element yields u = 0.
+    It inverts the |x| it has assembled, in a solve of its own, so that it
+    stays independent of the ladder's closed-form limit.
     """
     t = _tol(tol)
     eig = _eigh_blocks((adjoint(x) * x).blocks, t)
@@ -174,11 +178,13 @@ def polar_regularized(
 ) -> PolarResult:
     """Polar decomposition through the resolvent ladder x (1/n + |x|)^{-1}.
 
-    Runs geometric indices up to n_max, stops early once successive terms
-    stabilize below rank_cutoff, and snaps the final term onto an exact
-    partial isometry with one direct-route projection (disclosed through the
-    diagnostics). Raises SlowConvergence when the final gap exceeds the
-    analytic bound (1/n) / (1/n + sigma_min) by more than 10 pos_slack.
+    Runs geometric indices up to n_max and stops early once successive
+    terms stabilize below rank_cutoff. u is the limit of the rungs,
+    x (x*x)^{-1/2} on the range of |x| and 0 on its kernel, and each
+    diagnostic is the distance ||u_n - u|| of a rung from it. Raises
+    SlowConvergence when the final gap exceeds the analytic bound
+    (1/n) / (1/n + sigma_min), which it equals in exact arithmetic, by more
+    than 10 pos_slack.
 
     The rungs are built together from the one eigensystem V diag(w) V* of
     x*x, one (k, n, n) array per block: the resolvent values of all k rungs,
@@ -232,10 +238,7 @@ def polar_regularized(
         if overflow is not None:
             raise overflow
 
-    last_u = AlgebraElement._of([u[last].copy() for u in terms])
-    # the direct route's u for last_u, without its unused |last_u*|
-    abs_last = _eigh_blocks((adjoint(last_u) * last_u).blocks, t).root(t)
-    u = last_u * pseudo_inverse_on_range(abs_last, t)
+    u = x * eig.inverse_root(t)
     gaps = [u_n[: last + 1] - b for u_n, b in zip(terms, u.blocks)]
     rotated = [g @ v for g, v in zip(gaps, eig.unitary.blocks)]
     gap_grams = [e.swapaxes(-1, -2).conj() @ e for e in rotated]
@@ -308,15 +311,15 @@ def spectral_cut(
     mu: float | None = None,
     tol: ToleranceConfig | None = None,
 ) -> SpectralCut:
-    """Cut the spectrum of |x*| below mu to produce p != 0 and positive a
+    """Cut the spectrum of |x*| at mu to produce p != 0 and positive a
     with a |x*| = (a x x* a)^{1/2} = p.
 
-    Branches: |x*| a projection -> (a, p) = (1, x x*), taken when both
-    |||x*|^2 - |x*||| <= pos_slack (1 + ||x||) and x x* passes Projection's
-    absolute 2 pos_slack rule; |x*| invertible -> (p, a) = (1, (x x*)^{-1/2});
-    otherwise remove the spectrum inside [0, mu], defaulting mu to half the
-    smallest nonzero spectrum point, and take a = (p x x* p)^{-1/2} on the
-    range of p.
+    One rule on the eigensystem V diag(w) V* of x x*, from which |x*| is
+    built: the singular values sigma = w^{1/2} are kept where w lies above
+    its rank cutoff, as in |x*| itself, mu defaults to half the smallest kept
+    sigma, and p = V 1_{sigma > mu} V* and a = V (1/sigma) 1_{sigma > mu} V*.
+    A projection |x*| gives p = x x* and a = p, an invertible one p = 1 and
+    a = |x*|^{-1}.
     """
     t = _tol(tol)
     if mu is not None and not np.isfinite(mu):
@@ -326,39 +329,22 @@ def spectral_cut(
         raise ZeroElement("spectral cut needs a nonzero element")
     if mu is not None and not 0.0 < mu < norm_x:
         raise BadCut(f"cut point must lie strictly between 0 and {norm_x:.6g}")
-    gram_star = x * adjoint(x)
-    absxstar = _eigh_blocks(gram_star.blocks, t).root(t)
-    sig = x.signature
-    one = AlgebraElement.identity(sig)
-
-    bound = t.pos_slack * (1.0 + norm_x)
-    if _norm_against(absxstar * absxstar - absxstar, bound, t) <= bound:
-        try:
-            return SpectralCut(p=Projection(gram_star, t), a=one, absxstar=absxstar)
-        except NotProjection:
-            pass  # x x* fails the absolute rule: cut |x*| as a general element
-
-    eig = _eigh_blocks(absxstar.blocks, t, vectors=False)
+    eig = _eigh_blocks((x * adjoint(x)).blocks, t)
     cutoff = eig.rank_cutoff(t)
-    if eig.min_eigenvalue > cutoff:
-        return SpectralCut(
-            p=Projection._of(one), a=pseudo_inverse_on_range(absxstar, t), absxstar=absxstar
-        )
 
-    m = spectral_measure(absxstar, t)
-    points = sorted(m.domain_spectrum.points, key=lambda p: p.real)
+    def sigma(w):
+        return np.sqrt(np.where(w > cutoff, w, 0.0))
+
+    kept = np.concatenate([sigma(w) for w in eig.eigenvalues])
+    kept = kept[kept > 0.0]
+    if not kept.size:
+        raise BadCut("no singular value of x lies above the rank cutoff")
     if mu is None:
-        nonzero = [p.real for p in points if p.real > cutoff]
-        if not nonzero:
-            raise BadCut("no clustered spectrum point of |x*| lies above the rank cutoff")
-        mu = nonzero[0] / 2.0
-    inside = [p for p in points if p.real <= mu]
-    p_el = one - measure_of(m, BorelSubset.of(inside)).element
-    # the corner p x x* p is formed here: solved unchecked, and inverted
-    # under the square root in its own eigensystem
-    corner = p_el * gram_star * p_el
-    a = _eigh_blocks(corner.blocks, t).inverse_root(t)
-    return SpectralCut(p=Projection._of(p_el), a=a, absxstar=absxstar, mu=float(mu))
+        mu = float(kept.min()) / 2.0
+    p = eig.assemble(lambda w: np.where(sigma(w) > mu, 1.0, 0.0))
+    # mu is positive, so the clamp keeps 1/sigma off 0
+    a = eig.assemble(lambda w: np.where(sigma(w) > mu, 1.0 / np.maximum(sigma(w), mu), 0.0))
+    return SpectralCut(p=Projection._of(p), a=a, absxstar=eig.root(t), mu=float(mu))
 
 
 def cut_residuals(

@@ -221,11 +221,11 @@ def check_measure_regularity(trials=200, seed=0, dims=(1, 8), tol=None) -> Crite
 
 
 def check_spectral_cut(trials=100, seed=0, dims=(2, 8), tol=None) -> CriterionResult:
-    """All three cut branches: p != 0, pairwise commutation, both identities."""
+    """Three input kinds, one rule: p != 0, pairwise commutation, both identities."""
     t = _tol(tol)
     rng = np.random.default_rng(seed + 606)
     worst = 0.0
-    branches = {"projection": 0, "invertible": 0, "gap": 0}
+    kinds = {"projection": 0, "invertible": 0, "gap": 0}
     lo, hi = _dim_range(dims, lo_floor=2)
     for k in range(trials):
         n = int(rng.integers(lo, hi + 1))
@@ -236,19 +236,19 @@ def check_spectral_cut(trials=100, seed=0, dims=(2, 8), tol=None) -> CriterionRe
             svals = rng.uniform(0.5, 2.0, size=n)
         else:
             svals = np.concatenate([[0.0], rng.uniform(0.5, 2.0, size=n - 1)])
-        branches[kind] += 1
+        kinds[kind] += 1
         x = element_with_singular_values((n,), [svals], rng)
         check = cut_residuals(x, spectral_cut(x, tol=t), t)
         if not check.nonzero:
             worst = max(worst, 1.0)  # p must not vanish
         worst = max(worst, *check.residuals.values())
-    passed = worst <= RESIDUAL_TOL and all(v > 0 for v in branches.values())
+    passed = worst <= RESIDUAL_TOL and all(v > 0 for v in kinds.values())
     return CriterionResult(
-        "spectral cut branches",
+        "spectral cut input kinds",
         passed,
         trials,
         worst,
-        detail=", ".join(f"{k}:{v}" for k, v in branches.items()),
+        detail=", ".join(f"{k}:{v}" for k, v in kinds.items()),
     )
 
 
@@ -433,7 +433,7 @@ def run_all(
 ) -> list[CriterionResult]:
     """Run every acceptance suite; per-suite counts scale with trials/200.
 
-    The spectral-cut suite runs at least three trials, one per cut branch.
+    The spectral-cut suite runs at least three trials, one per input kind.
     """
     if trials < 1:
         raise BadArgument("trials must be at least 1")

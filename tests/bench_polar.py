@@ -1,6 +1,6 @@
 """Timing of the polar layer by signature: polar_regularized on the full
 ladder (n_max = 2^20) and on n_max = 64, and polar_residuals alone on the
-ladder's result.
+ladder's result; and spectral_cut on each input kind of the self-test.
 
     PYTHONPATH=src python -m pytest tests/bench_polar.py --benchmark-only
 
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from awkit.core import AlgebraElement
-from awkit.polar import polar_regularized, polar_residuals
+from awkit.polar import cut_residuals, polar_regularized, polar_residuals, spectral_cut
 from awkit.sampling import haar_unitary_block
 
 SIGNATURES = [(1,), (2, 3), (8,), (3, 5, 8)]
@@ -52,3 +52,25 @@ def test_polar_residuals(benchmark, sig):
 
     check = benchmark.pedantic(polar_residuals, setup=fresh, rounds=50)
     assert check.accepted
+
+
+# |x*| a projection, invertible, and singular with a gap, on one 8 x 8 block
+CUT_SINGULAR_VALUES = {
+    "projection": [1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+    "invertible": np.linspace(0.5, 2.0, 8),
+    "gap": [0.0, 0.0, 0.6, 0.8, 1.0, 1.2, 1.5, 1.7],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CUT_SINGULAR_VALUES))
+def test_spectral_cut(benchmark, kind):
+    rng = np.random.default_rng(8)
+    x = AlgebraElement([
+        (haar_unitary_block(8, rng) * np.asarray(CUT_SINGULAR_VALUES[kind]))
+        @ haar_unitary_block(8, rng)
+    ])
+    # a fresh copy per round, so that no memoized ||x|| is read
+    cut = benchmark.pedantic(
+        spectral_cut, setup=lambda: ((AlgebraElement(x.blocks),), {}), rounds=50
+    )
+    assert cut_residuals(x, cut).accepted

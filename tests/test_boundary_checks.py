@@ -69,11 +69,13 @@ def test_certify_checks_nothing_twice(tmp_path, capsys, counts):
 
 @pytest.mark.parametrize("method", ["regularized", "direct"])
 def test_polar_checks_only_what_reaches_a_public_entry_point(tmp_path, capsys, counts, method):
-    # the two range projections of polar_residuals and one pseudo-inverse
+    # the two range projections of polar_residuals, and the direct route's
+    # pseudo-inverse; the ladder reads its u off the eigensystem it holds
     rng = np.random.default_rng(6)
     x = random_element((3, 2), rng)
     _run(capsys, "polar", _write(tmp_path / "x.json", x), "--method", method)
-    assert counts == {"is_self_adjoint": 3, "Projection": 0}
+    checks = {"regularized": 2, "direct": 3}[method]
+    assert counts == {"is_self_adjoint": checks, "Projection": 0}
 
 
 def test_closure_certifies_no_projection(tmp_path, capsys, counts):

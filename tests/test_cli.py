@@ -263,10 +263,10 @@ def test_selftest_subcommand(capsys):
 @pytest.mark.parametrize("seed", [0, 3])
 @pytest.mark.parametrize("trials", [1, 2, 3, 4, 5])
 def test_selftest_small_trial_counts_pass(capsys, trials, seed):
-    # the spectral-cut suite keeps one trial per cut branch however few are asked for
+    # the spectral-cut suite keeps one trial per input kind however few are asked for
     code, out, err = run_cli(capsys, "selftest", "--trials", str(trials), "--seed", str(seed))
     assert code == 0, err
-    assert "PASS spectral cut branches: 3 trials" in err
+    assert "PASS spectral cut input kinds: 3 trials" in err
     assert _one_report(out)["accepted"] is True
 
 

@@ -104,9 +104,9 @@ REJECTIONS = {
         [np.zeros((2, 2)), np.eye(2)],
         ("closure", "--seed1", "1", "--seed2", "2", "--rank-cutoff", "0.5", "--cluster-tol", "0.9"),
     ),
-    # 0 and 0.8 cluster at 0.4, below the cutoff 0.5: no default cut point
+    # 0.6^2 lies below the cutoff 0.5 of x x*: no singular value is kept
     "cut-no-point-above-cutoff": (
-        [np.diag([0.0, 0.8])],
+        [np.diag([0.0, 0.6])],
         ("cut", "--rank-cutoff", "0.5", "--cluster-tol", "0.9"),
     ),
 }
@@ -126,15 +126,30 @@ def test_failed_postcondition_is_one_rejection(tmp_path, capsys, blocks, argv):
     assert doc["accepted"] is False
 
 
-def test_cut_falls_through_when_x_x_star_is_no_projection(tmp_path, capsys):
-    # |x*| = diag(2, 1) passes the relative projection test within 0.9 (1 + 2),
-    # x x* = diag(4, 1) fails Projection's 2 pos_slack rule: |x*| is
-    # invertible, and the cut is p = 1
+def _cut_at_slack(tmp_path, capsys, diagonal, slack):
     path = tmp_path / "x.json"
-    path.write_text(json.dumps(element_to_json(AlgebraElement([np.diag([2.0, 1.0])]))))
-    code = main(["cut", str(path), "--pos-slack", "0.9"])
+    path.write_text(json.dumps(element_to_json(AlgebraElement([np.diag(diagonal)]))))
+    code = main(["cut", str(path), "--pos-slack", slack])
     out, err = capsys.readouterr()
     assert code == 0, err
     doc = json.loads(out, parse_constant=_reject_constant)
     assert doc["accepted"] is True
+    return doc
+
+
+def test_cut_falls_through_when_x_x_star_is_no_projection(tmp_path, capsys):
+    # |x*| = diag(2, 1) lies within 0.9 (1 + 2) of a projection, but the cut
+    # reads no slack: both singular values lie above mu = 1/2, so p = 1
+    doc = _cut_at_slack(tmp_path, capsys, [2.0, 1.0], "0.9")
     assert doc["artifacts"]["p"] == element_to_json(AlgebraElement.identity((2,)))
+    assert doc["artifacts"]["mu"] == 0.5
+
+
+def test_cut_at_a_large_slack_is_the_cut_at_the_default(tmp_path, capsys):
+    # |x*| = diag(1, 0.6) lies within 0.3 (1 + 1) of a projection; the cut is
+    # a = diag(1, 1/0.6), as at the default slack, where it once returned
+    # a = 1 and p = x x*, with cut_identity 0.24
+    doc = _cut_at_slack(tmp_path, capsys, [1.0, 0.6], "0.3")
+    default = _cut_at_slack(tmp_path, capsys, [1.0, 0.6], "1e-10")
+    assert doc["artifacts"]["a"] == default["artifacts"]["a"]
+    assert max(doc["residuals"].values()) <= 1e-15

@@ -183,8 +183,8 @@ def _counting(monkeypatch, module, name):
 def test_ladder_loop_makes_no_operator_norm_call(monkeypatch):
     # at unit scale the Gram bounds decide every stop test, made on the
     # stacked Gram matrices by the Gram-level rule: the eigensolves are |x|
-    # and |x*|, the snap's two and one Gram norm per diagnostics entry, and
-    # no element's operator_norm runs
+    # and |x*| and one Gram norm per diagnostics entry, and no element's
+    # operator_norm runs
     rng = np.random.default_rng(4)
     x = AlgebraElement([
         (haar_unitary_block(n, rng) * rng.uniform(0.5, 2.0, n)) @ haar_unitary_block(n, rng)
@@ -198,4 +198,4 @@ def test_ladder_loop_makes_no_operator_norm_call(monkeypatch):
     rungs = len(result.diagnostics)
     assert len(stop_tests) == rungs - 1 == 20
     assert len(norms) == 0
-    assert len(solves) + len(own_solves) == 4 + rungs
+    assert len(solves) + len(own_solves) == 2 + rungs

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from awkit import core
 from awkit.core import (
     AlgebraElement,
     HermitianEigenSystem,
@@ -160,8 +161,8 @@ def test_regularized_matches_direct_on_rank_deficient_input():
 
 
 def test_regularized_takes_two_square_roots(monkeypatch):
-    # |x*| and the snap's |last_u|, besides |x| from the ladder's own
-    # eigensystem; the snap no longer computes |last_u*|
+    # |x| and |x*|, one from each eigensystem; u, the rungs' limit, is read
+    # off the eigensystem of x*x without another root
     calls = []
     root = HermitianEigenSystem.root
 
@@ -173,7 +174,7 @@ def test_regularized_takes_two_square_roots(monkeypatch):
     svals = [np.array([0.0, 0.7, 1.3]), np.array([0.4, 1.0])]
     x = element_with_singular_values((3, 2), svals, np.random.default_rng(31))
     res = polar_regularized(x)
-    assert len(calls) == 1 + 2
+    assert len(calls) == 2
     check_invariants(x, res)
 
 
@@ -291,21 +292,23 @@ def test_cut_singular_branch_frozen_example():
     assert operator_norm(cut.a * absxstar - cut.p.element) <= 1e-10
 
 
-def test_cut_projection_branch():
+def test_cut_of_a_projection_like_input():
     rng = np.random.default_rng(28)
-    # x x* is a projection exactly when all singular values are 0 or 1
+    # |x*| is a projection exactly when all singular values are 0 or 1: the
+    # cut at 1/2 keeps its range, so p = x x* and a = p
     x = element_with_singular_values((3,), [np.array([1.0, 1.0, 0.0])], rng)
     cut = spectral_cut(x)
-    assert cut.mu is None
-    assert cut.a == AlgebraElement.identity((3,))
+    assert cut.mu == pytest.approx(0.5, abs=1e-15)
     assert operator_norm(cut.p.element - x * adjoint(x)) <= 1e-10
+    assert operator_norm(cut.a - cut.p.element) <= 1e-10
 
 
-def test_cut_invertible_branch():
+def test_cut_of_an_invertible_input():
     x = el([[2, 1], [1, 2]])
     cut = spectral_cut(x)
-    assert cut.mu is None
-    assert cut.p.element == AlgebraElement.identity((2,))
+    # singular values 1 and 3: the cut at half the smallest keeps both
+    assert cut.mu == pytest.approx(0.5, abs=1e-15)
+    assert operator_norm(cut.p.element - AlgebraElement.identity((2,))) <= 1e-12
     absxstar = positive_sqrt(x * adjoint(x))
     assert operator_norm(cut.a * absxstar - AlgebraElement.identity((2,))) <= 1e-10
 
@@ -371,9 +374,45 @@ def test_cut_residuals_names_and_accept_rule(kind):
     assert check.residuals["cut_identity"] == pytest.approx(1.0)
     assert check.nonzero and not check.accepted
     zero = Projection(AlgebraElement.zeros(x.signature))
-    check = cut_residuals(x, SpectralCut(p=zero, a=0.0 * cut.a, absxstar=cut.absxstar))
+    check = cut_residuals(
+        x, SpectralCut(p=zero, a=0.0 * cut.a, absxstar=cut.absxstar, mu=cut.mu)
+    )
     assert max(check.residuals.values()) == 0.0
     assert not check.nonzero and not check.accepted
+
+
+def _count_solves(monkeypatch):
+    """Record, for each Jacobi solve of one block, whether it accumulates
+    eigenvectors."""
+    body = core._jacobi_eigh
+    solves = []
+
+    def counted(mat, rel_off_tol, max_sweeps, vectors=True):
+        solves.append(vectors)
+        return body(mat, rel_off_tol, max_sweeps, vectors)
+
+    monkeypatch.setattr(core, "_jacobi_eigh", counted)
+    return solves
+
+
+@pytest.mark.parametrize("kind", ["projection", "invertible", "gap"])
+def test_cut_solves_the_norm_and_x_x_star_only(monkeypatch, kind):
+    # |x*|, p and a are all read off the one eigensystem of x x*
+    x = _cut_inputs()[kind]
+    solves = _count_solves(monkeypatch)
+    spectral_cut(x)
+    assert solves == [False, True]
+
+
+def test_regularized_solves_x_star_x_x_x_star_and_the_diagnostics(monkeypatch):
+    # at unit scale the Gram bounds decide every stop test: two full solves,
+    # and one eigenvalues-only solve per diagnostic
+    x = element_with_singular_values(
+        (3,), [np.array([0.5, 1.0, 1.7])], np.random.default_rng(33)
+    )
+    solves = _count_solves(monkeypatch)
+    result = polar_regularized(x)
+    assert solves == [True, True] + [False] * len(result.diagnostics)
 
 
 def test_cut_rejections():

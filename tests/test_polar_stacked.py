@@ -1,11 +1,15 @@
 """The stacked resolvent ladder against the body that built each rung on its own.
 
 ``_per_rung_polar_regularized`` is the earlier body of
-``awkit.polar.polar_regularized``, kept verbatim as a named oracle. It
-assembled each rung's resolvent, term, stop-test Gram matrix and
-diagnostic as separate elements. The ladder now builds all rungs at once,
-one (k, n, n) array per block, from the one eigensystem of x*x, and decides
-the stop tests in rung order on the stacked Gram matrices.
+``awkit.polar.polar_regularized``, kept as a named oracle. It assembled
+each rung's resolvent, term, stop-test Gram matrix and diagnostic as
+separate elements. The ladder now builds all rungs at once, one (k, n, n)
+array per block, from the one eigensystem of x*x, and decides the stop
+tests in rung order on the stacked Gram matrices. The oracle's subject is
+that stacking, so it takes u as the ladder does, as the rungs' closed-form
+limit x (x*x)^{-1/2} on the range of |x|, in place of the snap of its last
+rung that it was written with (``tests/test_polar_ladder.py`` keeps the
+snap, and compares within a bound).
 
 The two must agree bit for bit: the bytes of u, |x| and |x*|, every
 diagnostic's n and the bytes of its gap, or the type and message of the
@@ -34,7 +38,6 @@ from awkit.core import (
     _tol,
     adjoint,
     operator_norm,
-    pseudo_inverse_on_range,
 )
 from awkit.errors import BadArgument, SlowConvergence
 from awkit.polar import DEFAULT_LADDER_MAX, PolarResult, _ladder, polar_regularized
@@ -48,11 +51,10 @@ def _per_rung_polar_regularized(
 ) -> PolarResult:
     """Polar decomposition through the resolvent ladder x (1/n + |x|)^{-1}.
 
-    Runs geometric indices up to n_max, stops early once successive terms
-    stabilize below rank_cutoff, and snaps the final term onto an exact
-    partial isometry with one direct-route projection (disclosed through the
-    diagnostics). Raises SlowConvergence when the final gap exceeds the
-    analytic bound (1/n) / (1/n + sigma_min) by more than 10 pos_slack.
+    Runs geometric indices up to n_max and stops early once successive
+    terms stabilize below rank_cutoff; u is the rungs' limit. Raises
+    SlowConvergence when the final gap exceeds the analytic bound
+    (1/n) / (1/n + sigma_min) by more than 10 pos_slack.
 
     Each diagnostic is ||(u_n - u) V||, V the unitary of the ladder's
     eigensystem of x*x: the norm of u_n - u, since V is unitary, read off a
@@ -84,10 +86,8 @@ def _per_rung_polar_regularized(
             break
         prev = u_n
 
-    last_n, last_u = terms[-1]
-    # the direct route's u for last_u, without its unused |last_u*|
-    abs_last = _eigh_blocks((adjoint(last_u) * last_u).blocks, t).root(t)
-    u = last_u * pseudo_inverse_on_range(abs_last, t)
+    last_n = terms[-1][0]
+    u = x * eig.inverse_root(t)
     diagnostics = tuple((n, operator_norm((u_n - u) * eig.unitary, t)) for n, u_n in terms)
     if sigma_min is not None:
         bound = (1.0 / last_n) / (1.0 / last_n + sigma_min)
