@@ -101,8 +101,8 @@ class ToleranceConfig:
     cluster_tol     relative gap below which eigenvalues are merged
     rank_cutoff     eigenvalues w <= rank_cutoff max(1, max |w|) count as zero
                     (HermitianEigenSystem.rank_cutoff, read by root,
-                    inverse_root, the range projection, the pseudo-inverse,
-                    the ladder and the cut)
+                    inverse_root, support, the range projection, the
+                    pseudo-inverse, the ladder and the cut)
     jacobi_off_tol  off-diagonal mass, relative to ||h||_F, at which the
                     sweep stops
     max_sweeps      hard budget of cyclic Jacobi sweeps
@@ -411,6 +411,12 @@ class HermitianEigenSystem:
         return self.assemble(
             lambda w: np.where(w > cutoff, 1.0 / np.sqrt(np.maximum(w, cutoff)), 0.0)
         )
+
+    def support(self, t: ToleranceConfig) -> "Projection":
+        """Range projection of root: 1 above the rank cutoff, 0 at or below
+        it, so it keeps exactly the eigenvalues that root keeps."""
+        cutoff = self.rank_cutoff(t)
+        return Projection._of(self.assemble(lambda w: np.where(w > cutoff, 1.0, 0.0)))
 
 
 def _off_mass(rows) -> float:

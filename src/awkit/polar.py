@@ -22,6 +22,12 @@ the 2-D matmul on the same layout. Only the Jacobi solves, which numpy
 cannot reproduce bit for bit, stay per slice. Both routes memoize ||x|| from
 their solve of x*x, so polar_residuals reads its scale without an eigensolve.
 
+Both routes also carry the range projections of |x| and |x*|, read off the
+eigensystems of x*x and x x* they build |x| and |x*| from by the rule of
+root (HermitianEigenSystem.support): each keeps exactly the singular values
+its square root keeps. polar_residuals compares u*u and u u* with them, and
+verify_polar builds them from its own two solves.
+
 The spectral cut produces a nonzero projection p and a positive a with
 a |x*| = p by one rule on the eigensystem of x x* from which it builds
 |x*|: p keeps the singular values of x above the cut point mu, and a
@@ -49,7 +55,6 @@ from .core import (
     loewner_leq,
     operator_norm,
     pseudo_inverse_on_range,
-    range_projection,
 )
 from .errors import BadArgument, BadCut, SlowConvergence, ZeroElement
 
@@ -77,6 +82,11 @@ CUT_RESIDUAL_TOL = 1e-9
 class PolarResult:
     """Partial isometry u with x = |x*| u = u |x|.
 
+    initial and final are the range projections of absx and absxstar, which
+    u*u and u u* must equal: each is 1 where the eigenvalues of x*x (for
+    initial) or of x x* (for final) lie above the rank cutoff, the values
+    that absx and absxstar keep.
+
     diagnostics holds (n, ||u_n - u||) ladder pairs when the regularized
     route produced the result, each norm measured in the eigenbasis of x*x
     (a unitary factor leaves it unchanged).
@@ -85,6 +95,8 @@ class PolarResult:
     u: AlgebraElement
     absx: AlgebraElement
     absxstar: AlgebraElement
+    initial: Projection
+    final: Projection
     diagnostics: tuple[tuple[int, float], ...] = ()
 
 
@@ -147,9 +159,15 @@ def polar_direct(
     eig = _eigh_blocks((adjoint(x) * x).blocks, t)
     _remember_norm(x, eig, t)
     absx = eig.root(t)
-    absxstar = _eigh_blocks((x * adjoint(x)).blocks, t).root(t)
+    eig_star = _eigh_blocks((x * adjoint(x)).blocks, t)
     u = x * pseudo_inverse_on_range(absx, t)
-    return PolarResult(u=u, absx=absx, absxstar=absxstar)
+    return PolarResult(
+        u=u,
+        absx=absx,
+        absxstar=eig_star.root(t),
+        initial=eig.support(t),
+        final=eig_star.support(t),
+    )
 
 
 def _ladder(n_max: int) -> list[int]:
@@ -208,7 +226,7 @@ def polar_regularized(
     kept = [s[s * s > cutoff] for s in sigma]
     sigma_min = min((float(s.min()) for s in kept if s.size), default=None)
     absx = eig.root(t)
-    absxstar = _eigh_blocks((x * adjoint(x)).blocks, t).root(t)
+    eig_star = _eigh_blocks((x * adjoint(x)).blocks, t)
 
     ns = _ladder(n_max)
     inverses, overflow = [], None
@@ -255,19 +273,29 @@ def polar_regularized(
             raise SlowConvergence(
                 f"ladder gap {diagnostics[-1][1]:.3e} above bound {bound:.3e} at n={last_n}"
             )
-    return PolarResult(u=u, absx=absx, absxstar=absxstar, diagnostics=tuple(diagnostics))
+    return PolarResult(
+        u=u,
+        absx=absx,
+        absxstar=eig_star.root(t),
+        initial=eig.support(t),
+        final=eig_star.support(t),
+        diagnostics=tuple(diagnostics),
+    )
 
 
 def polar_residuals(
     x: AlgebraElement, result: PolarResult, tol: ToleranceConfig | None = None
 ) -> PolarResiduals:
     """Residuals of the polar identities (Higham, Functions of Matrices,
-    SIAM 2008, ch. 8) for result.u, read against result.absx and
-    result.absxstar rather than recomputing |x| and |x*|.
+    SIAM 2008, ch. 8) for result.u, read against result.absx,
+    result.absxstar and their range projections result.initial and
+    result.final rather than recomputing any of them.
 
-    Both polar routes build |x| and |x*| as positive_sqrt would, so
+    Both polar routes build |x| and |x*| as positive_sqrt would, and their
+    range projections by the same cut (HermitianEigenSystem.support), so
     their results can be passed as they are; any other candidate u must
-    come with those two square roots (see verify_polar).
+    come with those four (see verify_polar). The only eigensolves are the
+    five defect norms: both routes and verify_polar memoize ||x||.
     """
     t = _tol(tol)
     u, ustar = result.u, adjoint(result.u)
@@ -275,12 +303,8 @@ def polar_residuals(
         "reconstruction_left": operator_norm(x - result.absxstar * u, t),
         "reconstruction_right": operator_norm(x - u * result.absx, t),
         "partial_isometry": operator_norm(u * ustar * u - u, t),
-        "initial_projection": operator_norm(
-            ustar * u - range_projection(result.absx, t).element, t
-        ),
-        "final_projection": operator_norm(
-            u * ustar - range_projection(result.absxstar, t).element, t
-        ),
+        "initial_projection": operator_norm(ustar * u - result.initial.element, t),
+        "final_projection": operator_norm(u * ustar - result.final.element, t),
     }
     scale = 1.0 + operator_norm(x, t)
     thr = 10.0 * t.pos_slack * scale
@@ -297,13 +321,24 @@ def verify_polar(
 ) -> bool:
     """Uniqueness gate: accept u only when every polar identity holds.
 
-    A thin wrapper over polar_residuals for a bare candidate u: it computes
-    |x| and |x*| as both polar routes do and applies the same accept rule.
+    A thin wrapper over polar_residuals for a bare candidate u: it solves
+    x*x and x x* once each, builds |x|, |x*| and their range projections
+    from them as both polar routes do, sharing nothing with the route that
+    produced u, and applies the same accept rule. Like the routes, it
+    memoizes ||x|| from its solve of x*x.
     """
     t = _tol(tol)
-    absx = _eigh_blocks((adjoint(x) * x).blocks, t).root(t)
-    absxstar = _eigh_blocks((x * adjoint(x)).blocks, t).root(t)
-    return polar_residuals(x, PolarResult(u=u, absx=absx, absxstar=absxstar), t).accepted
+    eig = _eigh_blocks((adjoint(x) * x).blocks, t)
+    _remember_norm(x, eig, t)
+    eig_star = _eigh_blocks((x * adjoint(x)).blocks, t)
+    result = PolarResult(
+        u=u,
+        absx=eig.root(t),
+        absxstar=eig_star.root(t),
+        initial=eig.support(t),
+        final=eig_star.support(t),
+    )
+    return polar_residuals(x, result, t).accepted
 
 
 def spectral_cut(

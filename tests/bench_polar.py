@@ -1,6 +1,7 @@
 """Timing of the polar layer by signature: polar_regularized on the full
-ladder (n_max = 2^20) and on n_max = 64, and polar_residuals alone on the
-ladder's result; and spectral_cut on each input kind of the self-test.
+ladder (n_max = 2^20) and on n_max = 64, polar_residuals alone on the
+ladder's result, and verify_polar on the ladder's u; and spectral_cut on
+each input kind of the self-test.
 
     PYTHONPATH=src python -m pytest tests/bench_polar.py --benchmark-only
 
@@ -12,7 +13,13 @@ import numpy as np
 import pytest
 
 from awkit.core import AlgebraElement
-from awkit.polar import cut_residuals, polar_regularized, polar_residuals, spectral_cut
+from awkit.polar import (
+    cut_residuals,
+    polar_regularized,
+    polar_residuals,
+    spectral_cut,
+    verify_polar,
+)
 from awkit.sampling import haar_unitary_block
 
 SIGNATURES = [(1,), (2, 3), (8,), (3, 5, 8)]
@@ -52,6 +59,18 @@ def test_polar_residuals(benchmark, sig):
 
     check = benchmark.pedantic(polar_residuals, setup=fresh, rounds=50)
     assert check.accepted
+
+
+@pytest.mark.parametrize("sig", SIGNATURES, ids=str)
+def test_verify_polar(benchmark, sig):
+    # a fresh copy of x per round, so that no memoized norm is read; the
+    # ladder that produced u ran on another copy
+    x = _element(sig)
+    u = polar_regularized(AlgebraElement(x.blocks)).u
+    accepted = benchmark.pedantic(
+        verify_polar, setup=lambda: ((AlgebraElement(x.blocks), u), {}), rounds=50
+    )
+    assert accepted
 
 
 # |x*| a projection, invertible, and singular with a gap, on one 8 x 8 block

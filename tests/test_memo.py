@@ -154,8 +154,9 @@ def test_closure_call_eigensolves(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("method", ["regularized", "direct"])
 def test_polar_residuals_reads_the_norm_of_x_from_the_route(tmp_path, capsys, monkeypatch, method):
     # the route solved x*x and memoized ||x|| on x: the verifier's scale
-    # 1 + ||x|| takes no eigensolve, and its 7 solves are the 5 defect norms
-    # and the range projections of |x| and |x*|
+    # 1 + ||x|| takes no eigensolve, and it reads the range projections of
+    # |x| and |x*| off the route's result, so its 5 solves are the 5 defect
+    # norms
     rng = np.random.default_rng(6)
     x = AlgebraElement([
         (haar_unitary_block(n, rng) * rng.uniform(0.1, 2.0, n)) @ haar_unitary_block(n, rng)
@@ -190,8 +191,27 @@ def test_polar_residuals_reads_the_norm_of_x_from_the_route(tmp_path, capsys, mo
     y, norm = inside["scale"]
     assert all(owner is not y for owner in inside["norms"])
     assert len(inside["norms"]) == 5
-    assert inside["solves"] == 7
+    assert inside["solves"] == 5
     assert np.isclose(norm, max(np.linalg.norm(b, 2) for b in x.blocks), rtol=1e-12)
+
+
+def test_verify_polar_solves_each_gram_matrix_once(monkeypatch):
+    # its own solves of x*x and x x* give |x|, |x*|, their range projections
+    # and ||x||; the rest are the 5 defect norms, eigenvalues only
+    rng = np.random.default_rng(6)
+    x = random_element((3, 4), rng)
+    u = polar.polar_direct(AlgebraElement(x.blocks)).u
+    body = core._eigh_blocks
+    solves = []
+
+    def counted(blocks, t, vectors=True):
+        solves.append(vectors)
+        return body(blocks, t, vectors)
+
+    for module in (core, polar):
+        monkeypatch.setattr(module, "_eigh_blocks", counted)
+    assert polar.verify_polar(x, u)
+    assert Counter(solves) == {True: 2, False: 5}
 
 
 def test_spectral_call_tests_normality_once(tmp_path, capsys, monkeypatch):

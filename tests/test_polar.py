@@ -251,7 +251,13 @@ def test_polar_residuals_names_and_accept_rule():
         assert check.accepted == verify_polar(x, res.u)
     # a wrong u fails the shared rule and the bare-u wrapper alike; with
     # u -> -u the defect x - |x*| u is 2x, reported relative to 1 + ||x||
-    wrong = PolarResult(u=-1.0 * res.u, absx=res.absx, absxstar=res.absxstar)
+    wrong = PolarResult(
+        u=-1.0 * res.u,
+        absx=res.absx,
+        absxstar=res.absxstar,
+        initial=res.initial,
+        final=res.final,
+    )
     check = polar_residuals(x, wrong)
     norm_x = operator_norm(x)
     assert check.residuals["reconstruction_left"] == pytest.approx(2 * norm_x / (1 + norm_x))

@@ -18,13 +18,13 @@ each rung on its own, bit for bit.)
 On inputs with zero singular values, at scales from 1e-12 to 1e12, for
 several ladder lengths, on inputs whose ladder stops early, and on inputs
 whose stop-test difference lands near rank_cutoff (so that the eigensolve
-still runs), both must return the same bytes for |x| and |x*| and the same
-diagnostic indices n, or raise the same exception with the same message.
-u must lie within U_ATOL and each gap within GAP_ATOL of the reference's,
-both absolute: u is a partial isometry, and each gap lies in [0, 1]. In
-1500 draws of the first test's kind the largest differences measured were
-7.3e-13 on u, at n_max 1 and 2 where the snapped rung lies far from the
-limit, and 1.8e-14 on a gap.
+still runs), both must return the same bytes for |x|, |x*| and their range
+projections and the same diagnostic indices n, or raise the same exception
+with the same message. u must lie within U_ATOL and each gap within
+GAP_ATOL of the reference's, both absolute: u is a partial isometry, and
+each gap lies in [0, 1]. In 1500 draws of the first test's kind the
+largest differences measured were 7.3e-13 on u, at n_max 1 and 2 where the
+snapped rung lies far from the limit, and 1.8e-14 on a gap.
 
 One mismatch is allowed, at pos_slack 1e-20 only: a result where the other
 body raises SlowConvergence. There the final gap equals the analytic bound
@@ -91,6 +91,9 @@ def _reference_polar_regularized(
     sigma_min = min((float(s.min()) for s in kept if s.size), default=None)
     absx = eig.root(t)
     absxstar = positive_sqrt(x * adjoint(x), t)
+    # the range projections the ladder carries, by the rule of root
+    initial = eig.support(t)
+    final = eigh_hermitian(x * adjoint(x), t).support(t)
 
     terms: list[tuple[int, AlgebraElement]] = []
     prev = None
@@ -116,7 +119,9 @@ def _reference_polar_regularized(
             raise SlowConvergence(
                 f"ladder gap {diagnostics[-1][1]:.3e} above bound {bound:.3e} at n={last_n}"
             )
-    return PolarResult(u=u, absx=absx, absxstar=absxstar, diagnostics=diagnostics)
+    return PolarResult(
+        u=u, absx=absx, absxstar=absxstar, initial=initial, final=final, diagnostics=diagnostics
+    )
 
 
 N_MAX = (1, 2, 64, DEFAULT_LADDER_MAX)
@@ -168,7 +173,8 @@ def _outcome(ladder, x, n_max, t):
     except Exception as exc:  # the exception is part of the outcome compared
         return ("raised", type(exc), str(exc)), exc
     ns = tuple(n for n, _ in r.diagnostics)
-    return ("result", _bytes(r.absx), _bytes(r.absxstar), ns), r
+    projections = (_bytes(r.initial.element), _bytes(r.final.element))
+    return ("result", _bytes(r.absx), _bytes(r.absxstar), projections, ns), r
 
 
 def _assert_same(x, n_max, t):

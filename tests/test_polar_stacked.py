@@ -11,9 +11,9 @@ limit x (x*x)^{-1/2} on the range of |x|, in place of the snap of its last
 rung that it was written with (``tests/test_polar_ladder.py`` keeps the
 snap, and compares within a bound).
 
-The two must agree bit for bit: the bytes of u, |x| and |x*|, every
-diagnostic's n and the bytes of its gap, or the type and message of the
-exception raised. The draws cover 1-3 blocks of dimension 1-8, zero
+The two must agree bit for bit: the bytes of u, |x|, |x*| and the range
+projections of |x| and |x*|, every diagnostic's n and the bytes of its gap,
+or the type and message of the exception raised. The draws cover 1-3 blocks of dimension 1-8, zero
 singular values, scales from 1e-12 to 1e12, n_max in {1, 2, 64, 2^20} and
 three tolerance configurations, inputs whose ladder stops early and inputs
 whose stop-test difference lands near rank_cutoff, where the eigensolve
@@ -70,7 +70,7 @@ def _per_rung_polar_regularized(
     kept = [s[s * s > cutoff] for s in sigma]
     sigma_min = min((float(s.min()) for s in kept if s.size), default=None)
     absx = eig.root(t)
-    absxstar = _eigh_blocks((x * adjoint(x)).blocks, t).root(t)
+    eig_star = _eigh_blocks((x * adjoint(x)).blocks, t)
 
     terms: list[tuple[int, AlgebraElement]] = []
     prev = None
@@ -95,7 +95,14 @@ def _per_rung_polar_regularized(
             raise SlowConvergence(
                 f"ladder gap {diagnostics[-1][1]:.3e} above bound {bound:.3e} at n={last_n}"
             )
-    return PolarResult(u=u, absx=absx, absxstar=absxstar, diagnostics=diagnostics)
+    return PolarResult(
+        u=u,
+        absx=absx,
+        absxstar=eig_star.root(t),
+        initial=eig.support(t),
+        final=eig_star.support(t),
+        diagnostics=diagnostics,
+    )
 
 
 N_MAX = (1, 2, 64, DEFAULT_LADDER_MAX)
@@ -131,7 +138,15 @@ def _outcome(ladder, x, n_max, t):
     except Exception as exc:  # the exception is part of the outcome compared
         return ("raised", type(exc), str(exc))
     diagnostics = tuple((n, struct.pack("<d", gap)) for n, gap in r.diagnostics)
-    return ("result", _bytes(r.u), _bytes(r.absx), _bytes(r.absxstar), diagnostics)
+    return (
+        "result",
+        _bytes(r.u),
+        _bytes(r.absx),
+        _bytes(r.absxstar),
+        _bytes(r.initial.element),
+        _bytes(r.final.element),
+        diagnostics,
+    )
 
 
 def _pair(x, n_max, t):
