@@ -46,6 +46,20 @@ def element_to_json(x: AlgebraElement) -> dict:
     }
 
 
+_NOT_PAIRS = "block is not a matrix of [re, im] pairs"
+# the types json.load gives a number; bool, a subclass of int, is not one
+_NUMBER_TYPES = (int, float)
+
+
+def _entry(pair) -> complex:
+    """A matrix entry: exactly two JSON numbers, re and im."""
+    if type(pair) is list and len(pair) == 2:
+        re, im = pair
+        if type(re) in _NUMBER_TYPES and type(im) in _NUMBER_TYPES:
+            return complex(re, im)
+    raise MalformedInput(f"{_NOT_PAIRS}: entry {pair!r:.40}")
+
+
 def element_from_json(doc) -> AlgebraElement:
     if not isinstance(doc, dict) or "blocks" not in doc:
         raise MalformedInput("matrix document needs a 'blocks' field")
@@ -55,12 +69,9 @@ def element_from_json(doc) -> AlgebraElement:
     mats = []
     for b in blocks:
         try:
-            arr = np.array(
-                [[complex(entry[0], entry[1]) for entry in row] for row in b],
-                dtype=complex,
-            )
-        except (TypeError, ValueError, IndexError) as exc:
-            raise MalformedInput(f"block is not a matrix of [re, im] pairs: {exc}") from exc
+            arr = np.array([[_entry(pair) for pair in row] for row in b], dtype=complex)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise MalformedInput(f"{_NOT_PAIRS}: {exc}") from exc
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise MalformedInput("blocks must be square")
         if not np.all(np.isfinite(arr)):

@@ -5,11 +5,22 @@ immutable; every operation is a pure function. The Hermitian eigensolver is
 a cyclic Jacobi sweep, and everything spectral in the higher modules rides
 on it: operator norms, Loewner comparisons, positive square roots, range
 projections and pseudo-inverses. The sweep rotates Python lists of built-in
-complex rather than numpy scalars, and reproduces numpy's complex128
-arithmetic bit for bit (see _jacobi_sweeps). Eigenvectors are accumulated
-only when a caller reads them: operator norms, Loewner comparisons and
-other bound checks ask ``eigh_hermitian`` for eigenvalues alone, through
-the same kernel and with the same eigenvalues to the bit.
+complex rather than numpy scalars, and reproduces numpy's complex128 scalar
+arithmetic bit for bit, though not its array loops (see _jacobi_sweeps).
+Eigenvectors are accumulated only when a caller reads them: operator norms,
+Loewner comparisons and other bound checks ask ``eigh_hermitian`` for
+eigenvalues alone, through the same kernel and with the same eigenvalues to
+the bit.
+
+The solver, ``_jacobi_eigh``, is a driver over a (k, n, n) stack of blocks
+of one size. The hermitization, the Frobenius scales, the read-off of 1x1
+slices and the sort are one numpy step per stack; the sweep runs slice by
+slice, and each slice gets the bits, or the failure, a solve of it alone
+gets. A 2-D block is the stack of one. ``_eigh_blocks`` solves the blocks of
+one element one by one; ``_eigh_extremes`` and ``_gram_norms`` solve many
+elements of one signature at once, one driver call per block position, and
+hand each failure back for the caller to raise in its own order of checks.
+The order-limit certificate's builder and verifier use them.
 
 Blocks are validated once, at the public boundary. ``AlgebraElement(...)``
 copies its input to complex128 and checks that every block is square of
@@ -338,6 +349,16 @@ def _require_self_adjoint(x: AlgebraElement, tol: ToleranceConfig, what: str):
         raise NotSelfAdjoint(f"{what} must be self-adjoint")
 
 
+def _max_abs(lo: float, hi: float) -> float:
+    """max |w| over eigenvalues w with least lo and largest hi."""
+    return max(0.0, hi, -lo)
+
+
+def _is_positive(lo: float, hi: float, t: ToleranceConfig) -> bool:
+    """HermitianEigenSystem.is_positive, given the least and largest eigenvalue."""
+    return lo >= -t.pos_slack * (1.0 + _max_abs(lo, hi))
+
+
 @dataclass(frozen=True)
 class HermitianEigenSystem:
     """Blockwise eigendecomposition h = U diag(w) U* with ascending w per block.
@@ -388,11 +409,11 @@ class HermitianEigenSystem:
     @property
     def max_abs_eigenvalue(self) -> float:
         """max |w|, read off the extreme eigenvalues."""
-        return max(0.0, self.max_eigenvalue, -self.min_eigenvalue)
+        return _max_abs(self.min_eigenvalue, self.max_eigenvalue)
 
     def is_positive(self, t: ToleranceConfig) -> bool:
         """min w >= -pos_slack (1 + max |w|): positive within slack."""
-        return self.min_eigenvalue >= -t.pos_slack * (1.0 + self.max_abs_eigenvalue)
+        return _is_positive(self.min_eigenvalue, self.max_eigenvalue, t)
 
     def rank_cutoff(self, t: ToleranceConfig) -> float:
         """Eigenvalues at or below rank_cutoff max(1, max |w|) count as zero."""
@@ -461,6 +482,13 @@ def _jacobi_sweeps(a, vecs, target, skip, max_sweeps):
     - products: a real factor enters as complex(c, 0.0), as numpy promotes
       it, rather than relying on how Python multiplies a float into a
       complex; and the off-diagonal mass keeps its summation order.
+
+    That is numpy's complex128 scalar arithmetic, not its array loops, so
+    the rotation is not vectorized over a stack: on an AVX-512 Xeon with
+    numpy 2.4, numpy's array complex multiply differed from this product
+    (and from numpy's scalar one) in 44% of 100,000 random products, as its
+    SIMD loop fuses multiplies and adds, and np.abs of a complex array from
+    abs() in 35%; real arithmetic on the parts and np.hypot matched in all.
     """
     rows = a.tolist()
     vrows = None if vecs is None else vecs.tolist()
@@ -516,47 +544,94 @@ def _jacobi_sweeps(a, vecs, target, skip, max_sweeps):
     return off
 
 
-def _jacobi_eigh(mat: np.ndarray, rel_off_tol: float, max_sweeps: int, vectors: bool = True):
-    """Cyclic Jacobi diagonalization of one Hermitian block.
+def _jacobi_eigh(mats: np.ndarray, rel_off_tol: float, max_sweeps: int, vectors: bool = True):
+    """Cyclic Jacobi diagonalization of a stack of Hermitian blocks.
 
-    Returns ascending eigenvalues and the unitary of eigenvector columns,
-    or None in its place when vectors is false. Raises NonConvergence when
-    the off-diagonal Frobenius mass is still above rel_off_tol * ||mat||_F
-    after max_sweeps full sweeps, and BadArgument when that norm overflows;
-    callers run it under np.errstate(over="ignore"), so that the overflow
-    raises without a numpy warning.
+    mats is a (k, n, n) stack of blocks of one size. Returns (w, u, faults):
+    w the (k, n) ascending eigenvalues, row by row; u the (k, n, n)
+    unitaries of eigenvector columns, or None when vectors is false; and
+    faults, a dict from slice index to the exception that slice raises
+    when solved alone, in place of its (unspecified) rows: NonConvergence
+    when the off-diagonal Frobenius mass is still above
+    rel_off_tol * ||slice||_F after max_sweeps full sweeps, BadArgument when
+    that norm overflows or is not finite. Callers run it under
+    np.errstate(over="ignore"), so that the overflow needs no numpy warning.
+
+    One 2-D block is the stack of one: this returns its (w, u), u an owning
+    F-ordered array, and raises its fault.
+
+    Per stack the hermitization, the Frobenius scales, the read-off of 1x1
+    slices and the sort are one numpy step each; the rotations run slice by
+    slice in _jacobi_sweeps. Each slice gets the bits a solve of it alone
+    gets: the elementwise steps are exact or correctly rounded per entry,
+    a stacked (1, m) @ (m, 1) product makes the same strided BLAS dot per
+    slice as np.linalg.norm, and a stable sort has one outcome.
     """
-    n = mat.shape[0]
-    vecs = np.eye(n, dtype=np.complex128) if vectors else None
+    single = mats.ndim == 2
+    if single:
+        mats = mats[None]
+    k, n = mats.shape[:2]
+    # the eigenvector matrices, held transposed: row j of vt[i] is column j
+    # of the unitary of slice i, so the sort below takes whole rows
+    vt = None
+    if vectors:
+        vt = np.zeros((k, n, n), dtype=np.complex128)
+        vt.reshape(k, n * n)[:, :: n + 1] = 1.0
     if n == 1:
-        return np.array([mat[0, 0].real]), vecs
-    a = 0.5 * (np.asarray(mat, dtype=np.complex128) + mat.conj().T)
-    scale = float(np.linalg.norm(a))
-    if not math.isfinite(scale):
-        # a target of inf would stop the sweeps before the first rotation
-        raise BadArgument("Frobenius norm of a block overflows")
-    if scale == 0.0:
-        big = float(np.abs(a).max())
-        if big == 0.0:
-            return np.zeros(n), vecs
-        # every square underflowed: solve a 2^-e, whose largest entry lies in
-        # [1/2, 1), and scale its eigenvalues back by 2^e
-        e = math.frexp(big)[1]
-        w, u = _jacobi_eigh(np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e),
-                            rel_off_tol, max_sweeps, vectors)
-        return np.ldexp(w, e), u
-    target = rel_off_tol * scale
-    off = _jacobi_sweeps(a, vecs, target, target / (2.0 * n), max_sweeps)
-    if off > target:
-        raise NonConvergence(
-            f"Jacobi sweep budget exhausted at off-diagonal mass {off:.3e}"
-        )
-    w = np.real(np.diagonal(a)).copy()
-    order = np.argsort(w, kind="stable")
-    if vecs is None:
-        return w[order], None
-    # vecs[:, order] is an F-ordered view of a temporary; copy it to own it
-    return w[order], vecs[:, order].copy(order="F")
+        w = mats.real[:, 0].copy()
+        if single:
+            return w[0], None if vt is None else vt[0].copy()
+        return w, vt, {}
+    a = 0.5 * (np.asarray(mats, dtype=np.complex128) + mats.conj().swapaxes(1, 2))
+    col = a.reshape(k, n * n, 1)
+    re, im = col.real, col.imag
+    squares = (re.swapaxes(1, 2) @ re + im.swapaxes(1, 2) @ im).ravel().tolist()
+    faults, rescaled = {}, {}
+    for i, square in enumerate(squares):
+        scale = math.sqrt(square)
+        if not math.isfinite(scale):
+            # a target of inf would stop the sweeps before the first rotation
+            faults[i] = BadArgument("Frobenius norm of a block overflows")
+        elif scale == 0.0:
+            big = float(np.abs(a[i]).max())
+            if big == 0.0:
+                # its eigenvalues are +0, whatever the signs of its zeros
+                a[i] = 0.0
+                continue
+            # every square underflowed: solve a 2^-e, whose largest entry lies
+            # in [1/2, 1), and scale its eigenvalues back by 2^e
+            e = math.frexp(big)[1]
+            try:
+                rescaled[i] = e, *_jacobi_eigh(
+                    np.ldexp(a[i].real, -e) + 1j * np.ldexp(a[i].imag, -e),
+                    rel_off_tol, max_sweeps, vectors,
+                )
+            except NonConvergence as exc:
+                faults[i] = exc
+        else:
+            target = rel_off_tol * scale
+            off = _jacobi_sweeps(a[i], None if vt is None else vt[i].T,
+                                 target, target / (2.0 * n), max_sweeps)
+            if off > target:
+                faults[i] = NonConvergence(
+                    f"Jacobi sweep budget exhausted at off-diagonal mass {off:.3e}"
+                )
+    w = a.diagonal(0, 1, 2).real.copy()
+    u = None
+    if vt is not None:
+        u = vt[np.arange(k)[:, None], w.argsort(kind="stable")].swapaxes(1, 2)
+    # a stable sort moves the values as the stable argsort orders them
+    w.sort(kind="stable")
+    for i, (e, wi, ui) in rescaled.items():
+        w[i] = np.ldexp(wi, e)
+        if u is not None:
+            u[i] = ui
+    if not single:
+        return w, u, faults
+    if faults:
+        raise faults[0]
+    # u[0] is an F-ordered view of a temporary; copy it to own it
+    return w[0], None if u is None else u[0].copy(order="F")
 
 
 def eigh_hermitian(
@@ -585,6 +660,40 @@ def _eigh_blocks(blocks, t: ToleranceConfig, vectors: bool = True) -> HermitianE
             values.append(w)
             units.append(u)
     return HermitianEigenSystem(tuple(values), AlgebraElement._of(units) if vectors else None)
+
+
+def _eigh_extremes(stacks, t: ToleranceConfig) -> list:
+    """Eigenvalues-only solves of k elements of one signature, given as one
+    (k, n_b, n_b) stack per block position b, unchecked as _eigh_blocks
+    takes them: one _jacobi_eigh call per block position.
+
+    Per element, (lo, hi), the min_eigenvalue and max_eigenvalue that
+    _eigh_blocks gives on its blocks, or in their place the exception
+    _eigh_blocks raises first on them, to be raised by the caller where the
+    element's solve comes in its own order of checks.
+    """
+    k = len(stacks[0])
+    out = [None] * k
+    los, his = [], []
+    with np.errstate(over="ignore"):
+        for s in stacks:
+            w, _, faults = _jacobi_eigh(s, t.jacobi_off_tol, t.max_sweeps, vectors=False)
+            for i, exc in faults.items():
+                if out[i] is None:
+                    out[i] = exc
+            los.append(w[:, 0].tolist())
+            his.append(w[:, -1].tolist())
+    for i, (lo, hi) in enumerate(zip(zip(*los), zip(*his))):
+        if out[i] is None:
+            out[i] = min(lo), max(hi)
+    return out
+
+
+def _raised(outcome):
+    """outcome itself, raised when it is an exception."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 # an overflowing block norm raises BadArgument in _jacobi_eigh, without a warning
@@ -645,19 +754,29 @@ def _operator_norm(x: AlgebraElement, t: ToleranceConfig) -> float:
 
 def _gram_norm(gram_blocks, t: ToleranceConfig) -> float:
     """sqrt of the top eigenvalue of the Gram matrix x*x, clamped at 0."""
-    return _norm_from_gram(_eigh_blocks(gram_blocks, t, vectors=False))
+    return _norm_from_gram(_eigh_blocks(gram_blocks, t, vectors=False).max_eigenvalue)
 
 
-def _norm_from_gram(eig: HermitianEigenSystem) -> float:
-    """||x|| read off eig, an eigensystem of the Gram matrix x*x."""
-    return math.sqrt(max(eig.max_eigenvalue, 0.0))
+def _gram_norms(stacks, t: ToleranceConfig) -> list:
+    """_gram_norm of k Gram matrices x*x given as one (k, n_b, n_b) stack
+    per block position: per element ||x||, or the exception _gram_norm
+    raises on it (see _eigh_extremes)."""
+    return [
+        out if isinstance(out, Exception) else _norm_from_gram(out[1])
+        for out in _eigh_extremes(stacks, t)
+    ]
+
+
+def _norm_from_gram(top: float) -> float:
+    """||x|| read off top, the largest eigenvalue of the Gram matrix x*x."""
+    return math.sqrt(max(top, 0.0))
 
 
 def _remember_norm(x: AlgebraElement, gram_eig: HermitianEigenSystem, t: ToleranceConfig):
     """Memoize ||x|| read off gram_eig, a solve of adjoint(x) * x: the value
     operator_norm(x, t) computes, since the eigenvalues do not depend on
     whether the solve accumulated eigenvectors."""
-    _remember(x, "operator_norm", t, _norm_from_gram(gram_eig))
+    _remember(x, "operator_norm", t, _norm_from_gram(gram_eig.max_eigenvalue))
 
 
 # the range of max_i (x*x)_ii in which _norm_against decides from the bounds

@@ -18,9 +18,11 @@ stacked, one (k, n, n) array per block, rather than as k separate elements.
 This changes no bit of any result: elementwise float and complex steps are
 exact or correctly rounded entry by entry, however the arrays are laid
 out, and numpy's stacked matmul makes the same BLAS call on each slice as
-the 2-D matmul on the same layout. Only the Jacobi solves, which numpy
-cannot reproduce bit for bit, stay per slice. Both routes memoize ||x|| from
-their solve of x*x, so polar_residuals reads its scale without an eigensolve.
+the 2-D matmul on the same layout. The diagnostics' Jacobi solves still run
+rung by rung: core._jacobi_eigh would take them as one stack per block with
+the same bits, but the ladder does not use it yet. Both routes memoize ||x||
+from their solve of x*x, so polar_residuals reads its scale without an
+eigensolve.
 
 Both routes also carry the range projections of |x| and |x*|, read off the
 eigensystems of x*x and x x* they build |x| and |x*| from by the rule of

@@ -1,4 +1,5 @@
-"""Timing of verify_certificate on built 8-term certificates, by signature.
+"""Timing of build_certificate and verify_certificate on 8-term sequences
+converging at rate 1/n, by signature.
 
     PYTHONPATH=src python -m pytest tests/bench_order.py --benchmark-only
 
@@ -14,14 +15,29 @@ from awkit.order import build_certificate, verify_certificate
 from awkit.sampling import random_element
 
 
-@pytest.mark.parametrize("sig", [(2,), (1, 2, 2, 1, 2, 1), (8, 8)], ids=str)
-def test_verify_certificate(benchmark, sig):
+SIGNATURES = [(2,), (1, 2, 2, 1, 2, 1), (8, 8)]
+
+
+def _sequence(sig):
     rng = np.random.default_rng(len(sig))
     limit = random_element(sig, rng)
     seq = []
     for n in range(1, 9):
         bump = random_element(sig, rng)
         seq.append(limit + bump * (rng.uniform(0.2, 0.9) / (n * operator_norm(bump))))
+    return seq, limit
+
+
+@pytest.mark.parametrize("sig", SIGNATURES, ids=str)
+def test_build_certificate(benchmark, sig):
+    seq, limit = _sequence(sig)
+    cert = benchmark(build_certificate, seq, limit, 1.0)
+    assert len(cert.envelope.eps) == 8
+
+
+@pytest.mark.parametrize("sig", SIGNATURES, ids=str)
+def test_verify_certificate(benchmark, sig):
+    seq, limit = _sequence(sig)
     cert = build_certificate(seq, limit, 1.0)
     report = benchmark(verify_certificate, cert)
     assert report.accepted

@@ -153,3 +153,31 @@ def test_cut_at_a_large_slack_is_the_cut_at_the_default(tmp_path, capsys):
     default = _cut_at_slack(tmp_path, capsys, [1.0, 0.6], "1e-10")
     assert doc["artifacts"]["a"] == default["artifacts"]["a"]
     assert max(doc["residuals"].values()) <= 1e-15
+
+
+# a matrix entry is exactly two JSON numbers; bools are no numbers, and an
+# integer past the float range is none either
+MALFORMED_ENTRIES = {
+    "object": {"a": 1},
+    "three-numbers": [1, 0, 99],
+    "bools": [True, False],
+    "one-bool": [1.0, False],
+    "huge-integer": [10**400, 0],
+    "one-number": [1],
+    "string": ["1", 0],
+}
+
+
+@pytest.mark.parametrize("entry", MALFORMED_ENTRIES.values(), ids=MALFORMED_ENTRIES.keys())
+def test_malformed_entry_is_one_malformed_input_report(tmp_path, capsys, entry):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"blocks": [[[[1.0, 0.0], entry], [[0.0, 0.0], [1.0, 0.0]]]]}))
+    code = main(["polar", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("malformed input: block is not a matrix of [re, im] pairs"), err
+    (line,) = out.splitlines()
+    doc = json.loads(line, parse_constant=_reject_constant)
+    assert doc["command"] == "polar"
+    assert doc["accepted"] is False
+    assert doc["error"].startswith("block is not a matrix of [re, im] pairs")

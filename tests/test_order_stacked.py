@@ -8,6 +8,14 @@ that is not self-adjoint, one of another signature, entries whose arithmetic
 overflows, a sweep budget of one), the stacked verifier must return the same
 report, with ``worst_residual`` equal to the bit, or raise the same exception
 with the same message.
+
+``_reference_build_certificate`` is the earlier body of
+``awkit.order.build_certificate``, which took each gap as
+``operator_norm(a - limit)``, kept verbatim as a named oracle. On converging
+sequences with one term replaced (equal to the limit, beyond the rate, a
+gap whose Gram squares underflow, a term or limit of another signature, a
+difference, Gram matrix or Frobenius norm that overflows) the stacked builder
+must return a certificate with the same bits or raise the same exception.
 """
 
 import math
@@ -27,10 +35,12 @@ from awkit.core import (
     adjoint,
     eigh_hermitian,
     frobenius_norm,
+    imag_part,
     is_self_adjoint,
     operator_norm,
     real_part,
 )
+from awkit.errors import BadArgument, EnvelopeViolation
 from awkit.order import (
     _I_POWERS,
     ENVELOPE_MONOTONICITY,
@@ -38,7 +48,9 @@ from awkit.order import (
     SUM_DECOMPOSITION,
     TAIL,
     UPPER_BOUND,
+    DominatorEnvelope,
     LimitReport,
+    OrderLimitCertificate,
     _check_shape,
     build_certificate,
     verify_certificate,
@@ -262,3 +274,139 @@ def test_stacked_verifier_matches_reference(tamper, sig, n_terms, seed, tol):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert _outcome(verify_certificate, c, t) == expected
+
+
+def _reference_build_certificate(seq, limit, tail_rate, tol=None, indices=None):
+    """Convert norm convergence at rate tail_rate/n into an order certificate.
+
+    Raises EnvelopeViolation when some prefix term exceeds the declared
+    bound. ``indices`` defaults to 1..N; explicit ascending naturals are
+    accepted for subsequences such as geometric ladders.
+    """
+    t = _tol(tol)
+    if len(seq) == 0:
+        raise BadArgument("sequence must be non-empty")
+    # a NaN rate would pass every tail check, an infinite one vacuously
+    if not 0.0 <= tail_rate < math.inf:
+        raise BadArgument("tail_rate must be finite and non-negative")
+    if indices is None:
+        indices = tuple(range(1, len(seq) + 1))
+    else:
+        indices = tuple(int(i) for i in indices)
+        if len(indices) != len(seq):
+            raise BadArgument("indices length must match sequence length")
+        if any(i < 1 for i in indices) or any(
+            a >= b for a, b in zip(indices, indices[1:])
+        ):
+            raise BadArgument("indices must be ascending naturals")
+    sig = limit.signature
+    gaps = [operator_norm(a - limit, t) for a in seq]
+    for n, g in zip(indices, gaps):
+        if g > tail_rate / n + t.pos_slack:
+            raise EnvelopeViolation(
+                f"term at index {n} lies {g:.3e} from the limit, over {tail_rate}/{n}"
+            )
+    eps = []
+    running = 0.0
+    for g in reversed(gaps):
+        running = max(running, g)
+        eps.append(running)
+    eps.reverse()
+
+    one = AlgebraElement.identity(sig)
+    re_terms = [real_part(a) for a in seq]
+    im_terms = [imag_part(a) for a in seq]
+    comp1 = tuple(im + e * one for im, e in zip(im_terms, eps))
+    comp2 = tuple(e * one for e in eps)
+    comp3 = comp2
+    comp4 = tuple(re + e * one for re, e in zip(re_terms, eps))
+    zero = AlgebraElement.zeros(sig)
+    return OrderLimitCertificate(
+        indices=indices,
+        terms=tuple(seq),
+        limit=limit,
+        components=(comp1, comp2, comp3, comp4),
+        component_limits=(imag_part(limit), zero, zero, real_part(limit)),
+        envelope=DominatorEnvelope(eps=tuple(eps), tail_rate=float(tail_rate)),
+    )
+
+
+# how one term of a converging sequence is replaced; every other term stays
+# within rate 1 of the limit
+SEQUENCE_TAMPERS = (
+    "none",
+    "equal",  # a - limit = 0: a zero Gram matrix
+    "envelope",  # beyond rate 1/n
+    "tiny",  # the Gram entries' squares underflow: the rescaled solve
+    "subnormal",  # the Gram entries themselves underflow to zero or subnormals
+    "term-signature",
+    "limit-signature",
+    "overflow",  # a - limit overflows
+    "gram-overflow",  # a - limit is finite, its Gram matrix is not
+    "scale-overflow",  # the Gram matrix is finite, its Frobenius norm is not
+)
+
+
+def _sequence(sig, n_terms, seed, tamper):
+    rng = np.random.default_rng(seed)
+    limit = random_element(sig, rng)
+    seq = []
+    for n in range(1, n_terms + 1):
+        bump = random_element(sig, rng)
+        seq.append(limit + bump * (rng.uniform(0.5, 1.0) / (n * operator_norm(bump))))
+    j = int(rng.integers(n_terms))
+    bump = random_element(sig, rng)
+    other = (*sig, 1)
+    replaced = {
+        "equal": limit,
+        "envelope": limit + 2.0 * bump / operator_norm(bump),
+        "tiny": limit + 1e-160 * bump,
+        "subnormal": limit + 1e-170 * bump,
+        "term-signature": random_element(other, rng),
+        "overflow": _huge(sig, rng),
+        "gram-overflow": limit + 1e160 * bump,
+        "scale-overflow": limit + 1e100 * bump,
+    }.get(tamper)
+    if replaced is not None:
+        seq[j] = replaced
+    if tamper == "limit-signature":
+        limit = random_element(other, rng)
+    return seq, limit
+
+
+def _bits(x):
+    return tuple(b.tobytes() for b in x.blocks)
+
+
+def _build_outcome(build, seq, limit, t):
+    try:
+        c = build(seq, limit, 1.0, t)
+    except Exception as exc:  # the exception is part of the outcome compared
+        return ("raised", type(exc), str(exc))
+    return (
+        "built",
+        c.indices,
+        struct.pack(f"<{len(c.envelope.eps)}d", *c.envelope.eps),
+        c.envelope.tail_rate,
+        tuple(_bits(x) for comp in c.components for x in comp),
+        tuple(_bits(x) for x in c.component_limits),
+        c.limit is limit and all(a is b for a, b in zip(c.terms, seq)),
+    )
+
+
+@pytest.mark.parametrize("tamper", SEQUENCE_TAMPERS)
+@settings(max_examples=15)
+@given(
+    sig=st.lists(st.integers(1, 8), min_size=1, max_size=4).map(tuple),
+    n_terms=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    tol=st.sampled_from(sorted(TOLS)),
+)
+def test_stacked_builder_matches_reference(tamper, sig, n_terms, seed, tol):
+    seq, limit = _sequence(sig, n_terms, seed, tamper)
+    t = TOLS[tol]
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _build_outcome(_reference_build_certificate, seq, limit, t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert _build_outcome(build_certificate, seq, limit, t) == expected
