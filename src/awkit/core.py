@@ -12,15 +12,16 @@ Loewner comparisons and other bound checks ask ``eigh_hermitian`` for
 eigenvalues alone, through the same kernel and with the same eigenvalues to
 the bit.
 
-The solver, ``_jacobi_eigh``, is a driver over a (k, n, n) stack of blocks
-of one size. The hermitization, the Frobenius scales, the read-off of 1x1
-slices and the sort are one numpy step per stack; the sweep runs slice by
-slice, and each slice gets the bits, or the failure, a solve of it alone
-gets. A 2-D block is the stack of one. ``_eigh_blocks`` solves the blocks of
-one element one by one; ``_eigh_extremes`` and ``_gram_norms`` solve many
-elements of one signature at once, one driver call per block position, and
-hand each failure back for the caller to raise in its own order of checks.
-The order-limit certificate's builder and verifier use them.
+The solver, ``_jacobi_eigh``, takes a (k, n, n) stack of blocks of one size
+and raises nothing: it hands back each slice's failure. The hermitization,
+the Frobenius scales, the read-off of 1x1 slices and the sort are one numpy
+step per stack; the sweep runs slice by slice, and each slice gets the bits,
+or the failure, a stack of it alone gets. ``_eigh_blocks`` solves the blocks
+of one element, and ``simultaneous_eigh`` one compression, as stacks of one:
+they are the only places that raise a block's failure. ``_eigh_extremes``
+and ``_gram_norms`` solve many elements of one signature at once, one
+driver call per block position, and hand each failure back for the caller
+to raise in its own order of checks.
 
 Blocks are validated once, at the public boundary. ``AlgebraElement(...)``
 copies its input to complex128 and checks that every block is square of
@@ -550,26 +551,25 @@ def _jacobi_eigh(mats: np.ndarray, rel_off_tol: float, max_sweeps: int, vectors:
     mats is a (k, n, n) stack of blocks of one size. Returns (w, u, faults):
     w the (k, n) ascending eigenvalues, row by row; u the (k, n, n)
     unitaries of eigenvector columns, or None when vectors is false; and
-    faults, a dict from slice index to the exception that slice raises
-    when solved alone, in place of its (unspecified) rows: NonConvergence
-    when the off-diagonal Frobenius mass is still above
-    rel_off_tol * ||slice||_F after max_sweeps full sweeps, BadArgument when
-    that norm overflows or is not finite. Callers run it under
-    np.errstate(over="ignore"), so that the overflow needs no numpy warning.
+    faults, a dict from slice index to the exception that slice fails with,
+    in place of its (unspecified) rows: NonConvergence when the off-diagonal
+    Frobenius mass is still above rel_off_tol * ||slice||_F after max_sweeps
+    full sweeps, BadArgument for a non-finite entry or an eigenvalue past
+    the float range. It raises nothing, and warns of nothing under
+    np.errstate(over="ignore", invalid="ignore"), as its callers run it.
 
-    One 2-D block is the stack of one: this returns its (w, u), u an owning
-    F-ordered array, and raises its fault.
+    A slice whose ||slice||_F^2 underflows to 0 or overflows to inf is
+    scaled in place by 2^-e, its largest entry then in [1/2, 1), swept with
+    the others, and its eigenvalues scaled back by 2^e. The slice scaled is
+    the Hermitian part, or the input where forming that part overflowed.
 
     Per stack the hermitization, the Frobenius scales, the read-off of 1x1
     slices and the sort are one numpy step each; the rotations run slice by
-    slice in _jacobi_sweeps. Each slice gets the bits a solve of it alone
+    slice in _jacobi_sweeps. Each slice gets the bits a stack of it alone
     gets: the elementwise steps are exact or correctly rounded per entry,
     a stacked (1, m) @ (m, 1) product makes the same strided BLAS dot per
     slice as np.linalg.norm, and a stable sort has one outcome.
     """
-    single = mats.ndim == 2
-    if single:
-        mats = mats[None]
     k, n = mats.shape[:2]
     # the eigenvector matrices, held transposed: row j of vt[i] is column j
     # of the unitary of slice i, so the sort below takes whole rows
@@ -578,60 +578,51 @@ def _jacobi_eigh(mats: np.ndarray, rel_off_tol: float, max_sweeps: int, vectors:
         vt = np.zeros((k, n, n), dtype=np.complex128)
         vt.reshape(k, n * n)[:, :: n + 1] = 1.0
     if n == 1:
-        w = mats.real[:, 0].copy()
-        if single:
-            return w[0], None if vt is None else vt[0].copy()
-        return w, vt, {}
+        return mats.real[:, 0].copy(), vt, {}
     a = 0.5 * (np.asarray(mats, dtype=np.complex128) + mats.conj().swapaxes(1, 2))
     col = a.reshape(k, n * n, 1)
     re, im = col.real, col.imag
     squares = (re.swapaxes(1, 2) @ re + im.swapaxes(1, 2) @ im).ravel().tolist()
-    faults, rescaled = {}, {}
+    faults, scaled = {}, {}
     for i, square in enumerate(squares):
         scale = math.sqrt(square)
-        if not math.isfinite(scale):
-            # a target of inf would stop the sweeps before the first rotation
-            faults[i] = BadArgument("Frobenius norm of a block overflows")
-        elif scale == 0.0:
+        if not 0.0 < scale < math.inf:
+            # a target of 0 or inf would sweep to the budget or not at all
             big = float(np.abs(a[i]).max())
             if big == 0.0:
                 # its eigenvalues are +0, whatever the signs of its zeros
                 a[i] = 0.0
                 continue
-            # every square underflowed: solve a 2^-e, whose largest entry lies
-            # in [1/2, 1), and scale its eigenvalues back by 2^e
-            e = math.frexp(big)[1]
-            try:
-                rescaled[i] = e, *_jacobi_eigh(
-                    np.ldexp(a[i].real, -e) + 1j * np.ldexp(a[i].imag, -e),
-                    rel_off_tol, max_sweeps, vectors,
-                )
-            except NonConvergence as exc:
-                faults[i] = exc
-        else:
-            target = rel_off_tol * scale
-            off = _jacobi_sweeps(a[i], None if vt is None else vt[i].T,
-                                 target, target / (2.0 * n), max_sweeps)
-            if off > target:
-                faults[i] = NonConvergence(
-                    f"Jacobi sweep budget exhausted at off-diagonal mass {off:.3e}"
-                )
+            m = a[i]
+            if not big < math.inf:
+                if not np.isfinite(mats[i]).all():
+                    faults[i] = BadArgument(_NON_FINITE)
+                    continue
+                # finite entries whose hermitization or modulus overflowed
+                m = mats[i]
+                big = max(float(np.abs(m.real).max()), float(np.abs(m.imag).max()))
+            e = scaled[i] = math.frexp(big)[1]
+            m = np.ldexp(m.real, -e) + 1j * np.ldexp(m.imag, -e)
+            a[i] = 0.5 * (m + m.conj().T)
+            scale = float(np.linalg.norm(a[i]))
+        target = rel_off_tol * scale
+        off = _jacobi_sweeps(a[i], None if vt is None else vt[i].T,
+                             target, target / (2.0 * n), max_sweeps)
+        if off > target:
+            faults[i] = NonConvergence(
+                f"Jacobi sweep budget exhausted at off-diagonal mass {off:.3e}"
+            )
     w = a.diagonal(0, 1, 2).real.copy()
     u = None
     if vt is not None:
         u = vt[np.arange(k)[:, None], w.argsort(kind="stable")].swapaxes(1, 2)
     # a stable sort moves the values as the stable argsort orders them
     w.sort(kind="stable")
-    for i, (e, wi, ui) in rescaled.items():
-        w[i] = np.ldexp(wi, e)
-        if u is not None:
-            u[i] = ui
-    if not single:
-        return w, u, faults
-    if faults:
-        raise faults[0]
-    # u[0] is an F-ordered view of a temporary; copy it to own it
-    return w[0], None if u is None else u[0].copy(order="F")
+    for i, e in scaled.items():
+        w[i] = np.ldexp(w[i], e)
+        if not np.isfinite(w[i]).all():
+            faults.setdefault(i, BadArgument("an eigenvalue of a block lies past the float range"))
+    return w, u, faults
 
 
 def eigh_hermitian(
@@ -650,15 +641,19 @@ def eigh_hermitian(
 
 def _eigh_blocks(blocks, t: ToleranceConfig, vectors: bool = True) -> HermitianEigenSystem:
     """The per-block Jacobi solves, unchecked: for blocks that eigh_hermitian
-    has checked or that this package formed Hermitian. An overflowing block
-    norm raises BadArgument without a numpy warning."""
+    has checked or that this package formed Hermitian. Each block is a stack
+    of one; the first that fails raises its fault, without a numpy warning."""
     values, units = [], []
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for b in blocks:
-            w, u = _jacobi_eigh(b, t.jacobi_off_tol, t.max_sweeps, vectors)
+            w, u, faults = _jacobi_eigh(b[None], t.jacobi_off_tol, t.max_sweeps, vectors)
+            if faults:
+                raise faults[0]
+            w = w[0]
             w.setflags(write=False)
             values.append(w)
-            units.append(u)
+            # u[0] is an F-ordered view of a temporary; copy it to own it
+            units.append(None if u is None else u[0].copy(order="F"))
     return HermitianEigenSystem(tuple(values), AlgebraElement._of(units) if vectors else None)
 
 
@@ -675,7 +670,7 @@ def _eigh_extremes(stacks, t: ToleranceConfig) -> list:
     k = len(stacks[0])
     out = [None] * k
     los, his = [], []
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for s in stacks:
             w, _, faults = _jacobi_eigh(s, t.jacobi_off_tol, t.max_sweeps, vectors=False)
             for i, exc in faults.items():
@@ -696,8 +691,9 @@ def _raised(outcome):
     return outcome
 
 
-# an overflowing block norm raises BadArgument in _jacobi_eigh, without a warning
-@np.errstate(over="ignore")
+# the cluster gap's np.linalg.norm and the solve of a compression may
+# overflow; a compression's fault is raised without a warning
+@np.errstate(over="ignore", invalid="ignore")
 def simultaneous_eigh(
     mats: Sequence[np.ndarray], tol: ToleranceConfig | None = None
 ) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -720,8 +716,11 @@ def simultaneous_eigh(
                 continue
             v = basis[:, idx]
             comp = v.conj().T @ m @ v
-            w, u = _jacobi_eigh(comp, t.jacobi_off_tol, t.max_sweeps)
-            basis[:, idx] = v @ u
+            w, u, faults = _jacobi_eigh(comp[None], t.jacobi_off_tol, t.max_sweeps)
+            if faults:
+                raise faults[0]
+            w = w[0]
+            basis[:, idx] = v @ u[0]
             start = 0
             for i in range(1, len(w) + 1):
                 if i == len(w) or w[i] - w[i - 1] > gap:

@@ -18,11 +18,11 @@ stacked, one (k, n, n) array per block, rather than as k separate elements.
 This changes no bit of any result: elementwise float and complex steps are
 exact or correctly rounded entry by entry, however the arrays are laid
 out, and numpy's stacked matmul makes the same BLAS call on each slice as
-the 2-D matmul on the same layout. The diagnostics' Jacobi solves still run
-rung by rung: core._jacobi_eigh would take them as one stack per block with
-the same bits, but the ladder does not use it yet. Both routes memoize ||x||
-from their solve of x*x, so polar_residuals reads its scale without an
-eigensolve.
+the 2-D matmul on the same layout. The diagnostics' Gram matrices are
+solved the same way, one eigenvalues-only Jacobi call per block over all
+rungs (core._gram_norms), each slice with the bits of its own solve. Both
+routes memoize ||x|| from their solve of x*x, so polar_residuals reads its
+scale without an eigensolve.
 
 Both routes also carry the range projections of |x| and |x*|, read off the
 eigensystems of x*x and x x* they build |x| and |x*| from by the rule of
@@ -49,8 +49,9 @@ from .core import (
     _NON_FINITE,
     _eigh_blocks,
     _gram_against,
-    _gram_norm,
+    _gram_norms,
     _norm_against,
+    _raised,
     _remember_norm,
     _tol,
     adjoint,
@@ -148,6 +149,21 @@ class CutResiduals:
     accepted: bool
 
 
+def _polar_frame(x: AlgebraElement, t: ToleranceConfig):
+    """The solves every polar route starts from: x*x, which memoizes ||x||,
+    then x x*. Returns the eigensystem of x*x and, as a dict, the
+    PolarResult fields absx, absxstar, initial and final read off the two."""
+    eig = _eigh_blocks((adjoint(x) * x).blocks, t)
+    _remember_norm(x, eig, t)
+    eig_star = _eigh_blocks((x * adjoint(x)).blocks, t)
+    return eig, dict(
+        absx=eig.root(t),
+        absxstar=eig_star.root(t),
+        initial=eig.support(t),
+        final=eig_star.support(t),
+    )
+
+
 def polar_direct(
     x: AlgebraElement, tol: ToleranceConfig | None = None
 ) -> PolarResult:
@@ -158,18 +174,8 @@ def polar_direct(
     stays independent of the ladder's closed-form limit.
     """
     t = _tol(tol)
-    eig = _eigh_blocks((adjoint(x) * x).blocks, t)
-    _remember_norm(x, eig, t)
-    absx = eig.root(t)
-    eig_star = _eigh_blocks((x * adjoint(x)).blocks, t)
-    u = x * pseudo_inverse_on_range(absx, t)
-    return PolarResult(
-        u=u,
-        absx=absx,
-        absxstar=eig_star.root(t),
-        initial=eig.support(t),
-        final=eig_star.support(t),
-    )
+    _, frame = _polar_frame(x, t)
+    return PolarResult(u=x * pseudo_inverse_on_range(frame["absx"], t), **frame)
 
 
 def _ladder(n_max: int) -> list[int]:
@@ -213,22 +219,20 @@ def polar_regularized(
     the rule of _norm_against, and the rungs after the first that stops are
     dropped unread. Each diagnostic is ||(u_n - u) V||, the norm of u_n - u
     since V is unitary, read off a Gram matrix that V makes diagonal up to
-    roundoff. Each slice has the bits of the rung built on its own (see the
-    module docstring), and a rung raises, in rung order, what it raised on
-    its own: the BadArgument of a non-finite entry, an eigensolve's error,
-    or the OverflowError of an n past the float range.
+    roundoff; one _gram_norms call takes all of them. Each slice has the
+    bits of the rung built on its own (see the module docstring), and a rung
+    raises, in rung order, what it raised on its own: the BadArgument of a
+    non-finite entry, an eigensolve's error, or the OverflowError of an n
+    past the float range.
     """
     t = _tol(tol)
     if n_max < 1:
         raise BadArgument("n_max must be at least 1")
-    eig = _eigh_blocks((adjoint(x) * x).blocks, t)
-    _remember_norm(x, eig, t)
+    eig, frame = _polar_frame(x, t)
     cutoff = eig.rank_cutoff(t)
     sigma = [np.sqrt(np.maximum(w, 0.0)) for w in eig.eigenvalues]
     kept = [s[s * s > cutoff] for s in sigma]
     sigma_min = min((float(s.min()) for s in kept if s.size), default=None)
-    absx = eig.root(t)
-    eig_star = _eigh_blocks((x * adjoint(x)).blocks, t)
 
     ns = _ladder(n_max)
     inverses, overflow = [], None
@@ -263,11 +267,10 @@ def polar_regularized(
     rotated = [g @ v for g, v in zip(gaps, eig.unitary.blocks)]
     gap_grams = [e.swapaxes(-1, -2).conj() @ e for e in rotated]
     finite = _finite_rungs(last + 1, (gaps, rotated, gap_grams))
-    diagnostics = []
-    for i in range(last + 1):
-        if i == finite:
-            raise BadArgument(_NON_FINITE)
-        diagnostics.append((ns[i], _gram_norm([g[i] for g in gap_grams], t)))
+    # in rung order: the first solve fault before the first non-finite rung
+    diagnostics = tuple(zip(ns, map(_raised, _gram_norms([g[:finite] for g in gap_grams], t))))
+    if finite <= last:
+        raise BadArgument(_NON_FINITE)
     last_n = ns[last]
     if sigma_min is not None:
         bound = (1.0 / last_n) / (1.0 / last_n + sigma_min)
@@ -275,14 +278,7 @@ def polar_regularized(
             raise SlowConvergence(
                 f"ladder gap {diagnostics[-1][1]:.3e} above bound {bound:.3e} at n={last_n}"
             )
-    return PolarResult(
-        u=u,
-        absx=absx,
-        absxstar=eig_star.root(t),
-        initial=eig.support(t),
-        final=eig_star.support(t),
-        diagnostics=tuple(diagnostics),
-    )
+    return PolarResult(u=u, diagnostics=diagnostics, **frame)
 
 
 def polar_residuals(
@@ -330,17 +326,8 @@ def verify_polar(
     memoizes ||x|| from its solve of x*x.
     """
     t = _tol(tol)
-    eig = _eigh_blocks((adjoint(x) * x).blocks, t)
-    _remember_norm(x, eig, t)
-    eig_star = _eigh_blocks((x * adjoint(x)).blocks, t)
-    result = PolarResult(
-        u=u,
-        absx=eig.root(t),
-        absxstar=eig_star.root(t),
-        initial=eig.support(t),
-        final=eig_star.support(t),
-    )
-    return polar_residuals(x, result, t).accepted
+    _, frame = _polar_frame(x, t)
+    return polar_residuals(x, PolarResult(u=u, **frame), t).accepted
 
 
 def spectral_cut(

@@ -348,19 +348,45 @@ def test_orthogonal_projection_sums_are_least_upper_bounds():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_overflowing_block_norm_raises_bad_argument():
-    # the eigenvalues are 0 and 2e200, but ||h||_F overflows; the sweeps
-    # would stop at an infinite target and return the diagonal
+def test_block_whose_norm_overflows_is_solved_rescaled():
+    # ||h||_F overflows, so h is solved at the scale of its largest entry and
+    # its eigenvalues scaled back: 0 and 2e200, as LAPACK gives them
     h = [[1e200, 1e200], [1e200, 1e200]]
-    with pytest.raises(BadArgument, match="Frobenius norm of a block overflows"):
-        eigh_hermitian(el(h))
-    with pytest.raises(BadArgument, match="Frobenius norm of a block overflows"):
-        eigh_hermitian(el(h), vectors=False)
-    with pytest.raises(BadArgument, match="Frobenius norm of a block overflows"):
-        simultaneous_eigh([np.array(h, dtype=complex)])
-    # just inside the range the same block solves
-    w = eigh_hermitian(el(np.array(h) * 1e-50)).eigenvalues[0]
-    assert np.allclose(w, [0.0, 2e150], rtol=1e-12, atol=1e138)
+    want = np.linalg.eigvalsh(np.array(h))
+    eig = eigh_hermitian(el(h))
+    assert np.allclose(eig.eigenvalues[0], want, rtol=1e-15, atol=1e185)
+    values_only = eigh_hermitian(el(h), vectors=False).eigenvalues[0]
+    assert eig.eigenvalues[0].tobytes() == values_only.tobytes()
+    assert np.allclose(eig.assemble(lambda w: w).blocks[0], h, rtol=1e-14)
+    basis, groups = simultaneous_eigh([np.array(h, dtype=complex)])
+    assert np.allclose(basis.conj().T @ basis, np.eye(2), atol=1e-15)
+    # a 1x1 block is read off at any scale, and a larger one solves there too
+    assert eigh_hermitian(el([[1e300]])).eigenvalues[0].tolist() == [1e300]
+    w = eigh_hermitian(el(np.diag([1e300, -2e300]))).eigenvalues[0]
+    assert w.tolist() == [-2e300, 1e300]
+    # entries whose Hermitian part overflows when formed, but not its spectrum
+    w = eigh_hermitian(el(np.diag([1e308, -1e308]))).eigenvalues[0]
+    assert w.tolist() == [-1e308, 1e308]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eigenvalue_past_the_float_range_raises_bad_argument():
+    # the largest eigenvalues are 2e308, 2.4e308 and |z| = 2.1e308, past the
+    # float range; |z| itself overflows though its parts do not (and the
+    # public self-adjointness check reads that block's norm as nan)
+    z = 1.5e308 * (1 + 1j)
+    past = "eigenvalue of a block lies past the float range"
+    for h in ([[1e308] * 2] * 2, [[8e307] * 3] * 3, [[0, z], [z.conjugate(), 0]]):
+        with pytest.raises(BadArgument, match=past):
+            simultaneous_eigh([np.array(h, dtype=complex)])
+        if h[0][0] == 0:
+            continue
+        for vectors in (True, False):
+            with pytest.raises(BadArgument, match=past):
+                eigh_hermitian(el(h), vectors=vectors)
+    # just inside the range the same kind of block solves
+    w = eigh_hermitian(el([[8e307] * 2] * 2)).eigenvalues[0]
+    assert np.allclose(w, [0.0, 1.6e308], rtol=1e-15, atol=1e293)
 
 
 def test_block_whose_squares_underflow_is_solved_rescaled():

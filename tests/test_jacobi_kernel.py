@@ -3,10 +3,10 @@
 ``_reference_sweeps`` is the earlier body of ``awkit.core._jacobi_sweeps``,
 which rotated numpy complex128 scalars in place, kept verbatim as a named
 oracle. The list kernel must return the same off-diagonal mass, rotated
-block and eigenvectors bit for bit (signed zeros included), and
-``_jacobi_eigh`` must return or raise exactly what it did with the oracle.
-Without eigenvectors (vecs None) the kernel must still return the same mass
-and block, and ``eigh_hermitian(h, vectors=False)`` the same eigenvalues or
+block and eigenvectors bit for bit (signed zeros included), and a solve
+through ``_eigh_blocks`` must return or raise exactly what it did with the
+oracle. Without eigenvectors (vecs None) the kernel must still return the
+same mass and block, and ``eigh_hermitian(h, vectors=False)`` the same eigenvalues or
 the same exception as the full solve.
 """
 
@@ -158,15 +158,15 @@ def test_list_kernel_matches_numpy_scalar_kernel_bit_for_bit(block):
     assert same_bits(np.float64(off_val), np.float64(off_ref))
     assert same_bits(a_val, a_ref)
 
-    with np.errstate(over="ignore"):
-        with mock.patch.object(core, "_jacobi_sweeps", _reference_sweeps):
-            want = outcome(lambda: core._jacobi_eigh(m, rel, max_sweeps))
-        got = outcome(lambda: core._jacobi_eigh(m, rel, max_sweeps))
-    if isinstance(want[0], type):
+    tol = ToleranceConfig(jacobi_off_tol=rel, max_sweeps=max_sweeps)
+    with mock.patch.object(core, "_jacobi_sweeps", _reference_sweeps):
+        want = outcome(lambda: core._eigh_blocks([m], tol))
+    got = outcome(lambda: core._eigh_blocks([m], tol))
+    if isinstance(want, tuple):
         assert got == want
     else:
-        assert same_bits(got[0], want[0])
-        assert same_bits(got[1], want[1])
+        assert same_bits(got.eigenvalues[0], want.eigenvalues[0])
+        assert same_bits(got.unitary.blocks[0], want.unitary.blocks[0])
 
 
 @st.composite

@@ -5,8 +5,14 @@ which solved one 2-D block and raised its failure, kept verbatim as a named
 oracle. On a (k, n, n) stack the driver must give every slice the oracle's
 eigenvalues and eigenvectors bit for bit (signed zeros included), and report
 as its fault exactly the exception, type and message, that the oracle raises
-on that slice: so the same slices fail. A 2-D block is the stack of one and
-must return or raise what the oracle does.
+on that slice: so the same slices fail. Two slice kinds changed on purpose.
+A slice whose Frobenius norm overflows, which the oracle rejected, is now
+solved at scale 2^-e: it must match the oracle on the scaled slice, with
+the eigenvalues scaled back by 2^e. A slice with a non-finite entry fails
+as before, with a message that names the entry. ``_eigh_blocks`` solves
+one element's blocks as stacks of one and must raise the first failure in
+block order, or return the oracle's bits in read-only eigenvalue arrays
+and owning, F-ordered unitary blocks.
 """
 
 import math
@@ -62,8 +68,8 @@ def _reference_jacobi_eigh(mat, rel_off_tol, max_sweeps, vectors=True):
     return w[order], vecs[:, order].copy(order="F")
 
 
-# per slice: 1e-170 makes every square of an entry underflow (the rescaled
-# solve), 1e160 makes them overflow (||slice||_F reads inf)
+# per slice: 1e-170 makes every square of an entry underflow, 1e160 makes
+# them overflow (||slice||_F reads inf): both are solved rescaled
 KINDS = ("random", "near-diagonal", "degenerate", "zero", "underflow", "overflow", "non-finite")
 
 
@@ -107,6 +113,29 @@ def outcome(fn):
         return type(exc), str(exc)
 
 
+def failed(o) -> bool:
+    return isinstance(o[0], type)
+
+
+def expected(m, rel, max_sweeps, vectors):
+    """What the driver must give one slice m: the oracle's outcome, except
+    that a slice whose Frobenius norm overflows is the oracle's solve of the
+    slice scaled by 2^-e, its eigenvalues scaled back by 2^e, and that the
+    fault of a non-finite entry names it (a 1x1 slice is read off as is)."""
+    a = 0.5 * (m + m.conj().T)
+    if len(m) > 1 and np.isfinite(a).all() and not math.isfinite(float(np.linalg.norm(a))):
+        e = math.frexp(float(np.abs(a).max()))[1]
+        o = outcome(lambda: _reference_jacobi_eigh(
+            np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e), rel, max_sweeps, vectors
+        ))
+        return o if failed(o) else (np.ldexp(o[0], e), o[1])
+    o = outcome(lambda: _reference_jacobi_eigh(m, rel, max_sweeps, vectors))
+    if failed(o) and o == (BadArgument, "Frobenius norm of a block overflows"):
+        assert not np.isfinite(m).all()
+        return BadArgument, core._NON_FINITE
+    return o
+
+
 def same_bits(x, y) -> bool:
     x, y = np.asarray(x), np.asarray(y)
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
@@ -119,14 +148,10 @@ def test_stacked_driver_matches_per_block_solve_bit_for_bit(drawn):
     k, n = stack.shape[:2]
     with np.errstate(all="ignore"):
         w, u, faults = core._jacobi_eigh(stack, rel, max_sweeps, vectors)
-        want = [
-            outcome(lambda: _reference_jacobi_eigh(m, rel, max_sweeps, vectors)) for m in stack
-        ]
-        # a 2-D block is the stack of one
-        single = outcome(lambda: core._jacobi_eigh(stack[0], rel, max_sweeps, vectors))
+        want = [expected(m, rel, max_sweeps, vectors) for m in stack]
     assert w.shape == (k, n)
     assert (u is None) is not vectors
-    assert set(faults) == {i for i, o in enumerate(want) if isinstance(o[0], type)}
+    assert set(faults) == {i for i, o in enumerate(want) if failed(o)}
     for i, o in enumerate(want):
         if i in faults:
             assert (type(faults[i]), str(faults[i])) == o
@@ -134,15 +159,41 @@ def test_stacked_driver_matches_per_block_solve_bit_for_bit(drawn):
         assert same_bits(w[i], o[0])
         if vectors:
             assert same_bits(u[i], o[1])
-    if 0 in faults:
-        assert single == want[0]
-    else:
-        assert same_bits(single[0], want[0][0])
+
+
+@st.composite
+def elements(draw):
+    """(blocks, tolerances, vectors): 1-4 blocks of sizes 1-8, each of a
+    drawn kind, not yet hermitized."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
+    blocks = [_slice(draw(st.sampled_from(KINDS)), n, rng) for n in sizes]
+    t = core.ToleranceConfig(
+        jacobi_off_tol=draw(st.sampled_from((1e-14, 1e-8))),
+        max_sweeps=draw(st.sampled_from((1, 2, 100))),
+    )
+    return blocks, t, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(elements())
+def test_eigh_blocks_raises_the_first_fault_or_returns_owning_blocks(drawn):
+    blocks, t, vectors = drawn
+    with np.errstate(all="ignore"):
+        want = [expected(m, t.jacobi_off_tol, t.max_sweeps, vectors) for m in blocks]
+        got = outcome(lambda: core._eigh_blocks(blocks, t, vectors))
+    faults = [o for o in want if failed(o)]
+    if faults:
+        assert got == faults[0]
+        return
+    assert (got.unitary is None) is not vectors
+    for b, (w, u) in enumerate(want):
+        assert same_bits(got.eigenvalues[b], w)
+        assert not got.eigenvalues[b].flags.writeable
         if vectors:
-            assert same_bits(single[1], want[0][1])
-            assert single[1].base is None and single[1].flags.f_contiguous
-        else:
-            assert single[1] is None
+            v = got.unitary.blocks[b]
+            assert same_bits(v, u)
+            assert v.base is None and v.flags.f_contiguous
 
 
 def test_an_empty_stack_solves_nothing():

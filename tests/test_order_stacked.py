@@ -19,6 +19,7 @@ must return a certificate with the same bits or raise the same exception.
 """
 
 import math
+import re
 import struct
 import warnings
 from dataclasses import replace
@@ -410,3 +411,17 @@ def test_stacked_builder_matches_reference(tamper, sig, n_terms, seed, tol):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert _build_outcome(build_certificate, seq, limit, t) == expected
+
+
+@pytest.mark.parametrize("sig", [(1,), (2, 2), (3,)])
+def test_a_term_whose_gram_norm_overflows_fails_its_envelope_at_every_block_size(sig):
+    # the tampered term lies about 1e100 from the limit: its Gram matrix is
+    # finite, its Frobenius norm is not, and the solve rescales it, so a
+    # block of dimension >= 2 gets the envelope's verdict, as a 1x1 block does
+    seq, limit = _sequence(sig, 4, 7, "scale-overflow")
+    gaps = [max(np.linalg.norm(a - b, 2) for a, b in zip(x.blocks, limit.blocks)) for x in seq]
+    j = int(np.argmax(gaps))
+    assert gaps[j] > 1e99
+    message = f"term at index {j + 1} lies {gaps[j]:.3e} from the limit"
+    with pytest.raises(EnvelopeViolation, match=re.escape(message)):
+        build_certificate(seq, limit, 1.0)

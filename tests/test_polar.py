@@ -388,14 +388,14 @@ def test_cut_residuals_names_and_accept_rule(kind):
 
 
 def _count_solves(monkeypatch):
-    """Record, for each Jacobi solve of one block, whether it accumulates
+    """Record, for each Jacobi driver call, whether it accumulates
     eigenvectors."""
     body = core._jacobi_eigh
     solves = []
 
-    def counted(mat, rel_off_tol, max_sweeps, vectors=True):
+    def counted(mats, rel_off_tol, max_sweeps, vectors=True):
         solves.append(vectors)
-        return body(mat, rel_off_tol, max_sweeps, vectors)
+        return body(mats, rel_off_tol, max_sweeps, vectors)
 
     monkeypatch.setattr(core, "_jacobi_eigh", counted)
     return solves
@@ -410,15 +410,17 @@ def test_cut_solves_the_norm_and_x_x_star_only(monkeypatch, kind):
     assert solves == [False, True]
 
 
-def test_regularized_solves_x_star_x_x_x_star_and_the_diagnostics(monkeypatch):
-    # at unit scale the Gram bounds decide every stop test: two full solves,
-    # and one eigenvalues-only solve per diagnostic
-    x = element_with_singular_values(
-        (3,), [np.array([0.5, 1.0, 1.7])], np.random.default_rng(33)
-    )
+@pytest.mark.parametrize("values", [[[0.5, 1.0, 1.7]], [[0.5, 1.0, 1.7], [1.2], [0.8, 1.4]]])
+def test_regularized_solves_x_star_x_x_x_star_and_the_diagnostics(monkeypatch, values):
+    # at unit scale the Gram bounds decide every stop test: one full solve
+    # per block of x*x and of x x*, and one eigenvalues-only driver call per
+    # block position for all 21 diagnostics
+    sig = tuple(map(len, values))
+    x = element_with_singular_values(sig, [np.array(v) for v in values], np.random.default_rng(33))
     solves = _count_solves(monkeypatch)
     result = polar_regularized(x)
-    assert solves == [True, True] + [False] * len(result.diagnostics)
+    assert len(result.diagnostics) == 21
+    assert solves == [True] * 2 * len(sig) + [False] * len(sig)
 
 
 def test_cut_rejections():

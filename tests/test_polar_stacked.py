@@ -22,6 +22,7 @@ must see each breakage.
 """
 
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -33,13 +34,14 @@ from awkit.core import (
     AlgebraElement,
     HermitianEigenSystem,
     ToleranceConfig,
+    _NON_FINITE,
     _eigh_blocks,
     _norm_against,
     _tol,
     adjoint,
     operator_norm,
 )
-from awkit.errors import BadArgument, SlowConvergence
+from awkit.errors import BadArgument, NonConvergence, SlowConvergence
 from awkit.polar import DEFAULT_LADDER_MAX, PolarResult, _ladder, polar_regularized
 from awkit.sampling import haar_unitary_block
 
@@ -311,3 +313,70 @@ def test_skipped_hermitization_is_caught(monkeypatch, sig, seed):
     monkeypatch.setattr(core.HermitianEigenSystem, "assemble_stack", unhermitized)
     got, expected = _pair(x, DEFAULT_LADDER_MAX, TOLS["default"])
     assert got != expected
+
+
+@pytest.mark.parametrize(
+    "fault_rung,non_finite_rung",
+    [(0, None), (3, None), (20, None), (0, 5), (4, 5), (5, 5), (6, 5), (3, 0)],
+)
+def test_diagnostic_faults_are_raised_in_rung_order(monkeypatch, fault_rung, non_finite_rung):
+    # the ladder solves all its diagnostics in one driver call per block,
+    # and must still raise what the per-rung body raises: the solve fault of
+    # a rung before the first non-finite rung, else that rung's BadArgument
+    x = _element((3, 2), 9, lambda rng, n: rng.uniform(0.5, 2.0, n))
+    t = TOLS["default"]
+    assert len(polar_regularized(x, DEFAULT_LADDER_MAX, t).diagnostics) == 21
+    injected = NonConvergence("injected into one rung's diagnostic solve")
+
+    # the ladder: the fault goes into slice fault_rung of every driver call
+    # that _gram_norms makes, and _finite_rungs' second call, on the
+    # diagnostics, stops at non_finite_rung
+    inside, finite_calls = [], []
+    gram_norms, driver, finite_rungs = polar._gram_norms, core._jacobi_eigh, polar._finite_rungs
+
+    def diagnostics(stacks, tol):
+        inside.append(True)
+        try:
+            return gram_norms(stacks, tol)
+        finally:
+            inside.pop()
+
+    def faulty_driver(mats, rel_off_tol, max_sweeps, vectors=True):
+        w, u, faults = driver(mats, rel_off_tol, max_sweeps, vectors)
+        if inside and fault_rung < len(mats):
+            faults.setdefault(fault_rung, injected)
+        return w, u, faults
+
+    def finite(k, stacks):
+        finite_calls.append(k)
+        n = finite_rungs(k, stacks)
+        if len(finite_calls) == 2 and non_finite_rung is not None:
+            return min(n, non_finite_rung)
+        return n
+
+    monkeypatch.setattr(polar, "_gram_norms", diagnostics)
+    monkeypatch.setattr(core, "_jacobi_eigh", faulty_driver)
+    monkeypatch.setattr(polar, "_finite_rungs", finite)
+
+    # the per-rung body: rung i's diagnostic is its (i + 1)-th operator_norm
+    # call, which forms the rung's element (BadArgument when non-finite) and
+    # then solves it
+    rungs, norm_body = [], operator_norm
+
+    def norm(y, tol=None):
+        i = len(rungs)
+        rungs.append(i)
+        if i == non_finite_rung:
+            raise BadArgument(_NON_FINITE)
+        if i == fault_rung:
+            raise injected
+        return norm_body(y, tol)
+
+    monkeypatch.setattr(sys.modules[__name__], "operator_norm", norm)
+    got, expected = _pair(x, DEFAULT_LADDER_MAX, t)
+    assert got == expected
+    assert len(rungs) == min(fault_rung, 21 if non_finite_rung is None else non_finite_rung) + 1
+    if non_finite_rung is not None and non_finite_rung <= fault_rung:
+        assert got == ("raised", BadArgument, _NON_FINITE)
+    else:
+        assert got == ("raised", NonConvergence, str(injected))
