@@ -119,6 +119,15 @@ class ToleranceConfig:
                     sweep stops
     max_sweeps      hard budget of cyclic Jacobi sweeps
 
+    The Frobenius norms of these rules (is_self_adjoint's ||x||_F and
+    ||x - x*||_F, simultaneous_eigh's ||m||_F) are overflow-safe: where the
+    sum of squares, or the modulus of an entry, overflows while every entry
+    is finite, the norm is s ||x/s||_F with s the largest |real or imaginary
+    part| of an entry. So with finite entries it is inf only where the norm
+    itself lies past the float range, and never nan; an inf entry keeps the
+    norm inf and a nan entry nan, as without the rescale; a finite norm
+    keeps its bits.
+
     Rules that still differ: Projection, Subalgebra.is_commutative and
     check_regularity test against an absolute 2 pos_slack; the ladder stops
     once ||u_n - u_{n-1}|| < rank_cutoff;
@@ -327,9 +336,24 @@ def imag_part(x: AlgebraElement) -> AlgebraElement:
     return AlgebraElement._of([(-0.5j) * (b - b.conj().T) for b in x.blocks])
 
 
+def _largest_part(blocks) -> float:
+    """The largest |real or imaginary part| of an entry of the blocks."""
+    return max(max(float(np.abs(b.real).max()), float(np.abs(b.imag).max())) for b in blocks)
+
+
 def _frobenius(blocks) -> float:
-    """Frobenius norm of a sequence of blocks, summed in block order."""
-    return math.sqrt(sum(np.vdot(b, b).real for b in blocks))
+    """Frobenius norm of a sequence of blocks, summed in block order. Where
+    the sum of squares, or the modulus of an entry, overflows while every
+    entry is finite, it is s ||x/s||_F with s = _largest_part(blocks); a
+    finite norm keeps its bits, and a non-finite entry its inf or nan."""
+    value = math.sqrt(sum(np.vdot(b, b).real for b in blocks))
+    if math.isfinite(value):
+        return value
+    s = _largest_part(blocks)
+    if not math.isfinite(s):
+        return value
+    scaled = [b / s for b in blocks]
+    return s * math.sqrt(sum(np.vdot(b, b).real for b in scaled))
 
 
 def frobenius_norm(x: AlgebraElement) -> float:
@@ -691,8 +715,8 @@ def _raised(outcome):
     return outcome
 
 
-# the cluster gap's np.linalg.norm and the solve of a compression may
-# overflow; a compression's fault is raised without a warning
+# the cluster gap's np.linalg.norm, before its rescale, and the solve of a
+# compression may overflow; a compression's fault is raised without a warning
 @np.errstate(over="ignore", invalid="ignore")
 def simultaneous_eigh(
     mats: Sequence[np.ndarray], tol: ToleranceConfig | None = None
@@ -708,7 +732,12 @@ def simultaneous_eigh(
     basis = np.eye(n, dtype=np.complex128)
     groups = [np.arange(n)]
     for m in mats:
-        gap = t.cluster_tol * max(1.0, float(np.linalg.norm(m)))
+        norm = float(np.linalg.norm(m))
+        if not math.isfinite(norm):
+            s = _largest_part([m])
+            if math.isfinite(s):
+                norm = s * float(np.linalg.norm(m / s))
+        gap = t.cluster_tol * max(1.0, norm)
         refined = []
         for idx in groups:
             if len(idx) == 1:

@@ -12,9 +12,21 @@ their face suprema atom by atom: m pairs, each within 2 pos_slack, so every
 projection of the closure, a sum of distinct atoms, lies within m delta of
 its partner.
 
-A Subalgebra memoizes its commutativity verdict and its minimal
-projections, keyed by name and the resolved ToleranceConfig as in ``core``;
-a MASA made by generate_masa starts with its rank-one projections stored.
+A MASA is handled as its rank-one projections, held as one read-only
+(n_k, n_k, n_k) stack per block position k, and its three checks are array
+operations on those stacks, with the rules of the element-by-element
+checks: the postcondition ||[p_i, p_j]||_F <= 2 pos_slack over the pairs
+within one block (pairs in different blocks commute exactly), containment
+of b's basis by projecting each basis element on the stack, and the face
+suprema as masked sums of the stack's slices. generate_masa builds the
+stacks from its refined eigenvectors; any other MASA reads them off its
+minimal projections. The MASAs generated around one element share one
+joint eigensolve, memoized on the element with read-only bases that each
+MASA refines a copy of.
+
+A Subalgebra memoizes its commutativity verdict, its minimal projections
+and, for a MASA, its stacks, keyed by name and the resolved ToleranceConfig
+as in ``core``; a MASA made by generate_masa starts with all three stored.
 """
 
 from __future__ import annotations
@@ -282,6 +294,64 @@ def _require_commuting_normal(generators, t):
                 raise NotCommuting(f"generators {i} and {j} do not commute")
 
 
+def _eigenspaces(seeds: Sequence[AlgebraElement], t: ToleranceConfig):
+    """joint_eigenspaces of the seeds. For a lone seed it is memoized on the
+    seed, so the MASAs generated around one element share one solve; its
+    bases are then read-only, and a caller refines a copy."""
+    if len(seeds) > 1:
+        return joint_eigenspaces(seeds, t)
+    return _memoized(seeds[0], "joint_eigenspaces", t, _frozen_eigenspaces)
+
+
+def _frozen_eigenspaces(g: AlgebraElement, t: ToleranceConfig):
+    spaces = joint_eigenspaces([g], t)
+    for basis, _ in spaces:
+        basis.flags.writeable = False
+    return spaces
+
+
+def _rank_one_stack(basis: np.ndarray) -> np.ndarray:
+    """The rank-one projections v v* onto the columns v of a unitary, as one
+    read-only (n, n, n) stack, hermitized exactly."""
+    vt = basis.T.copy()
+    m = vt[:, :, None] @ vt.conj()[:, None, :]
+    stack = 0.5 * (m + m.conj().swapaxes(1, 2))
+    stack.flags.writeable = False
+    return stack
+
+
+def _stacks_commute(stacks: Sequence[np.ndarray], t: ToleranceConfig) -> bool:
+    """||[p_i, p_j]||_F <= 2 pos_slack for every pair of the rank-one
+    projections, is_commutative's rule on their span. Projections in
+    different blocks commute exactly, so only pairs within one stack are
+    formed, one projection against the later ones of its stack at a time."""
+    for p in stacks:
+        n = p.shape[-1]
+        for i in range(n - 1):
+            comm = (p[i] @ p[i + 1:] - p[i + 1:] @ p[i]).reshape(n - 1 - i, n * n)
+            if (np.sqrt(_squares(comm)) > t.pos_slack * 2.0).any():
+                return False
+    return True
+
+
+def _squares(rows: np.ndarray) -> np.ndarray:
+    """Sum of the squared moduli along the last axis."""
+    return (rows.real**2 + rows.imag**2).sum(axis=-1)
+
+
+def _rows(elements: Sequence[AlgebraElement], k: int, n: int) -> np.ndarray:
+    """Block k, of dimension n, of each element as one row of n^2 entries."""
+    return np.array([x.blocks[k] for x in elements]).reshape(len(elements), n * n)
+
+
+def _within_slack(pairs, t: ToleranceConfig) -> np.ndarray:
+    """Per row, ||y - x||_F <= pos_slack (1 + ||x||_F) over all blocks, for
+    one pair (y, x) of row matrices per block position."""
+    gaps = sum(_squares(y - x) for y, x in pairs)
+    norms = sum(_squares(x) for _, x in pairs)
+    return np.sqrt(gaps) <= t.pos_slack * (1.0 + np.sqrt(norms))
+
+
 def generate_masa(
     seed_commuting: Sequence[AlgebraElement],
     refinement_seed: int,
@@ -300,8 +370,9 @@ def generate_masa(
     _require_commuting_normal(seed_commuting, t)
     sig = seed_commuting[0].signature
     rng = np.random.default_rng(refinement_seed)
-    basis_elements = []
-    for k, (basis, groups) in enumerate(joint_eigenspaces(seed_commuting, t)):
+    stacks = []
+    for basis, groups in _eigenspaces(seed_commuting, t):
+        basis = basis.copy()
         for idx in groups:
             if len(idx) > 1:
                 g = rng.standard_normal((len(idx), len(idx))) + 1j * rng.standard_normal(
@@ -310,17 +381,20 @@ def generate_masa(
                 q, r = np.linalg.qr(g)
                 d = np.diagonal(r)
                 basis[:, idx] = basis[:, idx] @ (q * (d / np.abs(d)))
-        for col in range(sig[k]):
-            v = basis[:, col : col + 1]
-            m = v @ v.conj().T
-            blocks = [
-                0.5 * (m + m.conj().T) if j == k else np.zeros((d, d), dtype=complex)
-                for j, d in enumerate(sig)
-            ]
-            basis_elements.append(AlgebraElement(blocks))
-    out = Subalgebra(sig, tuple(basis_elements))
-    if not out.is_masa(t):
+        stacks.append(_rank_one_stack(basis))
+    # the postcondition is_masa: Sigma n rank-one projections that commute
+    if not _stacks_commute(stacks, t):
         raise PostconditionFailed("refined diagonal algebra failed the MASA postcondition")
+    # the slices of the read-only stacks are wrapped as they are
+    basis_elements = [
+        AlgebraElement._of([p if j == k else np.zeros((n, n), dtype=complex)
+                            for j, n in enumerate(sig)])
+        for k, stack in enumerate(stacks)
+        for p in stack
+    ]
+    out = Subalgebra(sig, tuple(basis_elements))
+    _remember(out, "is_commutative", t, True)
+    _remember(out, "rank_one_stacks", t, tuple(stacks))
     # the rank-one basis projections are the MASA's minimal projections
     minimal = [Projection._of(e) for e in basis_elements]
     _remember(out, "minimal_projections", t, _sorted_by_rank(minimal))
@@ -433,32 +507,61 @@ def _minimal_projections(s: Subalgebra, t: ToleranceConfig) -> tuple[Projection,
     return _sorted_by_rank(projections)
 
 
-def _overlap(x: AlgebraElement, y: AlgebraElement) -> float:
-    """Re tr(x y), summed over the blocks."""
-    return sum(float(np.trace(a @ b).real) for a, b in zip(x.blocks, y.blocks))
+def _rank_one_stacks(masa: Subalgebra, t: ToleranceConfig) -> tuple[np.ndarray, ...]:
+    """The minimal projections of a MASA, all of rank one, as one read-only
+    (n_k, n_k, n_k) stack per block position k: slice j is block k of a
+    projection that lives in block k alone. generate_masa stores them; any
+    other MASA reads them off minimal_projections."""
+    return _memoized(masa, "rank_one_stacks", t, _stacks_of_minimal)
 
 
-def _require_atom_sums(
-    minimal: Sequence[Projection], masa_minimal: Sequence[Projection], t
+def _stacks_of_minimal(masa: Subalgebra, t: ToleranceConfig) -> tuple[np.ndarray, ...]:
+    per_block = [[] for _ in masa.signature]
+    for p in minimal_projections(masa, t):
+        blocks = p.element.blocks
+        k = int(np.argmax([np.trace(b).real for b in blocks]))
+        per_block[k].append(blocks[k])
+    stacks = tuple(np.array(s) for s in per_block)
+    for stack in stacks:
+        stack.flags.writeable = False
+    return stacks
+
+
+def _stacks_contain(stacks: Sequence[np.ndarray], b: Subalgebra, t: ToleranceConfig) -> bool:
+    """Each basis element x of b lies in the MASA of the rank-one projections
+    p_j: ||x - sum_j tr(p_j x) p_j||_F <= pos_slack (1 + ||x||_F), the rule
+    of Subalgebra.contains."""
+    pairs = []
+    for k, p in enumerate(stacks):
+        n = p.shape[-1]
+        x, flat = _rows(b.basis, k, n), p.reshape(n, n * n)
+        pairs.append(((x @ flat.conj().T) @ flat, x))
+    return bool(_within_slack(pairs, t).all())
+
+
+def _face_suprema(
+    minimal: Sequence[Projection], stacks: Sequence[np.ndarray], t: ToleranceConfig
 ) -> list[AlgebraElement]:
     """The face suprema s_1..s_m of b's minimal projections e_1..e_m in the
-    MASA: s_i sums the MASA's rank-one projections that e_i overlaps by more
-    than 1/2. Raise NotContained unless each s_i is e_i within pos_slack (1 +
-    ||e_i||_F)."""
-    sums = []
-    for e in minimal:
-        recover = AlgebraElement.zeros(e.element.signature)
-        for f in masa_minimal:
-            if _overlap(e.element, f.element) > 0.5:
-                recover = recover + f.element
-        if frobenius_norm(recover - e.element) > t.pos_slack * (
-            1.0 + frobenius_norm(e.element)
-        ):
-            raise NotContained(
-                "a minimal projection is not a sum of the MASA's rank-one projections"
-            )
-        sums.append(recover)
-    return sums
+    MASA of the rank-one projections p_j: s_i sums the p_j with Re tr(e_i
+    p_j) > 1/2. Raise NotContained unless each s_i is e_i within pos_slack
+    (1 + ||e_i||_F)."""
+    pairs = []
+    for k, p in enumerate(stacks):
+        n = p.shape[-1]
+        e, flat = _rows([q.element for q in minimal], k, n), p.reshape(n, n * n)
+        # tr(e p) = sum_ab e_ab p_ba, and p_ba is the conjugate of p_ab
+        under = (e @ flat.conj().T).real > 0.5
+        pairs.append((under.astype(complex) @ flat, e))
+    if not _within_slack(pairs, t).all():
+        raise NotContained(
+            "a minimal projection is not a sum of the MASA's rank-one projections"
+        )
+    sig = [p.shape[-1] for p in stacks]
+    return [
+        AlgebraElement._of([s[i].reshape(n, n).copy() for (s, _), n in zip(pairs, sig)])
+        for i in range(len(minimal))
+    ]
 
 
 def monotone_closure(
@@ -486,9 +589,12 @@ def _closure_in(
         raise NotCommuting("closure requires a commutative subalgebra")
     if not masa.is_masa(t):
         raise ValueError("closure must be taken inside a maximal commutative subalgebra")
-    if not masa.contains_subalgebra(b, t):
+    if masa.signature != b.signature:
+        raise SignatureMismatch(f"signatures differ: {masa.signature} vs {b.signature}")
+    stacks = _rank_one_stacks(masa, t)
+    if not _stacks_contain(stacks, b, t):
         raise NotContained("subalgebra does not lie inside the MASA")
-    sups = _require_atom_sums(minimal_projections(b, t), minimal_projections(masa, t), t)
+    sups = _face_suprema(minimal_projections(b, t), stacks, t)
     closure = Subalgebra.from_generators(sups, t)
     if not spans_equal(closure, b):
         raise PostconditionFailed(

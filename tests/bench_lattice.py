@@ -1,14 +1,16 @@
-"""Timing of closure_correspondence and spectral_measure on seeded
-degenerate normal elements, by signature, of closure_correspondence on 21
-distinct eigenvalues over three blocks, and of check_regularity by the
-number of spectrum points.
+"""Timing of the lattice layer and of spectral_measure on seeded degenerate
+normal elements, by signature, and on 21 distinct eigenvalues over three
+blocks: a whole closure (b, its two MASAs and closure_correspondence),
+generate_masa's two MASAs alone, and closure_correspondence alone. Also
+check_regularity by the number of spectrum points.
 
     PYTHONPATH=src python -m pytest tests/bench_lattice.py --benchmark-only
 
 Needs pytest-benchmark. The file name does not match test_*.py, so the
 default test run does not collect it. Each round builds the subalgebra, the
 two MASAs and the element afresh, as one CLI call does, so memoized data
-from an earlier round is not reused.
+from an earlier round is not reused; where only one step is timed, the
+others are built in the round's untimed setup.
 """
 
 import numpy as np
@@ -38,11 +40,14 @@ def distinct_points() -> AlgebraElement:
     return AlgebraElement([np.diag(np.arange(1.0, 8.0) + 7 * k) for k in range(3)])
 
 
-@pytest.mark.parametrize(
+CASES = pytest.mark.parametrize(
     "x",
     [*map(degenerate_normal, SIGNATURES), distinct_points()],
     ids=[*map(str, SIGNATURES), "21-points"],
 )
+
+
+@CASES
 def test_closure_correspondence(benchmark, x):
     blocks = x.blocks
 
@@ -52,6 +57,30 @@ def test_closure_correspondence(benchmark, x):
         return closure_correspondence(b, generate_masa([g], 1), generate_masa([g], 2))
 
     assert benchmark(closure).accepted
+
+
+@CASES
+def test_generate_masa(benchmark, x):
+    """The two MASAs of one closure call, which share one joint eigensolve."""
+    blocks = x.blocks
+
+    def masas():
+        g = AlgebraElement(blocks)
+        return generate_masa([g], 1), generate_masa([g], 2)
+
+    assert all(d.is_masa() for d in benchmark(masas))
+
+
+@CASES
+def test_closure_correspondence_alone(benchmark, x):
+    blocks = x.blocks
+
+    def fresh():
+        g = AlgebraElement(blocks)
+        return (Subalgebra.from_generators([g]), generate_masa([g], 1), generate_masa([g], 2)), {}
+
+    corr = benchmark.pedantic(closure_correspondence, setup=fresh, rounds=100)
+    assert corr.accepted
 
 
 @pytest.mark.parametrize("sig", SIGNATURES, ids=str)

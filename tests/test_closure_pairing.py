@@ -42,7 +42,6 @@ from awkit.lattice import (
     CLOSURE_RESIDUAL_TOL,
     ClosureCorrespondence,
     Subalgebra,
-    _overlap,
     closure_correspondence,
     generate_masa,
     minimal_projections,
@@ -56,6 +55,11 @@ from awkit.sampling import haar_unitary_block
 PAIR_TOL = 1e-12
 
 # --- the earlier body, verbatim -------------------------------------------------
+
+
+def _overlap(x, y):
+    """Re tr(x y), summed over the blocks."""
+    return sum(float(np.trace(a @ b).real) for a, b in zip(x.blocks, y.blocks))
 
 
 def _subset_sums(ps, signature):
@@ -223,15 +227,17 @@ def test_pairing_matches_when_masas_equal():
     assert len(corr.pairs) == 3 and corr.delta <= CLOSURE_RESIDUAL_TOL
 
 
-def _tilt(x, rng, angle=1e-6):
-    """u x u* blockwise, for a unitary u = exp(i angle h) with h Hermitian."""
+def _tilt(stacks, rng, angle=1e-6):
+    """u p u* for each (k, n, n) stack p of blocks at one block position,
+    for a unitary u = exp(i angle h) per position with h Hermitian."""
     out = []
-    for blk in x.blocks:
-        a = rng.standard_normal(blk.shape) + 1j * rng.standard_normal(blk.shape)
+    for p in stacks:
+        n = p.shape[-1]
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         w, v = np.linalg.eigh(a + a.conj().T)
         u = (v * np.exp(1j * angle * w)) @ v.conj().T
-        out.append(u @ blk @ u.conj().T)
-    return AlgebraElement(out)
+        out.append(u @ p @ u.conj().T)
+    return tuple(out)
 
 
 def test_pairing_still_checks_the_closure_against_b():
@@ -245,11 +251,8 @@ def test_pairing_still_checks_the_closure_against_b():
     b = Subalgebra.from_generators([g])
     t = ToleranceConfig(pos_slack=1e-4)
     d1, d2 = generate_masa([g], 1, t), generate_masa([g], 2, t)
-    tilted = tuple(
-        Projection._of(_tilt(f.element, np.random.default_rng(0)))
-        for f in minimal_projections(d2, t)
-    )
-    _remember(d2, "minimal_projections", t, tilted)
+    tilted = _tilt(lattice._rank_one_stacks(d2, t), np.random.default_rng(0))
+    _remember(d2, "rank_one_stacks", t, tilted)
     assert monotone_closure(b, d1, t).dim == 3
     assert _assert_same(b, d1, d2, t) is None
     with pytest.raises(PostconditionFailed, match="moved at finite dimension"):
@@ -264,15 +267,15 @@ def test_pairing_rejects_a_perturbed_supremum(monkeypatch):
     g = _rotated_degenerate()
     b = Subalgebra.from_generators([g])
     d1, d2 = generate_masa([g], 1), generate_masa([g], 2)
-    body = lattice._require_atom_sums
+    body = lattice._face_suprema
 
-    def perturbed(minimal, masa_minimal, t):
-        sums = body(minimal, masa_minimal, t)
-        if masa_minimal[0] is minimal_projections(d2, t)[0]:
+    def perturbed(minimal, stacks, t):
+        sums = body(minimal, stacks, t)
+        if stacks is lattice._rank_one_stacks(d2, t):
             sums[0] = 1.001 * sums[0]
         return sums
 
-    monkeypatch.setattr(lattice, "_require_atom_sums", perturbed)
+    monkeypatch.setattr(lattice, "_face_suprema", perturbed)
     assert spans_equal(monotone_closure(b, d2), b)
     with pytest.raises(PostconditionFailed, match="not the identity map"):
         closure_correspondence(b, d1, d2)

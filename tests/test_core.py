@@ -16,6 +16,7 @@ from awkit.core import (
     adjoint,
     eigh_hermitian,
     frobenius_norm,
+    is_self_adjoint,
     loewner_leq,
     operator_norm,
     positive_sqrt,
@@ -372,21 +373,68 @@ def test_block_whose_norm_overflows_is_solved_rescaled():
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_eigenvalue_past_the_float_range_raises_bad_argument():
     # the largest eigenvalues are 2e308, 2.4e308 and |z| = 2.1e308, past the
-    # float range; |z| itself overflows though its parts do not (and the
-    # public self-adjointness check reads that block's norm as nan)
+    # float range; |z| itself overflows though its parts do not, and the
+    # public self-adjointness check still passes that Hermitian block
     z = 1.5e308 * (1 + 1j)
     past = "eigenvalue of a block lies past the float range"
     for h in ([[1e308] * 2] * 2, [[8e307] * 3] * 3, [[0, z], [z.conjugate(), 0]]):
         with pytest.raises(BadArgument, match=past):
             simultaneous_eigh([np.array(h, dtype=complex)])
-        if h[0][0] == 0:
-            continue
         for vectors in (True, False):
             with pytest.raises(BadArgument, match=past):
                 eigh_hermitian(el(h), vectors=vectors)
     # just inside the range the same kind of block solves
     w = eigh_hermitian(el([[8e307] * 2] * 2)).eigenvalues[0]
     assert np.allclose(w, [0.0, 1.6e308], rtol=1e-15, atol=1e293)
+
+
+def test_frobenius_norm_past_the_float_range_is_rescaled():
+    # the sum of squares overflows, so the norm is s ||x/s||_F with s the
+    # largest part of an entry; |z|^2 overflows, and vdot reads it as nan
+    assert frobenius_norm(el([[1e200, 1e200], [1e200, 1e200]])) == 2e200
+    assert frobenius_norm(el([[3e307j]], [[-4e307]])) == pytest.approx(5e307, rel=1e-15)
+    z = 1.5e308 * (1 + 1j)
+    x = el([[0, z], [z.conjugate(), 0]])
+    assert frobenius_norm(x) == math.inf
+    assert is_self_adjoint(x)
+    # a finite norm keeps the bits of the plain sum of squares
+    rng = np.random.default_rng(2)
+    blocks = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in (3, 5)]
+    plain = math.sqrt(sum(np.vdot(b, b).real for b in blocks))
+    assert frobenius_norm(el(*blocks)) == plain
+
+
+def test_frobenius_norm_of_a_non_finite_entry_is_not_rescaled():
+    # with an inf or nan entry the norm is the plain sum of squares, inf or
+    # nan as it falls, never a rescaled finite value
+    from awkit.core import _frobenius, _is_self_adjoint_blocks
+
+    for blocks in (
+        [np.array([[0, math.inf], [1e308, 0]], dtype=complex)],
+        [np.zeros((1, 1), dtype=complex), np.array([[math.inf, 1e308]], dtype=complex)],
+        [np.array([[1e308, complex(1e308, math.inf)]])],
+        [np.array([[math.nan, 1e308]], dtype=complex)],
+    ):
+        plain = math.sqrt(sum(np.vdot(b, b).real for b in blocks))
+        assert not math.isfinite(plain)
+        got = _frobenius(blocks)
+        assert got == plain or (math.isnan(got) and math.isnan(plain))
+        # so a skew part with such an entry never passes the self-adjoint rule
+        eye = [np.eye(b.shape[0], dtype=complex) for b in blocks]
+        assert not _is_self_adjoint_blocks(eye, blocks, ToleranceConfig())
+    # an element whose defects overflow is never certified a projection
+    with pytest.raises(BadArgument):
+        Projection(el([[0, 1e308], [-1e308, 0]]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cluster_gap_past_the_float_range_splits_distinct_eigenvalues():
+    # ||m||_F overflows, but the gap is taken at the rescaled norm, so the
+    # eigenvalues +-1e308 and 0, 2e200 fall into two groups
+    for h in (np.diag([1e308, -1e308]), [[1e200] * 2] * 2):
+        basis, groups = simultaneous_eigh([np.array(h, dtype=complex)])
+        assert [g.tolist() for g in groups] == [[0], [1]]
+        assert np.allclose(basis.conj().T @ basis, np.eye(2), atol=1e-15)
 
 
 def test_block_whose_squares_underflow_is_solved_rescaled():
