@@ -132,9 +132,9 @@ class ToleranceConfig:
     check_regularity test against an absolute 2 pos_slack; the ladder stops
     once ||u_n - u_{n-1}|| < rank_cutoff;
     _orthonormal_rows cuts singular values relative to the largest; the
-    cluster gap is cluster_tol max(1, ||m||_F) in simultaneous_eigh,
-    cluster_tol max(1, ||a||) in spectral_measure and cluster_tol
-    (1 + |tuple|) per value tuple in minimal_projections. The limit step of
+    cluster gap is cluster_tol max(1, ||m||_F) in simultaneous_eigh and
+    cluster_tol max(1, largest value tuple norm) in _joint_atoms, the atoms
+    spectral_measure and minimal_projections both read. The limit step of
     limit_calculus_check's order preservation accepts d = lim c2 - lim c1
     when max(0, -min w, ||d - d*||_F) <= pos_slack (1 + max |w|) over the
     eigenvalues w of Re d. relative_commutant skips a block with
@@ -458,6 +458,18 @@ class HermitianEigenSystem:
             lambda w: np.where(w > cutoff, 1.0 / np.sqrt(np.maximum(w, cutoff)), 0.0)
         )
 
+    def inverse(self, t: ToleranceConfig) -> AlgebraElement:
+        """Inverse on the range: 1/w above the rank cutoff, 0 at or below it."""
+        cutoff = self.rank_cutoff(t)
+
+        def invert(w: np.ndarray) -> np.ndarray:
+            out = np.zeros_like(w)
+            kept = w > cutoff
+            out[kept] = 1.0 / w[kept]
+            return out
+
+        return self.assemble(invert)
+
     def support(self, t: ToleranceConfig) -> "Projection":
         """Range projection of root: 1 above the rank cutoff, 0 at or below
         it, so it keeps exactly the eigenvalues that root keeps."""
@@ -771,6 +783,49 @@ def joint_eigenspaces(
     ]
 
 
+def _joint_atoms(
+    family: Sequence[AlgebraElement], t: ToleranceConfig
+) -> list[tuple[np.ndarray, "Projection"]]:
+    """The atoms of a commuting normal family: its joint eigenvector columns
+    merged by single link on their value tuples.
+
+    Column v of block k carries the tuple of its Rayleigh values v* f_k v
+    over the family f. Two columns are linked when their tuples lie within
+    cluster_tol max(1, the largest tuple norm). Per atom, in the order of
+    its first column (block by block, then column by column), returns the
+    (columns, len(family)) array of its columns' tuples in column order and
+    the atom itself: sum v v* per block in column order, hermitized once.
+    """
+    columns, tuples = [], []
+    for k, (basis, _) in enumerate(joint_eigenspaces(family, t)):
+        values = [np.diagonal(basis.conj().T @ f.blocks[k] @ basis) for f in family]
+        for c in range(basis.shape[1]):
+            columns.append((k, basis[:, c : c + 1]))
+            tuples.append([v[c] for v in values])
+    tuples = np.array(tuples)
+    gap = t.cluster_tol * max(1.0, float(np.linalg.norm(tuples, axis=1).max()))
+    near = np.linalg.norm(tuples[:, None] - tuples[None], axis=-1) <= gap
+    label = [-1] * len(columns)
+    atoms = []
+    for first in range(len(columns)):
+        if label[first] >= 0:
+            continue
+        label[first], members = len(atoms), [first]
+        for i in members:  # grows as the single links reach new columns
+            for j in np.flatnonzero(near[i]).tolist():
+                if label[j] < 0:
+                    label[j] = label[first]
+                    members.append(j)
+        members.sort()
+        sums = [np.zeros((n, n), dtype=complex) for n in family[0].signature]
+        for i in members:
+            k, vec = columns[i]
+            sums[k] = sums[k] + vec @ vec.conj().T
+        atom = Projection._of(AlgebraElement._of([0.5 * (m + m.conj().T) for m in sums]))
+        atoms.append((tuples[members], atom))
+    return atoms
+
+
 def operator_norm(x: AlgebraElement, tol: ToleranceConfig | None = None) -> float:
     """Largest singular value over blocks, via the top eigenvalue of x*x."""
     return _memoized(x, "operator_norm", _tol(tol), _operator_norm)
@@ -918,15 +973,7 @@ def pseudo_inverse_on_range(
     eig = eigh_hermitian(h, t)
     if not eig.is_positive(t):
         raise NotPositive(f"min eigenvalue {eig.min_eigenvalue:.3e} below slack")
-    cutoff = eig.rank_cutoff(t)
-
-    def invert(w: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(w)
-        kept = w > cutoff
-        out[kept] = 1.0 / w[kept]
-        return out
-
-    return eig.assemble(invert)
+    return eig.inverse(t)
 
 
 class Projection:
@@ -937,10 +984,12 @@ class Projection:
     def __init__(self, element: AlgebraElement, tol: ToleranceConfig | None = None):
         t = _tol(tol)
         slack = t.pos_slack * 2.0
-        if frobenius_norm(element - adjoint(element)) > slack:
-            raise NotProjection("not a projection: fails self-adjointness")
-        if frobenius_norm(element * element - element) > slack:
-            raise NotProjection("not a projection: fails idempotency")
+        # a defect that overflows raises BadArgument, without a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            if frobenius_norm(element - adjoint(element)) > slack:
+                raise NotProjection("not a projection: fails self-adjointness")
+            if frobenius_norm(element * element - element) > slack:
+                raise NotProjection("not a projection: fails idempotency")
         object.__setattr__(self, "element", element)
 
     @classmethod

@@ -24,6 +24,11 @@ minimal projections. The MASAs generated around one element share one
 joint eigensolve, memoized on the element with read-only bases that each
 MASA refines a copy of.
 
+The minimal projections of a commutative subalgebra are the atoms of its
+basis (core._joint_atoms): the joint eigenvectors of the basis elements,
+merged where their value tuples over the basis lie within the cluster gap,
+the one rule by which spectral_measure finds the atoms of a normal element.
+
 A Subalgebra memoizes its commutativity verdict, its minimal projections
 and, for a MASA, its stacks, keyed by name and the resolved ToleranceConfig
 as in ``core``; a MASA made by generate_masa starts with all three stored.
@@ -42,6 +47,7 @@ from .core import (
     Projection,
     ToleranceConfig,
     _eigh_blocks,
+    _joint_atoms,
     _memoized,
     _norm_against,
     _remember,
@@ -444,9 +450,10 @@ def minimal_projections(
 ) -> list[Projection]:
     """Minimal projections of a commutative subalgebra, summing to the identity.
 
-    Joint eigenspaces of the basis are grouped by their joint eigenvalue
-    tuples across blocks; each tuple class yields one minimal projection.
-    Returns a fresh list of the projections memoized on s.
+    They are the atoms of the basis (core._joint_atoms): joint eigenvectors
+    merged by their value tuples over the basis, across blocks. Raises
+    PostconditionFailed unless there are dim s of them. Returns a fresh list
+    of the projections memoized on s, largest block traces first.
     """
     return list(_memoized(s, "minimal_projections", _tol(tol), _minimal_projections))
 
@@ -463,43 +470,7 @@ def _sorted_by_rank(projections: list[Projection]) -> tuple[Projection, ...]:
 def _minimal_projections(s: Subalgebra, t: ToleranceConfig) -> tuple[Projection, ...]:
     if not s.is_commutative(t):
         raise NotCommuting("minimal projections require a commutative subalgebra")
-    sig = s.signature
-    carriers = []  # (block, columns, value tuple)
-    for k, (basis, groups) in enumerate(joint_eigenspaces(s.basis, t)):
-        for idx in groups:
-            v = basis[:, idx]
-            tup = np.array(
-                [np.mean(np.diagonal(v.conj().T @ b.blocks[k] @ v)) for b in s.basis]
-            )
-            carriers.append((k, v, tup))
-    # single-link clustering of the value tuples
-    m = len(carriers)
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if np.linalg.norm(carriers[i][2] - carriers[j][2]) <= t.cluster_tol * (
-                1.0 + np.linalg.norm(carriers[i][2])
-            ):
-                parent[find(i)] = find(j)
-    clusters: dict[int, list[int]] = {}
-    for i in range(m):
-        clusters.setdefault(find(i), []).append(i)
-
-    projections = []
-    for members in clusters.values():
-        blocks = [np.zeros((n, n), dtype=complex) for n in sig]
-        for i in members:
-            k, v, _ = carriers[i]
-            mat = v @ v.conj().T
-            blocks[k] = blocks[k] + 0.5 * (mat + mat.conj().T)
-        projections.append(Projection._of(AlgebraElement(blocks)))
+    projections = [atom for _, atom in _joint_atoms(s.basis, t)]
     if len(projections) != s.dim:
         raise PostconditionFailed(
             f"found {len(projections)} minimal projections in a {s.dim}-dimensional algebra"

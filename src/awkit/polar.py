@@ -57,7 +57,6 @@ from .core import (
     adjoint,
     loewner_leq,
     operator_norm,
-    pseudo_inverse_on_range,
 )
 from .errors import BadArgument, BadCut, SlowConvergence, ZeroElement
 
@@ -170,12 +169,14 @@ def polar_direct(
     """Polar decomposition through the eigendecomposition of x*x.
 
     u = x pinv(|x|) vanishes on ker |x|; the zero element yields u = 0.
-    It inverts the |x| it has assembled, in a solve of its own, so that it
-    stays independent of the ladder's closed-form limit.
+    It inverts the |x| it has assembled, in an unchecked solve of its own,
+    so that it stays independent of the ladder's closed-form limit; a root
+    it has built is positive, and is not checked again.
     """
     t = _tol(tol)
     _, frame = _polar_frame(x, t)
-    return PolarResult(u=x * pseudo_inverse_on_range(frame["absx"], t), **frame)
+    inverse = _eigh_blocks(frame["absx"].blocks, t).inverse(t)
+    return PolarResult(u=x * inverse, **frame)
 
 
 def _ladder(n_max: int) -> list[int]:

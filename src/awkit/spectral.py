@@ -1,14 +1,22 @@
 """Spectral decomposition of normal elements.
 
 A normal element is split into commuting self-adjoint parts h + i k, the
-parts are diagonalized simultaneously, and the resulting complex eigenvalues
-are clustered into spectrum points. Each point carries an orthogonal
-projection atom; the atom map is a finitely additive projection-valued
-measure whose weighted sum reconstructs the element. On a finite discrete
-spectrum every subset is both closed and open, so inner and outer
-regularity reduce to the measure axioms: the atoms are pairwise orthogonal
-projections summing to 1. measure_residuals names their defects, and
-check_regularity accepts them.
+parts are diagonalized simultaneously, and the joint eigenvectors are
+merged into atoms by their complex eigenvalues. The atoms are those of the
+algebra the element generates: core._joint_atoms on the family [a], the
+routine minimal_projections reads the minimal projections of a commutative
+subalgebra off, so the decomposition lies inside that algebra. Each
+spectrum point carries its atom; the atom map is a finitely additive
+projection-valued measure whose weighted sum reconstructs the element. On a
+finite discrete spectrum every subset is both closed and open, so inner and
+outer regularity reduce to the measure axioms: the atoms are pairwise
+orthogonal projections summing to 1. measure_residuals names their defects,
+and check_regularity accepts them.
+
+The paper's third claim, that a spectral decomposition exists whether or
+not the AW*-algebra is normal, has no finite-dimensional counterexample to
+check: every finite-dimensional AW*-algebra is monotone complete, hence
+normal.
 """
 
 from __future__ import annotations
@@ -23,11 +31,11 @@ from .core import (
     AlgebraElement,
     Projection,
     ToleranceConfig,
+    _joint_atoms,
     _tol,
     adjoint,
     frobenius_norm,
     is_normal,
-    joint_eigenspaces,
     operator_norm,
 )
 from .errors import (
@@ -122,92 +130,29 @@ class SpectralMeasure:
             raise UnknownPoint(f"{point} is not a spectrum point") from None
 
 
-def _cluster_complex(values, ctol):
-    """Single-link clustering of complex values.
-
-    Returns sorted representatives (unweighted means of members, re-merged
-    until their pairwise separation exceeds the tolerance) and a label per
-    input value.
-    """
-    m = len(values)
-    labels = list(range(m))
-    groups: list[list[int]] = [[i] for i in range(m)]
-    reps = [complex(v) for v in values]
-    while True:
-        parent = list(range(len(reps)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        merged = False
-        for i in range(len(reps)):
-            for j in range(i + 1, len(reps)):
-                if abs(reps[i] - reps[j]) <= ctol and find(i) != find(j):
-                    parent[find(i)] = find(j)
-                    merged = True
-        if not merged:
-            break
-        buckets: dict[int, list[int]] = {}
-        for i in range(len(reps)):
-            buckets.setdefault(find(i), []).append(i)
-        new_groups, new_reps = [], []
-        for members in buckets.values():
-            joined = [k for g in members for k in groups[g]]
-            new_groups.append(joined)
-            new_reps.append(sum(values[k] for k in joined) / len(joined))
-        groups, reps = new_groups, new_reps
-    order = sorted(range(len(reps)), key=lambda i: (reps[i].real, reps[i].imag))
-    final_reps = [reps[i] for i in order]
-    for new_label, i in enumerate(order):
-        for k in groups[i]:
-            labels[k] = new_label
-    return final_reps, labels
-
-
-def _normal_eigensystem(a: AlgebraElement, t: ToleranceConfig):
-    """Per-block joint eigenvectors of h and k with complex Rayleigh values."""
-    if not is_normal(a, t):
-        raise NotNormal("spectral decomposition needs a normal element")
-    per_block = []
-    for ak, (basis, _) in zip(a.blocks, joint_eigenspaces([a], t)):
-        vals = np.diagonal(basis.conj().T @ ak @ basis).copy()
-        per_block.append((basis, vals))
-    return per_block
-
-
 def spectral_measure(
     a: AlgebraElement, tol: ToleranceConfig | None = None
 ) -> SpectralMeasure:
     """Projection-valued measure of a normal element.
 
-    Atoms project onto the clustered joint eigenspaces; their weighted sum
+    Its atoms are the atoms of the family [a], the minimal projections of
+    the algebra a generates; each point is the mean of its atom's
+    eigenvalues, its multiplicity the atom's rank. Their weighted sum
     reconstructs the element.
     """
     t = _tol(tol)
-    per_block = _normal_eigensystem(a, t)
-    ctol = t.cluster_tol * max(1.0, operator_norm(a, t))
-    all_vals = [complex(v) for _, vals in per_block for v in vals]
-    points, labels = _cluster_complex(all_vals, ctol)
-    sig = a.signature
-    sums = [[np.zeros((n, n), dtype=complex) for n in sig] for _ in points]
-    mults = [0] * len(points)
-    flat = 0
-    for k, (basis, vals) in enumerate(per_block):
-        for col in range(len(vals)):
-            label = labels[flat]
-            flat += 1
-            vec = basis[:, col : col + 1]
-            sums[label][k] = sums[label][k] + vec @ vec.conj().T
-            mults[label] += 1
-    atoms = {}
-    for i, p in enumerate(points):
-        blocks = [0.5 * (m + m.conj().T) for m in sums[i]]
-        atoms[p] = Projection._of(AlgebraElement(blocks))
-    spectrum = Spectrum(points=tuple(points), multiplicities=tuple(mults))
-    return SpectralMeasure(domain_spectrum=spectrum, atoms=MappingProxyType(atoms))
+    if not is_normal(a, t):
+        raise NotNormal("spectral decomposition needs a normal element")
+    found = []
+    for values, atom in _joint_atoms([a], t):
+        z = [complex(v) for v in values[:, 0]]
+        found.append((sum(z) / len(z), len(z), atom))
+    found.sort(key=lambda f: (f[0].real, f[0].imag))
+    spectrum = Spectrum(
+        points=tuple(p for p, _, _ in found), multiplicities=tuple(m for _, m, _ in found)
+    )
+    atoms = MappingProxyType({p: atom for p, _, atom in found})
+    return SpectralMeasure(domain_spectrum=spectrum, atoms=atoms)
 
 
 @dataclass(frozen=True)

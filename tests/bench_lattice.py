@@ -2,7 +2,9 @@
 normal elements, by signature, and on 21 distinct eigenvalues over three
 blocks: a whole closure (b, its two MASAs and closure_correspondence),
 generate_masa's two MASAs alone, and closure_correspondence alone. Also
-check_regularity by the number of spectrum points.
+spectral_measure and minimal_projections, the two callers of the one atom
+routine, by signature, and check_regularity by the number of spectrum
+points.
 
     PYTHONPATH=src python -m pytest tests/bench_lattice.py --benchmark-only
 
@@ -17,7 +19,12 @@ import numpy as np
 import pytest
 
 from awkit.core import AlgebraElement
-from awkit.lattice import Subalgebra, closure_correspondence, generate_masa
+from awkit.lattice import (
+    Subalgebra,
+    closure_correspondence,
+    generate_masa,
+    minimal_projections,
+)
 from awkit.sampling import haar_unitary_block
 from awkit.spectral import check_regularity, spectral_measure
 
@@ -88,6 +95,15 @@ def test_spectral_measure(benchmark, sig):
     blocks = degenerate_normal(sig).blocks
     m = benchmark(lambda: spectral_measure(AlgebraElement(blocks)))
     assert m.domain_spectrum.total_dim == sum(sig)
+
+
+@pytest.mark.parametrize("sig", SIGNATURES, ids=str)
+def test_minimal_projections(benchmark, sig):
+    """The algebra the element of test_spectral_measure generates, rebuilt
+    from its basis each round so that no memoized projections are reused."""
+    b = Subalgebra.from_generators([degenerate_normal(sig)])
+    found = benchmark(lambda: minimal_projections(Subalgebra(b.signature, b.basis)))
+    assert len(found) == b.dim
 
 
 @pytest.mark.parametrize("n_points", [4, 8, 12])

@@ -69,14 +69,13 @@ def test_certify_checks_nothing_twice(tmp_path, capsys, counts):
 
 @pytest.mark.parametrize("method", ["regularized", "direct"])
 def test_polar_checks_only_what_reaches_a_public_entry_point(tmp_path, capsys, counts, method):
-    # only the direct route's pseudo-inverse: the ladder reads its u, and both
-    # routes the range projections of |x| and |x*| that polar_residuals
-    # compares with, off the eigensystems they hold
+    # nothing: the ladder reads its u, the direct route inverts the |x| it
+    # has assembled, and both routes read the range projections of |x| and
+    # |x*| that polar_residuals compares with off the eigensystems they hold
     rng = np.random.default_rng(6)
     x = random_element((3, 2), rng)
     _run(capsys, "polar", _write(tmp_path / "x.json", x), "--method", method)
-    checks = {"regularized": 0, "direct": 1}[method]
-    assert counts == {"is_self_adjoint": checks, "Projection": 0}
+    assert counts == {"is_self_adjoint": 0, "Projection": 0}
 
 
 def test_closure_certifies_no_projection(tmp_path, capsys, counts):

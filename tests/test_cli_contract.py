@@ -95,10 +95,12 @@ REJECTIONS = {
         [np.diag([1.0, 1.0, 1.0, 2.0])],
         ("closure", "--seed1", "1", "--seed2", "2", "--pos-slack", "1e-20"),
     ),
-    # the two value tuples of b's minimal projections cluster into one
+    # the two value tuples of b's minimal projections, sqrt(2) apart, cluster
+    # into one at a gap of cluster_tol = 1.5; with 1x1 blocks the MASA needs
+    # no split, so the closure gets past its containment check
     "minimal-projection-count": (
-        [np.diag([1.0, 2.0j])],
-        ("closure", "--seed1", "1", "--seed2", "2", "--rank-cutoff", "0.5", "--cluster-tol", "0.9"),
+        [np.array([[1.0]]), np.array([[2.0j]])],
+        ("closure", "--seed1", "1", "--seed2", "2", "--rank-cutoff", "0.5", "--cluster-tol", "1.5"),
     ),
     "closure-moved": (
         [np.zeros((2, 2)), np.eye(2)],

@@ -404,6 +404,7 @@ def test_frobenius_norm_past_the_float_range_is_rescaled():
     assert frobenius_norm(el(*blocks)) == plain
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_frobenius_norm_of_a_non_finite_entry_is_not_rescaled():
     # with an inf or nan entry the norm is the plain sum of squares, inf or
     # nan as it falls, never a rescaled finite value

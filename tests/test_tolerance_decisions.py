@@ -7,9 +7,13 @@ rank_cutoff max(1, max |w|) = rank_cutoff. Each case sits 1e-6 (relative)
 on one side of its threshold. Two more heads, diag(1, 1, .) and diag(4, .),
 tell the largest eigenvalue from the Frobenius norm and max(1, .) from 1; a
 site that scales its slack or cutoff by anything else decides differently
-from the others on one of them.
+from the others on one of them. The two readers of the atoms,
+spectral_measure and minimal_projections, merge two eigenvalues at one
+cluster gap, taken from the largest value tuple.
 """
 
+import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -18,16 +22,18 @@ import pytest
 from awkit.core import (
     DEFAULT_TOL,
     AlgebraElement,
+    ToleranceConfig,
     eigh_hermitian,
     loewner_leq,
     positive_sqrt,
     pseudo_inverse_on_range,
     range_projection,
 )
-from awkit.errors import NotPositive
-from awkit.lattice import max_annihilator
+from awkit.errors import NotPositive, PostconditionFailed
+from awkit.lattice import Subalgebra, max_annihilator, minimal_projections
 from awkit.order import LOWER_BOUND, build_certificate, limit_calculus_check, verify_certificate
 from awkit.polar import polar_regularized
+from awkit.spectral import spectral_measure
 
 SIDES = {"inside": 1.0 - 1e-6, "outside": 1.0 + 1e-6}
 HEADS = pytest.mark.parametrize(
@@ -114,3 +120,31 @@ def test_rank_cut_sites_flip_together(side, head):
         "polar_regularized": absx != 0.0,
     }
     assert decisions == dict.fromkeys(decisions, kept)
+
+
+def minimal_count(b, tol):
+    """How many minimal projections of b the atoms give, also where the
+    count fails its postcondition."""
+    try:
+        return len(minimal_projections(b, tol))
+    except PostconditionFailed as exc:
+        return int(re.match(r"found (\d+) minimal", str(exc)).group(1))
+
+
+@pytest.mark.parametrize("side", sorted(SIDES))
+@pytest.mark.parametrize("scale", [1.0, 4.0])
+def test_atom_sites_flip_together(side, scale):
+    # the eigenvalues s and s i lie sqrt(2) s apart, and the largest |z| is
+    # s >= 1, so spectral_measure's gap is cluster_tol s; the algebra they
+    # generate is the diagonal one, whose orthonormal basis gives the two
+    # columns value tuples of norm 1, sqrt(2) apart, and the gap cluster_tol
+    a = diag(scale, scale * 1j)
+    tol = ToleranceConfig(cluster_tol=math.sqrt(2.0) / SIDES[side])
+    merged = side == "inside"
+    b = Subalgebra.from_generators([a], tol)
+    assert b.dim == 2
+    decisions = {
+        "spectral_measure": len(spectral_measure(a, tol).atoms) == 1,
+        "minimal_projections": minimal_count(b, tol) == 1,
+    }
+    assert decisions == dict.fromkeys(decisions, merged)
