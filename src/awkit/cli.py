@@ -191,7 +191,7 @@ def _cmd_closure(args, tol):
     g = load_matrix_file(args.file)
     if not is_normal(g, tol):
         raise NotNormal("input is not normal")
-    b = Subalgebra.from_generators([g], tol)
+    b = Subalgebra.of_normal(g, tol)
     d1 = generate_masa([g], args.seed1, tol)
     d2 = generate_masa([g], args.seed2, tol)
     corr = closure_correspondence(b, d1, d2, tol)

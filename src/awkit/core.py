@@ -44,8 +44,9 @@ an element that may come from outside.
 
 Derived data is memoized on the immutable object it is derived from, keyed
 by its name and the resolved ToleranceConfig (see _memoized): an element
-keeps its operator norm and its normality verdict. A raised exception is
-never cached.
+keeps its operator norm, its normality verdict and its joint eigensolve,
+which its spectral atoms and the MASAs generated around it share. A raised
+exception is never cached.
 
 A norm that only feeds a threshold test is decided, where it can be, from
 bounds on the Gram matrix rather than by an eigensolve (see _norm_against):
@@ -131,7 +132,10 @@ class ToleranceConfig:
     Rules that still differ: Projection, Subalgebra.is_commutative and
     check_regularity test against an absolute 2 pos_slack; the ladder stops
     once ||u_n - u_{n-1}|| < rank_cutoff;
-    _orthonormal_rows cuts singular values relative to the largest; the
+    _orthonormal_rows cuts singular values relative to the largest: it
+    decides the dimension of Subalgebra.from_generators, and so of a
+    closure, but not of b = C*(g) (Subalgebra.of_normal), the span of g's
+    spectral atoms, which the cluster gap of _joint_atoms decides; the
     cluster gap is cluster_tol max(1, ||m||_F) in simultaneous_eigh and
     cluster_tol max(1, largest value tuple norm) in _joint_atoms, the atoms
     spectral_measure and minimal_projections both read. The limit step of
@@ -783,6 +787,23 @@ def joint_eigenspaces(
     ]
 
 
+def _eigenspaces(family: Sequence[AlgebraElement], t: ToleranceConfig):
+    """joint_eigenspaces of the family. For a lone element it is memoized on
+    the element, so its spectral atoms and the MASAs generated around it
+    share one solve; its bases are then read-only, and a caller that refines
+    them refines a copy."""
+    if len(family) > 1:
+        return joint_eigenspaces(family, t)
+    return _memoized(family[0], "joint_eigenspaces", t, _frozen_eigenspaces)
+
+
+def _frozen_eigenspaces(g: AlgebraElement, t: ToleranceConfig):
+    spaces = joint_eigenspaces([g], t)
+    for basis, _ in spaces:
+        basis.flags.writeable = False
+    return spaces
+
+
 def _joint_atoms(
     family: Sequence[AlgebraElement], t: ToleranceConfig
 ) -> list[tuple[np.ndarray, "Projection"]]:
@@ -795,9 +816,11 @@ def _joint_atoms(
     its first column (block by block, then column by column), returns the
     (columns, len(family)) array of its columns' tuples in column order and
     the atom itself: sum v v* per block in column order, hermitized once.
+    The joint eigensolve of a lone element is the one memoized on it
+    (_eigenspaces).
     """
     columns, tuples = [], []
-    for k, (basis, _) in enumerate(joint_eigenspaces(family, t)):
+    for k, (basis, _) in enumerate(_eigenspaces(family, t)):
         values = [np.diagonal(basis.conj().T @ f.blocks[k] @ basis) for f in family]
         for c in range(basis.shape[1]):
             columns.append((k, basis[:, c : c + 1]))

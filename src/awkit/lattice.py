@@ -29,9 +29,19 @@ basis (core._joint_atoms): the joint eigenvectors of the basis elements,
 merged where their value tuples over the basis lie within the cluster gap,
 the one rule by which spectral_measure finds the atoms of a normal element.
 
+The algebra C*(g) of a normal g is the span of g's spectral atoms e_i
+(Subalgebra.of_normal), with the orthonormal basis e_i / sqrt(rank e_i):
+the atoms are read off the joint eigensolve memoized on g, which its MASAs
+share, and are stored as its minimal projections, so its dimension is
+decided by the cluster gap of spectral_measure, not by a rank cut. The
+closures are still generated from their face suprema by the generic
+Subalgebra.from_generators (products and an SVD per round), so the check
+that a closure spans b compares two different constructions.
+
 A Subalgebra memoizes its commutativity verdict, its minimal projections
 and, for a MASA, its stacks, keyed by name and the resolved ToleranceConfig
-as in ``core``; a MASA made by generate_masa starts with all three stored.
+as in ``core``; a MASA made by generate_masa, and C*(g) made by of_normal,
+start with them stored.
 """
 
 from __future__ import annotations
@@ -46,6 +56,7 @@ from .core import (
     AlgebraElement,
     Projection,
     ToleranceConfig,
+    _eigenspaces,
     _eigh_blocks,
     _joint_atoms,
     _memoized,
@@ -56,7 +67,6 @@ from .core import (
     frobenius_norm,
     is_normal,
     is_self_adjoint,
-    joint_eigenspaces,
     operator_norm,
     range_projection,
     real_part,
@@ -69,6 +79,7 @@ from .errors import (
     PostconditionFailed,
     SignatureMismatch,
 )
+from .spectral import SPECTRAL_RESIDUAL_TOL, SpectralFunction, integrate, spectral_measure
 
 __all__ = [
     "Subalgebra",
@@ -196,6 +207,35 @@ class Subalgebra:
                 return cls(tuple(sig), tuple(elems))
             rows = new_rows
 
+    @classmethod
+    def of_normal(cls, g: AlgebraElement, tol: ToleranceConfig | None = None) -> "Subalgebra":
+        """C*(g) of a normal g: the span of its spectral atoms e_i, with the
+        orthonormal basis e_i / sqrt(rank e_i).
+
+        The atoms are those of spectral_measure(g), read off the joint
+        eigensolve memoized on g; distinct atoms are orthogonal, so no SVD
+        is needed. The result is stored commutative, with the atoms as its
+        minimal projections. Raises NotNormal unless g is normal, and
+        PostconditionFailed unless g lies in the span by the rule
+        spectral_residuals accepts: ||sum z_i e_i - g|| <=
+        SPECTRAL_RESIDUAL_TOL (1 + ||g||) over the spectrum points z_i.
+        """
+        t = _tol(tol)
+        m = spectral_measure(g, t)
+        recon = integrate(SpectralFunction.identity(m.domain_spectrum), m)
+        bound = SPECTRAL_RESIDUAL_TOL * (1.0 + operator_norm(g, t))
+        if _norm_against(recon - g, bound, t) > bound:
+            raise PostconditionFailed("generator does not lie in the span of its spectral atoms")
+        atoms = [m.atoms[z] for z in m.domain_spectrum.points]
+        basis = [
+            AlgebraElement._of([blk / np.sqrt(r) for blk in e.element.blocks])
+            for e, r in zip(atoms, m.domain_spectrum.multiplicities)
+        ]
+        out = cls(g.signature, tuple(basis))
+        _remember(out, "is_commutative", t, True)
+        _remember(out, "minimal_projections", t, _sorted_by_rank(atoms))
+        return out
+
 
 @dataclass(frozen=True)
 class ClosureCorrespondence:
@@ -298,22 +338,6 @@ def _require_commuting_normal(generators, t):
             bound = t.pos_slack * (1.0 + operator_norm(g, t) * operator_norm(h, t))
             if _norm_against(g * h - h * g, bound, t) > bound:
                 raise NotCommuting(f"generators {i} and {j} do not commute")
-
-
-def _eigenspaces(seeds: Sequence[AlgebraElement], t: ToleranceConfig):
-    """joint_eigenspaces of the seeds. For a lone seed it is memoized on the
-    seed, so the MASAs generated around one element share one solve; its
-    bases are then read-only, and a caller refines a copy."""
-    if len(seeds) > 1:
-        return joint_eigenspaces(seeds, t)
-    return _memoized(seeds[0], "joint_eigenspaces", t, _frozen_eigenspaces)
-
-
-def _frozen_eigenspaces(g: AlgebraElement, t: ToleranceConfig):
-    spaces = joint_eigenspaces([g], t)
-    for basis, _ in spaces:
-        basis.flags.writeable = False
-    return spaces
 
 
 def _rank_one_stack(basis: np.ndarray) -> np.ndarray:

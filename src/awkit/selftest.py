@@ -275,7 +275,7 @@ def check_closure_agreement(trials=50, seed=0, dims=(2, 5), tol=None) -> Criteri
     for k in range(trials):
         sig = random_signature(rng, max_blocks=2, dims=_dim_range(dims, lo_floor=2, hi_cap=5))
         g = _degenerate_normal_generator(sig, rng)
-        b = Subalgebra.from_generators([g], t)
+        b = Subalgebra.of_normal(g, t)
         d1 = generate_masa([g], seed + 2 * k + 1, t)
         d2 = generate_masa([g], seed + 2 * k + 2, t)
         corr = closure_correspondence(b, d1, d2, t)

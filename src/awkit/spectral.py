@@ -5,7 +5,8 @@ parts are diagonalized simultaneously, and the joint eigenvectors are
 merged into atoms by their complex eigenvalues. The atoms are those of the
 algebra the element generates: core._joint_atoms on the family [a], the
 routine minimal_projections reads the minimal projections of a commutative
-subalgebra off, so the decomposition lies inside that algebra. Each
+subalgebra off, so the decomposition lies inside that algebra, which
+lattice.Subalgebra.of_normal builds as the span of these atoms. Each
 spectrum point carries its atom; the atom map is a finitely additive
 projection-valued measure whose weighted sum reconstructs the element. On a
 finite discrete spectrum every subset is both closed and open, so inner and

@@ -1,10 +1,10 @@
 """Timing of the lattice layer and of spectral_measure on seeded degenerate
 normal elements, by signature, and on 21 distinct eigenvalues over three
-blocks: a whole closure (b, its two MASAs and closure_correspondence),
-generate_masa's two MASAs alone, and closure_correspondence alone. Also
-spectral_measure and minimal_projections, the two callers of the one atom
-routine, by signature, and check_regularity by the number of spectrum
-points.
+blocks: a whole closure (b = C*(g) from Subalgebra.of_normal, its two MASAs
+and closure_correspondence), generate_masa's two MASAs alone, and
+closure_correspondence alone. Also spectral_measure and
+minimal_projections, the two callers of the one atom routine, by
+signature, and check_regularity by the number of spectrum points.
 
     PYTHONPATH=src python -m pytest tests/bench_lattice.py --benchmark-only
 
@@ -60,7 +60,7 @@ def test_closure_correspondence(benchmark, x):
 
     def closure():
         g = AlgebraElement(blocks)
-        b = Subalgebra.from_generators([g])
+        b = Subalgebra.of_normal(g)
         return closure_correspondence(b, generate_masa([g], 1), generate_masa([g], 2))
 
     assert benchmark(closure).accepted
@@ -84,7 +84,7 @@ def test_closure_correspondence_alone(benchmark, x):
 
     def fresh():
         g = AlgebraElement(blocks)
-        return (Subalgebra.from_generators([g]), generate_masa([g], 1), generate_masa([g], 2)), {}
+        return (Subalgebra.of_normal(g), generate_masa([g], 1), generate_masa([g], 2)), {}
 
     corr = benchmark.pedantic(closure_correspondence, setup=fresh, rounds=100)
     assert corr.accepted

@@ -19,6 +19,7 @@ from awkit.polar import (
 )
 from awkit.sampling import (
     element_with_singular_values,
+    haar_unitary_block,
     random_element,
     random_normal_element,
     random_signature,
@@ -191,12 +192,34 @@ def test_closure_report_reads_correspondence_residuals(tmp_path, capsys):
     f = tmp_path / "g.json"
     write_matrix(f, g)
     code, out, _ = run_cli(capsys, "closure", str(f), "--seed1", "3", "--seed2", "4")
-    b = Subalgebra.from_generators([g])
+    b = Subalgebra.of_normal(g)
     corr = closure_correspondence(b, generate_masa([g], 3), generate_masa([g], 4))
     doc = json.loads(out)
     assert doc["residuals"] == corr.residuals
     assert doc["accepted"] is corr.accepted is True
     assert code == 0
+
+
+@pytest.mark.parametrize("d", [3e-10, 1e-9, 5e-9, 9e-9, 2e-8, 1e-7, 1e-6, 1e-5, 1e-4])
+def test_closure_agrees_with_spectral_on_near_degenerate_input(tmp_path, capsys, d):
+    # U diag(1, 1 + d, 2, -i) U*, U Haar: b = C*(g) is the span of g's
+    # spectral atoms, so closure accepts exactly when spectral does, with one
+    # dimension per spectrum point. For d from 9e-9 to 2e-8 the eigenvalues
+    # near 1 merge into one atom whose point misses both by more than the
+    # reconstruction allows, and both reject
+    rng = np.random.default_rng(0)
+    f = tmp_path / "g.json"
+    for _ in range(4):
+        u = haar_unitary_block(4, rng)
+        write_matrix(f, AlgebraElement([(u * np.array([1.0, 1.0 + d, 2.0, -1j])) @ u.conj().T]))
+        spectral_code, out, _ = run_cli(capsys, "spectral", str(f))
+        points = len(json.loads(out)["artifacts"]["spectrum"])
+        code, out, err = run_cli(capsys, "closure", str(f), "--seed1", "1", "--seed2", "2")
+        assert code == spectral_code, err
+        if code == 0:
+            assert json.loads(out)["artifacts"]["closure_dim"] == points
+        else:
+            assert err.startswith("rejected: generator does not lie in the span"), err
 
 
 def test_certify_subcommand(tmp_path, capsys):

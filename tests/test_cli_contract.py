@@ -95,15 +95,20 @@ REJECTIONS = {
         [np.diag([1.0, 1.0, 1.0, 2.0])],
         ("closure", "--seed1", "1", "--seed2", "2", "--pos-slack", "1e-20"),
     ),
-    # the two value tuples of b's minimal projections, sqrt(2) apart, cluster
-    # into one at a gap of cluster_tol = 1.5; with 1x1 blocks the MASA needs
-    # no split, so the closure gets past its containment check
-    "minimal-projection-count": (
+    # the eigenvalues 1 and 2i, sqrt(5) apart, cluster into one spectral
+    # atom at a gap of 1.5 max(1, 2): its point (1 + 2i)/2 misses the input
+    # by far more than SPECTRAL_RESIDUAL_TOL (1 + 2), so b = C*(g), the span
+    # of the atoms, fails its membership postcondition
+    "atom-span-postcondition": (
         [np.array([[1.0]]), np.array([[2.0j]])],
         ("closure", "--seed1", "1", "--seed2", "2", "--rank-cutoff", "0.5", "--cluster-tol", "1.5"),
     ),
+    # b spans the two block units; from_generators builds the closure from
+    # them with an SVD cut at half the largest singular value, and the unit
+    # of the 1x1 block, 1/sqrt(8) of the other's norm, falls below it: the
+    # closure is 1-dimensional
     "closure-moved": (
-        [np.zeros((2, 2)), np.eye(2)],
+        [np.zeros((1, 1)), np.eye(8)],
         ("closure", "--seed1", "1", "--seed2", "2", "--rank-cutoff", "0.5", "--cluster-tol", "0.9"),
     ),
     # 0.6^2 lies below the cutoff 0.5 of x x*: no singular value is kept

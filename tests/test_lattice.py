@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from awkit.core import (
+    DEFAULT_TOL,
     AlgebraElement,
     Projection,
     ToleranceConfig,
@@ -22,12 +23,14 @@ from awkit.errors import (
     NotContained,
     NotNormal,
     NotPositive,
+    PostconditionFailed,
     SignatureMismatch,
 )
 from awkit.lattice import (
     CLOSURE_RESIDUAL_TOL,
     SPAN_ANGLE_TOL,
     Subalgebra,
+    _vec,
     closure_correspondence,
     generate_masa,
     max_annihilator,
@@ -214,6 +217,40 @@ def test_minimal_projections_span_blocks():
     ps = minimal_projections(s)
     assert len(ps) == 1
     assert ps[0].element == AlgebraElement.identity((1, 1))
+
+
+def test_minimal_projection_count_postcondition():
+    # the value tuples of the two basis elements' atoms, sqrt(2) apart,
+    # cluster into one at a gap of cluster_tol = 1.5
+    t = ToleranceConfig(rank_cutoff=0.5, cluster_tol=1.5)
+    b = Subalgebra.from_generators([el([[1.0]], [[2.0j]])], t)
+    assert b.dim == 2
+    with pytest.raises(PostconditionFailed, match="found 1 minimal projections in a 2-dim"):
+        minimal_projections(b, t)
+
+
+def test_of_normal_is_the_span_of_the_spectral_atoms():
+    g = diag_el([1, 1, 2j], [2j])
+    b = Subalgebra.of_normal(g)
+    assert b.dim == 2
+    # orthonormal basis e_i / sqrt(rank e_i), stored commutative with the
+    # atoms, largest block traces first, as its minimal projections
+    gram = np.array([[np.vdot(_vec(x), _vec(y)) for y in b.basis] for x in b.basis])
+    assert np.allclose(gram, np.eye(2), atol=1e-15)
+    assert b._memo[("is_commutative", DEFAULT_TOL)] is True
+    ps = minimal_projections(b)
+    assert [p.element for p in ps] == [diag_el([1, 1, 0], [0]), diag_el([0, 0, 1], [1])]
+    assert spans_equal(b, Subalgebra.from_generators([g]))
+
+
+def test_of_normal_rejects_what_its_atoms_do_not_span():
+    with pytest.raises(NotNormal):
+        Subalgebra.of_normal(el([[0, 1], [0, 0]]))
+    # 1 and 1 + 1e-8 merge into one atom at the point 1 + 5e-9, which misses
+    # both by 5e-9, above 1e-9 (1 + ||g||) = 3e-9
+    with pytest.raises(PostconditionFailed, match="span of its spectral atoms"):
+        Subalgebra.of_normal(diag_el([1, 1 + 1e-8, 2]))
+    assert Subalgebra.of_normal(diag_el([1, 1 + 4e-9, 2])).dim == 2
 
 
 # --- monotone closure -----------------------------------------------------------

@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from awkit import lattice
+from awkit import core, lattice
 from awkit.core import (
     DEFAULT_TOL,
     AlgebraElement,
@@ -40,6 +40,7 @@ from awkit.core import (
 from awkit.errors import NotContained
 from awkit.lattice import Subalgebra, _unvec, _vec, generate_masa, minimal_projections
 from awkit.sampling import haar_unitary_block
+from awkit.spectral import spectral_measure
 
 # largest entrywise difference of a face supremum from the oracle's
 SUM_TOL = 1e-12
@@ -235,8 +236,11 @@ def test_masas_of_one_element_share_one_joint_eigensolve(monkeypatch):
         calls.append(len(family))
         return joint_eigenspaces(family, tol)
 
-    monkeypatch.setattr(lattice, "joint_eigenspaces", counted)
+    monkeypatch.setattr(core, "joint_eigenspaces", counted)
     d1, d2 = generate_masa([g], 1), generate_masa([g], 2)
+    # g's spectral atoms, and C*(g) built from them, read the same solve
+    spectral_measure(g)
+    Subalgebra.of_normal(g)
     assert calls == [1]
     # the refinement worked on copies: the shared bases are read-only and
     # still the solve's, and the two MASAs differ

@@ -106,17 +106,25 @@ def test_closure_call_computes_each_value_once(tmp_path, capsys, monkeypatch):
         return build(cls, generators, tol)
 
     monkeypatch.setattr(Subalgebra, "from_generators", classmethod(counted_build))
+    of_normal = Subalgebra.of_normal.__func__
+    made = []
+
+    def counted_of_normal(cls, generator, tol=None):
+        made.append(of_normal(cls, generator, tol))
+        return made[-1]
+
+    monkeypatch.setattr(Subalgebra, "of_normal", classmethod(counted_of_normal))
     doc = _run(capsys, "closure", str(f), "--seed1", "1", "--seed2", "2")
     assert doc["accepted"] is True
-    # b, then its closure in each MASA from the 3 face suprema there
-    assert built == [1, 3, 3]
-    b = Subalgebra.from_generators([g])
-    assert sum(s == b for s in minimal) == 1
-    # no subalgebra is decomposed or tested twice; the MASAs and the
-    # closures never need it
-    for seen in (minimal, commutes):
-        assert max(Counter(map(id, seen)).values()) == 1
-    assert all(s.dim < sum(s.signature) for s in minimal)
+    # b is the span of g's atoms; only its closure in each MASA, from the 3
+    # face suprema there, is built by from_generators
+    assert built == [3, 3]
+    (b,) = made
+    # b is stored commutative with its atoms as its minimal projections, and
+    # each MASA with its rank-one projections: no subalgebra is decomposed
+    # or tested, so none twice, and the closures never need it
+    assert minimal == [] and commutes == []
+    assert len(minimal_projections(b)) == b.dim == 3 and minimal == []
     assert len(normal) == 1
 
 

@@ -7,6 +7,9 @@ rank-one projections. spectral_measure and minimal_projections both read
 their atoms off one routine, so on degenerate normal elements (Hypothesis
 is derandomized in conftest.py) the two agree atom for atom, and every
 atom is its own face supremum in MASAs refined from three seeds.
+Subalgebra.of_normal(a), C*(a) built as the span of those atoms, is checked
+against Subalgebra.from_generators([a]), the generic product-and-SVD
+construction kept as its named oracle.
 """
 
 import numpy as np
@@ -20,6 +23,7 @@ from awkit.lattice import (
     Subalgebra,
     generate_masa,
     minimal_projections,
+    spans_equal,
 )
 from awkit.sampling import haar_unitary_block
 from awkit.spectral import spectral_measure
@@ -54,3 +58,21 @@ def test_spectral_atoms_are_the_minimal_projections_inside_every_masa(a, seeds):
         stacks = lattice._rank_one_stacks(generate_masa([a], seed), DEFAULT_TOL)
         for p, s in zip(projections, lattice._face_suprema(projections, stacks, DEFAULT_TOL)):
             assert operator_norm(s - p.element) <= CLOSURE_RESIDUAL_TOL
+
+
+@settings(max_examples=60)
+@given(a=degenerate_normal())
+def test_atom_span_is_the_algebra_the_generic_construction_builds(a):
+    b, oracle = Subalgebra.of_normal(a), Subalgebra.from_generators([a])
+    assert b.dim == oracle.dim
+    assert spans_equal(b, oracle)
+    stored = [p.element for p in minimal_projections(b)]
+    computed = [q.element for q in minimal_projections(oracle)]
+    # distinct atoms lie 1 apart: each stored atom is near exactly one
+    # computed one, and no two stored atoms pick the same
+    nearest = []
+    for p in stored:
+        gaps = [operator_norm(p - q) for q in computed]
+        nearest.append(int(np.argmin(gaps)))
+        assert min(gaps) <= CLOSURE_RESIDUAL_TOL
+    assert sorted(nearest) == list(range(len(computed)))
