@@ -9,6 +9,7 @@ output; human-readable errors go to standard error. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -98,25 +99,17 @@ def _tolerances(args) -> ToleranceConfig:
         env = os.environ.get(env_name)
         return float(env) if env is not None else default
 
-    base = ToleranceConfig()
-    return ToleranceConfig(
-        pos_slack=pick(args.pos_slack, "AWKIT_POS_SLACK", base.pos_slack),
-        cluster_tol=pick(args.cluster_tol, "AWKIT_CLUSTER_TOL", base.cluster_tol),
-        rank_cutoff=pick(args.rank_cutoff, "AWKIT_RANK_CUTOFF", base.rank_cutoff),
-    )
+    return ToleranceConfig(**{
+        f.name: pick(getattr(args, f.name), "AWKIT_" + f.name.upper(), f.default)
+        for f in dataclasses.fields(ToleranceConfig)
+    })
 
 
 def _report(command, tol, *, seed=None, residuals=None, accepted=False, artifacts=None, error=None):
     doc = {
         "command": command,
         "seed": seed,
-        "tolerances": {
-            "pos_slack": tol.pos_slack,
-            "cluster_tol": tol.cluster_tol,
-            "rank_cutoff": tol.rank_cutoff,
-            "jacobi_off_tol": tol.jacobi_off_tol,
-            "max_sweeps": tol.max_sweeps,
-        },
+        "tolerances": dataclasses.asdict(tol),
         "residuals": residuals or {},
         "accepted": bool(accepted),
         "artifacts": artifacts or {},

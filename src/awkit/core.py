@@ -8,20 +8,22 @@ projections and pseudo-inverses. The sweep rotates Python lists of built-in
 complex rather than numpy scalars, and reproduces numpy's complex128 scalar
 arithmetic bit for bit, though not its array loops (see _jacobi_sweeps).
 Eigenvectors are accumulated only when a caller reads them: operator norms,
-Loewner comparisons and other bound checks ask ``eigh_hermitian`` for
-eigenvalues alone, through the same kernel and with the same eigenvalues to
-the bit.
+Loewner comparisons and other bound checks call ``_eigh_blocks(...,
+vectors=False)`` for eigenvalues alone, through the same kernel and with
+the same eigenvalues to the bit.
 
 The solver, ``_jacobi_eigh``, takes a (k, n, n) stack of blocks of one size
 and raises nothing: it hands back each slice's failure. The hermitization,
 the Frobenius scales, the read-off of 1x1 slices and the sort are one numpy
 step per stack; the sweep runs slice by slice, and each slice gets the bits,
-or the failure, a stack of it alone gets. ``_eigh_blocks`` solves the blocks
-of one element, and ``simultaneous_eigh`` one compression, as stacks of one:
-they are the only places that raise a block's failure. ``_eigh_extremes``
-and ``_gram_norms`` solve many elements of one signature at once, one
-driver call per block position, and hand each failure back for the caller
-to raise in its own order of checks.
+or the failure, a stack of it alone gets. Every solve enters it through one
+of two wrappers, which pass it the stop rule _JACOBI_OFF_TOL and
+_MAX_SWEEPS. ``_eigh_blocks`` solves the blocks of one element as stacks of
+one, and is the only place that raises a block's failure; it also solves
+each compression of ``simultaneous_eigh``. ``_eigh_extremes`` and
+``_gram_norms`` solve many elements of one signature at once, one driver
+call per block position, and hand each failure back for the caller to raise
+in its own order of checks.
 
 Blocks are validated once, at the public boundary. ``AlgebraElement(...)``
 copies its input to complex128 and checks that every block is square of
@@ -116,9 +118,10 @@ class ToleranceConfig:
                     (HermitianEigenSystem.rank_cutoff, read by root,
                     inverse_root, support, the range projection, the
                     pseudo-inverse, the ladder and the cut)
-    jacobi_off_tol  off-diagonal mass, relative to ||h||_F, at which the
-                    sweep stops
-    max_sweeps      hard budget of cyclic Jacobi sweeps
+
+    The Jacobi sweep's stop rule is not configurable: it stops once the
+    off-diagonal mass is at most _JACOBI_OFF_TOL ||h||_F, and raises
+    NonConvergence after _MAX_SWEEPS cyclic sweeps.
 
     The Frobenius norms of these rules (is_self_adjoint's ||x||_F and
     ||x - x*||_F, simultaneous_eigh's ||m||_F) are overflow-safe: where the
@@ -160,23 +163,24 @@ class ToleranceConfig:
     pos_slack: float = 1e-10
     cluster_tol: float = 1e-8
     rank_cutoff: float = 1e-10
-    jacobi_off_tol: float = 1e-14
-    max_sweeps: int = 100
 
     def __post_init__(self):
-        for name in ("pos_slack", "cluster_tol", "rank_cutoff", "jacobi_off_tol"):
+        for name in ("pos_slack", "cluster_tol", "rank_cutoff"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
             if not value > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.max_sweeps <= 0:
-            raise ValueError("max_sweeps must be strictly positive")
         if not self.cluster_tol > self.rank_cutoff:
             raise ValueError("cluster_tol must exceed rank_cutoff")
 
 
 DEFAULT_TOL = ToleranceConfig()
+
+# the Jacobi stop rule: off-diagonal mass relative to ||h||_F, and the sweep
+# budget past which a block raises NonConvergence
+_JACOBI_OFF_TOL = 1e-14
+_MAX_SWEEPS = 100
 
 
 def _tol(tol: ToleranceConfig | None) -> ToleranceConfig:
@@ -686,7 +690,7 @@ def _eigh_blocks(blocks, t: ToleranceConfig, vectors: bool = True) -> HermitianE
     values, units = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for b in blocks:
-            w, u, faults = _jacobi_eigh(b[None], t.jacobi_off_tol, t.max_sweeps, vectors)
+            w, u, faults = _jacobi_eigh(b[None], _JACOBI_OFF_TOL, _MAX_SWEEPS, vectors)
             if faults:
                 raise faults[0]
             w = w[0]
@@ -712,7 +716,7 @@ def _eigh_extremes(stacks, t: ToleranceConfig) -> list:
     los, his = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for s in stacks:
-            w, _, faults = _jacobi_eigh(s, t.jacobi_off_tol, t.max_sweeps, vectors=False)
+            w, _, faults = _jacobi_eigh(s, _JACOBI_OFF_TOL, _MAX_SWEEPS, vectors=False)
             for i, exc in faults.items():
                 if out[i] is None:
                     out[i] = exc
@@ -731,8 +735,8 @@ def _raised(outcome):
     return outcome
 
 
-# the cluster gap's np.linalg.norm, before its rescale, and the solve of a
-# compression may overflow; a compression's fault is raised without a warning
+# the cluster gap's np.linalg.norm, before its rescale, and a compression may
+# overflow; _eigh_blocks then raises the compression's fault without a warning
 @np.errstate(over="ignore", invalid="ignore")
 def simultaneous_eigh(
     mats: Sequence[np.ndarray], tol: ToleranceConfig | None = None
@@ -761,11 +765,9 @@ def simultaneous_eigh(
                 continue
             v = basis[:, idx]
             comp = v.conj().T @ m @ v
-            w, u, faults = _jacobi_eigh(comp[None], t.jacobi_off_tol, t.max_sweeps)
-            if faults:
-                raise faults[0]
-            w = w[0]
-            basis[:, idx] = v @ u[0]
+            eig = _eigh_blocks([comp], t)
+            w = eig.eigenvalues[0]
+            basis[:, idx] = v @ eig.unitary.blocks[0]
             start = 0
             for i in range(1, len(w) + 1):
                 if i == len(w) or w[i] - w[i - 1] > gap:
@@ -917,9 +919,9 @@ def _gram_against(gram_blocks, bound: float, t: ToleranceConfig) -> float:
     scale underflows or overflows, and its answer may leave the bracket),
     it returns the eigensolved norm, _gram_norm(gram_blocks, t).
 
-    The one difference from operator_norm: under a max_sweeps too small to
-    converge, a NonConvergence that only a skipped eigensolve would have
-    raised is not raised.
+    The one difference from operator_norm: a NonConvergence that only a
+    skipped eigensolve would have raised (a Gram matrix the sweep cannot
+    diagonalize within _MAX_SWEEPS) is not raised.
     """
     diagonals = [b.diagonal().real for b in gram_blocks]
     lo = max(float(d.max()) for d in diagonals)
@@ -990,8 +992,7 @@ def range_projection(
 def pseudo_inverse_on_range(
     h: AlgebraElement, tol: ToleranceConfig | None = None
 ) -> AlgebraElement:
-    """Inverse of a positive element on its range, zero on its kernel: in
-    this package, polar_direct's inverse of |x|, the ladder's oracle."""
+    """Inverse of a positive element on its range, zero on its kernel."""
     t = _tol(tol)
     eig = eigh_hermitian(h, t)
     if not eig.is_positive(t):

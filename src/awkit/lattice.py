@@ -292,11 +292,11 @@ def principal_angles(s1: Subalgebra, s2: Subalgebra) -> np.ndarray:
     return np.arcsin(np.clip(np.sort(sines), 0.0, 1.0))
 
 
-def spans_equal(s1: Subalgebra, s2: Subalgebra, angle_tol: float = SPAN_ANGLE_TOL) -> bool:
+def spans_equal(s1: Subalgebra, s2: Subalgebra) -> bool:
     if s1.dim != s2.dim:
         return False
     angles = principal_angles(s1, s2)
-    return angles.size == 0 or float(angles[-1]) <= angle_tol
+    return angles.size == 0 or float(angles[-1]) <= SPAN_ANGLE_TOL
 
 
 def sup_projections(

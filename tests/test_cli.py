@@ -1,13 +1,14 @@
 """CLI integration tests: exit codes, JSON round-trips, determinism."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from awkit import cli, selftest
 from awkit.cli import build_parser, element_from_json, element_to_json, load_matrix_file, main
-from awkit.core import AlgebraElement, frobenius_norm
+from awkit.core import AlgebraElement, ToleranceConfig, frobenius_norm
 from awkit.lattice import Subalgebra, closure_correspondence, generate_masa
 from awkit.polar import (
     cut_residuals,
@@ -334,6 +335,27 @@ def test_tolerance_env_var(nilpotent_file, capsys, monkeypatch):
     # flags win over the environment
     code, out, _ = run_cli(capsys, "polar", nilpotent_file, "--pos-slack", "1e-8")
     assert json.loads(out)["tolerances"]["pos_slack"] == 1e-8
+
+
+def test_every_tolerance_field_is_reported_and_settable(nilpotent_file, capsys, monkeypatch):
+    # the report lists exactly the ToleranceConfig fields, and each has its
+    # flag and its AWKIT_* variable
+    names = {f.name for f in fields(ToleranceConfig)}
+    code, out, _ = run_cli(capsys, "polar", nilpotent_file)
+    assert code == 0
+    assert set(json.loads(out)["tolerances"]) == names
+    for name in names:
+        # half the default keeps cluster_tol above rank_cutoff
+        value = 0.5 * getattr(ToleranceConfig(), name)
+        flag = "--" + name.replace("_", "-")
+        code, out, _ = run_cli(capsys, "polar", nilpotent_file, flag, repr(value))
+        assert code == 0
+        assert json.loads(out)["tolerances"][name] == value
+        with monkeypatch.context() as m:
+            m.setenv("AWKIT_" + name.upper(), repr(value))
+            code, out, _ = run_cli(capsys, "polar", nilpotent_file)
+        assert code == 0
+        assert json.loads(out)["tolerances"][name] == value
 
 
 def test_non_finite_tolerance_exit_two(nilpotent_file, capsys):

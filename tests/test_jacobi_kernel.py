@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from awkit import core
-from awkit.core import AlgebraElement, ToleranceConfig, eigh_hermitian, frobenius_norm
+from awkit.core import AlgebraElement, eigh_hermitian, frobenius_norm
 from awkit.errors import NonConvergence, NotSelfAdjoint
 
 
@@ -158,10 +158,10 @@ def test_list_kernel_matches_numpy_scalar_kernel_bit_for_bit(block):
     assert same_bits(np.float64(off_val), np.float64(off_ref))
     assert same_bits(a_val, a_ref)
 
-    tol = ToleranceConfig(jacobi_off_tol=rel, max_sweeps=max_sweeps)
-    with mock.patch.object(core, "_jacobi_sweeps", _reference_sweeps):
-        want = outcome(lambda: core._eigh_blocks([m], tol))
-    got = outcome(lambda: core._eigh_blocks([m], tol))
+    with mock.patch.multiple(core, _JACOBI_OFF_TOL=rel, _MAX_SWEEPS=max_sweeps):
+        with mock.patch.object(core, "_jacobi_sweeps", _reference_sweeps):
+            want = outcome(lambda: core._eigh_blocks([m], core.DEFAULT_TOL))
+        got = outcome(lambda: core._eigh_blocks([m], core.DEFAULT_TOL))
     if isinstance(want, tuple):
         assert got == want
     else:
@@ -185,10 +185,9 @@ def hermitian_elements(draw):
 @given(hermitian_elements())
 def test_eigenvalues_only_mode_matches_full_solve_bit_for_bit(drawn):
     h, max_sweeps = drawn
-    tol = ToleranceConfig(max_sweeps=max_sweeps)
-    with np.errstate(over="ignore"):
-        full = outcome(lambda: eigh_hermitian(h, tol))
-        vals = outcome(lambda: eigh_hermitian(h, tol, vectors=False))
+    with np.errstate(over="ignore"), mock.patch.object(core, "_MAX_SWEEPS", max_sweeps):
+        full = outcome(lambda: eigh_hermitian(h))
+        vals = outcome(lambda: eigh_hermitian(h, vectors=False))
         if isinstance(full, tuple):
             assert full[0] is NonConvergence
             assert vals == full
@@ -202,6 +201,6 @@ def test_eigenvalues_only_mode_matches_full_solve_bit_for_bit(drawn):
                 vals.assemble(np.sqrt)
         # a skew part well above the slack at every scale
         skew = h + 1j * (1.0 + frobenius_norm(h)) * AlgebraElement.identity(h.signature)
-        want = outcome(lambda: eigh_hermitian(skew, tol))
+        want = outcome(lambda: eigh_hermitian(skew))
         assert want == (NotSelfAdjoint, "eigh_hermitian input must be self-adjoint")
-        assert outcome(lambda: eigh_hermitian(skew, tol, vectors=False)) == want
+        assert outcome(lambda: eigh_hermitian(skew, vectors=False)) == want

@@ -16,6 +16,7 @@ and owning, F-ordered unitary blocks.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -163,25 +164,24 @@ def test_stacked_driver_matches_per_block_solve_bit_for_bit(drawn):
 
 @st.composite
 def elements(draw):
-    """(blocks, tolerances, vectors): 1-4 blocks of sizes 1-8, each of a
-    drawn kind, not yet hermitized."""
+    """(blocks, rel_off_tol, max_sweeps, vectors): 1-4 blocks of sizes 1-8,
+    each of a drawn kind, not yet hermitized; _eigh_blocks is run with the
+    stop rule patched to (rel_off_tol, max_sweeps)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
     blocks = [_slice(draw(st.sampled_from(KINDS)), n, rng) for n in sizes]
-    t = core.ToleranceConfig(
-        jacobi_off_tol=draw(st.sampled_from((1e-14, 1e-8))),
-        max_sweeps=draw(st.sampled_from((1, 2, 100))),
-    )
-    return blocks, t, draw(st.booleans())
+    rel = draw(st.sampled_from((1e-14, 1e-8)))
+    return blocks, rel, draw(st.sampled_from((1, 2, 100))), draw(st.booleans())
 
 
 @settings(max_examples=150, deadline=None)
 @given(elements())
 def test_eigh_blocks_raises_the_first_fault_or_returns_owning_blocks(drawn):
-    blocks, t, vectors = drawn
+    blocks, rel, max_sweeps, vectors = drawn
     with np.errstate(all="ignore"):
-        want = [expected(m, t.jacobi_off_tol, t.max_sweeps, vectors) for m in blocks]
-        got = outcome(lambda: core._eigh_blocks(blocks, t, vectors))
+        want = [expected(m, rel, max_sweeps, vectors) for m in blocks]
+        with mock.patch.multiple(core, _JACOBI_OFF_TOL=rel, _MAX_SWEEPS=max_sweeps):
+            got = outcome(lambda: core._eigh_blocks(blocks, core.DEFAULT_TOL, vectors))
     faults = [o for o in want if failed(o)]
     if faults:
         assert got == faults[0]

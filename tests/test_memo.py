@@ -10,6 +10,7 @@ generate_masa stores are the ones the computed route finds.
 
 import json
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -51,13 +52,13 @@ def test_is_commutative_answers_per_tolerance():
 
 def test_exceptions_are_not_cached():
     x = random_element((6,), np.random.default_rng(3))
-    one_sweep = ToleranceConfig(max_sweeps=1)
-    for _ in range(2):
-        with pytest.raises(NonConvergence):
-            operator_norm(x, one_sweep)
-    for _ in range(2):
-        with pytest.raises(NonConvergence):
-            is_normal(x, one_sweep)
+    with mock.patch.object(core, "_MAX_SWEEPS", 1):
+        for _ in range(2):
+            with pytest.raises(NonConvergence):
+                operator_norm(x)
+        for _ in range(2):
+            with pytest.raises(NonConvergence):
+                is_normal(x)
     assert np.isclose(operator_norm(x), np.linalg.norm(x.blocks[0], 2), rtol=1e-12)
     assert is_normal(x) is False
 
@@ -131,9 +132,11 @@ def test_closure_call_computes_each_value_once(tmp_path, capsys, monkeypatch):
 def test_closure_call_eigensolves(tmp_path, capsys, monkeypatch):
     # eigenvalues only: one for the input's norm in its normality verdict and
     # one per gap ||s_i - t_i|| over the 3 pairs of face suprema, which are
-    # sums of the MASAs' rank-one projections and take none. principal_angles
-    # runs once in each closure's own check against b and once for the two
-    # closures, shared by the residuals and the verdict
+    # sums of the MASAs' rank-one projections and take none. In between, with
+    # eigenvectors, the 5 compression solves of one joint eigensolve of g,
+    # shared by b and both MASAs. principal_angles runs once in each
+    # closure's own check against b and once for the two closures, shared by
+    # the residuals and the verdict
     f = tmp_path / "g.json"
     f.write_text(json.dumps(cli.element_to_json(_degenerate_normal())))
     body = core._eigh_blocks
@@ -155,7 +158,7 @@ def test_closure_call_eigensolves(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(lattice, "principal_angles", counted_angles)
     doc = _run(capsys, "closure", str(f), "--seed1", "1", "--seed2", "2")
     assert doc["artifacts"]["projection_pairs"] == 3
-    assert solves == [False] * (1 + 3)
+    assert solves == [False] + [True] * 5 + [False] * 3
     assert len(angles) == 3
 
 

@@ -10,6 +10,7 @@ operator_norm raises, and it must leave the element's memo as it found it.
 import operator
 import re
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -160,11 +161,11 @@ def test_skipped_eigensolve_raises_no_non_convergence():
     rng = np.random.default_rng(2)
     w, v = haar_unitary_block(6, rng), haar_unitary_block(6, rng)
     x = AlgebraElement([(w * np.arange(1.0, 7.0)) @ v])
-    one_sweep = ToleranceConfig(max_sweeps=1)
-    with pytest.raises(NonConvergence):
-        operator_norm(_fresh(x), one_sweep)
-    lo, _ = _gram_bounds(x)
-    assert _norm_against(x, 1e-3, one_sweep) == np.sqrt(lo)
+    with mock.patch.object(core, "_MAX_SWEEPS", 1):
+        with pytest.raises(NonConvergence):
+            operator_norm(_fresh(x))
+        lo, _ = _gram_bounds(x)
+        assert _norm_against(x, 1e-3, DEFAULT) == np.sqrt(lo)
 
 
 def _counting(monkeypatch, module, name):

@@ -23,12 +23,14 @@ import re
 import struct
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from awkit import core
 from awkit.core import (
     AlgebraElement,
     ToleranceConfig,
@@ -156,12 +158,13 @@ TAMPERS = (
     "overflow-sum",
 )
 
+# (tolerances, Jacobi sweep budget) per name
 TOLS = {
-    "default": ToleranceConfig(),
-    "one-sweep": ToleranceConfig(max_sweeps=1),
-    "tight": ToleranceConfig(pos_slack=1e-16),
+    "default": (ToleranceConfig(), core._MAX_SWEEPS),
+    "one-sweep": (ToleranceConfig(), 1),
+    "tight": (ToleranceConfig(pos_slack=1e-16), core._MAX_SWEEPS),
     # below roundoff: a Gram matrix that is not exactly Hermitian fails its check
-    "below-roundoff": ToleranceConfig(pos_slack=1e-30),
+    "below-roundoff": (ToleranceConfig(pos_slack=1e-30), core._MAX_SWEEPS),
 }
 
 
@@ -269,12 +272,13 @@ def _outcome(verify, c, t):
 )
 def test_stacked_verifier_matches_reference(tamper, sig, n_terms, seed, tol):
     c = _certificate(sig, n_terms, seed, tamper)
-    t = TOLS[tol]
-    with np.errstate(over="ignore", invalid="ignore"):
-        expected = _outcome(_reference_verify, c, t)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert _outcome(verify_certificate, c, t) == expected
+    t, sweeps = TOLS[tol]
+    with mock.patch.object(core, "_MAX_SWEEPS", sweeps):
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = _outcome(_reference_verify, c, t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert _outcome(verify_certificate, c, t) == expected
 
 
 def _reference_build_certificate(seq, limit, tail_rate, tol=None, indices=None):
@@ -405,12 +409,13 @@ def _build_outcome(build, seq, limit, t):
 )
 def test_stacked_builder_matches_reference(tamper, sig, n_terms, seed, tol):
     seq, limit = _sequence(sig, n_terms, seed, tamper)
-    t = TOLS[tol]
-    with np.errstate(over="ignore", invalid="ignore"):
-        expected = _build_outcome(_reference_build_certificate, seq, limit, t)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert _build_outcome(build_certificate, seq, limit, t) == expected
+    t, sweeps = TOLS[tol]
+    with mock.patch.object(core, "_MAX_SWEEPS", sweeps):
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = _build_outcome(_reference_build_certificate, seq, limit, t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert _build_outcome(build_certificate, seq, limit, t) == expected
 
 
 @pytest.mark.parametrize("sig", [(1,), (2, 2), (3,)])
