@@ -78,7 +78,8 @@ def element_from_json(doc) -> AlgebraElement:
         if not np.all(np.isfinite(arr)):
             raise MalformedInput("blocks must contain finite numbers")
         mats.append(arr)
-    return AlgebraElement(mats)
+    # fresh, owning, square, finite complex128 arrays: validated here, once
+    return AlgebraElement._of(mats)
 
 
 def load_matrix_file(path: str) -> AlgebraElement:

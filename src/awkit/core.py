@@ -25,13 +25,23 @@ each compression of ``simultaneous_eigh``. ``_eigh_extremes`` and
 call per block position, and hand each failure back for the caller to raise
 in its own order of checks.
 
-Blocks are validated once, at the public boundary. ``AlgebraElement(...)``
-copies its input to complex128 and checks that every block is square of
-dimension >= 1 and finite. The results of arithmetic in this module go
-through the private ``AlgebraElement._of``, which trusts its caller to pass
-fresh, owning, square complex128 arrays computed from validated blocks; it
-still rejects non-finite entries, since arithmetic can overflow, and still
-marks every block read-only.
+Blocks are validated once, at the public boundary. An element has three
+constructors:
+
+- ``AlgebraElement(blocks)``, the public one, copies its input to
+  complex128 and checks that every block is square of dimension >= 1 and
+  finite.
+- ``AlgebraElement._of(mats)`` wraps blocks that are fresh, owning, square
+  complex128 arrays computed from validated blocks, or validated by the
+  caller (as the CLI's loader does); the results of arithmetic in this
+  module go through it. It skips the copy and the shape check, but still
+  rejects non-finite entries, since arithmetic can overflow, and marks
+  every block read-only.
+- ``AlgebraElement._of_stacks(stacks)`` wraps k elements of one signature at
+  once, from one fresh (k, n_b, n_b) complex128 stack per block position b:
+  element j's blocks are the slice-j views of the stacks. It makes one
+  finiteness check and sets one read-only flag per stack, and raises what
+  ``_of`` raises on a non-finite entry.
 
 Self-adjointness and projections are checked where an operand enters from
 outside, and nowhere after. ``eigh_hermitian`` checks its input and hands it
@@ -230,7 +240,9 @@ class AlgebraElement:
     square matrix of dimension >= 1 with finite entries. ``_of`` is the
     internal constructor for arithmetic results: its caller guarantees fresh,
     owning, square complex128 arrays, so it skips the copy and the shape
-    check. Both reject non-finite entries and mark every block read-only.
+    check. ``_of_stacks`` does the same for k elements of one signature held
+    as one (k, n_b, n_b) stack per block position. All three reject
+    non-finite entries and mark every block read-only.
     """
 
     __slots__ = ("blocks", "signature", "_memo")
@@ -252,6 +264,23 @@ class AlgebraElement:
         el = cls.__new__(cls)
         el._seal(mats)
         return el
+
+    @classmethod
+    def _of_stacks(cls, stacks: Sequence[np.ndarray]) -> list["AlgebraElement"]:
+        """Wrap the k elements held as one fresh (k, n_b, n_b) complex128
+        stack per block position b: element j's blocks are the slice-j views."""
+        for s in stacks:
+            if not np.isfinite(s).all():
+                raise BadArgument(_NON_FINITE)
+            s.flags.writeable = False
+        signature = tuple(s.shape[-1] for s in stacks)
+        out = []
+        for blocks in zip(*stacks):
+            el = cls.__new__(cls)
+            object.__setattr__(el, "blocks", blocks)
+            object.__setattr__(el, "signature", signature)
+            out.append(el)
+        return out
 
     def _seal(self, mats: list[np.ndarray]):
         for m in mats:

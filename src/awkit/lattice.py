@@ -415,12 +415,15 @@ def generate_masa(
     # the postcondition is_masa: Sigma n rank-one projections that commute
     if not _stacks_commute(stacks, t):
         raise PostconditionFailed("refined diagonal algebra failed the MASA postcondition")
-    # the slices of the read-only stacks are wrapped as they are
+    # the slices of the read-only stacks are wrapped as they are, with zero
+    # stacks at the other block positions
     basis_elements = [
-        AlgebraElement._of([p if j == k else np.zeros((n, n), dtype=complex)
-                            for j, n in enumerate(sig)])
+        el
         for k, stack in enumerate(stacks)
-        for p in stack
+        for el in AlgebraElement._of_stacks([
+            stack if j == k else np.zeros((len(stack), n, n), dtype=complex)
+            for j, n in enumerate(sig)
+        ])
     ]
     out = Subalgebra(sig, tuple(basis_elements))
     _remember(out, "is_commutative", t, True)
@@ -552,11 +555,10 @@ def _face_suprema(
         raise NotContained(
             "a minimal projection is not a sum of the MASA's rank-one projections"
         )
-    sig = [p.shape[-1] for p in stacks]
-    return [
-        AlgebraElement._of([s[i].reshape(n, n).copy() for (s, _), n in zip(pairs, sig)])
-        for i in range(len(minimal))
-    ]
+    # one (m, n, n) stack of the suprema per block position
+    return AlgebraElement._of_stacks(
+        [s.reshape(-1, *p.shape[1:]) for (s, _), p in zip(pairs, stacks)]
+    )
 
 
 def monotone_closure(

@@ -10,6 +10,14 @@ block position of all terms or components is one numpy array, and the
 eigenvalue solves of each block position are one call of the stacked Jacobi
 driver. A solve that fails is raised where the element-by-element checks
 would have met it, so every value, decision and exception is theirs.
+
+The builder forms the components on the same stacks it gathers for the
+gaps: per block position, the Hermitian and skew parts of all terms and the
+envelope times the identity are one numpy expression each, the elementwise
+steps of real_part, imag_part, e * 1 and + with their bits. Each component
+sequence is sealed once per stack (AlgebraElement._of_stacks), one
+finiteness check and one read-only flag per block position, and its
+elements are views of it.
 """
 
 from __future__ import annotations
@@ -112,6 +120,9 @@ def build_certificate(
     accepted for subsequences such as geometric ladders. The gaps
     ||a_n - limit|| come from one stack of Gram matrices per block position,
     with the values and exceptions of operator_norm(a_n - limit) term by term.
+    The components are formed on the stacks of the terms, one per block
+    position, and sealed once per stack; a Hermitian or skew part that
+    overflows raises BadArgument, as real_part and imag_part do.
     """
     t = _tol(tol)
     if len(seq) == 0:
@@ -131,8 +142,9 @@ def build_certificate(
             raise BadArgument("indices must be ascending naturals")
     sig = limit.signature
     # ||a - limit|| per term, from one stack of Gram matrices per block position
+    terms = _gather(seq, sig)
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = [s - b for s, b in zip(_gather(seq, sig), limit.blocks)]
+        diff = [s - b for s, b in zip(terms, limit.blocks)]
         gram = [_adj(d) @ d for d in diff]
         finite = _each(np.isfinite, diff + gram)
     solved = [a.signature == sig and f for a, f in zip(seq, finite)]
@@ -156,13 +168,20 @@ def build_certificate(
         eps.append(running)
     eps.reverse()
 
-    one = AlgebraElement.identity(sig)
-    re_terms = [real_part(a) for a in seq]
-    im_terms = [imag_part(a) for a in seq]
-    comp1 = tuple(im + e * one for im, e in zip(im_terms, eps))
-    comp2 = tuple(e * one for e in eps)
+    # the elementwise steps of real_part, imag_part, e * one and +, one
+    # stack per block position; a part that overflows raises BadArgument
+    scaled = np.array(eps)[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        im, ones, re = [], [], []
+        for s, n in zip(terms, sig):
+            e1 = scaled * np.eye(n, dtype=np.complex128)
+            im.append((-0.5j) * (s - _adj(s)) + e1)
+            ones.append(e1)
+            re.append(0.5 * (s + _adj(s)) + e1)
+        comp1 = tuple(AlgebraElement._of_stacks(im))
+        comp2 = tuple(AlgebraElement._of_stacks(ones))
+        comp4 = tuple(AlgebraElement._of_stacks(re))
     comp3 = comp2
-    comp4 = tuple(re + e * one for re, e in zip(re_terms, eps))
     zero = AlgebraElement.zeros(sig)
     return OrderLimitCertificate(
         indices=indices,

@@ -282,6 +282,15 @@ def polar_regularized(
     return PolarResult(u=u, diagnostics=diagnostics, **frame)
 
 
+_DEFECTS = (
+    "reconstruction_left",
+    "reconstruction_right",
+    "partial_isometry",
+    "initial_projection",
+    "final_projection",
+)
+
+
 def polar_residuals(
     x: AlgebraElement, result: PolarResult, tol: ToleranceConfig | None = None
 ) -> PolarResiduals:
@@ -295,16 +304,49 @@ def polar_residuals(
     their results can be passed as they are; any other candidate u must
     come with those four (see verify_polar). The only eigensolves are the
     five defect norms: both routes and verify_polar memoize ||x||.
+
+    Per block position the five defects x - |x*| u, x - u |x|, u u* u - u,
+    u*u - initial and u u* - final are one (5, n, n) stack, formed by the
+    block steps of the element arithmetic, and their norms are one
+    _gram_norms call on the stacked Gram matrices d*d, each with the bits of
+    operator_norm(d). A defect raises, in defect order, what forming and
+    measuring it as an element raises: the BadArgument of a non-finite
+    entry or an eigensolve's error.
     """
     t = _tol(tol)
-    u, ustar = result.u, adjoint(result.u)
-    defects = {
-        "reconstruction_left": operator_norm(x - result.absxstar * u, t),
-        "reconstruction_right": operator_norm(x - u * result.absx, t),
-        "partial_isometry": operator_norm(u * ustar * u - u, t),
-        "initial_projection": operator_norm(ustar * u - result.initial.element, t),
-        "final_projection": operator_norm(u * ustar - result.final.element, t),
-    }
+    u = result.u
+    operands = (x, result.absxstar, result.absx, result.initial.element, result.final.element)
+    if any(y.signature != u.signature for y in operands):
+        # an operand of another signature than u: the defects, formed and
+        # measured in order as elements, meet it and raise SignatureMismatch
+        ustar = adjoint(u)
+        for defect in (
+            lambda: x - result.absxstar * u,
+            lambda: x - u * result.absx,
+            lambda: u * ustar * u - u,
+            lambda: ustar * u - result.initial.element,
+            lambda: u * ustar - result.final.element,
+        ):
+            operator_norm(defect(), t)
+    finite = np.ones(len(_DEFECTS), dtype=bool)
+    grams = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ub, xb, asb, ab, ib, fb in zip(*(y.blocks for y in (u, *operands))):
+            ustar = ub.T.conj()
+            uus = ub @ ustar
+            d = np.stack([xb - asb @ ub, xb - ub @ ab, uus @ ub - ub, ustar @ ub - ib, uus - fb])
+            gram = d.swapaxes(-1, -2).conj() @ d
+            finite &= np.isfinite(d).all(axis=(1, 2)) & np.isfinite(gram).all(axis=(1, 2))
+            # as an element, u u* u - u first seals u u*, which raises on a
+            # non-finite entry whatever its product with u holds
+            finite[2] &= np.isfinite(uus).all()
+            grams.append(gram)
+    norms = iter(_gram_norms([g[finite] for g in grams], t))
+    defects = {}
+    for name, ok in zip(_DEFECTS, finite.tolist()):
+        if not ok:
+            raise BadArgument(_NON_FINITE)
+        defects[name] = _raised(next(norms))
     scale = 1.0 + operator_norm(x, t)
     thr = 10.0 * t.pos_slack * scale
     accepted = all(v <= thr for v in defects.values())

@@ -1,5 +1,6 @@
 """Timing of build_certificate and verify_certificate on 8-term sequences
-converging at rate 1/n, by signature.
+converging at rate 1/n, by signature, and of the whole `awkit certify` call
+(loading the JSON files, building and verifying) on one such sequence.
 
     PYTHONPATH=src python -m pytest tests/bench_order.py --benchmark-only
 
@@ -7,9 +8,14 @@ Needs pytest-benchmark. The file name does not match test_*.py, so the
 default test run does not collect it.
 """
 
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
 
+from awkit import cli
 from awkit.core import operator_norm
 from awkit.order import build_certificate, verify_certificate
 from awkit.sampling import random_element
@@ -41,3 +47,23 @@ def test_verify_certificate(benchmark, sig):
     cert = build_certificate(seq, limit, 1.0)
     report = benchmark(verify_certificate, cert)
     assert report.accepted
+
+
+def test_certify_call(benchmark, tmp_path):
+    seq, limit = _sequence((1, 2, 2, 1, 2, 1))
+    terms = tmp_path / "terms"
+    terms.mkdir()
+    for j, a in enumerate(seq):
+        (terms / f"{j:03d}.json").write_text(json.dumps(cli.element_to_json(a)))
+    path = tmp_path / "limit.json"
+    path.write_text(json.dumps(cli.element_to_json(limit)))
+    argv = ["certify", str(terms), "--limit", str(path), "--rate", "1.0"]
+
+    def certify():
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(argv)
+        return code, out.getvalue()
+
+    code, report = benchmark(certify)
+    assert code == 0
+    assert json.loads(report)["artifacts"]["terms"] == 8

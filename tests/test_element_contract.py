@@ -2,14 +2,20 @@
 
 The public constructor copies and validates its input; arithmetic results
 come from the internal constructor, which skips the copy and shape check
-but still rejects non-finite entries and freezes every block.
+but still rejects non-finite entries and freezes every block. The stacked
+internal constructor wraps k elements as views of one read-only stack per
+block position, under the same finiteness check. The CLI's loader, which
+validates what it reads, hands its fresh arrays to the internal constructor.
 """
+
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from awkit import cli
 from awkit.core import (
     AlgebraElement,
     adjoint,
@@ -17,6 +23,7 @@ from awkit.core import (
     imag_part,
     real_part,
 )
+from awkit.errors import BadArgument
 from awkit.sampling import random_element
 
 signatures = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple)
@@ -96,3 +103,43 @@ def test_signature_is_read_only():
     with pytest.raises(AttributeError):
         x.signature = (5,)
     assert x.signature == (2, 3)
+
+
+def _stacks(sig, k, rng):
+    return [rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n)) for n in sig]
+
+
+@settings(max_examples=40, deadline=None)
+@given(signatures, st.integers(0, 4), seeds)
+def test_stacked_constructor_wraps_read_only_views(sig, k, seed):
+    stacks = _stacks(sig, k, np.random.default_rng(seed))
+    expected = [s.copy() for s in stacks]
+    elements = AlgebraElement._of_stacks(stacks)
+    assert len(elements) == k
+    for j, el in enumerate(elements):
+        assert el.signature == sig
+        for b, stack, want in zip(el.blocks, stacks, expected):
+            assert b.dtype == np.complex128
+            assert not b.flags.writeable
+            assert b.base is stack
+            assert not stack.flags.writeable
+            assert np.array_equal(b, want[j])
+        # element arithmetic reads the views as it reads owning blocks
+        assert el + el == AlgebraElement([2.0 * w[j] for w in expected])
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+def test_stacked_constructor_rejects_non_finite_entries(bad):
+    stacks = _stacks((2, 1, 3), 3, np.random.default_rng(0))
+    stacks[2][1, 0, 2] = bad
+    with pytest.raises(BadArgument, match="non-finite entry in block"):
+        AlgebraElement._of_stacks(stacks)
+
+
+@settings(max_examples=40, deadline=None)
+@given(signatures, seeds)
+def test_loaded_element_owns_its_read_only_blocks(sig, seed):
+    x = random_element(sig, np.random.default_rng(seed))
+    loaded = cli.element_from_json(json.loads(json.dumps(cli.element_to_json(x))))
+    assert loaded == x
+    assert_sealed(loaded, sig)

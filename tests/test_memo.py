@@ -76,6 +76,19 @@ def _counting(monkeypatch, module, name):
     return seen
 
 
+def _counting_gram_norms(monkeypatch):
+    """Replace polar._gram_norms by a wrapper that records the shapes of its stacks."""
+    body = polar._gram_norms
+    seen = []
+
+    def counted(stacks, t):
+        seen.append([s.shape for s in stacks])
+        return body(stacks, t)
+
+    monkeypatch.setattr(polar, "_gram_norms", counted)
+    return seen
+
+
 def _degenerate_normal():
     rng = np.random.default_rng(11)
     blocks = []
@@ -166,8 +179,8 @@ def test_closure_call_eigensolves(tmp_path, capsys, monkeypatch):
 def test_polar_residuals_reads_the_norm_of_x_from_the_route(tmp_path, capsys, monkeypatch, method):
     # the route solved x*x and memoized ||x|| on x: the verifier's scale
     # 1 + ||x|| takes no eigensolve, and it reads the range projections of
-    # |x| and |x*| off the route's result, so its 5 solves are the 5 defect
-    # norms
+    # |x| and |x*| off the route's result, so its only solves are the 5
+    # defect norms: one _gram_norms call on a (5, n, n) stack per block
     rng = np.random.default_rng(6)
     x = AlgebraElement([
         (haar_unitary_block(n, rng) * rng.uniform(0.1, 2.0, n)) @ haar_unitary_block(n, rng)
@@ -185,14 +198,17 @@ def test_polar_residuals_reads_the_norm_of_x_from_the_route(tmp_path, capsys, mo
 
     for module in (core, polar):
         monkeypatch.setattr(module, "_eigh_blocks", counted)
+    grams = _counting_gram_norms(monkeypatch)
     residuals_body = polar.polar_residuals
     inside = {}
 
     def checked(y, result, tol=None):
         norms.clear()
         solves.clear()
+        grams.clear()
         check = residuals_body(y, result, tol)
         inside["norms"], inside["solves"] = list(norms), len(solves)
+        inside["grams"] = list(grams)
         inside["scale"] = (y, operator_norm(y, tol))
         return check
 
@@ -200,15 +216,16 @@ def test_polar_residuals_reads_the_norm_of_x_from_the_route(tmp_path, capsys, mo
     doc = _run(capsys, "polar", str(f), "--method", method)
     assert doc["accepted"] is True
     y, norm = inside["scale"]
-    assert all(owner is not y for owner in inside["norms"])
-    assert len(inside["norms"]) == 5
-    assert inside["solves"] == 5
+    assert inside["norms"] == []
+    assert inside["solves"] == 0
+    assert inside["grams"] == [[(5, 3, 3), (5, 4, 4)]]
     assert np.isclose(norm, max(np.linalg.norm(b, 2) for b in x.blocks), rtol=1e-12)
 
 
 def test_verify_polar_solves_each_gram_matrix_once(monkeypatch):
     # its own solves of x*x and x x* give |x|, |x*|, their range projections
-    # and ||x||; the rest are the 5 defect norms, eigenvalues only
+    # and ||x||; the rest are the 5 defect norms, eigenvalues only, in one
+    # _gram_norms call on a (5, n, n) stack per block
     rng = np.random.default_rng(6)
     x = random_element((3, 4), rng)
     u = polar.polar_direct(AlgebraElement(x.blocks)).u
@@ -221,8 +238,10 @@ def test_verify_polar_solves_each_gram_matrix_once(monkeypatch):
 
     for module in (core, polar):
         monkeypatch.setattr(module, "_eigh_blocks", counted)
+    grams = _counting_gram_norms(monkeypatch)
     assert polar.verify_polar(x, u)
-    assert Counter(solves) == {True: 2, False: 5}
+    assert Counter(solves) == {True: 2}
+    assert grams == [[(5, 3, 3), (5, 4, 4)]]
 
 
 def test_spectral_call_tests_normality_once(tmp_path, capsys, monkeypatch):

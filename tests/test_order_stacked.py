@@ -14,7 +14,8 @@ with the same message.
 ``operator_norm(a - limit)``, kept verbatim as a named oracle. On converging
 sequences with one term replaced (equal to the limit, beyond the rate, a
 gap whose Gram squares underflow, a term or limit of another signature, a
-difference, Gram matrix or Frobenius norm that overflows) the stacked builder
+difference, Gram matrix or Frobenius norm that overflows, a limit near 1e308
+that the term equals, whose Hermitian part overflows) the stacked builder
 must return a certificate with the same bits or raise the same exception.
 """
 
@@ -349,7 +350,15 @@ SEQUENCE_TAMPERS = (
     "overflow",  # a - limit overflows
     "gram-overflow",  # a - limit is finite, its Gram matrix is not
     "scale-overflow",  # the Gram matrix is finite, its Frobenius norm is not
+    "component-overflow",  # a term equals a limit near 1e308: a + a* overflows
 )
+
+
+def _overflowing_real_part(sig, rng):
+    """Entries of magnitude 1e300 to 1.5e308 with a diagonal of 1.5e308: a + a* overflows."""
+    return AlgebraElement([
+        np.where(np.eye(n, dtype=bool), 1.5e308, b) for b, n in zip(_huge(sig, rng).blocks, sig)
+    ])
 
 
 def _sequence(sig, n_terms, seed, tamper):
@@ -376,6 +385,11 @@ def _sequence(sig, n_terms, seed, tamper):
         seq[j] = replaced
     if tamper == "limit-signature":
         limit = random_element(other, rng)
+    if tamper == "component-overflow":
+        # shifted onto the new limit, the other terms stay within rate 1 of it
+        huge = _overflowing_real_part(sig, rng)
+        seq = [huge + (a - limit) for a in seq]
+        limit = seq[j] = huge
     return seq, limit
 
 
@@ -430,3 +444,16 @@ def test_a_term_whose_gram_norm_overflows_fails_its_envelope_at_every_block_size
     message = f"term at index {j + 1} lies {gaps[j]:.3e} from the limit"
     with pytest.raises(EnvelopeViolation, match=re.escape(message)):
         build_certificate(seq, limit, 1.0)
+
+
+@pytest.mark.parametrize("sig", [(1,), (2, 3), (4,)])
+def test_a_term_whose_hermitian_part_overflows_raises_in_both_builders(sig):
+    seq, limit = _sequence(sig, 3, 5, "component-overflow")
+    assert any(a == limit for a in seq)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _build_outcome(_reference_build_certificate, seq, limit, ToleranceConfig())
+    assert expected == ("raised", BadArgument, "non-finite entry in block")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(BadArgument, match="non-finite entry in block"):
+            build_certificate(seq, limit, 1.0)

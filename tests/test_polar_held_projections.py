@@ -10,6 +10,16 @@ and x x* by the rule of root (``HermitianEigenSystem.support``).
 ``_range_projection_verify_polar`` is the earlier ``verify_polar``, which
 fed that body.
 
+``_per_defect_polar_residuals`` is the body that followed it, kept as a
+named oracle: it formed each of the five defects as an element and took its
+operator_norm, one eigensolve per defect. ``polar_residuals`` now stacks the
+five defects per block position and takes their norms in one _gram_norms
+call. On the genuine u of either route and on candidates built from it
+(scaled so that a defect's Gram matrix or u u* u overflows, of another
+signature, or with an |x| of another signature), at the default sweep
+budget and at one sweep, both return the same residuals to the bit and the
+same verdict, or raise the same exception with the same message.
+
 On x = s W diag(sigma) V* per block, sigma = 0 with probability 0.3, at
 scales s in {1e-5, 1, 1e2}, each carried projection has the rank of the
 oracle's and lies within PROJECTION_ATOL of it in operator norm, and
@@ -18,10 +28,13 @@ the same candidates: the genuine u of either route, -u, e^{i theta} u, and
 u + w with w mapping ker |x| into ker |x*|.
 """
 
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from awkit import polar
+from awkit import core, polar
 from awkit.core import (
     AlgebraElement,
     ToleranceConfig,
@@ -88,6 +101,39 @@ def _range_projection_verify_polar(
     filler = range_projection(absx, t)
     result = PolarResult(u=u, absx=absx, absxstar=absxstar, initial=filler, final=filler)
     return _range_projection_polar_residuals(x, result, t).accepted
+
+
+def _per_defect_polar_residuals(
+    x: AlgebraElement, result: PolarResult, tol: ToleranceConfig | None = None
+) -> PolarResiduals:
+    """Residuals of the polar identities (Higham, Functions of Matrices,
+    SIAM 2008, ch. 8) for result.u, read against result.absx,
+    result.absxstar and their range projections result.initial and
+    result.final rather than recomputing any of them.
+
+    Both polar routes build |x| and |x*| as positive_sqrt would, and their
+    range projections by the same cut (HermitianEigenSystem.support), so
+    their results can be passed as they are; any other candidate u must
+    come with those four (see verify_polar). The only eigensolves are the
+    five defect norms: both routes and verify_polar memoize ||x||.
+    """
+    t = _tol(tol)
+    u, ustar = result.u, adjoint(result.u)
+    defects = {
+        "reconstruction_left": operator_norm(x - result.absxstar * u, t),
+        "reconstruction_right": operator_norm(x - u * result.absx, t),
+        "partial_isometry": operator_norm(u * ustar * u - u, t),
+        "initial_projection": operator_norm(ustar * u - result.initial.element, t),
+        "final_projection": operator_norm(u * ustar - result.final.element, t),
+    }
+    scale = 1.0 + operator_norm(x, t)
+    thr = 10.0 * t.pos_slack * scale
+    accepted = all(v <= thr for v in defects.values())
+    residuals = {
+        name: v / scale if name.startswith("reconstruction") else v
+        for name, v in defects.items()
+    }
+    return PolarResiduals(residuals=residuals, accepted=accepted)
 
 
 SIGNATURES = [(1,), (2, 3), (8,), (3, 5, 8)]
@@ -186,3 +232,39 @@ def test_the_cases_exercise_acceptance_and_kernels():
     total = len(SIGNATURES) * len(SCALES) * len(SEEDS)
     assert kernels >= total // 3
     assert accepted >= total // 2
+
+
+def _residuals_outcome(residuals, x, result):
+    try:
+        check = residuals(x, result)
+    except Exception as exc:  # the exception is part of the outcome compared
+        return ("raised", type(exc), str(exc))
+    return ("checked", check.accepted, [(k, v.hex()) for k, v in check.residuals.items()])
+
+
+def _tampered_results(x, rng):
+    """Results of both routes, with candidates and fields that make the
+    defects overflow or meet another signature."""
+    other = random_element((*x.signature, 1), rng)
+    for route in (polar_direct, polar_regularized):
+        genuine = route(AlgebraElement(x.blocks))
+        u = genuine.u
+        yield genuine
+        yield replace(genuine, u=-1.0 * u)
+        yield replace(genuine, u=u + 1e-3 * random_element(x.signature, rng))
+        yield replace(genuine, u=1e150 * u)  # u u* u overflows, the Gram matrices before it do not
+        yield replace(genuine, u=1e200 * u)  # every defect's Gram matrix overflows
+        yield replace(genuine, u=other)
+        yield replace(genuine, absx=other)
+
+
+@cases
+@pytest.mark.parametrize("sweeps", [core._MAX_SWEEPS, 1], ids=["default-sweeps", "one-sweep"])
+def test_stacked_residuals_match_the_per_defect_oracle(sig, scale, seed, sweeps):
+    x = _element(sig, scale, seed)
+    results = list(_tampered_results(x, np.random.default_rng(seed)))
+    with mock.patch.object(core, "_MAX_SWEEPS", sweeps):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for result in results:
+                old = _residuals_outcome(_per_defect_polar_residuals, x, result)
+                assert _residuals_outcome(polar_residuals, x, result) == old
