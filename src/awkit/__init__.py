@@ -21,7 +21,6 @@ from .core import (
     loewner_leq,
     operator_norm,
     positive_sqrt,
-    pseudo_inverse_on_range,
     range_projection,
     real_part,
     simultaneous_eigh,
@@ -31,13 +30,11 @@ from .lattice import (
     Subalgebra,
     closure_correspondence,
     generate_masa,
-    max_annihilator,
     minimal_projections,
     monotone_closure,
     principal_angles,
     relative_commutant,
     spans_equal,
-    sup_projections,
 )
 from .order import (
     DominatorEnvelope,
@@ -61,7 +58,6 @@ from .polar import (
     verify_polar,
 )
 from .spectral import (
-    BorelSubset,
     SpectralFunction,
     SpectralMeasure,
     SpectralResiduals,
@@ -69,12 +65,9 @@ from .spectral import (
     check_regularity,
     integrate,
     is_normal,
-    measure_of,
     measure_residuals,
-    order_convergent_integral,
     spectral_measure,
     spectral_residuals,
-    spectrum_of,
 )
 
 __version__ = "0.1.0"

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -197,15 +198,31 @@ def _cmd_closure(args, tol):
     ), 0 if accepted else 1
 
 
+_DIGIT_RUNS = re.compile(r"(\d+)")
+
+
+def _term_order(path: Path):
+    """Name order with digit runs compared as integers, so t2 precedes
+    t10; the plain name breaks ties such as 01 and 001."""
+    parts = _DIGIT_RUNS.split(path.name)
+    parts[1::2] = map(int, parts[1::2])
+    return parts, path.name
+
+
 def _cmd_certify(args, tol):
     directory = Path(args.dir)
     if not directory.is_dir():
         raise MalformedInput(f"{args.dir} is not a directory")
-    files = sorted(p for p in directory.iterdir() if p.suffix == ".json")
+    files = sorted((p for p in directory.iterdir() if p.suffix == ".json"), key=_term_order)
     if not files:
         raise MalformedInput(f"{args.dir} holds no .json matrix files")
     seq = [load_matrix_file(str(p)) for p in files]
     limit = load_matrix_file(args.limit)
+    for p, term in zip(files, seq):
+        if term.signature != limit.signature:
+            raise MalformedInput(
+                f"{p} has signature {term.signature}, the limit has {limit.signature}"
+            )
     cert = build_certificate(seq, limit, args.rate, tol)
     report = verify_certificate(cert, tol)
     residuals = {"worst": report.worst_residual}
@@ -338,7 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed2", type=_seed, required=True)
 
     p = add_parser("certify", help="order-convergence certificate for a file sequence")
-    p.add_argument("dir")
+    p.add_argument(
+        "dir",
+        help="directory of .json terms, in name order with digit runs compared "
+        "as integers (t2 before t10); the plain name breaks ties such as 01 and 001",
+    )
     p.add_argument("--limit", required=True)
     p.add_argument("--rate", type=_finite_float, required=True)
 

@@ -107,7 +107,6 @@ __all__ = [
     "joint_eigenspaces",
     "positive_sqrt",
     "range_projection",
-    "pseudo_inverse_on_range",
     "is_self_adjoint",
     "is_normal",
 ]
@@ -126,8 +125,8 @@ class ToleranceConfig:
     cluster_tol     relative gap below which eigenvalues are merged
     rank_cutoff     eigenvalues w <= rank_cutoff max(1, max |w|) count as zero
                     (HermitianEigenSystem.rank_cutoff, read by root,
-                    inverse_root, support, the range projection, the
-                    pseudo-inverse, the ladder and the cut)
+                    inverse_root, inverse, support, the range projection,
+                    the ladder and the cut)
 
     The Jacobi sweep's stop rule is not configurable: it stops once the
     off-diagonal mass is at most _JACOBI_OFF_TOL ||h||_F, and raises
@@ -496,7 +495,8 @@ class HermitianEigenSystem:
         )
 
     def inverse(self, t: ToleranceConfig) -> AlgebraElement:
-        """Inverse on the range: 1/w above the rank cutoff, 0 at or below it."""
+        """Pseudo-inverse on the range: 1/w above the rank cutoff, 0 at or
+        below it, so that h times it is support."""
         cutoff = self.rank_cutoff(t)
 
         def invert(w: np.ndarray) -> np.ndarray:
@@ -1016,17 +1016,6 @@ def range_projection(
     eig = eigh_hermitian(h, t)
     cutoff = eig.rank_cutoff(t)
     return Projection._of(eig.assemble(lambda w: np.where(np.abs(w) > cutoff, 1.0, 0.0)))
-
-
-def pseudo_inverse_on_range(
-    h: AlgebraElement, tol: ToleranceConfig | None = None
-) -> AlgebraElement:
-    """Inverse of a positive element on its range, zero on its kernel."""
-    t = _tol(tol)
-    eig = eigh_hermitian(h, t)
-    if not eig.is_positive(t):
-        raise NotPositive(f"min eigenvalue {eig.min_eigenvalue:.3e} below slack")
-    return eig.inverse(t)
 
 
 class Projection:

@@ -64,10 +64,6 @@ class IncompleteFunction(AlgebraError):
     """A spectral function is missing a value on some spectrum point."""
 
 
-class IncompleteOrdering(AlgebraError):
-    """An ordering failed to enumerate the spectrum exactly once."""
-
-
 class SlowConvergence(AlgebraError):
     """The regularized ladder stalled above its analytic gap bound."""
 

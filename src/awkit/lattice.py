@@ -57,7 +57,6 @@ from .core import (
     Projection,
     ToleranceConfig,
     _eigenspaces,
-    _eigh_blocks,
     _joint_atoms,
     _memoized,
     _norm_against,
@@ -66,16 +65,12 @@ from .core import (
     adjoint,
     frobenius_norm,
     is_normal,
-    is_self_adjoint,
     operator_norm,
-    range_projection,
-    real_part,
 )
 from .errors import (
     NotCommuting,
     NotContained,
     NotNormal,
-    NotPositive,
     PostconditionFailed,
     SignatureMismatch,
 )
@@ -84,8 +79,6 @@ from .spectral import SPECTRAL_RESIDUAL_TOL, SpectralFunction, integrate, spectr
 __all__ = [
     "Subalgebra",
     "ClosureCorrespondence",
-    "sup_projections",
-    "max_annihilator",
     "generate_masa",
     "relative_commutant",
     "minimal_projections",
@@ -297,37 +290,6 @@ def spans_equal(s1: Subalgebra, s2: Subalgebra) -> bool:
         return False
     angles = principal_angles(s1, s2)
     return angles.size == 0 or float(angles[-1]) <= SPAN_ANGLE_TOL
-
-
-def sup_projections(
-    ps: Sequence[Projection], tol: ToleranceConfig | None = None
-) -> Projection:
-    """Least projection dominating every member: the range projection of the sum."""
-    if not ps:
-        raise ValueError("sup_projections needs a non-empty family")
-    total = ps[0].element
-    for p in ps[1:]:
-        total = total + p.element
-    return range_projection(total, tol)
-
-
-def max_annihilator(
-    elements: Sequence[AlgebraElement], tol: ToleranceConfig | None = None
-) -> Projection:
-    """Largest projection q with q s = 0 for every positive s in the family."""
-    t = _tol(tol)
-    if not elements:
-        raise ValueError("max_annihilator needs a non-empty family")
-    for i, s in enumerate(elements):
-        if not is_self_adjoint(s, t):
-            raise NotPositive(f"element {i} is not self-adjoint")
-        if not _eigh_blocks(real_part(s).blocks, t, vectors=False).is_positive(t):
-            raise NotPositive(f"element {i} is not positive")
-    total = elements[0]
-    for s in elements[1:]:
-        total = total + s
-    rp = range_projection(total, t)
-    return Projection._of(AlgebraElement.identity(total.signature) - rp.element)
 
 
 def _require_commuting_normal(generators, t):

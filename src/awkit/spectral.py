@@ -24,9 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import Callable, Mapping
 
 from .core import (
     AlgebraElement,
@@ -39,27 +37,17 @@ from .core import (
     is_normal,
     operator_norm,
 )
-from .errors import (
-    IncompleteFunction,
-    IncompleteOrdering,
-    NotNormal,
-    UnknownPoint,
-)
-from .order import OrderLimitCertificate, build_certificate
+from .errors import IncompleteFunction, NotNormal, UnknownPoint
 
 __all__ = [
     "Spectrum",
     "SpectralMeasure",
-    "BorelSubset",
     "SpectralFunction",
     "is_normal",
-    "spectrum_of",
     "spectral_measure",
-    "measure_of",
     "integrate",
     "measure_residuals",
     "check_regularity",
-    "order_convergent_integral",
     "SpectralResiduals",
     "spectral_residuals",
     "SPECTRAL_RESIDUAL_TOL",
@@ -81,17 +69,6 @@ class Spectrum:
 
 
 @dataclass(frozen=True)
-class BorelSubset:
-    """A subset of the spectrum, realized as an explicit point list."""
-
-    points: tuple[complex, ...]
-
-    @classmethod
-    def of(cls, points: Iterable[complex]) -> "BorelSubset":
-        return cls(tuple(complex(p) for p in points))
-
-
-@dataclass(frozen=True)
 class SpectralFunction:
     """A function given by its values on the spectrum points."""
 
@@ -104,11 +81,6 @@ class SpectralFunction:
     @classmethod
     def identity(cls, spectrum: Spectrum) -> "SpectralFunction":
         return cls.from_callable(lambda z: z, spectrum)
-
-    @classmethod
-    def indicator(cls, subset: BorelSubset, spectrum: Spectrum) -> "SpectralFunction":
-        inside = set(subset.points)
-        return cls.from_callable(lambda z: 1.0 if z in inside else 0.0, spectrum)
 
     def __call__(self, point: complex) -> complex:
         try:
@@ -181,27 +153,6 @@ def spectral_residuals(
     )
 
 
-def spectrum_of(a: AlgebraElement, tol: ToleranceConfig | None = None) -> Spectrum:
-    """Clustered spectrum of a normal element."""
-    return spectral_measure(a, tol).domain_spectrum
-
-
-def measure_of(m: SpectralMeasure, subset: BorelSubset | Iterable[complex]) -> Projection:
-    """Value of the measure on a subset: the sum of its atoms."""
-    points = subset.points if isinstance(subset, BorelSubset) else tuple(subset)
-    domain = m.domain_spectrum.points
-    chosen = set()
-    for p in points:
-        if p not in m.atoms:
-            raise UnknownPoint(f"{p} is not a spectrum point")
-        chosen.add(p)
-    total = AlgebraElement.zeros(next(iter(m.atoms.values())).element.signature)
-    for p in domain:  # fixed summation order keeps results reproducible
-        if p in chosen:
-            total = total + m.atoms[p].element
-    return Projection(total)
-
-
 def integrate(f: SpectralFunction, m: SpectralMeasure) -> AlgebraElement:
     """Weighted atom sum; the functional calculus applied to f."""
     sig = next(iter(m.atoms.values())).element.signature
@@ -246,31 +197,3 @@ def check_regularity(m: SpectralMeasure, tol: ToleranceConfig | None = None) -> 
     """
     bound = _tol(tol).pos_slack * 2.0
     return all(v <= bound for v in measure_residuals(m).values())
-
-
-def order_convergent_integral(
-    f: SpectralFunction,
-    m: SpectralMeasure,
-    ordering: Sequence[complex],
-    tol: ToleranceConfig | None = None,
-) -> OrderLimitCertificate:
-    """Certificate that the partial atom sums converge in order to the integral.
-
-    The tail rate is computed from the finite remainder norms of the partial
-    sums along the given enumeration of the spectrum.
-    """
-    t = _tol(tol)
-    domain = m.domain_spectrum.points
-    ordering = tuple(complex(p) for p in ordering)
-    if len(ordering) != len(domain) or set(ordering) != set(domain):
-        raise IncompleteOrdering("ordering must enumerate the spectrum exactly once")
-    limit = integrate(f, m)
-    partial = AlgebraElement.zeros(limit.signature)
-    seq = []
-    for p in ordering:
-        partial = partial + f(p) * m.atoms[p].element
-        seq.append(partial)
-    rate = max(
-        (j + 1) * operator_norm(s - limit, t) for j, s in enumerate(seq)
-    )
-    return build_certificate(seq, limit, rate, t)

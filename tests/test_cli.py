@@ -8,7 +8,7 @@ import pytest
 
 from awkit import cli, selftest
 from awkit.cli import build_parser, element_from_json, element_to_json, load_matrix_file, main
-from awkit.core import AlgebraElement, ToleranceConfig, frobenius_norm
+from awkit.core import AlgebraElement, ToleranceConfig, frobenius_norm, operator_norm
 from awkit.lattice import Subalgebra, closure_correspondence, generate_masa
 from awkit.polar import (
     cut_residuals,
@@ -250,6 +250,53 @@ def test_certify_subcommand(tmp_path, capsys):
     )
     assert code == 1
     assert "over" in err
+
+
+def test_certify_compares_digit_runs_in_term_names_as_integers(tmp_path, capsys):
+    # a_j = limit + (0.9 / j) e_j with ||e_j|| = 1 converges at rate 0.9;
+    # in plain string order t10 would come second and t2 third, 0.45 away
+    rng = np.random.default_rng(12)
+    limit = random_element((2, 1), rng)
+    d = tmp_path / "seq"
+    d.mkdir()
+    for j in range(1, 11):
+        e = random_element((2, 1), rng)
+        write_matrix(d / f"t{j}.json", limit + (0.9 / j / operator_norm(e)) * e)
+    write_matrix(tmp_path / "limit.json", limit)
+    code, out, err = run_cli(
+        capsys, "certify", str(d), "--limit", str(tmp_path / "limit.json"), "--rate", "1.0"
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["artifacts"]["ordering"] == [f"t{j}.json" for j in range(1, 11)]
+
+    # the plain name breaks ties between names whose digit runs are equal
+    d = tmp_path / "ties"
+    d.mkdir()
+    for name in ("t10", "t2", "01", "t1", "001"):
+        write_matrix(d / f"{name}.json", limit)
+    code, out, _ = run_cli(
+        capsys, "certify", str(d), "--limit", str(tmp_path / "limit.json"), "--rate", "1.0"
+    )
+    assert code == 0
+    assert json.loads(out)["artifacts"]["ordering"] == [
+        "001.json", "01.json", "t1.json", "t2.json", "t10.json"
+    ]
+
+
+def test_certify_term_of_another_algebra_is_malformed_input(tmp_path, capsys):
+    d = tmp_path / "seq"
+    d.mkdir()
+    for j in range(1, 5):
+        size = 3 if j == 3 else 2
+        write_matrix(d / f"t{j}.json", AlgebraElement.identity((size,)) * (1.0 / j))
+    write_matrix(tmp_path / "limit.json", AlgebraElement.zeros((2,)))
+    code, out, err = run_cli(
+        capsys, "certify", str(d), "--limit", str(tmp_path / "limit.json"), "--rate", "1.0"
+    )
+    assert code == 2
+    assert err == f"malformed input: {d / 't3.json'} has signature (3,), the limit has (2,)\n"
+    doc = json.loads(out)
+    assert doc["command"] == "certify" and doc["accepted"] is False
 
 
 def test_ineq_subcommand(nilpotent_file, capsys):

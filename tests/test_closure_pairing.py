@@ -6,7 +6,8 @@ replaced.
 of its ``_subset_sums`` as a named oracle. It took the range projection of
 each of b's minimal projections and paired each of the 2^m projections p of
 the closure with the range projection of the sum of those under p
-(``sup_projections``), an eigensolve per p. The correspondence now pairs
+(``_sup_projections``, a verbatim copy of the earlier public
+``sup_projections``), an eigensolve per p. The correspondence now pairs
 the m face suprema of b's minimal projections, computed in each MASA; every
 projection of the closure is a sum of distinct ones.
 
@@ -20,6 +21,8 @@ suprema are tilted away from the first's is rejected. Under unitary
 conjugation of the generator the correspondence is accepted with the same
 closure dimension.
 """
+
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -47,7 +50,6 @@ from awkit.lattice import (
     minimal_projections,
     monotone_closure,
     spans_equal,
-    sup_projections,
 )
 from awkit.sampling import haar_unitary_block
 
@@ -75,6 +77,18 @@ def _subset_sums(ps, signature):
     return sums
 
 
+def _sup_projections(
+    ps: Sequence[Projection], tol: ToleranceConfig | None = None
+) -> Projection:
+    """Least projection dominating every member: the range projection of the sum."""
+    if not ps:
+        raise ValueError("sup_projections needs a non-empty family")
+    total = ps[0].element
+    for p in ps[1:]:
+        total = total + p.element
+    return range_projection(total, tol)
+
+
 def _reference_closure_correspondence(b, masa1, masa2, tol=None):
     """Pair every projection of the closure in the first MASA with the
     supremum of its face computed inside the second MASA.
@@ -99,7 +113,7 @@ def _reference_closure_correspondence(b, masa1, masa2, tol=None):
         # e and p commute and p sums minimal projections, so tr(e p) is
         # tr(e) when e <= p and 0 otherwise, up to roundoff
         face = [rp for e, rank, rp in face_gens if 2.0 * _overlap(e, p) > rank]
-        partner = sup_projections(face, t) if face else Projection._of(zero)
+        partner = _sup_projections(face, t) if face else Projection._of(zero)
         gap = operator_norm(p - partner.element, t)
         if gap > t.pos_slack * 2.0:
             raise PostconditionFailed("closure correspondence is not the identity map")

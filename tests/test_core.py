@@ -22,7 +22,6 @@ from awkit.core import (
     loewner_leq,
     operator_norm,
     positive_sqrt,
-    pseudo_inverse_on_range,
     range_projection,
     simultaneous_eigh,
 )
@@ -282,16 +281,17 @@ def test_range_projection_fixes_input_and_is_minimal():
         assert loewner_leq(p, coarse)
 
 
-# --- pseudo-inverse on range ---------------------------------------------------
+# --- pseudo-inverse on range (HermitianEigenSystem.inverse) -------------------
 
 
 def test_pseudo_inverse_frozen_examples():
-    r = pseudo_inverse_on_range(el(np.diag([2.0, 0.0])))
+    t = ToleranceConfig()
+    r = eigh_hermitian(el(np.diag([2.0, 0.0]))).inverse(t)
     assert np.allclose(r.blocks[0], np.diag([0.5, 0.0]))
     one = AlgebraElement.identity((3,))
-    assert pseudo_inverse_on_range(one) == one
+    assert eigh_hermitian(one).inverse(t) == one
     # [[2,1],[1,2]] is invertible; inverse computed by hand
-    r = pseudo_inverse_on_range(el([[2, 1], [1, 2]]))
+    r = eigh_hermitian(el([[2, 1], [1, 2]])).inverse(t)
     assert np.allclose(r.blocks[0], [[2 / 3, -1 / 3], [-1 / 3, 2 / 3]], atol=1e-12)
 
 
@@ -302,14 +302,9 @@ def test_pseudo_inverse_times_input_is_range_projection():
         sig = random_signature(rng)
         x = random_element(sig, rng)
         h = adjoint(x) * x
-        r = pseudo_inverse_on_range(h)
+        r = eigh_hermitian(h).inverse(tol)
         p = range_projection(h).element
         assert operator_norm(h * r - p) <= 100 * tol.pos_slack * (1 + operator_norm(h))
-
-
-def test_pseudo_inverse_rejects_negative():
-    with pytest.raises(NotPositive):
-        pseudo_inverse_on_range(el(np.diag([1.0, -2.0])))
 
 
 # --- projections and orthogonal families --------------------------------------
@@ -463,9 +458,8 @@ def test_norm_whose_gram_squares_underflow():
         lambda h: loewner_leq(AlgebraElement.zeros((1, 2)), h),
         positive_sqrt,
         range_projection,
-        pseudo_inverse_on_range,
     ],
-    ids=["eigh_hermitian", "loewner_leq", "positive_sqrt", "range_projection", "pseudo_inverse"],
+    ids=["eigh_hermitian", "loewner_leq", "positive_sqrt", "range_projection"],
 )
 def test_public_entry_points_still_check_their_input(entry):
     # internal operands skip the check; outside input does not

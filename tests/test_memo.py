@@ -159,7 +159,7 @@ def test_closure_call_eigensolves(tmp_path, capsys, monkeypatch):
         solves.append(vectors)
         return body(blocks, t, vectors)
 
-    for module in (core, lattice, order, polar):
+    for module in (core, order, polar):
         monkeypatch.setattr(module, "_eigh_blocks", counted)
     angles = []
     angles_body = lattice.principal_angles

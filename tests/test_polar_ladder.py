@@ -34,8 +34,8 @@ bound + 10 pos_slack.
 
 The reference re-checks the self-adjointness and the positivity of the
 matrices it forms, in positive_sqrt and in its snap's
-pseudo_inverse_on_range, which below roundoff (pos_slack 1e-20) fail on
-roundoff; the ladder checks none of them. Where the reference raises
+_pseudo_inverse_on_range (a verbatim copy of the earlier public function
+of that name), which below roundoff (pos_slack 1e-20) fail on roundoff; the ladder checks none of them. Where the reference raises
 NotSelfAdjoint or NotPositive, the ladder must return what the reference
 returns with those checks made no-ops.
 
@@ -60,11 +60,21 @@ from awkit.core import (
     eigh_hermitian,
     operator_norm,
     positive_sqrt,
-    pseudo_inverse_on_range,
 )
 from awkit.errors import BadArgument, NotPositive, NotSelfAdjoint, SlowConvergence
 from awkit.polar import DEFAULT_LADDER_MAX, PolarResult, _ladder, polar_regularized
 from awkit.sampling import haar_unitary_block
+
+
+def _pseudo_inverse_on_range(
+    h: AlgebraElement, tol: ToleranceConfig | None = None
+) -> AlgebraElement:
+    """Inverse of a positive element on its range, zero on its kernel."""
+    t = _tol(tol)
+    eig = eigh_hermitian(h, t)
+    if not eig.is_positive(t):
+        raise NotPositive(f"min eigenvalue {eig.min_eigenvalue:.3e} below slack")
+    return eig.inverse(t)
 
 
 def _reference_polar_regularized(
@@ -111,7 +121,7 @@ def _reference_polar_regularized(
 
     last_n, last_u = terms[-1]
     # the direct route's u for last_u, without its unused |last_u*|
-    u = last_u * pseudo_inverse_on_range(positive_sqrt(adjoint(last_u) * last_u, t), t)
+    u = last_u * _pseudo_inverse_on_range(positive_sqrt(adjoint(last_u) * last_u, t), t)
     diagnostics = tuple((n, operator_norm(u_n - u, t)) for n, u_n in terms)
     if sigma_min is not None:
         bound = (1.0 / last_n) / (1.0 / last_n + sigma_min)

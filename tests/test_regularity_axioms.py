@@ -4,7 +4,8 @@
 ``awkit.spectral.check_regularity``, kept verbatim as a named oracle. It
 checked per-atom positivity by eigensolve and finite additivity on a 2^n
 table of subset sums, and raised TooManyPoints (kept here as a local copy)
-above 12 points. On a finite discrete spectrum both regularity identities
+above 12 points. Its probe of the table against the removed ``measure_of``
+on three subsets is dropped; the table and the single-point checks stay. On a finite discrete spectrum both regularity identities
 hold exactly when the atoms are pairwise orthogonal projections summing to
 1, which is what check_regularity now accepts. On normal elements with at
 most 12 spectrum points both must give the same verdict.
@@ -30,10 +31,8 @@ from awkit.core import (
 from awkit.errors import AlgebraError
 from awkit.sampling import haar_unitary_block
 from awkit.spectral import (
-    BorelSubset,
     SpectralMeasure,
     check_regularity,
-    measure_of,
     measure_residuals,
     spectral_measure,
 )
@@ -78,14 +77,6 @@ def _reference_check_regularity(m, tol=None):
     for mask in range(1, 1 << n_pts):
         low = (mask & -mask).bit_length() - 1
         subset_rows[mask] = subset_rows[mask ^ (1 << low)] + atom_vecs[low]
-    # measure_of agreement on a few subsets ties the table to the public op
-    probe_masks = {0, (1 << n_pts) - 1, (1 << n_pts) // 2}
-    for mask in probe_masks:
-        sel = [points[i] for i in range(n_pts) if mask >> i & 1]
-        direct = measure_of(m, BorelSubset.of(sel))
-        vec = np.concatenate([b.ravel() for b in direct.element.blocks])
-        if np.linalg.norm(vec - subset_rows[mask]) > t.pos_slack:
-            return False
     # single-point extensions: m(E + {p}) - m(E) = atom(p) within slack
     for i in range(n_pts):
         bit = 1 << i

@@ -4,27 +4,17 @@ import numpy as np
 import pytest
 
 from awkit.core import AlgebraElement, Projection, adjoint, operator_norm
-from awkit.errors import (
-    IncompleteFunction,
-    IncompleteOrdering,
-    NotNormal,
-    UnknownPoint,
-)
-from awkit.order import verify_certificate
+from awkit.errors import IncompleteFunction, NotNormal, UnknownPoint
 from awkit.sampling import random_normal_element, random_signature
 from awkit.spectral import (
-    BorelSubset,
     SpectralFunction,
     SpectralMeasure,
     Spectrum,
     check_regularity,
     integrate,
     is_normal,
-    measure_of,
-    order_convergent_integral,
     spectral_measure,
     spectral_residuals,
-    spectrum_of,
 )
 
 
@@ -47,7 +37,7 @@ def test_is_normal_examples():
 
 
 def test_spectrum_frozen_examples():
-    s = spectrum_of(diag_el([1, 1j, 1j]))
+    s = spectral_measure(diag_el([1, 1j, 1j])).domain_spectrum
     got = dict(zip(s.points, s.multiplicities))
     assert len(got) == 2
     near_one = min(s.points, key=lambda p: abs(p - 1))
@@ -56,11 +46,11 @@ def test_spectrum_frozen_examples():
     assert abs(near_i - 1j) < 1e-12 and got[near_i] == 2
 
     # char poly of [[0,1],[1,0]] gives {-1, 1}
-    s = spectrum_of(el([[0, 1], [1, 0]]))
+    s = spectral_measure(el([[0, 1], [1, 0]])).domain_spectrum
     assert np.allclose(sorted(p.real for p in s.points), [-1.0, 1.0])
 
     alpha = 0.7 - 0.2j
-    s = spectrum_of(alpha * AlgebraElement.identity((2, 3)))
+    s = spectral_measure(alpha * AlgebraElement.identity((2, 3))).domain_spectrum
     assert len(s.points) == 1
     assert abs(s.points[0] - alpha) < 1e-12
     assert s.multiplicities == (5,)
@@ -68,7 +58,7 @@ def test_spectrum_frozen_examples():
 
 def test_spectrum_rejects_non_normal():
     with pytest.raises(NotNormal):
-        spectrum_of(el([[0, 1], [0, 0]]))
+        spectral_measure(el([[0, 1], [0, 0]])).domain_spectrum
 
 
 def test_spectral_measure_frozen_examples():
@@ -95,30 +85,8 @@ def test_spectral_measure_frozen_examples():
     assert np.allclose(
         zero_atom.element.blocks[0], np.eye(2) - proj.blocks[0], atol=1e-12
     )
-
-
-def test_measure_of_examples():
-    m = spectral_measure(diag_el([2.0, 0.5, 0.0]))
-    pts = sorted(m.domain_spectrum.points, key=lambda p: p.real)
-    assert measure_of(m, BorelSubset.of([])).element == AlgebraElement.zeros((3,))
-    assert measure_of(m, BorelSubset.of(pts)).element == AlgebraElement.identity((3,))
-    small = measure_of(m, BorelSubset.of(pts[:2]))  # {0, 1/2}
-    assert np.allclose(small.element.blocks[0], np.diag([0.0, 1.0, 1.0]), atol=1e-12)
     with pytest.raises(UnknownPoint):
-        measure_of(m, BorelSubset.of([3.0]))
-
-
-def test_measure_additive_over_disjoint_unions():
-    rng = np.random.default_rng(6)
-    a = random_normal_element((4,), rng)
-    m = spectral_measure(a)
-    pts = list(m.domain_spectrum.points)
-    left, right = pts[:2], pts[2:]
-    total = measure_of(m, BorelSubset.of(pts)).element
-    split = measure_of(m, BorelSubset.of(left)).element + measure_of(
-        m, BorelSubset.of(right)
-    ).element
-    assert operator_norm(total - split) <= 1e-12
+        m.atom(3.0)
 
 
 def test_integrate_reconstructs_and_is_multiplicative():
@@ -143,14 +111,6 @@ def test_integrate_reconstructs_and_is_multiplicative():
         assert operator_norm(integrate(conj_f, m) - adjoint(integrate(f, m))) <= 1e-9
         ones = SpectralFunction.from_callable(lambda z: 1.0, m.domain_spectrum)
         assert operator_norm(integrate(ones, m) - AlgebraElement.identity(sig)) <= 1e-9
-
-
-def test_integrate_indicator_equals_measure_of():
-    m = spectral_measure(diag_el([2.0, 0.5, 0.0]))
-    pts = sorted(m.domain_spectrum.points, key=lambda p: p.real)
-    subset = BorelSubset.of(pts[:2])
-    chi = SpectralFunction.indicator(subset, m.domain_spectrum)
-    assert operator_norm(integrate(chi, m) - measure_of(m, subset).element) <= 1e-12
 
 
 def test_integrate_square_example():
@@ -238,29 +198,6 @@ def test_check_regularity_rejects_tampered_measures():
     assert check_regularity(_tampered(m, atoms))
     for name, tampered in tampers.items():
         assert not check_regularity(_tampered(m, tampered)), name
-
-
-def test_order_convergent_integral_certificates():
-    m = spectral_measure(diag_el([1.0, 2.0]))
-    f = SpectralFunction.identity(m.domain_spectrum)
-    pts = sorted(m.domain_spectrum.points, key=lambda p: p.real)
-    cert = order_convergent_integral(f, m, pts)
-    assert len(cert.terms) == 2
-    assert verify_certificate(cert).accepted
-
-    rev = order_convergent_integral(f, m, list(reversed(pts)))
-    assert verify_certificate(rev).accepted
-    assert operator_norm(rev.limit - cert.limit) <= 1e-12
-
-    rng = np.random.default_rng(18)
-    a = random_normal_element((4,), rng)
-    m = spectral_measure(a)
-    f = SpectralFunction.identity(m.domain_spectrum)
-    cert = order_convergent_integral(f, m, m.domain_spectrum.points)
-    assert verify_certificate(cert).accepted
-
-    with pytest.raises(IncompleteOrdering):
-        order_convergent_integral(f, m, m.domain_spectrum.points[:-1])
 
 
 def test_spectral_residuals_name_scaling_and_accept_rule():
