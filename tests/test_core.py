@@ -458,8 +458,9 @@ def test_norm_whose_gram_squares_underflow():
         lambda h: loewner_leq(AlgebraElement.zeros((1, 2)), h),
         positive_sqrt,
         range_projection,
+        lambda h: eigh_hermitian(h).inverse(ToleranceConfig()),
     ],
-    ids=["eigh_hermitian", "loewner_leq", "positive_sqrt", "range_projection"],
+    ids=["eigh_hermitian", "loewner_leq", "positive_sqrt", "range_projection", "pseudo_inverse"],
 )
 def test_public_entry_points_still_check_their_input(entry):
     # internal operands skip the check; outside input does not

@@ -1,4 +1,4 @@
-"""Projection lattice tests: subalgebras, MASAs, closures."""
+"""Projection lattice tests: suprema, annihilators, MASAs, closures."""
 
 from dataclasses import replace
 
@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 from awkit.core import (
     DEFAULT_TOL,
     AlgebraElement,
+    Projection,
     ToleranceConfig,
     adjoint,
     frobenius_norm,
+    loewner_leq,
     operator_norm,
+    range_projection,
 )
 from awkit.errors import (
     NotCommuting,
@@ -44,6 +47,94 @@ def el(*blocks):
 
 def diag_el(*vals_per_block):
     return AlgebraElement([np.diag(np.array(v, dtype=complex)) for v in vals_per_block])
+
+
+# --- suprema and annihilators ---------------------------------------------------
+# In finite dimension the supremum of a family of projections is the range
+# projection of their sum, and the largest projection annihilating a family of
+# positive elements is 1 minus the range projection of theirs.
+
+
+def _sup_projections(ps):
+    total = ps[0].element
+    for p in ps[1:]:
+        total = total + p.element
+    return range_projection(total)
+
+
+def _max_annihilator(fam):
+    total = fam[0]
+    for s in fam[1:]:
+        total = total + s
+    return AlgebraElement.identity(total.signature) - range_projection(total).element
+
+
+def test_sup_projections_frozen_examples():
+    p1 = Projection(diag_el([1, 0, 0]))
+    p2 = Projection(diag_el([0, 1, 0]))
+    assert np.allclose(
+        _sup_projections([p1, p2]).element.blocks[0], np.diag([1.0, 1.0, 0.0])
+    )
+    assert _sup_projections([p1]).element == p1.element
+    # sum of diag(1,0) and the rank-1 at (1,1)/sqrt(2) has rank 2
+    q = Projection(el([[0.5, 0.5], [0.5, 0.5]]))
+    r = Projection(diag_el([1, 0]))
+    assert np.allclose(
+        _sup_projections([r, q]).element.blocks[0], np.eye(2), atol=1e-12
+    )
+
+
+def test_sup_projections_properties():
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        n = int(rng.integers(2, 6))
+        u = haar_unitary_block(n, rng)
+        ps = []
+        for _ in range(3):
+            mask = rng.integers(0, 2, size=n).astype(float)
+            m = (u * mask) @ u.conj().T
+            ps.append(Projection(el(0.5 * (m + m.conj().T))))
+        s = _sup_projections(ps)
+        assert operator_norm(_sup_projections([s]).element - s.element) <= 1e-12  # idempotent
+        s_rev = _sup_projections(list(reversed(ps)))
+        assert operator_norm(s.element - s_rev.element) <= 1e-9
+        for p in ps:
+            assert loewner_leq(p.element, s.element)
+        extra = Projection(el(u[:, :1] @ u[:, :1].conj().T))
+        bigger = _sup_projections(ps + [extra])
+        assert loewner_leq(s.element, bigger.element)
+
+
+def test_max_annihilator_frozen_examples():
+    q = _max_annihilator([diag_el([1, 0, 0])])
+    assert np.allclose(q.blocks[0], np.diag([0.0, 1.0, 1.0]))
+    one = AlgebraElement.identity((3,))
+    assert _max_annihilator([one]) == AlgebraElement.zeros((3,))
+    # orthogonal complement of the rank-1 range of [[1,1],[1,1]]
+    q = _max_annihilator([el([[1, 1], [1, 1]])])
+    assert np.allclose(q.blocks[0], [[0.5, -0.5], [-0.5, 0.5]], atol=1e-12)
+
+
+def test_max_annihilator_kills_family_and_is_maximal():
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        n = int(rng.integers(2, 6))
+        fam = []
+        for _ in range(2):
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            g[:, : n // 2] = 0  # force shared kernel occasionally
+            fam.append(el(g.conj().T @ g))
+        q = _max_annihilator(fam)
+        for s in fam:
+            assert operator_norm(q * s) <= 1e-10 * (1 + operator_norm(s))
+        # any projection annihilating the family lies under the projection
+        # onto the common kernel, read off an SVD of the stacked members
+        stacked = np.vstack([s.blocks[0] for s in fam])
+        _, sv, vh = np.linalg.svd(stacked)
+        null = vh[int(np.sum(sv > 1e-9 * max(1.0, sv[0]))) :].conj().T
+        kernel = el(null @ null.conj().T)
+        assert loewner_leq(kernel, q)
+        assert operator_norm(q - kernel) <= 1e-9
 
 
 # --- subalgebras and MASAs ------------------------------------------------------

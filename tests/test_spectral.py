@@ -89,6 +89,40 @@ def test_spectral_measure_frozen_examples():
         m.atom(3.0)
 
 
+def _measure_of(m, subset):
+    """The measure of a set of spectrum points: the sum of their atoms."""
+    total = AlgebraElement.zeros(m.atoms[m.domain_spectrum.points[0]].element.signature)
+    for p in subset:
+        total = total + m.atom(p).element
+    return total
+
+
+def test_measure_of_examples():
+    m = spectral_measure(diag_el([2.0, 0.5, 0.0]))
+    pts = sorted(m.domain_spectrum.points, key=lambda p: p.real)
+    assert _measure_of(m, []) == AlgebraElement.zeros((3,))
+    assert operator_norm(_measure_of(m, pts) - AlgebraElement.identity((3,))) <= 1e-12
+    small = _measure_of(m, pts[:2])  # {0, 1/2}
+    assert np.allclose(small.blocks[0], np.diag([0.0, 1.0, 1.0]), atol=1e-12)
+    with pytest.raises(UnknownPoint):
+        _measure_of(m, [3.0])
+
+
+def test_measure_additive_over_disjoint_unions():
+    rng = np.random.default_rng(6)
+    a = random_normal_element((4,), rng)
+    m = spectral_measure(a)
+    pts = list(m.domain_spectrum.points)
+    left, right = _measure_of(m, pts[:2]), _measure_of(m, pts[2:])
+    total = _measure_of(m, pts)
+    # disjoint sets carry orthogonal projections whose sum is the union's
+    assert operator_norm(left * right) <= 1e-12
+    assert operator_norm(total - (left + right)) <= 1e-12
+    for part in (left, right, total):
+        assert operator_norm(part * part - part) <= 1e-12
+    assert operator_norm(total - AlgebraElement.identity((4,))) <= 1e-12
+
+
 def test_integrate_reconstructs_and_is_multiplicative():
     rng = np.random.default_rng(8)
     for _ in range(10):
@@ -111,6 +145,16 @@ def test_integrate_reconstructs_and_is_multiplicative():
         assert operator_norm(integrate(conj_f, m) - adjoint(integrate(f, m))) <= 1e-9
         ones = SpectralFunction.from_callable(lambda z: 1.0, m.domain_spectrum)
         assert operator_norm(integrate(ones, m) - AlgebraElement.identity(sig)) <= 1e-9
+
+
+def test_integrate_indicator_equals_measure_of():
+    m = spectral_measure(diag_el([2.0, 0.5, 0.0]))
+    pts = sorted(m.domain_spectrum.points, key=lambda p: p.real)
+    subset = pts[:2]
+    chi = SpectralFunction.from_callable(
+        lambda z: 1.0 if z in subset else 0.0, m.domain_spectrum
+    )
+    assert operator_norm(integrate(chi, m) - _measure_of(m, subset)) <= 1e-12
 
 
 def test_integrate_square_example():
