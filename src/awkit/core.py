@@ -22,8 +22,20 @@ _MAX_SWEEPS. ``_eigh_blocks`` solves the blocks of one element as stacks of
 one, and is the only place that raises a block's failure; it also solves
 each compression of ``simultaneous_eigh``. ``_eigh_extremes`` and
 ``_gram_norms`` solve many elements of one signature at once, one driver
-call per block position, and hand each failure back for the caller to raise
-in its own order of checks.
+call per block position, and raise the fault of the lowest element that
+fails.
+
+The code that solves such stacks (order.build_certificate,
+order.verify_certificate, polar.polar_residuals and the diagnostics of
+polar.polar_regularized) checks its operands once, then solves, by one
+precedence rule:
+
+1. An operand whose signature differs from the reference raises
+   SignatureMismatch before any arithmetic. The reference is the limit's
+   signature, or u's for polar_residuals.
+2. A non-finite stacked intermediate raises BadArgument(_NON_FINITE) before
+   any solve.
+3. After that, the first solve fault in element order is raised.
 
 Blocks are validated once, at the public boundary. An element has three
 constructors:
@@ -730,38 +742,33 @@ def _eigh_blocks(blocks, t: ToleranceConfig, vectors: bool = True) -> HermitianE
     return HermitianEigenSystem(tuple(values), AlgebraElement._of(units) if vectors else None)
 
 
+def _check_signatures(elements, sig) -> None:
+    """Raise SignatureMismatch on the first element whose signature is not sig."""
+    for x in elements:
+        if x.signature != sig:
+            raise SignatureMismatch(f"signatures differ: {x.signature} vs {sig}")
+
+
 def _eigh_extremes(stacks, t: ToleranceConfig) -> list:
     """Eigenvalues-only solves of k elements of one signature, given as one
     (k, n_b, n_b) stack per block position b, unchecked as _eigh_blocks
     takes them: one _jacobi_eigh call per block position.
 
     Per element, (lo, hi), the min_eigenvalue and max_eigenvalue that
-    _eigh_blocks gives on its blocks, or in their place the exception
-    _eigh_blocks raises first on them, to be raised by the caller where the
-    element's solve comes in its own order of checks.
+    _eigh_blocks gives on its blocks. It raises the fault of the lowest
+    element that fails, the one _eigh_blocks raises first on its blocks.
     """
-    k = len(stacks[0])
-    out = [None] * k
-    los, his = [], []
+    los, his, faults = [], [], {}
     with np.errstate(over="ignore", invalid="ignore"):
         for s in stacks:
-            w, _, faults = _jacobi_eigh(s, _JACOBI_OFF_TOL, _MAX_SWEEPS, vectors=False)
-            for i, exc in faults.items():
-                if out[i] is None:
-                    out[i] = exc
+            w, _, block_faults = _jacobi_eigh(s, _JACOBI_OFF_TOL, _MAX_SWEEPS, vectors=False)
+            for i, exc in block_faults.items():
+                faults.setdefault(i, exc)
             los.append(w[:, 0].tolist())
             his.append(w[:, -1].tolist())
-    for i, (lo, hi) in enumerate(zip(zip(*los), zip(*his))):
-        if out[i] is None:
-            out[i] = min(lo), max(hi)
-    return out
-
-
-def _raised(outcome):
-    """outcome itself, raised when it is an exception."""
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
+    if faults:
+        raise faults[min(faults)]
+    return [(min(lo), max(hi)) for lo, hi in zip(zip(*los), zip(*his))]
 
 
 # the cluster gap's np.linalg.norm, before its rescale, and a compression may
@@ -896,12 +903,8 @@ def _gram_norm(gram_blocks, t: ToleranceConfig) -> float:
 
 def _gram_norms(stacks, t: ToleranceConfig) -> list:
     """_gram_norm of k Gram matrices x*x given as one (k, n_b, n_b) stack
-    per block position: per element ||x||, or the exception _gram_norm
-    raises on it (see _eigh_extremes)."""
-    return [
-        out if isinstance(out, Exception) else _norm_from_gram(out[1])
-        for out in _eigh_extremes(stacks, t)
-    ]
+    per block position: per element ||x||. It raises as _eigh_extremes does."""
+    return [_norm_from_gram(hi) for _, hi in _eigh_extremes(stacks, t)]
 
 
 def _norm_from_gram(top: float) -> float:

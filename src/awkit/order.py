@@ -8,8 +8,10 @@ turns norm convergence into such a witness; the verifier re-checks every
 condition and reports the first failure. Both work on stacked blocks: each
 block position of all terms or components is one numpy array, and the
 eigenvalue solves of each block position are one call of the stacked Jacobi
-driver. A solve that fails is raised where the element-by-element checks
-would have met it, so every value, decision and exception is theirs.
+driver. Every value and decision is the one the element-by-element checks
+give. On malformed input they raise by the precedence rule of awkit.core:
+an operand of another signature than the limit first, then a non-finite
+intermediate, then the first solve fault in element order.
 
 The builder forms the components on the same stacks it gathers for the
 gaps: per block position, the Hermitian and skew parts of all terms and the
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -33,6 +34,7 @@ from .core import (
     AlgebraElement,
     ToleranceConfig,
     _NON_FINITE,
+    _check_signatures,
     _eigh_blocks,
     _eigh_extremes,
     _frobenius,
@@ -40,7 +42,6 @@ from .core import (
     _is_positive,
     _is_self_adjoint_blocks,
     _max_abs,
-    _raised,
     _tol,
     adjoint,
     frobenius_norm,
@@ -119,10 +120,12 @@ def build_certificate(
     bound. ``indices`` defaults to 1..N; explicit ascending naturals are
     accepted for subsequences such as geometric ladders. The gaps
     ||a_n - limit|| come from one stack of Gram matrices per block position,
-    with the values and exceptions of operator_norm(a_n - limit) term by term.
-    The components are formed on the stacks of the terms, one per block
-    position, and sealed once per stack; a Hermitian or skew part that
-    overflows raises BadArgument, as real_part and imag_part do.
+    with the values of operator_norm(a_n - limit) term by term; a term of
+    another signature, or a non-finite difference or Gram matrix, raises
+    before any solve (the precedence rule of awkit.core). The components are
+    formed on the stacks of the terms, one per block position, and sealed
+    once per stack; a Hermitian or skew part that overflows raises
+    BadArgument, as real_part and imag_part do.
     """
     t = _tol(tol)
     if len(seq) == 0:
@@ -136,26 +139,17 @@ def build_certificate(
         indices = tuple(int(i) for i in indices)
         if len(indices) != len(seq):
             raise BadArgument("indices length must match sequence length")
-        if any(i < 1 for i in indices) or any(
-            a >= b for a, b in zip(indices, indices[1:])
-        ):
-            raise BadArgument("indices must be ascending naturals")
+        _check_indices(indices)
     sig = limit.signature
+    _check_signatures(seq, sig)
     # ||a - limit|| per term, from one stack of Gram matrices per block position
-    terms = _gather(seq, sig)
+    terms = _gather(seq)
     with np.errstate(over="ignore", invalid="ignore"):
         diff = [s - b for s, b in zip(terms, limit.blocks)]
         gram = [_adj(d) @ d for d in diff]
-        finite = _each(np.isfinite, diff + gram)
-    solved = [a.signature == sig and f for a, f in zip(seq, finite)]
-    norms = iter(_gram_norms([g[solved] for g in gram], t))
-    gaps = []
-    for a, f in zip(seq, finite):
-        if a.signature != sig:
-            raise SignatureMismatch(f"signatures differ: {a.signature} vs {sig}")
-        if not f:
-            raise BadArgument(_NON_FINITE)
-        gaps.append(_raised(next(norms)))
+    if not _all_finite(diff + gram):
+        raise BadArgument(_NON_FINITE)
+    gaps = _gram_norms(gram, t)
     for n, g in zip(indices, gaps):
         if g > tail_rate / n + t.pos_slack:
             raise EnvelopeViolation(
@@ -193,7 +187,16 @@ def build_certificate(
     )
 
 
+def _check_indices(indices) -> None:
+    """Raise BadArgument unless indices are ascending naturals."""
+    if any(i < 1 for i in indices) or any(a >= b for a, b in zip(indices, indices[1:])):
+        raise BadArgument("indices must be ascending naturals")
+
+
 def _check_shape(c: OrderLimitCertificate):
+    """The checks of a certificate's operands, before any arithmetic: the
+    prefix lengths, the indices, and the signature of every term, component
+    and component limit against the limit's."""
     n = len(c.indices)
     if n == 0 or len(c.terms) != n or len(c.envelope.eps) != n:
         raise ValueError("certificate prefix lengths disagree")
@@ -201,16 +204,15 @@ def _check_shape(c: OrderLimitCertificate):
         raise ValueError("certificate needs exactly four component sequences")
     if any(len(comp) != n for comp in c.components):
         raise ValueError("component sequence length disagrees with prefix")
+    _check_indices(c.indices)
+    components = (x for comp in c.components for x in comp)
+    _check_signatures((*c.terms, *components, *c.component_limits), c.limit.signature)
 
 
-def _gather(elements, sig) -> list[np.ndarray]:
-    """One (len(elements), n_b, n_b) array per block position b of sig. An
-    element of another signature contributes zeros, which are never read."""
-    return [
-        np.array([x.blocks[b] if x.signature == sig else np.zeros((n, n), np.complex128)
-                  for x in elements])
-        for b, n in enumerate(sig)
-    ]
+def _gather(elements) -> list[np.ndarray]:
+    """One (len(elements), n_b, n_b) array per block position b of elements
+    of one signature."""
+    return [np.array(blocks) for blocks in zip(*(x.blocks for x in elements))]
 
 
 def _adj(a: np.ndarray) -> np.ndarray:
@@ -221,6 +223,11 @@ def _adj(a: np.ndarray) -> np.ndarray:
 def _each(test, stacks) -> list:
     """Per slot of the leading axes: test holds at every entry at every block position."""
     return np.logical_and.reduce([test(a).all(axis=(-2, -1)) for a in stacks]).tolist()
+
+
+def _all_finite(stacks) -> bool:
+    """Every entry of every stack is finite."""
+    return all(np.isfinite(a).all() for a in stacks)
 
 
 # Below this modulus no square of an entry, and no sum of fewer than 2^64 of
@@ -244,18 +251,25 @@ def verify_certificate(
     array, and the differences, their skew and Hermitian parts, and the
     N + 1 sum-decomposition residuals with their Gram matrices are one numpy
     expression each, and the eigenvalues of the components and of the Gram
-    matrices are one stacked solve per block position each. Every value,
-    decision and exception is the one the same checks give on elements, one
-    component at a time: a component whose skew part is not
-    exactly zero, or that has an entry of 2^480 or more, is tested with the
-    is_self_adjoint rule, and an overflowing intermediate raises BadArgument
-    as element arithmetic does.
+    matrices are one stacked solve per block position each. Every value and
+    decision is the one the same checks give on elements, one component at
+    a time: a component whose skew part is not exactly zero, or that has an
+    entry of 2^480 or more, is tested with the is_self_adjoint rule. An
+    eps_j that is negative or not finite fails envelope-monotonicity with
+    residual inf.
+
+    Malformed input raises by the precedence rule of awkit.core. Before any
+    arithmetic, _check_shape checks the prefix lengths (ValueError), the
+    indices (BadArgument) and every signature (SignatureMismatch). Before
+    any solve, a non-finite stacked intermediate raises BadArgument; of the
+    Hermitian parts, only those of components that pass the is_self_adjoint
+    rule are read. Then the first solve fault is raised, the components'
+    before the residuals'.
     """
     t = _tol(tol)
     _check_shape(c)
     eps = c.envelope.eps
     n = len(c.indices)
-    sig = c.limit.signature
     residuals = {
         LOWER_BOUND: 0.0,
         UPPER_BOUND: 0.0,
@@ -265,112 +279,64 @@ def verify_certificate(
     }
     failing = {tag: False for tag in residuals}
 
+    wholes = (*c.terms, c.limit)
     with np.errstate(over="ignore", invalid="ignore"):
-        # one stack per run of component sequences whose limits share a
-        # signature; a well-formed certificate has a single run
-        runs = [
-            (lsig, tuple(ks))
-            for lsig, ks in groupby(range(4), key=lambda k: c.component_limits[k].signature)
-        ]
-        for lsig, ks in runs:
-            parts = [
-                p.reshape(len(ks), n + 1, *p.shape[1:])
-                for p in _gather(
-                    [x for k in ks for x in (*c.components[k], c.component_limits[k])], lsig
-                )
-            ]
-            diff = [p[:, :n] - p[:, n:] for p in parts]
-            skew = [d - _adj(d) for d in diff]
-            herm = [0.5 * (d + _adj(d)) for d in diff]
-            finite = _each(np.isfinite, diff + skew)
-            exact = _each(lambda a: a == 0, skew)
-            small = _each(lambda a: np.abs(a) < _SQUARES_FINITE, diff)
-            finite_herm = _each(np.isfinite, herm)
-
-            def checked():
-                """Per component in the order of the checks: the exception
-                it raises (and no further ones), its skew defect, or None
-                when it reaches the eigensolve."""
-                for i, k in enumerate(ks):
-                    for j in range(n):
-                        x = c.components[k][j]
-                        if x.signature != lsig:
-                            yield i, j, SignatureMismatch(
-                                f"signatures differ: {x.signature} vs {lsig}"
-                            )
-                            return
-                        if not finite[i][j]:
-                            yield i, j, BadArgument(_NON_FINITE)
-                            return
-                        if not (exact[i][j] and small[i][j]):
-                            skew_ij = [s[i, j] for s in skew]
-                            if not _is_self_adjoint_blocks([d[i, j] for d in diff], skew_ij, t):
-                                yield i, j, _frobenius(skew_ij)
-                                continue
-                        if not finite_herm[i][j]:
-                            yield i, j, BadArgument(_NON_FINITE)
-                            return
-                        yield i, j, None
-
-            statuses = list(checked())
-            rows = [i for i, _, status in statuses if status is None]
-            cols = [j for _, j, status in statuses if status is None]
-            extremes = iter(_eigh_extremes([h[rows, cols] for h in herm], t))
-            for i, j, status in statuses:
-                if isinstance(status, Exception):
-                    raise status
-                if status is not None:
-                    residuals[LOWER_BOUND] = max(residuals[LOWER_BOUND], status)
-                    failing[LOWER_BOUND] = True
-                    continue
-                lo, hi = _raised(next(extremes))
-                residuals[LOWER_BOUND] = max(residuals[LOWER_BOUND], -lo)
-                if not _is_positive(lo, hi, t):
-                    failing[LOWER_BOUND] = True
-                bound = 2.0 * eps[j]
-                up_resid = max(0.0, hi - bound)
-                residuals[UPPER_BOUND] = max(residuals[UPPER_BOUND], up_resid)
-                if up_resid > t.pos_slack * (1.0 + _max_abs(lo, hi) + bound):
-                    failing[UPPER_BOUND] = True
-
-        if runs != [(sig, (0, 1, 2, 3))]:
-            # some component has another signature than the limit: the sum
-            # of the first term's parts meets it and raises
-            total = AlgebraElement.zeros(sig)
-            for k in range(4):
-                total = total + _I_POWERS[k] * c.components[k][0]
-        # parts is now the single (4, N + 1, n_b, n_b) stack; row N holds the limits
-        wholes = (*c.terms, c.limit)
-        targets = _gather(wholes, sig)
-        total = [np.zeros_like(a) for a in targets]
+        # one (4, N + 1, n_b, n_b) stack per block position; row N holds the limits
+        stacked = [x for comp, lim in zip(c.components, c.component_limits) for x in (*comp, lim)]
+        parts = [p.reshape(4, n + 1, *p.shape[1:]) for p in _gather(stacked)]
+        diff = [p[:, :n] - p[:, n:] for p in parts]
+        skew = [d - _adj(d) for d in diff]
+        herm = [0.5 * (d + _adj(d)) for d in diff]
+        total = [np.zeros_like(p[0]) for p in parts]
         for k in range(4):
             total = [s + _I_POWERS[k] * p[k] for s, p in zip(total, parts)]
-        diff = [s - a for s, a in zip(total, targets)]
-        gram = [_adj(d) @ d for d in diff]
-        finite_total = _each(np.isfinite, total)
-        finite = _each(np.isfinite, diff + gram)
-        solved = [
-            ft and a.signature == sig and f for a, ft, f in zip(wholes, finite_total, finite)
-        ]
+        residual = [s - a for s, a in zip(total, _gather(wholes))]
+        gram = [_adj(d) @ d for d in residual]
+        if not _all_finite(diff + skew + total + residual + gram):
+            raise BadArgument(_NON_FINITE)
+
+        # the is_self_adjoint rule per component, unless its skew part is
+        # exactly zero and its entries lie below 2^480
+        exact = _each(lambda a: a == 0, skew)
+        small = _each(lambda a: np.abs(a) < _SQUARES_FINITE, diff)
+        rows, cols = [], []
+        for k in range(4):
+            for j in range(n):
+                if not (exact[k][j] and small[k][j]):
+                    skew_kj = [s[k, j] for s in skew]
+                    if not _is_self_adjoint_blocks([d[k, j] for d in diff], skew_kj, t):
+                        residuals[LOWER_BOUND] = max(residuals[LOWER_BOUND], _frobenius(skew_kj))
+                        failing[LOWER_BOUND] = True
+                        continue
+                rows.append(k)
+                cols.append(j)
+        solved = [h[rows, cols] for h in herm]
+        if not _all_finite(solved):
+            raise BadArgument(_NON_FINITE)
+
+        for j, (lo, hi) in zip(cols, _eigh_extremes(solved, t)):
+            residuals[LOWER_BOUND] = max(residuals[LOWER_BOUND], -lo)
+            if not _is_positive(lo, hi, t):
+                failing[LOWER_BOUND] = True
+            bound = 2.0 * eps[j]
+            up_resid = max(0.0, hi - bound)
+            residuals[UPPER_BOUND] = max(residuals[UPPER_BOUND], up_resid)
+            if up_resid > t.pos_slack * (1.0 + _max_abs(lo, hi) + bound):
+                failing[UPPER_BOUND] = True
+
         # operator_norm(total - a), from the Gram matrix it would form
-        norms = iter(_gram_norms([g[solved] for g in gram], t))
-        for j, a in enumerate(wholes):
-            if not finite_total[j]:
-                raise BadArgument(_NON_FINITE)
-            if a.signature != sig:
-                raise SignatureMismatch(f"signatures differ: {sig} vs {a.signature}")
-            if not finite[j]:
-                raise BadArgument(_NON_FINITE)
-            r = _raised(next(norms))
+        for a, r in zip(wholes, _gram_norms(gram, t)):
             residuals[SUM_DECOMPOSITION] = max(residuals[SUM_DECOMPOSITION], r)
             # pos_slack (1 + ||a||) >= pos_slack, so ||a|| is only needed above pos_slack
             if r > t.pos_slack and r > t.pos_slack * (1.0 + operator_norm(a, t)):
                 failing[SUM_DECOMPOSITION] = True
 
     for j in range(len(eps)):
-        drop = max(0.0, -eps[j])
-        rise = max(0.0, eps[j + 1] - eps[j]) if j + 1 < len(eps) else 0.0
-        r = max(drop, rise)
+        if not 0.0 <= eps[j] < math.inf:
+            # max(0.0, nan) is 0.0: a NaN envelope would pass every bound
+            r = math.inf
+        else:
+            r = max(0.0, eps[j + 1] - eps[j]) if j + 1 < len(eps) else 0.0
         residuals[ENVELOPE_MONOTONICITY] = max(residuals[ENVELOPE_MONOTONICITY], r)
         if r > t.pos_slack:
             failing[ENVELOPE_MONOTONICITY] = True

@@ -47,11 +47,11 @@ from .core import (
     Projection,
     ToleranceConfig,
     _NON_FINITE,
+    _check_signatures,
     _eigh_blocks,
     _gram_against,
     _gram_norms,
     _norm_against,
-    _raised,
     _remember_norm,
     _tol,
     adjoint,
@@ -221,10 +221,13 @@ def polar_regularized(
     dropped unread. Each diagnostic is ||(u_n - u) V||, the norm of u_n - u
     since V is unitary, read off a Gram matrix that V makes diagonal up to
     roundoff; one _gram_norms call takes all of them. Each slice has the
-    bits of the rung built on its own (see the module docstring), and a rung
-    raises, in rung order, what it raised on its own: the BadArgument of a
-    non-finite entry, an eigensolve's error, or the OverflowError of an n
-    past the float range.
+    bits of the rung built on its own (see the module docstring). Up to the
+    stop, a rung raises, in rung order, what it raised on its own: the
+    BadArgument of a non-finite entry, its stop test's eigensolve error, or
+    the OverflowError of an n past the float range; a rung after the stop
+    decides nothing. The diagnostics raise by the precedence rule of
+    awkit.core: a non-finite diagnostic rung raises BadArgument before any
+    diagnostic solve, then the first solve fault in rung order is raised.
     """
     t = _tol(tol)
     if n_max < 1:
@@ -267,11 +270,9 @@ def polar_regularized(
     gaps = [u_n[: last + 1] - b for u_n, b in zip(terms, u.blocks)]
     rotated = [g @ v for g, v in zip(gaps, eig.unitary.blocks)]
     gap_grams = [e.swapaxes(-1, -2).conj() @ e for e in rotated]
-    finite = _finite_rungs(last + 1, (gaps, rotated, gap_grams))
-    # in rung order: the first solve fault before the first non-finite rung
-    diagnostics = tuple(zip(ns, map(_raised, _gram_norms([g[:finite] for g in gap_grams], t))))
-    if finite <= last:
+    if _finite_rungs(last + 1, (gaps, rotated, gap_grams)) <= last:
         raise BadArgument(_NON_FINITE)
+    diagnostics = tuple(zip(ns, _gram_norms(gap_grams, t)))
     last_n = ns[last]
     if sigma_min is not None:
         bound = (1.0 / last_n) / (1.0 / last_n + sigma_min)
@@ -309,26 +310,15 @@ def polar_residuals(
     u*u - initial and u u* - final are one (5, n, n) stack, formed by the
     block steps of the element arithmetic, and their norms are one
     _gram_norms call on the stacked Gram matrices d*d, each with the bits of
-    operator_norm(d). A defect raises, in defect order, what forming and
-    measuring it as an element raises: the BadArgument of a non-finite
-    entry or an eigensolve's error.
+    operator_norm(d). It raises by the precedence rule of awkit.core: an
+    operand of another signature than u raises SignatureMismatch, then a
+    non-finite defect or Gram matrix raises BadArgument, both before any
+    solve; then the first solve fault in defect order is raised.
     """
     t = _tol(tol)
     u = result.u
     operands = (x, result.absxstar, result.absx, result.initial.element, result.final.element)
-    if any(y.signature != u.signature for y in operands):
-        # an operand of another signature than u: the defects, formed and
-        # measured in order as elements, meet it and raise SignatureMismatch
-        ustar = adjoint(u)
-        for defect in (
-            lambda: x - result.absxstar * u,
-            lambda: x - u * result.absx,
-            lambda: u * ustar * u - u,
-            lambda: ustar * u - result.initial.element,
-            lambda: u * ustar - result.final.element,
-        ):
-            operator_norm(defect(), t)
-    finite = np.ones(len(_DEFECTS), dtype=bool)
+    _check_signatures(operands, u.signature)
     grams = []
     with np.errstate(over="ignore", invalid="ignore"):
         for ub, xb, asb, ab, ib, fb in zip(*(y.blocks for y in (u, *operands))):
@@ -336,17 +326,10 @@ def polar_residuals(
             uus = ub @ ustar
             d = np.stack([xb - asb @ ub, xb - ub @ ab, uus @ ub - ub, ustar @ ub - ib, uus - fb])
             gram = d.swapaxes(-1, -2).conj() @ d
-            finite &= np.isfinite(d).all(axis=(1, 2)) & np.isfinite(gram).all(axis=(1, 2))
-            # as an element, u u* u - u first seals u u*, which raises on a
-            # non-finite entry whatever its product with u holds
-            finite[2] &= np.isfinite(uus).all()
+            if not (np.isfinite(d).all() and np.isfinite(gram).all()):
+                raise BadArgument(_NON_FINITE)
             grams.append(gram)
-    norms = iter(_gram_norms([g[finite] for g in grams], t))
-    defects = {}
-    for name, ok in zip(_DEFECTS, finite.tolist()):
-        if not ok:
-            raise BadArgument(_NON_FINITE)
-        defects[name] = _raised(next(norms))
+    defects = dict(zip(_DEFECTS, _gram_norms(grams, t)))
     scale = 1.0 + operator_norm(x, t)
     thr = 10.0 * t.pos_slack * scale
     accepted = all(v <= thr for v in defects.values())

@@ -14,7 +14,6 @@ __all__ = [
     "random_self_adjoint",
     "random_unitary",
     "random_normal_element",
-    "random_projection",
     "element_with_singular_values",
 ]
 
@@ -67,19 +66,6 @@ def random_normal_element(
         u = haar_unitary_block(n, rng)
         vals = scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         blocks.append((u * vals) @ u.conj().T)
-    return AlgebraElement(blocks)
-
-
-def random_projection(
-    signature: Sequence[int], rng: np.random.Generator
-) -> AlgebraElement:
-    """A random orthogonal projection per block (possibly 0 or 1 in a block)."""
-    blocks = []
-    for n in signature:
-        u = haar_unitary_block(n, rng)
-        mask = rng.integers(0, 2, size=n).astype(np.float64)
-        m = (u * mask) @ u.conj().T
-        blocks.append(0.5 * (m + m.conj().T))
     return AlgebraElement(blocks)
 
 

@@ -32,7 +32,7 @@ from awkit.errors import (
     NotSelfAdjoint,
     SignatureMismatch,
 )
-from awkit.sampling import random_element, random_projection, random_self_adjoint, random_signature
+from awkit.sampling import random_element, random_self_adjoint, random_signature
 
 
 def el(*blocks):

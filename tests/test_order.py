@@ -1,15 +1,17 @@
 """Order-limit certificate tests: builder round-trips, tamper tags, calculus."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from awkit.core import AlgebraElement, ToleranceConfig, operator_norm
-from awkit.errors import EnvelopeViolation, SignatureMismatch
+from awkit.errors import BadArgument, EnvelopeViolation, SignatureMismatch
 from awkit.order import (
     DominatorEnvelope,
     ENVELOPE_MONOTONICITY,
+    LimitReport,
     LOWER_BOUND,
     SUM_DECOMPOSITION,
     TAIL,
@@ -217,6 +219,50 @@ def test_verify_tags_non_finite_tail_rate(rate):
     report = verify_certificate(bad)
     assert not report.accepted
     assert report.failing_condition == TAIL
+
+
+def _flat_certificate(eps):
+    """Terms 5 * 1 converging to 0 by the certificate's own components:
+    components 1-3 are 0, component 4 is 5 * 1, all within 2 eps_j of
+    their limits only when eps_j >= 2.5."""
+    seq, limit = scalar_sequence(4)
+    cert = build_certificate(seq, limit, 1.0)
+    five = 5.0 * AlgebraElement.identity((2,))
+    zeros = (limit,) * 4
+    return replace(
+        cert,
+        terms=(five,) * 4,
+        components=(zeros, zeros, zeros, (five,) * 4),
+        envelope=DominatorEnvelope(eps=eps, tail_rate=1.0),
+    )
+
+
+def test_verify_rejects_a_nan_envelope():
+    # max(0.0, nan) is 0.0: the upper-bound, monotonicity and tail residuals
+    # of a NaN envelope all read 0, and the certificate was accepted
+    report = verify_certificate(_flat_certificate((math.nan,) * 4))
+    assert report == LimitReport(False, math.inf, ENVELOPE_MONOTONICITY)
+    # the same certificate with a finite envelope fails its tail
+    assert verify_certificate(_flat_certificate((2.5,) * 4)).failing_condition == TAIL
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, -1e-12])
+def test_verify_gives_an_envelope_entry_that_is_infinite_or_negative_residual_inf(bad):
+    report = verify_certificate(_flat_certificate((2.5, 2.5, 2.5, bad)))
+    assert not report.accepted
+    assert report.worst_residual == math.inf
+
+
+@pytest.mark.parametrize("indices", [(1, 2, 3, 0), (4, 3, 2, 1), (1, 2, 2, 3)])
+def test_builder_and_verifier_reject_indices_that_are_not_ascending_naturals(indices):
+    # (1, 2, 3, 0) escaped the verifier as ZeroDivisionError, and (4, 3, 2, 1)
+    # was accepted, its tail checked at the smallest index
+    seq, limit = scalar_sequence(4)
+    cert = build_certificate(seq, limit, 1.0)
+    with pytest.raises(BadArgument, match="indices must be ascending naturals"):
+        verify_certificate(replace(cert, indices=indices))
+    with pytest.raises(BadArgument, match="indices must be ascending naturals"):
+        build_certificate(seq, limit, 1.0, indices=indices)
 
 
 def test_calculus_scalar_examples():

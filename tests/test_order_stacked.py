@@ -3,20 +3,28 @@
 ``_reference_verify`` is the earlier body of ``awkit.order.verify_certificate``,
 which checked one component at a time on ``AlgebraElement`` intermediates,
 kept verbatim as a named oracle. On built certificates, on certificates
-tampered toward each failing condition, and on malformed ones (a component
-that is not self-adjoint, one of another signature, entries whose arithmetic
-overflows, a sweep budget of one), the stacked verifier must return the same
-report, with ``worst_residual`` equal to the bit, or raise the same exception
-with the same message.
+tampered toward each failing condition, and on ones whose arithmetic
+overflows or that are not self-adjoint, at the default sweep budget and at
+one sweep, the stacked verifier must return the same report, with
+``worst_residual`` equal to the bit, or raise the same exception with the
+same message.
 
 ``_reference_build_certificate`` is the earlier body of
 ``awkit.order.build_certificate``, which took each gap as
 ``operator_norm(a - limit)``, kept verbatim as a named oracle. On converging
 sequences with one term replaced (equal to the limit, beyond the rate, a
-gap whose Gram squares underflow, a term or limit of another signature, a
-difference, Gram matrix or Frobenius norm that overflows, a limit near 1e308
-that the term equals, whose Hermitian part overflows) the stacked builder
-must return a certificate with the same bits or raise the same exception.
+gap whose Gram squares underflow, a difference, Gram matrix or Frobenius
+norm that overflows, a limit near 1e308 that the term equals, whose
+Hermitian part overflows) the stacked builder must return a certificate
+with the same bits or raise the same exception.
+
+The oracles met a malformed operand where their element loops reached it,
+after the solves of the elements before it; the stacked code checks its
+operands first (the precedence rule of ``awkit.core``). So those cases are
+asserted directly, with the Jacobi driver counting its calls: an operand of
+another signature raises SignatureMismatch, and a non-finite difference or
+Gram matrix BadArgument, with no solve. The latter is then compared with
+the oracle at the default budget, where no solve fails before it.
 """
 
 import math
@@ -33,6 +41,7 @@ from hypothesis import strategies as st
 
 from awkit import core
 from awkit.core import (
+    _NON_FINITE,
     AlgebraElement,
     ToleranceConfig,
     _tol,
@@ -44,7 +53,7 @@ from awkit.core import (
     operator_norm,
     real_part,
 )
-from awkit.errors import BadArgument, EnvelopeViolation
+from awkit.errors import BadArgument, EnvelopeViolation, SignatureMismatch
 from awkit.order import (
     _I_POWERS,
     ENVELOPE_MONOTONICITY,
@@ -255,6 +264,21 @@ def _certificate(sig, n_terms, seed, tamper):
     return c
 
 
+NON_FINITE = ("raised", BadArgument, _NON_FINITE)
+
+# tampers with an operand of another signature, and with entries whose
+# stacked arithmetic may overflow
+SIGNATURE_TAMPERS = ("signature", "limit-signature", "sequence-signature", "term-signature")
+OVERFLOW_TAMPERS = ("overflow", "overflow-sum")
+
+
+def _solving(run):
+    """run()'s outcome, and whether it called the Jacobi driver."""
+    with mock.patch.object(core, "_jacobi_eigh", wraps=core._jacobi_eigh) as driver:
+        out = run()
+    return out, driver.called
+
+
 def _outcome(verify, c, t):
     try:
         r = verify(c, t)
@@ -275,11 +299,19 @@ def test_stacked_verifier_matches_reference(tamper, sig, n_terms, seed, tol):
     c = _certificate(sig, n_terms, seed, tamper)
     t, sweeps = TOLS[tol]
     with mock.patch.object(core, "_MAX_SWEEPS", sweeps):
-        with np.errstate(over="ignore", invalid="ignore"):
-            expected = _outcome(_reference_verify, c, t)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert _outcome(verify_certificate, c, t) == expected
+            got, solved = _solving(lambda: _outcome(verify_certificate, c, t))
+    if tamper in SIGNATURE_TAMPERS:
+        assert got == ("raised", SignatureMismatch, f"signatures differ: {(*sig, 1)} vs {sig}")
+        assert not solved
+        return
+    if tamper in OVERFLOW_TAMPERS and got == NON_FINITE:
+        assert not solved
+        sweeps = core._MAX_SWEEPS
+    with mock.patch.object(core, "_MAX_SWEEPS", sweeps):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert got == _outcome(_reference_verify, c, t)
 
 
 def _reference_build_certificate(seq, limit, tail_rate, tol=None, indices=None):
@@ -425,11 +457,22 @@ def test_stacked_builder_matches_reference(tamper, sig, n_terms, seed, tol):
     seq, limit = _sequence(sig, n_terms, seed, tamper)
     t, sweeps = TOLS[tol]
     with mock.patch.object(core, "_MAX_SWEEPS", sweeps):
-        with np.errstate(over="ignore", invalid="ignore"):
-            expected = _build_outcome(_reference_build_certificate, seq, limit, t)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert _build_outcome(build_certificate, seq, limit, t) == expected
+            got, solved = _solving(lambda: _build_outcome(build_certificate, seq, limit, t))
+    if tamper in ("term-signature", "limit-signature"):
+        a = next(a for a in seq if a.signature != limit.signature)
+        message = f"signatures differ: {a.signature} vs {limit.signature}"
+        assert got == ("raised", SignatureMismatch, message)
+        assert not solved
+        return
+    if tamper in ("overflow", "gram-overflow"):
+        assert got == NON_FINITE
+        assert not solved
+        sweeps = core._MAX_SWEEPS
+    with mock.patch.object(core, "_MAX_SWEEPS", sweeps):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert got == _build_outcome(_reference_build_certificate, seq, limit, t)
 
 
 @pytest.mark.parametrize("sig", [(1,), (2, 2), (3,)])
@@ -457,3 +500,26 @@ def test_a_term_whose_hermitian_part_overflows_raises_in_both_builders(sig):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(BadArgument, match="non-finite entry in block"):
             build_certificate(seq, limit, 1.0)
+
+
+
+def _replaced_component(k, j, value):
+    """A built certificate over (3, 2) with component (k, j) set to value."""
+    c = _certificate((3, 2), 4, k + j, "none")
+    return replace(c, components=_set(c.components, k, _set(c.components[k], j, value)))
+
+
+@pytest.mark.parametrize("k,j", [(1, 0), (2, 3), (3, 1)])
+def test_a_component_of_another_signature_raises_before_any_solve(k, j):
+    c = _replaced_component(k, j, random_element((3, 2, 1), np.random.default_rng(j)))
+    got, solved = _solving(lambda: _outcome(verify_certificate, c, None))
+    assert got == ("raised", SignatureMismatch, "signatures differ: (3, 2, 1) vs (3, 2)")
+    assert not solved
+
+
+@pytest.mark.parametrize("k,j", [(1, 0), (2, 3), (3, 1)])
+def test_an_overflowing_component_raises_before_any_solve(k, j):
+    c = _replaced_component(k, j, _huge((3, 2), np.random.default_rng(j)))
+    got, solved = _solving(lambda: _outcome(verify_certificate, c, None))
+    assert got == NON_FINITE
+    assert not solved

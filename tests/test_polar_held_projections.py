@@ -14,11 +14,18 @@ fed that body.
 named oracle: it formed each of the five defects as an element and took its
 operator_norm, one eigensolve per defect. ``polar_residuals`` now stacks the
 five defects per block position and takes their norms in one _gram_norms
-call. On the genuine u of either route and on candidates built from it
-(scaled so that a defect's Gram matrix or u u* u overflows, of another
-signature, or with an |x| of another signature), at the default sweep
-budget and at one sweep, both return the same residuals to the bit and the
-same verdict, or raise the same exception with the same message.
+call. On the genuine u of either route and on candidates built from it,
+at the default sweep budget and at one sweep, both return the same
+residuals to the bit and the same verdict, or raise the same exception
+with the same message. On candidates scaled so that a defect's Gram matrix
+or u u* u overflows, ``polar_residuals`` raises BadArgument before any
+solve, which the oracle matches at the default budget, where no solve of
+an earlier defect fails first. The oracle met an operand of another signature (a u, or an |x|, from
+another algebra) where its defect loop reached it, after the solves of the
+defects before it; ``polar_residuals`` checks every operand against u's
+signature first (the precedence rule of ``awkit.core``), so those
+candidates are asserted directly to raise SignatureMismatch, naming the
+operand's signature and then u's, with no call of the Jacobi driver.
 
 On x = s W diag(sigma) V* per block, sigma = 0 with probability 0.3, at
 scales s in {1e-5, 1, 1e2}, each carried projection has the rank of the
@@ -36,6 +43,7 @@ import pytest
 
 from awkit import core, polar
 from awkit.core import (
+    _NON_FINITE,
     AlgebraElement,
     ToleranceConfig,
     _eigh_blocks,
@@ -44,6 +52,7 @@ from awkit.core import (
     operator_norm,
     range_projection,
 )
+from awkit.errors import BadArgument, SignatureMismatch
 from awkit.polar import (
     PolarResiduals,
     PolarResult,
@@ -243,28 +252,61 @@ def _residuals_outcome(residuals, x, result):
 
 
 def _tampered_results(x, rng):
-    """Results of both routes, with candidates and fields that make the
-    defects overflow or meet another signature."""
+    """Results of both routes, with candidates that make the defects
+    overflow; then results with a u or an |x| of another signature."""
     other = random_element((*x.signature, 1), rng)
+    formed, mismatched = [], []
     for route in (polar_direct, polar_regularized):
         genuine = route(AlgebraElement(x.blocks))
         u = genuine.u
-        yield genuine
-        yield replace(genuine, u=-1.0 * u)
-        yield replace(genuine, u=u + 1e-3 * random_element(x.signature, rng))
-        yield replace(genuine, u=1e150 * u)  # u u* u overflows, the Gram matrices before it do not
-        yield replace(genuine, u=1e200 * u)  # every defect's Gram matrix overflows
-        yield replace(genuine, u=other)
-        yield replace(genuine, absx=other)
+        formed += [
+            genuine,
+            replace(genuine, u=-1.0 * u),
+            replace(genuine, u=u + 1e-3 * random_element(x.signature, rng)),
+            replace(genuine, u=1e150 * u),  # u u* u overflows, the Gram matrices before it do not
+            replace(genuine, u=1e200 * u),  # every defect's Gram matrix overflows
+        ]
+        mismatched += [replace(genuine, u=other), replace(genuine, absx=other)]
+    return formed, mismatched
+
+
+def _assert_mismatch_unsolved(x, result):
+    """polar_residuals raises SignatureMismatch on result, naming the
+    signature of the first operand that differs from u's, without a solve."""
+    u = result.u.signature
+    operands = (x, result.absxstar, result.absx, result.initial.element, result.final.element)
+    first = next(y.signature for y in operands if y.signature != u)
+    with mock.patch.object(core, "_jacobi_eigh", wraps=core._jacobi_eigh) as driver:
+        with pytest.raises(SignatureMismatch) as raised:
+            polar_residuals(x, result)
+    assert str(raised.value) == f"signatures differ: {first} vs {u}"
+    assert driver.call_count == 0
 
 
 @cases
 @pytest.mark.parametrize("sweeps", [core._MAX_SWEEPS, 1], ids=["default-sweeps", "one-sweep"])
 def test_stacked_residuals_match_the_per_defect_oracle(sig, scale, seed, sweeps):
     x = _element(sig, scale, seed)
-    results = list(_tampered_results(x, np.random.default_rng(seed)))
-    with mock.patch.object(core, "_MAX_SWEEPS", sweeps):
-        with np.errstate(over="ignore", invalid="ignore"):
-            for result in results:
-                old = _residuals_outcome(_per_defect_polar_residuals, x, result)
-                assert _residuals_outcome(polar_residuals, x, result) == old
+    formed, mismatched = _tampered_results(x, np.random.default_rng(seed))
+    for result in formed:
+        with mock.patch.object(core, "_MAX_SWEEPS", sweeps):
+            with mock.patch.object(core, "_jacobi_eigh", wraps=core._jacobi_eigh) as driver:
+                new = _residuals_outcome(polar_residuals, x, result)
+        budget = sweeps
+        if new == ("raised", BadArgument, _NON_FINITE):
+            # raised before any solve, so no solve that fails at this budget
+            # comes first: the oracle's outcome at the default budget
+            assert driver.call_count == 0
+            budget = core._MAX_SWEEPS
+        with mock.patch.object(core, "_MAX_SWEEPS", budget):
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert new == _residuals_outcome(_per_defect_polar_residuals, x, result)
+    for result in mismatched:
+        _assert_mismatch_unsolved(x, result)
+
+
+def test_an_absx_of_another_algebra_raises_before_any_solve():
+    x = _element((2, 3), 1.0, 0)
+    result = polar_direct(x)
+    other = random_element((2, 3, 1), np.random.default_rng(0))
+    _assert_mismatch_unsolved(x, replace(result, absx=other))
