@@ -4,6 +4,24 @@ Matrix files carry {"blocks": [...]} with square row-major blocks of
 [re, im] pairs. Every invocation writes exactly one JSON report to standard
 output; human-readable errors go to standard error. Exit codes: 0 success,
 1 mathematical rejection, 2 malformed input.
+
+A file is read in two steps. Its structure is checked first: that it can be
+read, that it is UTF-8 JSON, that it has a non-empty 'blocks' list, that
+every entry is a pair of JSON numbers (not bools or strings), and that
+every block is square. Then its numbers are read into one complex128
+stack per block position, one np.array call each, and the stacks are
+sealed once by AlgebraElement._of_stacks: an int beyond the float range is
+malformed, and then a non-finite entry. A single file is the case N = 1 of
+the N term files of ``certify``, which reports the first fault by one
+precedence rule:
+
+1. the structure of each term file, in name order;
+2. the limit file, whole;
+3. the signature of each term file against the limit's, in name order;
+4. the numbers of the terms, stack by stack in block order: an int beyond
+   the float range in any stack, then a non-finite entry.
+
+Read errors, JSON errors and signatures name their file.
 """
 
 from __future__ import annotations
@@ -53,45 +71,82 @@ _NOT_PAIRS = "block is not a matrix of [re, im] pairs"
 _NUMBER_TYPES = (int, float)
 
 
-def _entry(pair) -> complex:
-    """A matrix entry: exactly two JSON numbers, re and im."""
-    if type(pair) is list and len(pair) == 2:
-        re, im = pair
-        if type(re) in _NUMBER_TYPES and type(im) in _NUMBER_TYPES:
-            return complex(re, im)
-    raise MalformedInput(f"{_NOT_PAIRS}: entry {pair!r:.40}")
-
-
-def element_from_json(doc) -> AlgebraElement:
+def _checked_blocks(doc) -> list:
+    """The 'blocks' list of a matrix document, its structure checked: a
+    non-empty list of non-empty square matrices whose entries are [re, im]
+    pairs of JSON numbers. The numbers themselves are read by _sealed."""
     if not isinstance(doc, dict) or "blocks" not in doc:
         raise MalformedInput("matrix document needs a 'blocks' field")
     blocks = doc["blocks"]
     if not isinstance(blocks, list) or not blocks:
         raise MalformedInput("'blocks' must be a non-empty list")
-    mats = []
     for b in blocks:
-        try:
-            arr = np.array([[_entry(pair) for pair in row] for row in b], dtype=complex)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise MalformedInput(f"{_NOT_PAIRS}: {exc}") from exc
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        if type(b) is not list:
+            raise MalformedInput(f"{_NOT_PAIRS}: block {b!r:.40}")
+        for row in b:
+            if type(row) is not list:
+                raise MalformedInput(f"{_NOT_PAIRS}: row {row!r:.40}")
+            for pair in row:
+                if not (
+                    type(pair) is list
+                    and len(pair) == 2
+                    and type(pair[0]) in _NUMBER_TYPES
+                    and type(pair[1]) in _NUMBER_TYPES
+                ):
+                    raise MalformedInput(f"{_NOT_PAIRS}: entry {pair!r:.40}")
+        lengths = {len(row) for row in b}
+        if len(lengths) > 1:
+            raise MalformedInput(f"{_NOT_PAIRS}: rows of unequal length")
+        if lengths != {len(b)}:
             raise MalformedInput("blocks must be square")
-        if not np.all(np.isfinite(arr)):
-            raise MalformedInput("blocks must contain finite numbers")
-        mats.append(arr)
-    # fresh, owning, square, finite complex128 arrays: validated here, once
-    return AlgebraElement._of(mats)
+    return blocks
+
+
+def _read_json(path: str):
+    """The JSON document of a file."""
+    try:
+        # read as bytes and decoded at once: a text-mode reader costs more
+        # than the parse of a small file
+        with open(path, "rb") as fh:
+            return json.loads(fh.read().decode("utf-8"))
+    except OSError as exc:
+        raise MalformedInput(f"cannot read {path}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise MalformedInput(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _sealed(docs: list) -> list[AlgebraElement]:
+    """The N elements of N checked 'blocks' lists of one signature.
+
+    Per block position, the [re, im] pairs of all N documents become one
+    (N, n_b, n_b, 2) float64 array in one np.array call, read as the
+    (N, n_b, n_b) complex128 stack whose entries have the bits of
+    complex(re, im); an int beyond the float range raises here. The stacks
+    are then sealed once (AlgebraElement._of_stacks), which checks each for
+    finite entries in block order.
+    """
+    stacks = []
+    for position in zip(*docs):
+        try:
+            pairs = np.array(position, dtype=np.float64)
+        except OverflowError as exc:
+            raise MalformedInput(f"{_NOT_PAIRS}: {exc}") from exc
+        # the stack is a view of the pairs, which are read-only as it is
+        pairs.flags.writeable = False
+        stacks.append(pairs.view(np.complex128)[..., 0])
+    try:
+        return AlgebraElement._of_stacks(stacks)
+    except BadArgument as exc:
+        raise MalformedInput("blocks must contain finite numbers") from exc
+
+
+def element_from_json(doc) -> AlgebraElement:
+    (x,) = _sealed([_checked_blocks(doc)])
+    return x
 
 
 def load_matrix_file(path: str) -> AlgebraElement:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise MalformedInput(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"{path} is not valid JSON: {exc}") from exc
-    return element_from_json(doc)
+    return element_from_json(_read_json(path))
 
 
 def _tolerances(args) -> ToleranceConfig:
@@ -216,13 +271,13 @@ def _cmd_certify(args, tol):
     files = sorted((p for p in directory.iterdir() if p.suffix == ".json"), key=_term_order)
     if not files:
         raise MalformedInput(f"{args.dir} holds no .json matrix files")
-    seq = [load_matrix_file(str(p)) for p in files]
+    docs = [_checked_blocks(_read_json(str(p))) for p in files]
     limit = load_matrix_file(args.limit)
-    for p, term in zip(files, seq):
-        if term.signature != limit.signature:
-            raise MalformedInput(
-                f"{p} has signature {term.signature}, the limit has {limit.signature}"
-            )
+    for p, blocks in zip(files, docs):
+        signature = tuple(map(len, blocks))
+        if signature != limit.signature:
+            raise MalformedInput(f"{p} has signature {signature}, the limit has {limit.signature}")
+    seq = _sealed(docs)
     cert = build_certificate(seq, limit, args.rate, tol)
     report = verify_certificate(cert, tol)
     residuals = {"worst": report.worst_residual}

@@ -32,7 +32,9 @@ precedence rule:
 
 1. An operand whose signature differs from the reference raises
    SignatureMismatch before any arithmetic. The reference is the limit's
-   signature, or u's for polar_residuals.
+   signature, or u's for polar_residuals; a certificate holds one stack per
+   block position, so verify_certificate compares the block sizes of its
+   component stacks with those of its sequence stacks.
 2. A non-finite stacked intermediate raises BadArgument(_NON_FINITE) before
    any solve.
 3. After that, the first solve fault in element order is raised.

@@ -5,27 +5,43 @@ component sequences squeezed between their limits and a shared scalar
 dominator envelope 2 eps_n 1, together with an analytic c/n tail bound that
 discharges the part of the statement a finite prefix cannot see. The builder
 turns norm convergence into such a witness; the verifier re-checks every
-condition and reports the first failure. Both work on stacked blocks: each
-block position of all terms or components is one numpy array, and the
-eigenvalue solves of each block position are one call of the stacked Jacobi
-driver. Every value and decision is the one the element-by-element checks
-give. On malformed input they raise by the precedence rule of awkit.core:
-an operand of another signature than the limit first, then a non-finite
-intermediate, then the first solve fault in element order.
+condition and reports the first failure.
 
-The builder forms the components on the same stacks it gathers for the
-gaps: per block position, the Hermitian and skew parts of all terms and the
-envelope times the identity are one numpy expression each, the elementwise
-steps of real_part, imag_part, e * 1 and + with their bits. Each component
-sequence is sealed once per stack (AlgebraElement._of_stacks), one
-finiteness check and one read-only flag per block position, and its
-elements are views of it.
+A certificate of N terms over the signature (n_1, ..., n_r) is held as
+stacks, two per block position b:
+
+- ``sequence[b]``, a (N + 1, n_b, n_b) complex128 array: row j < N is block
+  b of the term at prefix position j, and row N is block b of the limit;
+- ``parts[b]``, a (4, N + 1, n_b, n_b) complex128 array: ``parts[b][k, j]``
+  is block b of the k-th component at prefix position j, and row N holds
+  block b of the k-th component limit.
+
+The builder writes both, read-only; the verifier reads them as they are.
+Per block position, the differences, skew and Hermitian parts, the sums of
+the four components and their residuals against the sequence, and the
+Gram matrices are one numpy expression each, and the eigenvalues of the
+components and of the Gram matrices are one stacked Jacobi driver call
+each. Elements are made only where a caller asks for them: the ``terms``,
+``limit``, ``components`` and ``component_limits`` of a certificate are
+views of its stacks (AlgebraElement._of_stacks), made on first use. Every
+value and decision is the one the element-by-element checks give.
+
+The builder stacks its terms and limit once and forms the components on
+that stack: the Hermitian and skew parts of all rows and the envelope times
+the identity are one numpy expression each, the elementwise steps of
+real_part, imag_part, e * 1 and + with their bits, and all stacks are
+checked for finiteness once. On malformed input the builder and verifier
+raise by the precedence rule of awkit.core: an operand of another
+signature than the limit first, then a non-finite intermediate, then the
+first solve fault in element order.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -45,7 +61,6 @@ from .core import (
     _tol,
     adjoint,
     frobenius_norm,
-    imag_part,
     is_self_adjoint,
     operator_norm,
     real_part,
@@ -84,20 +99,53 @@ class DominatorEnvelope:
     tail_rate: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrderLimitCertificate:
-    """Finite-prefix witness of order convergence of ``terms`` to ``limit``.
+    """Finite-prefix witness of order convergence of N terms to a limit.
 
-    components[k][j] is the k-th self-adjoint component sequence at prefix
-    position j; the dominator is 2 eps_j 1 shared across components.
+    Held as two read-only stacks per block position b of the limit's
+    signature. ``sequence[b]`` is (N + 1, n_b, n_b): the terms in rows
+    0..N-1 and the limit in row N. ``parts[b]`` is (4, N + 1, n_b, n_b):
+    ``parts[b][k, j]`` is the k-th self-adjoint component at prefix position
+    j, and row N holds the k-th component limit. The dominator is 2 eps_j 1,
+    shared across components.
+
+    ``terms``, ``limit``, ``components`` and ``component_limits`` are
+    elements whose blocks are views of the stacks, made on first use;
+    components[k][j] is the k-th component sequence at prefix position j.
     """
 
     indices: tuple[int, ...]
-    terms: tuple[AlgebraElement, ...]
-    limit: AlgebraElement
-    components: tuple[tuple[AlgebraElement, ...], ...]
-    component_limits: tuple[AlgebraElement, ...]
+    sequence: tuple[np.ndarray, ...]
+    parts: tuple[np.ndarray, ...]
     envelope: DominatorEnvelope
+
+    @cached_property
+    def _sequence_elements(self) -> list[AlgebraElement]:
+        return AlgebraElement._of_stacks(self.sequence)
+
+    @cached_property
+    def _part_elements(self) -> list[AlgebraElement]:
+        # row k (N + 1) + j of the flattened stacks is parts[b][k, j]
+        return AlgebraElement._of_stacks([p.reshape(-1, *p.shape[2:]) for p in self.parts])
+
+    @property
+    def terms(self) -> tuple[AlgebraElement, ...]:
+        return tuple(self._sequence_elements[:-1])
+
+    @property
+    def limit(self) -> AlgebraElement:
+        return self._sequence_elements[-1]
+
+    @property
+    def components(self) -> tuple[tuple[AlgebraElement, ...], ...]:
+        rows, step = self._part_elements, self.parts[0].shape[1]
+        return tuple(tuple(rows[k * step : (k + 1) * step - 1]) for k in range(4))
+
+    @property
+    def component_limits(self) -> tuple[AlgebraElement, ...]:
+        rows, step = self._part_elements, self.parts[0].shape[1]
+        return tuple(rows[(k + 1) * step - 1] for k in range(4))
 
 
 @dataclass(frozen=True)
@@ -117,15 +165,16 @@ def build_certificate(
     """Convert norm convergence at rate tail_rate/n into an order certificate.
 
     Raises EnvelopeViolation when some prefix term exceeds the declared
-    bound. ``indices`` defaults to 1..N; explicit ascending naturals are
-    accepted for subsequences such as geometric ladders. The gaps
-    ||a_n - limit|| come from one stack of Gram matrices per block position,
-    with the values of operator_norm(a_n - limit) term by term; a term of
-    another signature, or a non-finite difference or Gram matrix, raises
-    before any solve (the precedence rule of awkit.core). The components are
-    formed on the stacks of the terms, one per block position, and sealed
-    once per stack; a Hermitian or skew part that overflows raises
-    BadArgument, as real_part and imag_part do.
+    bound. ``indices`` defaults to 1..N; explicit ascending natural numbers
+    (int or numpy integers, not bool) are accepted for subsequences such as
+    geometric ladders. The terms and the limit are stacked once, one
+    (N + 1, n_b, n_b) array per block position, after their signatures are
+    checked. The gaps ||a_n - limit|| come from one stack of Gram matrices
+    per block position, with the values of operator_norm(a_n - limit) term
+    by term; a non-finite difference or Gram matrix raises before any solve
+    (the precedence rule of awkit.core). The components are formed on the
+    same stacks and checked for finiteness once; a Hermitian or skew part
+    that overflows raises BadArgument, as real_part and imag_part do.
     """
     t = _tol(tol)
     if len(seq) == 0:
@@ -136,24 +185,27 @@ def build_certificate(
     if indices is None:
         indices = tuple(range(1, len(seq) + 1))
     else:
-        indices = tuple(int(i) for i in indices)
+        indices = tuple(indices)
         if len(indices) != len(seq):
             raise BadArgument("indices length must match sequence length")
         _check_indices(indices)
+        indices = tuple(map(int, indices))
     sig = limit.signature
     _check_signatures(seq, sig)
+    n = len(seq)
+    sequence = [np.array([*(a.blocks[b] for a in seq), lim]) for b, lim in enumerate(limit.blocks)]
     # ||a - limit|| per term, from one stack of Gram matrices per block position
-    terms = _gather(seq)
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = [s - b for s, b in zip(terms, limit.blocks)]
+        diff = [s[:n] - s[n] for s in sequence]
         gram = [_adj(d) @ d for d in diff]
-    if not _all_finite(diff + gram):
+    # a non-finite entry of a difference leaves one on its Gram diagonal
+    if not _all_finite(gram):
         raise BadArgument(_NON_FINITE)
     gaps = _gram_norms(gram, t)
-    for n, g in zip(indices, gaps):
-        if g > tail_rate / n + t.pos_slack:
+    for i, g in zip(indices, gaps):
+        if g > tail_rate / i + t.pos_slack:
             raise EnvelopeViolation(
-                f"term at index {n} lies {g:.3e} from the limit, over {tail_rate}/{n}"
+                f"term at index {i} lies {g:.3e} from the limit, over {tail_rate}/{i}"
             )
     eps = []
     running = 0.0
@@ -162,57 +214,63 @@ def build_certificate(
         eps.append(running)
     eps.reverse()
 
-    # the elementwise steps of real_part, imag_part, e * one and +, one
-    # stack per block position; a part that overflows raises BadArgument
+    # the elementwise steps of imag_part, e * one, + and real_part; the
+    # limit's row gets its imaginary and real parts, and zeros in between
     scaled = np.array(eps)[:, None, None]
+    parts = []
     with np.errstate(over="ignore", invalid="ignore"):
-        im, ones, re = [], [], []
-        for s, n in zip(terms, sig):
-            e1 = scaled * np.eye(n, dtype=np.complex128)
-            im.append((-0.5j) * (s - _adj(s)) + e1)
-            ones.append(e1)
-            re.append(0.5 * (s + _adj(s)) + e1)
-        comp1 = tuple(AlgebraElement._of_stacks(im))
-        comp2 = tuple(AlgebraElement._of_stacks(ones))
-        comp4 = tuple(AlgebraElement._of_stacks(re))
-    comp3 = comp2
-    zero = AlgebraElement.zeros(sig)
+        for s, n_b in zip(sequence, sig):
+            e1 = scaled * np.eye(n_b, dtype=np.complex128)
+            p = np.zeros((4, n + 1, n_b, n_b), dtype=np.complex128)
+            p[0] = (-0.5j) * (s - _adj(s))
+            p[0, :n] += e1
+            p[1, :n] = p[2, :n] = e1
+            p[3] = 0.5 * (s + _adj(s))
+            p[3, :n] += e1
+            parts.append(p)
+    if not _all_finite(parts):
+        raise BadArgument(_NON_FINITE)
+    for a in sequence + parts:
+        a.flags.writeable = False
     return OrderLimitCertificate(
         indices=indices,
-        terms=tuple(seq),
-        limit=limit,
-        components=(comp1, comp2, comp3, comp4),
-        component_limits=(imag_part(limit), zero, zero, real_part(limit)),
+        sequence=tuple(sequence),
+        parts=tuple(parts),
         envelope=DominatorEnvelope(eps=tuple(eps), tail_rate=float(tail_rate)),
     )
 
 
 def _check_indices(indices) -> None:
-    """Raise BadArgument unless indices are ascending naturals."""
-    if any(i < 1 for i in indices) or any(a >= b for a, b in zip(indices, indices[1:])):
+    """Raise BadArgument unless indices are ascending natural numbers: ints
+    or numpy integers, not bools, and not floats even when integral."""
+    if (
+        # type(i) is int first: the Integral check is ten times slower
+        not all(
+            type(i) is int or (isinstance(i, numbers.Integral) and not isinstance(i, bool))
+            for i in indices
+        )
+        or any(i < 1 for i in indices)
+        or any(a >= b for a, b in zip(indices, indices[1:]))
+    ):
         raise BadArgument("indices must be ascending naturals")
 
 
 def _check_shape(c: OrderLimitCertificate):
     """The checks of a certificate's operands, before any arithmetic: the
-    prefix lengths, the indices, and the signature of every term, component
-    and component limit against the limit's."""
+    prefix lengths, the indices, and the block sizes of the component
+    stacks against the sequence's."""
     n = len(c.indices)
-    if n == 0 or len(c.terms) != n or len(c.envelope.eps) != n:
+    if n == 0 or len(c.envelope.eps) != n or any(s.shape[0] != n + 1 for s in c.sequence):
         raise ValueError("certificate prefix lengths disagree")
-    if len(c.components) != 4 or len(c.component_limits) != 4:
+    if any(p.shape[0] != 4 for p in c.parts):
         raise ValueError("certificate needs exactly four component sequences")
-    if any(len(comp) != n for comp in c.components):
+    if any(p.shape[1] != n + 1 for p in c.parts):
         raise ValueError("component sequence length disagrees with prefix")
     _check_indices(c.indices)
-    components = (x for comp in c.components for x in comp)
-    _check_signatures((*c.terms, *components, *c.component_limits), c.limit.signature)
-
-
-def _gather(elements) -> list[np.ndarray]:
-    """One (len(elements), n_b, n_b) array per block position b of elements
-    of one signature."""
-    return [np.array(blocks) for blocks in zip(*(x.blocks for x in elements))]
+    sig = tuple(s.shape[-1] for s in c.sequence)
+    parts_sig = tuple(p.shape[-1] for p in c.parts)
+    if parts_sig != sig:
+        raise SignatureMismatch(f"signatures differ: {parts_sig} vs {sig}")
 
 
 def _adj(a: np.ndarray) -> np.ndarray:
@@ -228,6 +286,16 @@ def _each(test, stacks) -> list:
 def _all_finite(stacks) -> bool:
     """Every entry of every stack is finite."""
     return all(np.isfinite(a).all() for a in stacks)
+
+
+def _norms(stacks, t: ToleranceConfig) -> list:
+    """operator_norm of each of k elements given as one (k, n_b, n_b) stack
+    per block position; a Gram matrix that overflows raises BadArgument
+    before any solve."""
+    gram = [_adj(s) @ s for s in stacks]
+    if not _all_finite(gram):
+        raise BadArgument(_NON_FINITE)
+    return _gram_norms(gram, t)
 
 
 # Below this modulus no square of an entry, and no sum of fewer than 2^64 of
@@ -246,25 +314,27 @@ def verify_certificate(
     priority order: lower-bound, upper-bound, sum-decomposition,
     envelope-monotonicity, tail.
 
-    The checks run on stacked blocks. For each block position the blocks of
-    all 4N components and their four limits form one (4, N + 1, n_b, n_b)
-    array, and the differences, their skew and Hermitian parts, and the
-    N + 1 sum-decomposition residuals with their Gram matrices are one numpy
-    expression each, and the eigenvalues of the components and of the Gram
-    matrices are one stacked solve per block position each. Every value and
-    decision is the one the same checks give on elements, one component at
-    a time: a component whose skew part is not exactly zero, or that has an
-    entry of 2^480 or more, is tested with the is_self_adjoint rule. An
-    eps_j that is negative or not finite fails envelope-monotonicity with
-    residual inf.
+    The checks read the certificate's stacks as they are. For each block
+    position the differences of the components from their limits, their
+    skew and Hermitian parts, and the N + 1 sum-decomposition residuals
+    against the sequence with their Gram matrices are one numpy expression
+    each, and the eigenvalues of the components and of the Gram matrices
+    are one stacked solve per block position each. Every value and decision
+    is the one the same checks give on elements, one component at a time:
+    a component whose skew part is not exactly zero, or that has an entry
+    of 2^480 or more, is tested with the is_self_adjoint rule. A norm ||a||
+    of a term or the limit is solved only where the sum-decomposition
+    residual exceeds pos_slack. An eps_j that is negative or not finite
+    fails envelope-monotonicity with residual inf.
 
     Malformed input raises by the precedence rule of awkit.core. Before any
     arithmetic, _check_shape checks the prefix lengths (ValueError), the
-    indices (BadArgument) and every signature (SignatureMismatch). Before
-    any solve, a non-finite stacked intermediate raises BadArgument; of the
-    Hermitian parts, only those of components that pass the is_self_adjoint
-    rule are read. Then the first solve fault is raised, the components'
-    before the residuals'.
+    indices (BadArgument) and the block sizes of the component stacks
+    against the sequence's (SignatureMismatch). Before any solve, a
+    non-finite stacked intermediate raises BadArgument; of the Hermitian
+    parts, only those of components that pass the is_self_adjoint rule are
+    read. Then the first solve fault is raised, the components' before the
+    residuals', and those before the norms'.
     """
     t = _tol(tol)
     _check_shape(c)
@@ -279,20 +349,18 @@ def verify_certificate(
     }
     failing = {tag: False for tag in residuals}
 
-    wholes = (*c.terms, c.limit)
     with np.errstate(over="ignore", invalid="ignore"):
-        # one (4, N + 1, n_b, n_b) stack per block position; row N holds the limits
-        stacked = [x for comp, lim in zip(c.components, c.component_limits) for x in (*comp, lim)]
-        parts = [p.reshape(4, n + 1, *p.shape[1:]) for p in _gather(stacked)]
-        diff = [p[:, :n] - p[:, n:] for p in parts]
+        diff = [p[:, :n] - p[:, n:] for p in c.parts]
         skew = [d - _adj(d) for d in diff]
         herm = [0.5 * (d + _adj(d)) for d in diff]
-        total = [np.zeros_like(p[0]) for p in parts]
+        total = [np.zeros_like(p[0]) for p in c.parts]
         for k in range(4):
-            total = [s + _I_POWERS[k] * p[k] for s, p in zip(total, parts)]
-        residual = [s - a for s, a in zip(total, _gather(wholes))]
+            total = [s + _I_POWERS[k] * p[k] for s, p in zip(total, c.parts)]
+        residual = [s - a for s, a in zip(total, c.sequence)]
         gram = [_adj(d) @ d for d in residual]
-        if not _all_finite(diff + skew + total + residual + gram):
+        # a non-finite difference leaves a non-finite entry in its skew
+        # part, and a non-finite sum or residual one on the Gram diagonal
+        if not _all_finite(skew + gram):
             raise BadArgument(_NON_FINITE)
 
         # the is_self_adjoint rule per component, unless its skew part is
@@ -324,11 +392,15 @@ def verify_certificate(
             if up_resid > t.pos_slack * (1.0 + _max_abs(lo, hi) + bound):
                 failing[UPPER_BOUND] = True
 
-        # operator_norm(total - a), from the Gram matrix it would form
-        for a, r in zip(wholes, _gram_norms(gram, t)):
+        # operator_norm(total - a), from the Gram matrix it would form; the
+        # threshold pos_slack (1 + ||a||) >= pos_slack, so ||a|| is only
+        # needed where r exceeds pos_slack
+        sums = _gram_norms(gram, t)
+        over = [j for j, r in enumerate(sums) if r > t.pos_slack]
+        norms = dict(zip(over, _norms([s[over] for s in c.sequence], t))) if over else {}
+        for j, r in enumerate(sums):
             residuals[SUM_DECOMPOSITION] = max(residuals[SUM_DECOMPOSITION], r)
-            # pos_slack (1 + ||a||) >= pos_slack, so ||a|| is only needed above pos_slack
-            if r > t.pos_slack and r > t.pos_slack * (1.0 + operator_norm(a, t)):
+            if j in norms and r > t.pos_slack * (1.0 + norms[j]):
                 failing[SUM_DECOMPOSITION] = True
 
     for j in range(len(eps)):

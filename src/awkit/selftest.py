@@ -293,6 +293,15 @@ def check_closure_agreement(trials=50, seed=0, dims=(2, 5), tol=None) -> Criteri
     return CriterionResult("monotone closure agreement", worst <= RESIDUAL_TOL, trials, worst)
 
 
+def _shifted(stacks, at, delta):
+    """Copies of a certificate's stacks, one per block position, with delta
+    times the identity added to the matrix at index ``at`` of each."""
+    out = tuple(s.copy() for s in stacks)
+    for s in out:
+        s[at] += delta * np.eye(s.shape[-1])
+    return out
+
+
 def check_order_calculus(trials=100, violations=20, seed=0, dims=(1, 4), tol=None) -> CriterionResult:
     """Builder round-trips, tamper rejection with correct tags, limit calculus."""
     t = _tol(tol)
@@ -331,13 +340,10 @@ def check_order_calculus(trials=100, violations=20, seed=0, dims=(1, 4), tol=Non
         tag = tags[v % len(tags)]
         if tag in (LOWER_BOUND, UPPER_BOUND):
             sign = -3.0 if tag == LOWER_BOUND else 3.0
-            comps = [list(s) for s in cert.components]
-            comps[3][1] = comps[3][1] + sign * cert.envelope.eps[1] * one
-            bad = replace(cert, components=tuple(tuple(s) for s in comps))
+            # the fourth component at prefix position 1
+            bad = replace(cert, parts=_shifted(cert.parts, (3, 1), sign * cert.envelope.eps[1]))
         elif tag == SUM_DECOMPOSITION:
-            terms = list(cert.terms)
-            terms[2] = terms[2] + 0.4 * one
-            bad = replace(cert, terms=tuple(terms))
+            bad = replace(cert, sequence=_shifted(cert.sequence, 2, 0.4))
         elif tag == ENVELOPE_MONOTONICITY:
             eps = list(cert.envelope.eps)
             eps[2] = eps[1] + 0.2

@@ -299,6 +299,186 @@ def test_certify_term_of_another_algebra_is_malformed_input(tmp_path, capsys):
     assert doc["command"] == "certify" and doc["accepted"] is False
 
 
+# --- certify's stacked load against the per-file parse -----------------------
+
+_NOT_PAIRS = "block is not a matrix of [re, im] pairs"
+
+
+def _per_file_parse(doc) -> AlgebraElement:
+    """The earlier element_from_json, kept as the named oracle of the stacked
+    load: one complex(re, im) per entry and one np.array per block."""
+    mats = []
+    for b in doc["blocks"]:
+        rows = [[complex(re, im) for re, im in row] for row in b]
+        mats.append(np.array(rows, dtype=complex))
+    return AlgebraElement(mats)
+
+
+def _number(rng, x):
+    """x as JSON may carry it: an int where x is integral, -0.0, or the float."""
+    pick = rng.integers(3)
+    if pick == 0 and float(x).is_integer():
+        return int(x)
+    if pick == 1 and x == 0.0:
+        return -0.0
+    return float(x)
+
+
+def _term_doc(rng, sig):
+    """A seeded matrix document whose entries are floats, integral floats
+    written as ints, and signed zeros."""
+    blocks = []
+    for n in sig:
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        # a third of the entries integral, a sixth zero
+        z = np.where(rng.random((n, n)) < 1 / 3, np.round(4 * z), z)
+        z = np.where(rng.random((n, n)) < 1 / 6, 0.0, z)
+        blocks.append([[[_number(rng, v.real), _number(rng, v.imag)] for v in row] for row in z])
+    return {"blocks": blocks}
+
+
+def _certify_inputs(tmp_path, docs, limit_doc):
+    d = tmp_path / "seq"
+    d.mkdir()
+    for j, doc in enumerate(docs, start=1):
+        (d / f"t{j}.json").write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    limit = tmp_path / "limit.json"
+    limit.write_text(json.dumps(limit_doc))
+    return d, limit
+
+
+def _bits(x):
+    return [b.tobytes() for b in x.blocks]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stacked_certify_load_matches_the_per_file_parse_bit_for_bit(tmp_path, capsys, monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    sig = random_signature(rng, max_blocks=4, dims=(1, 4))
+    docs = [_term_doc(rng, sig) for _ in range(int(rng.integers(1, 9)))]
+    limit_doc = _term_doc(rng, sig)
+    d, limit = _certify_inputs(tmp_path, docs, limit_doc)
+    seen = {}
+    build = cli.build_certificate
+
+    def spy(seq, lim, rate, tol):
+        seen["seq"], seen["limit"] = seq, lim
+        return build(seq, lim, rate, tol)
+
+    monkeypatch.setattr(cli, "build_certificate", spy)
+    code, _, _ = run_cli(capsys, "certify", str(d), "--limit", str(limit), "--rate", "1e6")
+    assert code in (0, 1)
+    assert [_bits(a) for a in seen["seq"]] == [_bits(_per_file_parse(doc)) for doc in docs]
+    assert _bits(seen["limit"]) == _bits(_per_file_parse(limit_doc))
+    assert any(type(v) is int for doc in docs for b in doc["blocks"] for r in b for p in r for v in p)
+    # one read-only stack per block position, shared by all the terms
+    for b in range(len(sig)):
+        blocks = [a.blocks[b] for a in seen["seq"]]
+        assert all(not x.flags.writeable and np.shares_memory(x, blocks[0].base) for x in blocks)
+    # a single file loads through the same code as a sequence of one
+    assert _bits(load_matrix_file(str(limit))) == _bits(_per_file_parse(limit_doc))
+    assert _bits(element_from_json(docs[0])) == _bits(_per_file_parse(docs[0]))
+
+
+def test_negative_zero_and_ints_keep_their_bits(tmp_path):
+    doc = {"blocks": [[[[-0.0, 0], [3, -0.0]], [[0.0, -0.0], [-7, 2**60 + 1]]]]}
+    f = tmp_path / "x.json"
+    f.write_text(json.dumps(doc))
+    (block,) = load_matrix_file(str(f)).blocks
+    assert np.signbit(block.real).tolist() == [[True, False], [False, True]]
+    assert np.signbit(block.imag).tolist() == [[False, True], [True, False]]
+    assert block[0, 1] == complex(3, -0.0) and block[1, 1] == complex(-7, 2**60 + 1)
+    assert _bits(load_matrix_file(str(f))) == _bits(_per_file_parse(doc))
+
+
+_GOOD = {"blocks": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}
+
+# (kind, the text of t2.json, the message); {path} stands for t2's path
+MALFORMED = [
+    ("unreadable", None, "cannot read {path}: "),
+    ("not-json", "{not json", "{path} is not valid JSON: "),
+    ("not-utf8", b'{"blocks": [[[[1, 0]]]], "x": "\xff"}', "{path} is not valid JSON: "),
+    ("missing-blocks", {"rows": []}, "matrix document needs a 'blocks' field"),
+    ("empty-blocks", {"blocks": []}, "'blocks' must be a non-empty list"),
+    ("ragged-row", {"blocks": [[[[1, 0], [0, 0]], [[1, 0]]]]}, f"{_NOT_PAIRS}: rows of unequal length"),
+    ("non-square", {"blocks": [[[[1, 0], [0, 0]]]]}, "blocks must be square"),
+    ("bool-entry", {"blocks": [[[[1, 0], [True, 0]], [[0, 0], [1, 0]]]]}, f"{_NOT_PAIRS}: entry [True, 0]"),
+    ("string-entry", {"blocks": [[[[1, 0], ["0", 0]], [[0, 0], [1, 0]]]]}, f"{_NOT_PAIRS}: entry ['0', 0]"),
+    ("nan-token", '{"blocks": [[[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]]}', "blocks must contain finite numbers"),
+    ("int-too-large", {"blocks": [[[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]]]},
+     f"{_NOT_PAIRS}: int too large to convert to float"),
+    ("other-signature", {"blocks": [[[[1, 0]]]]}, "{path} has signature (1,), the limit has (2,)"),
+]
+
+
+@pytest.mark.parametrize("kind,text,message", MALFORMED, ids=[m[0] for m in MALFORMED])
+def test_each_malformed_term_exits_two_naming_its_file(tmp_path, capsys, kind, text, message):
+    docs = [_GOOD, "", _GOOD]
+    d, limit = _certify_inputs(tmp_path, docs, _GOOD)
+    bad = d / "t2.json"
+    if text is None:
+        bad.unlink()
+        bad.mkdir()  # a directory named like a term cannot be read as one
+    elif isinstance(text, bytes):
+        bad.write_bytes(text)
+    else:
+        bad.write_text(text if isinstance(text, str) else json.dumps(text))
+    code, out, err = run_cli(capsys, "certify", str(d), "--limit", str(limit), "--rate", "1.0")
+    expected = message.format(path=bad)
+    assert code == 2
+    assert err.startswith(f"malformed input: {expected}") and err.endswith("\n")
+    doc = json.loads(out)
+    assert doc["accepted"] is False and doc["error"] == err[len("malformed input: "):-1]
+    # the same file alone is malformed input with the same message, unless
+    # its fault is against the limit
+    if kind != "other-signature":
+        code, _, alone = run_cli(capsys, "polar", str(bad))
+        assert code == 2 and alone == err
+
+
+_NAN_TERM = '{"blocks": [[[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]]]}'
+_SQUARE_FAULT = {"blocks": [[[[1, 0], [0, 0]]]]}
+_SMALL = {"blocks": [[[[1, 0]]]]}
+
+# (t1, t2, t3, the limit, the message): each directory holds two faults
+PRECEDENCE = [
+    # the structure of every file comes before any number
+    (_NAN_TERM, _GOOD, _SQUARE_FAULT, _GOOD, "blocks must be square"),
+    # the structure of the terms before the limit
+    (_GOOD, _SQUARE_FAULT, _GOOD, {"blocks": []}, "blocks must be square"),
+    # the limit before the signatures
+    (_GOOD, _SMALL, _GOOD, {"blocks": []}, "'blocks' must be a non-empty list"),
+    # the signatures before the numbers
+    (_NAN_TERM, _GOOD, _SMALL, _GOOD, "{t3} has signature (1,), the limit has (2,)"),
+    # then the numbers: an int beyond the float range in any stack before a
+    # non-finite entry in any
+    (
+        '{"blocks": [[[[NaN, 0]]], [[[1, 0]]]]}',
+        {"blocks": [[[[1, 0]]], [[[10**400, 0]]]]},
+        {"blocks": [[[[1, 0]]], [[[1, 0]]]]},
+        {"blocks": [[[[1, 0]]], [[[1, 0]]]]},
+        f"{_NOT_PAIRS}: int too large to convert to float",
+    ),
+]
+
+
+@pytest.mark.parametrize("t1,t2,t3,limit_doc,message", PRECEDENCE)
+def test_a_directory_with_two_faults_reports_by_the_precedence_rule(
+    tmp_path, capsys, t1, t2, t3, limit_doc, message
+):
+    d, limit = _certify_inputs(tmp_path, [t1, t2, t3], limit_doc)
+    code, _, err = run_cli(capsys, "certify", str(d), "--limit", str(limit), "--rate", "1.0")
+    assert code == 2
+    assert err == f"malformed input: {message.format(t3=d / 't3.json')}\n"
+
+
+def test_a_single_file_reports_its_structure_before_its_numbers(tmp_path, capsys):
+    f = tmp_path / "x.json"
+    f.write_text('{"blocks": [[[[NaN, 0]]], [[[1, 0], [0, 0]]]]}')
+    code, _, err = run_cli(capsys, "polar", str(f))
+    assert (code, err) == (2, "malformed input: blocks must be square\n")
+
+
 def test_ineq_subcommand(nilpotent_file, capsys):
     code, out, _ = run_cli(capsys, "ineq", nilpotent_file, "--n", "1", "--m", "3")
     assert code == 0

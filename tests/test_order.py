@@ -21,6 +21,7 @@ from awkit.order import (
     verify_certificate,
 )
 from awkit.sampling import random_element, random_signature
+from awkit.selftest import _shifted
 
 
 def scalar_sequence(n_terms, sig=(2,)):
@@ -93,17 +94,7 @@ def test_roundtrip_random_sequences():
 
 
 def _shift_component(cert, k, j, delta):
-    one = AlgebraElement.identity(cert.limit.signature)
-    comps = [list(seq) for seq in cert.components]
-    comps[k][j] = comps[k][j] + delta * one
-    return type(cert)(
-        indices=cert.indices,
-        terms=cert.terms,
-        limit=cert.limit,
-        components=tuple(tuple(seq) for seq in comps),
-        component_limits=cert.component_limits,
-        envelope=cert.envelope,
-    )
+    return replace(cert, parts=_shifted(cert.parts, (k, j), delta))
 
 
 def test_tamper_component_shift_down_tags_lower_bound():
@@ -127,25 +118,14 @@ def test_tamper_component_shift_up_tags_upper_bound():
 def test_tamper_term_tags_sum_decomposition():
     seq, limit = scalar_sequence(5)
     cert = build_certificate(seq, limit, 1.0)
-    terms = list(cert.terms)
-    terms[2] = terms[2] + 0.5 * AlgebraElement.identity(limit.signature)
-    bad = type(cert)(
-        indices=cert.indices,
-        terms=tuple(terms),
-        limit=cert.limit,
-        components=cert.components,
-        component_limits=cert.component_limits,
-        envelope=cert.envelope,
-    )
+    bad = replace(cert, sequence=_shifted(cert.sequence, 2, 0.5))
     report = verify_certificate(bad)
     assert not report.accepted
     assert report.failing_condition == SUM_DECOMPOSITION
 
 
 def _tamper_term(cert, shift):
-    terms = list(cert.terms)
-    terms[2] = terms[2] + shift * AlgebraElement.identity(cert.limit.signature)
-    return replace(cert, terms=tuple(terms))
+    return replace(cert, sequence=_shifted(cert.sequence, 2, shift))
 
 
 def test_sum_decomposition_threshold_boundary():
@@ -170,14 +150,7 @@ def test_tamper_envelope_tags_monotonicity():
     cert = build_certificate(seq, limit, 1.0)
     eps = list(cert.envelope.eps)
     eps[2] = eps[1] + 0.25
-    bad = type(cert)(
-        indices=cert.indices,
-        terms=cert.terms,
-        limit=cert.limit,
-        components=cert.components,
-        component_limits=cert.component_limits,
-        envelope=DominatorEnvelope(eps=tuple(eps), tail_rate=cert.envelope.tail_rate),
-    )
+    bad = replace(cert, envelope=DominatorEnvelope(eps=tuple(eps), tail_rate=cert.envelope.tail_rate))
     report = verify_certificate(bad)
     assert not report.accepted
     assert report.failing_condition == ENVELOPE_MONOTONICITY
@@ -187,12 +160,8 @@ def test_tamper_tail_rate_tags_tail():
     seq, limit = scalar_sequence(5)
     cert = build_certificate(seq, limit, 1.0)
     n_last = cert.indices[-1]
-    bad = type(cert)(
-        indices=cert.indices,
-        terms=cert.terms,
-        limit=cert.limit,
-        components=cert.components,
-        component_limits=cert.component_limits,
+    bad = replace(
+        cert,
         envelope=DominatorEnvelope(
             eps=cert.envelope.eps,
             tail_rate=cert.envelope.eps[-1] * n_last / 2.0,
@@ -227,12 +196,14 @@ def _flat_certificate(eps):
     their limits only when eps_j >= 2.5."""
     seq, limit = scalar_sequence(4)
     cert = build_certificate(seq, limit, 1.0)
-    five = 5.0 * AlgebraElement.identity((2,))
-    zeros = (limit,) * 4
+    sequence = np.zeros((5, 2, 2), dtype=complex)
+    sequence[:4] = 5.0 * np.eye(2)
+    parts = np.zeros((4, 5, 2, 2), dtype=complex)
+    parts[3, :4] = 5.0 * np.eye(2)
     return replace(
         cert,
-        terms=(five,) * 4,
-        components=(zeros, zeros, zeros, (five,) * 4),
+        sequence=(sequence,),
+        parts=(parts,),
         envelope=DominatorEnvelope(eps=eps, tail_rate=1.0),
     )
 
@@ -263,6 +234,32 @@ def test_builder_and_verifier_reject_indices_that_are_not_ascending_naturals(ind
         verify_certificate(replace(cert, indices=indices))
     with pytest.raises(BadArgument, match="indices must be ascending naturals"):
         build_certificate(seq, limit, 1.0, indices=indices)
+
+
+@pytest.mark.parametrize("indices", [(1.9, 2.2, 3.7), (True, 2, 3), (1.0, 2.0, 3.0)])
+def test_builder_rejects_indices_that_are_not_integers(indices):
+    # (1.9, 2.2, 3.7) was truncated to (1, 2, 3), and True read as 1
+    seq, limit = scalar_sequence(3)
+    with pytest.raises(BadArgument, match="indices must be ascending naturals"):
+        build_certificate(seq, limit, 1.0, indices=indices)
+
+
+@pytest.mark.parametrize("indices", [(1.5, 2.5, 3.5), (True, 2, 3), (1, 2, np.bool_(True))])
+def test_verifier_rejects_indices_that_are_not_integers(indices):
+    # (1.5, 2.5, 3.5) was accepted, its tail checked at 3.5
+    seq, limit = scalar_sequence(3)
+    cert = build_certificate(seq, limit, 1.0)
+    with pytest.raises(BadArgument, match="indices must be ascending naturals"):
+        verify_certificate(replace(cert, indices=indices))
+
+
+def test_numpy_integer_indices_are_accepted():
+    seq, limit = scalar_sequence(3)
+    cert = build_certificate(seq, limit, 1.0, indices=np.array([1, 2, 3]))
+    assert cert.indices == (1, 2, 3) and all(type(i) is int for i in cert.indices)
+    assert verify_certificate(cert).accepted
+    numpy_ints = (np.int32(1), np.uint8(2), np.int64(3))
+    assert verify_certificate(replace(cert, indices=numpy_ints)).accepted
 
 
 def test_calculus_scalar_examples():

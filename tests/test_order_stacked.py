@@ -1,37 +1,48 @@
-"""The stacked certificate verifier against the per-component one it replaced.
+"""The stacked certificate against the element-built one it replaced.
+
+``OrderLimitCertificate`` holds one stack per block position: the terms with
+the limit in row N, and the four components with their limits in row N.
+Its named oracle here is the element-built certificate it replaced:
+``_ElementCertificate`` holds the same data as ``AlgebraElement``s, and
+``_gather`` stacks elements of one signature, one np.array per block
+position, so ``_stacked`` turns an element-built certificate into the
+stacked one. ``_elements`` reads a stacked certificate's element views back.
 
 ``_reference_verify`` is the earlier body of ``awkit.order.verify_certificate``,
 which checked one component at a time on ``AlgebraElement`` intermediates,
-kept verbatim as a named oracle. On built certificates, on certificates
+kept verbatim as a named oracle, with ``_reference_check_shape``, the
+earlier per-element signature walk. On built certificates, on certificates
 tampered toward each failing condition, and on ones whose arithmetic
 overflows or that are not self-adjoint, at the default sweep budget and at
-one sweep, the stacked verifier must return the same report, with
-``worst_residual`` equal to the bit, or raise the same exception with the
-same message.
+one sweep, the stacked verifier must return the same report on the
+gathered certificate, with ``worst_residual`` equal to the bit, or raise the
+same exception with the same message.
 
 ``_reference_build_certificate`` is the earlier body of
 ``awkit.order.build_certificate``, which took each gap as
-``operator_norm(a - limit)``, kept verbatim as a named oracle. On converging
-sequences with one term replaced (equal to the limit, beyond the rate, a
-gap whose Gram squares underflow, a difference, Gram matrix or Frobenius
-norm that overflows, a limit near 1e308 that the term equals, whose
-Hermitian part overflows) the stacked builder must return a certificate
-with the same bits or raise the same exception.
+``operator_norm(a - limit)`` and built the components element by element,
+kept verbatim as a named oracle. On converging sequences with one term
+replaced (equal to the limit, beyond the rate, a gap whose Gram squares
+underflow, a difference, Gram matrix or Frobenius norm that overflows, a
+limit near 1e308 that the term equals, whose Hermitian part overflows) the
+stacked builder must return a certificate with the same bits or raise the
+same exception.
 
 The oracles met a malformed operand where their element loops reached it,
 after the solves of the elements before it; the stacked code checks its
 operands first (the precedence rule of ``awkit.core``). So those cases are
-asserted directly, with the Jacobi driver counting its calls: an operand of
-another signature raises SignatureMismatch, and a non-finite difference or
-Gram matrix BadArgument, with no solve. The latter is then compared with
-the oracle at the default budget, where no solve fails before it.
+asserted directly, with the Jacobi driver counting its calls: a term of
+another signature, or a stack of another block size, raises
+SignatureMismatch, and a non-finite difference or Gram matrix BadArgument,
+with no solve. The latter is then compared with the oracle at the default
+budget, where no solve fails before it.
 """
 
 import math
 import re
 import struct
 import warnings
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from unittest import mock
 
 import numpy as np
@@ -44,6 +55,7 @@ from awkit.core import (
     _NON_FINITE,
     AlgebraElement,
     ToleranceConfig,
+    _check_signatures,
     _tol,
     adjoint,
     eigh_hermitian,
@@ -64,11 +76,70 @@ from awkit.order import (
     DominatorEnvelope,
     LimitReport,
     OrderLimitCertificate,
-    _check_shape,
+    _check_indices,
     build_certificate,
     verify_certificate,
 )
 from awkit.sampling import random_element
+
+
+@dataclass(frozen=True)
+class _ElementCertificate:
+    """The certificate as elements: components[k][j] is the k-th component
+    sequence at prefix position j."""
+
+    indices: tuple[int, ...]
+    terms: tuple[AlgebraElement, ...]
+    limit: AlgebraElement
+    components: tuple[tuple[AlgebraElement, ...], ...]
+    component_limits: tuple[AlgebraElement, ...]
+    envelope: DominatorEnvelope
+
+
+def _gather(elements) -> list[np.ndarray]:
+    """One (len(elements), n_b, n_b) array per block position b of elements
+    of one signature."""
+    return [np.array(blocks) for blocks in zip(*(x.blocks for x in elements))]
+
+
+def _stacked(e: _ElementCertificate) -> OrderLimitCertificate:
+    """The stacked certificate of an element-built one."""
+    rows = [x for comp, lim in zip(e.components, e.component_limits) for x in (*comp, lim)]
+    parts = [p.reshape(4, -1, *p.shape[1:]) for p in _gather(rows)]
+    return OrderLimitCertificate(
+        indices=e.indices,
+        sequence=tuple(_gather((*e.terms, e.limit))),
+        parts=tuple(parts),
+        envelope=e.envelope,
+    )
+
+
+def _elements(c: OrderLimitCertificate) -> _ElementCertificate:
+    """The element views of a stacked certificate."""
+    return _ElementCertificate(
+        indices=c.indices,
+        terms=c.terms,
+        limit=c.limit,
+        components=c.components,
+        component_limits=c.component_limits,
+        envelope=c.envelope,
+    )
+
+
+def _reference_check_shape(c: _ElementCertificate):
+    """The checks of a certificate's operands, before any arithmetic: the
+    prefix lengths, the indices, and the signature of every term, component
+    and component limit against the limit's."""
+    n = len(c.indices)
+    if n == 0 or len(c.terms) != n or len(c.envelope.eps) != n:
+        raise ValueError("certificate prefix lengths disagree")
+    if len(c.components) != 4 or len(c.component_limits) != 4:
+        raise ValueError("certificate needs exactly four component sequences")
+    if any(len(comp) != n for comp in c.components):
+        raise ValueError("component sequence length disagrees with prefix")
+    _check_indices(c.indices)
+    components = (x for comp in c.components for x in comp)
+    _check_signatures((*c.terms, *components, *c.component_limits), c.limit.signature)
 
 
 def _reference_verify(c, tol=None):
@@ -79,7 +150,7 @@ def _reference_verify(c, tol=None):
     envelope-monotonicity, tail.
     """
     t = _tol(tol)
-    _check_shape(c)
+    _reference_check_shape(c)
     eps = c.envelope.eps
     one = AlgebraElement.identity(c.limit.signature)
     residuals = {
@@ -200,13 +271,14 @@ def _set(seq, j, value):
 
 
 def _certificate(sig, n_terms, seed, tamper):
+    """An element-built certificate of n_terms over sig, tampered."""
     rng = np.random.default_rng(seed)
     limit = random_element(sig, rng)
     seq = []
     for n in range(1, n_terms + 1):
         bump = random_element(sig, rng)
         seq.append(limit + bump * (rng.uniform(0.5, 1.0) / (n * operator_norm(bump))))
-    c = build_certificate(seq, limit, 1.0)
+    c = _elements(build_certificate(seq, limit, 1.0))
     k, j = int(rng.integers(4)), int(rng.integers(n_terms))
     one = AlgebraElement.identity(sig)
     other = (*sig, 1)
@@ -228,7 +300,7 @@ def _certificate(sig, n_terms, seed, tamper):
     if tamper == "lone-component":
         # terms and limit zero: only the sum row of component (k, j) is nonzero
         zero = AlgebraElement.zeros(sig)
-        zeros = build_certificate([zero] * n_terms, zero, 1.0)
+        zeros = _elements(build_certificate([zero] * n_terms, zero, 1.0))
         return component(zeros, _non_hermitian(sig, rng, 1.0))
     if tamper == "limit":
         return replace(c, limit=c.limit + 1e-3 * random_element(sig, rng))
@@ -272,6 +344,33 @@ SIGNATURE_TAMPERS = ("signature", "limit-signature", "sequence-signature", "term
 OVERFLOW_TAMPERS = ("overflow", "overflow-sum")
 
 
+def _grown(stack, grow):
+    """A zero stack whose last two axes are grow larger than stack's."""
+    return np.zeros((*stack.shape[:-2], *(d + grow for d in stack.shape[-2:])), dtype=complex)
+
+
+def _resigned(c, seed, tamper):
+    """The stacked certificate c with one stack in another algebra.
+
+    A stacked certificate cannot hold elements of two signatures, so each
+    signature tamper becomes a stack of another block size: a component
+    stack or a sequence stack at one block position, grown by one, or an
+    extra 1x1 block position of the components or of the sequence."""
+    b = int(np.random.default_rng(seed).integers(len(c.sequence)))
+    if tamper == "signature":
+        return replace(c, parts=_set(c.parts, b, _grown(c.parts[b], 1)))
+    if tamper == "limit-signature":
+        return replace(c, sequence=_set(c.sequence, b, _grown(c.sequence[b], 1)))
+    if tamper == "sequence-signature":
+        return replace(c, parts=(*c.parts, _grown(c.parts[0][..., :0, :0], 1)))
+    return replace(c, sequence=(*c.sequence, _grown(c.sequence[0][..., :0, :0], 1)))
+
+
+def _signatures(c):
+    """The block sizes of the component stacks and of the sequence stacks."""
+    return tuple(p.shape[-1] for p in c.parts), tuple(s.shape[-1] for s in c.sequence)
+
+
 def _solving(run):
     """run()'s outcome, and whether it called the Jacobi driver."""
     with mock.patch.object(core, "_jacobi_eigh", wraps=core._jacobi_eigh) as driver:
@@ -296,22 +395,31 @@ def _outcome(verify, c, t):
     tol=st.sampled_from(sorted(TOLS)),
 )
 def test_stacked_verifier_matches_reference(tamper, sig, n_terms, seed, tol):
-    c = _certificate(sig, n_terms, seed, tamper)
+    e = _certificate(sig, n_terms, seed, tamper)
+    if tamper in SIGNATURE_TAMPERS:
+        c = _resigned(_stacked(_certificate(sig, n_terms, seed, "none")), seed, tamper)
+    else:
+        c = _stacked(e)
     t, sweeps = TOLS[tol]
     with mock.patch.object(core, "_MAX_SWEEPS", sweeps):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             got, solved = _solving(lambda: _outcome(verify_certificate, c, t))
     if tamper in SIGNATURE_TAMPERS:
-        assert got == ("raised", SignatureMismatch, f"signatures differ: {(*sig, 1)} vs {sig}")
+        parts_sig, sequence_sig = _signatures(c)
+        assert parts_sig != sequence_sig
+        assert got == ("raised", SignatureMismatch, f"signatures differ: {parts_sig} vs {sequence_sig}")
         assert not solved
+        # the element-built certificate's oracle raises the same exception type
+        with mock.patch.object(core, "_MAX_SWEEPS", sweeps):
+            assert _outcome(_reference_verify, e, t)[:2] == ("raised", SignatureMismatch)
         return
     if tamper in OVERFLOW_TAMPERS and got == NON_FINITE:
         assert not solved
         sweeps = core._MAX_SWEEPS
     with mock.patch.object(core, "_MAX_SWEEPS", sweeps):
         with np.errstate(over="ignore", invalid="ignore"):
-            assert got == _outcome(_reference_verify, c, t)
+            assert got == _outcome(_reference_verify, e, t)
 
 
 def _reference_build_certificate(seq, limit, tail_rate, tol=None, indices=None):
@@ -359,7 +467,7 @@ def _reference_build_certificate(seq, limit, tail_rate, tol=None, indices=None):
     comp3 = comp2
     comp4 = tuple(re + e * one for re, e in zip(re_terms, eps))
     zero = AlgebraElement.zeros(sig)
-    return OrderLimitCertificate(
+    return _ElementCertificate(
         indices=indices,
         terms=tuple(seq),
         limit=limit,
@@ -441,7 +549,7 @@ def _build_outcome(build, seq, limit, t):
         c.envelope.tail_rate,
         tuple(_bits(x) for comp in c.components for x in comp),
         tuple(_bits(x) for x in c.component_limits),
-        c.limit is limit and all(a is b for a, b in zip(c.terms, seq)),
+        _bits(c.limit) == _bits(limit) and [_bits(a) for a in c.terms] == [_bits(a) for a in seq],
     )
 
 
@@ -505,15 +613,17 @@ def test_a_term_whose_hermitian_part_overflows_raises_in_both_builders(sig):
 
 def _replaced_component(k, j, value):
     """A built certificate over (3, 2) with component (k, j) set to value."""
-    c = _certificate((3, 2), 4, k + j, "none")
-    return replace(c, components=_set(c.components, k, _set(c.components[k], j, value)))
+    e = _certificate((3, 2), 4, k + j, "none")
+    return _stacked(replace(e, components=_set(e.components, k, _set(e.components[k], j, value))))
 
 
-@pytest.mark.parametrize("k,j", [(1, 0), (2, 3), (3, 1)])
-def test_a_component_of_another_signature_raises_before_any_solve(k, j):
-    c = _replaced_component(k, j, random_element((3, 2, 1), np.random.default_rng(j)))
+@pytest.mark.parametrize("b,grow", [(0, 1), (1, 2), (1, -1)])
+def test_a_component_stack_of_another_block_size_raises_before_any_solve(b, grow):
+    c = _stacked(_certificate((3, 2), 4, b, "none"))
+    c = replace(c, parts=_set(c.parts, b, _grown(c.parts[b], grow)))
+    parts_sig = tuple(n + grow if i == b else n for i, n in enumerate((3, 2)))
     got, solved = _solving(lambda: _outcome(verify_certificate, c, None))
-    assert got == ("raised", SignatureMismatch, "signatures differ: (3, 2, 1) vs (3, 2)")
+    assert got == ("raised", SignatureMismatch, f"signatures differ: {parts_sig} vs (3, 2)")
     assert not solved
 
 
@@ -523,3 +633,38 @@ def test_an_overflowing_component_raises_before_any_solve(k, j):
     got, solved = _solving(lambda: _outcome(verify_certificate, c, None))
     assert got == NON_FINITE
     assert not solved
+
+
+@pytest.mark.parametrize("sig", [(1,), (2, 1, 3), (1, 2, 2, 1, 2, 1)])
+def test_built_stacks_are_read_only_and_the_elements_are_views_of_them(sig):
+    seq, limit = _sequence(sig, 5, 11, "none")
+    c = build_certificate(seq, limit, 1.0)
+    assert _signatures(c) == (sig, sig)
+    for s, p, n in zip(c.sequence, c.parts, sig):
+        assert s.shape == (6, n, n) and p.shape == (4, 6, n, n)
+        assert s.dtype == p.dtype == np.complex128
+        assert not s.flags.writeable and not p.flags.writeable
+    # row N of the sequence is the limit, rows 0..N-1 the terms, bit for bit
+    assert _bits(c.limit) == _bits(limit)
+    assert [_bits(a) for a in c.terms] == [_bits(a) for a in seq]
+    for b in range(len(sig)):
+        for k in range(4):
+            assert c.component_limits[k].blocks[b].base is not None
+            assert np.shares_memory(c.component_limits[k].blocks[b], c.parts[b])
+            for j in range(5):
+                view = c.components[k][j].blocks[b]
+                assert np.array_equal(view, c.parts[b][k, j]) and not view.flags.writeable
+                assert np.shares_memory(view, c.parts[b])
+    # the views are made once and kept
+    assert c.components[0][0] is c.components[0][0] and c.limit is c.limit
+
+
+def test_verify_makes_no_element():
+    seq, limit = _sequence((1, 2, 2, 1, 2, 1), 8, 3, "none")
+    c = build_certificate(seq, limit, 1.0)
+    refuse = mock.Mock(side_effect=AssertionError("an element was made"))
+    with mock.patch.object(AlgebraElement, "_of_stacks", refuse), mock.patch.object(
+        AlgebraElement, "_of", refuse
+    ), mock.patch.object(AlgebraElement, "__init__", refuse):
+        report = verify_certificate(c)
+    assert report.accepted

@@ -58,12 +58,12 @@ def certificate_tags_lower_bound(h):
     sig, top = h.signature, float(np.abs(h.blocks[0]).max())
     # eps = top, so h stays under the upper bound 2 eps
     cert = build_certificate([top * AlgebraElement.identity(sig)], AlgebraElement.zeros(sig), top)
-    comps = list(cert.components)
-    comps[3] = (h + cert.component_limits[3],)
-    term = AlgebraElement.zeros(sig)
-    for k, power in enumerate((1j, -1.0, -1j, 1.0)):
-        term = term + power * comps[k][0]
-    report = verify_certificate(replace(cert, components=tuple(comps), terms=(term,)))
+    parts = tuple(p.copy() for p in cert.parts)
+    sequence = tuple(s.copy() for s in cert.sequence)
+    for p, s, b in zip(parts, sequence, h.blocks):
+        p[3, 0] = b + p[3, 1]
+        s[0] = sum(power * p[k, 0] for k, power in enumerate((1j, -1.0, -1j, 1.0)))
+    report = verify_certificate(replace(cert, parts=parts, sequence=sequence))
     assert report.accepted or report.failing_condition == LOWER_BOUND
     return not report.accepted
 
