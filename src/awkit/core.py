@@ -7,23 +7,27 @@ on it: operator norms, Loewner comparisons, positive square roots, range
 projections and pseudo-inverses. The sweep rotates Python lists of built-in
 complex rather than numpy scalars, and reproduces numpy's complex128 scalar
 arithmetic bit for bit, though not its array loops (see _jacobi_sweeps).
-Eigenvectors are accumulated only when a caller reads them: operator norms,
-Loewner comparisons and other bound checks call ``_eigh_blocks(...,
-vectors=False)`` for eigenvalues alone, through the same kernel and with
-the same eigenvalues to the bit.
 
 The solver, ``_jacobi_eigh``, takes a (k, n, n) stack of blocks of one size
 and raises nothing: it hands back each slice's failure. The hermitization,
 the Frobenius scales, the read-off of 1x1 slices and the sort are one numpy
 step per stack; the sweep runs slice by slice, and each slice gets the bits,
-or the failure, a stack of it alone gets. Every solve enters it through one
-of two wrappers, which pass it the stop rule _JACOBI_OFF_TOL and
-_MAX_SWEEPS. ``_eigh_blocks`` solves the blocks of one element as stacks of
-one, and is the only place that raises a block's failure; it also solves
-each compression of ``simultaneous_eigh``. ``_eigh_extremes`` and
-``_gram_norms`` solve many elements of one signature at once, one driver
-call per block position, and raise the fault of the lowest element that
-fails.
+or the failure, a stack of it alone gets. Its one caller is the driver
+``_solve``: it takes k elements of one signature as one stack per block
+position, passes the stop rule _JACOBI_OFF_TOL and _MAX_SWEEPS, and raises
+the fault of the lowest element that fails. Two thin readers of it answer
+every question:
+
+- ``_eigh_blocks`` gives the eigensystem, eigenvectors included, of one
+  element's blocks; every assembled function of a Hermitian element (a
+  square root, a support, an inverse) and each compression of
+  ``simultaneous_eigh`` reads it.
+- ``_eigh_extremes`` gives the least and largest eigenvalue of each of k
+  elements, without accumulating eigenvectors and with the eigenvalues of
+  the full solve to the bit. Every question about eigenvalues alone reads
+  it: operator norms (``_gram_norm``, and ``_norms`` for a stacked family),
+  Loewner comparisons, and the positivity and bound checks of the
+  verifiers.
 
 The code that solves such stacks (order.build_certificate,
 order.verify_certificate, polar.polar_residuals and the diagnostics of
@@ -58,11 +62,12 @@ constructors:
   ``_of`` raises on a non-finite entry.
 
 Self-adjointness and projections are checked where an operand enters from
-outside, and nowhere after. ``eigh_hermitian`` checks its input and hands it
-to ``_eigh_blocks``, the one Jacobi solve; an operand this package forms
-and knows to be Hermitian (a Gram matrix x*x, the real part of an element,
-a square root it has assembled, an atom of a spectral measure) goes straight
-to ``_eigh_blocks``, whose sweep reads the Hermitian part of each block. A
+outside, and nowhere after. ``eigh_hermitian`` and ``loewner_leq`` check
+their input and hand it to ``_eigh_blocks`` or ``_eigh_extremes``; an
+operand this package forms and knows to be Hermitian (a Gram matrix x*x, the
+real part of an element, a square root it has assembled, an atom of a
+spectral measure, the two sides of the resolvent-gap inequality) goes
+straight to them, and the sweep reads the Hermitian part of each block. A
 projection this package assembles (a 0/1 spectral assembly, a sum of
 rank-one projections v v*, 1 minus a projection) is wrapped by
 ``Projection._of`` without its certification; ``Projection(...)`` certifies
@@ -132,7 +137,7 @@ class ToleranceConfig:
 
     pos_slack       slack relative to the input. Positive: min w >= -pos_slack
                     (1 + max |w|) over the eigenvalues w
-                    (HermitianEigenSystem.is_positive). Self-adjoint:
+                    (_is_positive). Self-adjoint:
                     ||x - x*||_F <= pos_slack (1 + ||x||_F) (is_self_adjoint).
                     Normal: ||a a* - a* a|| <= pos_slack (1 + ||a||^2)
                     (is_normal).
@@ -306,10 +311,6 @@ class AlgebraElement:
     def __setattr__(self, name, value):
         raise AttributeError("AlgebraElement is immutable")
 
-    @property
-    def total_dim(self) -> int:
-        return sum(self.signature)
-
     @classmethod
     def identity(cls, signature: Sequence[int]) -> "AlgebraElement":
         return cls([np.eye(n, dtype=np.complex128) for n in signature])
@@ -430,7 +431,8 @@ def _max_abs(lo: float, hi: float) -> float:
 
 
 def _is_positive(lo: float, hi: float, t: ToleranceConfig) -> bool:
-    """HermitianEigenSystem.is_positive, given the least and largest eigenvalue."""
+    """Positive within slack, min w >= -pos_slack (1 + max |w|), given the
+    least and largest eigenvalue."""
     return lo >= -t.pos_slack * (1.0 + _max_abs(lo, hi))
 
 
@@ -438,17 +440,16 @@ def _is_positive(lo: float, hi: float, t: ToleranceConfig) -> bool:
 class HermitianEigenSystem:
     """Blockwise eigendecomposition h = U diag(w) U* with ascending w per block.
 
-    unitary is None when the system was computed for its eigenvalues alone
-    (``eigh_hermitian(h, vectors=False)``); such a system cannot assemble.
+    A question about the eigenvalues alone (a norm, an order or bound check)
+    is answered by _eigh_extremes, which accumulates no eigenvectors; a
+    system always holds its unitary.
     """
 
     eigenvalues: tuple[np.ndarray, ...]
-    unitary: AlgebraElement | None
+    unitary: AlgebraElement
 
     def assemble(self, transform: Callable[[np.ndarray], np.ndarray]) -> AlgebraElement:
         """Rebuild U diag(transform(w)) U*, hermitized exactly when values are real."""
-        if self.unitary is None:
-            raise ValueError("an eigenvalues-only system has no unitary to assemble")
         blocks = []
         for w, u in zip(self.eigenvalues, self.unitary.blocks):
             vals = np.asarray(transform(w), dtype=np.complex128)
@@ -481,18 +482,9 @@ class HermitianEigenSystem:
     def max_eigenvalue(self) -> float:
         return max(float(w[-1]) for w in self.eigenvalues)
 
-    @property
-    def max_abs_eigenvalue(self) -> float:
-        """max |w|, read off the extreme eigenvalues."""
-        return _max_abs(self.min_eigenvalue, self.max_eigenvalue)
-
-    def is_positive(self, t: ToleranceConfig) -> bool:
-        """min w >= -pos_slack (1 + max |w|): positive within slack."""
-        return _is_positive(self.min_eigenvalue, self.max_eigenvalue, t)
-
     def rank_cutoff(self, t: ToleranceConfig) -> float:
         """Eigenvalues at or below rank_cutoff max(1, max |w|) count as zero."""
-        return t.rank_cutoff * max(1.0, self.max_abs_eigenvalue)
+        return t.rank_cutoff * max(1.0, _max_abs(self.min_eigenvalue, self.max_eigenvalue))
 
     def root(self, t: ToleranceConfig) -> AlgebraElement:
         """Square root with the eigenvalues at or below the rank cutoff set to 0."""
@@ -643,7 +635,7 @@ def _jacobi_eigh(mats: np.ndarray, rel_off_tol: float, max_sweeps: int, vectors:
     Frobenius mass is still above rel_off_tol * ||slice||_F after max_sweeps
     full sweeps, BadArgument for a non-finite entry or an eigenvalue past
     the float range. It raises nothing, and warns of nothing under
-    np.errstate(over="ignore", invalid="ignore"), as its callers run it.
+    np.errstate(over="ignore", invalid="ignore"), as _solve runs it.
 
     A slice whose ||slice||_F^2 underflows to 0 or overflows to inf is
     scaled in place by 2^-e, its largest entry then in [1/2, 1), swept with
@@ -712,36 +704,44 @@ def _jacobi_eigh(mats: np.ndarray, rel_off_tol: float, max_sweeps: int, vectors:
     return w, u, faults
 
 
-def eigh_hermitian(
-    h: AlgebraElement, tol: ToleranceConfig | None = None, *, vectors: bool = True
-) -> HermitianEigenSystem:
-    """Blockwise Hermitian eigendecomposition via cyclic Jacobi sweeps.
-
-    With vectors=False the eigenvectors are not accumulated and the system's
-    unitary is None; the eigenvalues are bit-identical to the full solve's.
-    Callers that only read eigenvalues (norms, order and bound checks) use it.
-    """
+def eigh_hermitian(h: AlgebraElement, tol: ToleranceConfig | None = None) -> HermitianEigenSystem:
+    """Blockwise Hermitian eigendecomposition via cyclic Jacobi sweeps, for
+    an operand from outside: it checks that h is self-adjoint, then solves
+    its blocks by _eigh_blocks."""
     t = _tol(tol)
     _require_self_adjoint(h, t, "eigh_hermitian input")
-    return _eigh_blocks(h.blocks, t, vectors)
+    return _eigh_blocks(h.blocks, t)
 
 
-def _eigh_blocks(blocks, t: ToleranceConfig, vectors: bool = True) -> HermitianEigenSystem:
-    """The per-block Jacobi solves, unchecked: for blocks that eigh_hermitian
-    has checked or that this package formed Hermitian. Each block is a stack
-    of one; the first that fails raises its fault, without a numpy warning."""
-    values, units = [], []
+def _solve(stacks, vectors: bool) -> list:
+    """The one caller of _jacobi_eigh: per block position, the (w, u) of its
+    stack of k elements' blocks, unchecked (checked by eigh_hermitian, or
+    formed Hermitian), by the stop rule _JACOBI_OFF_TOL and _MAX_SWEEPS and
+    without a numpy warning. It raises the fault of the lowest element that
+    fails, and of that element's first failing block."""
+    solved, faults = [], {}
     with np.errstate(over="ignore", invalid="ignore"):
-        for b in blocks:
-            w, u, faults = _jacobi_eigh(b[None], _JACOBI_OFF_TOL, _MAX_SWEEPS, vectors)
-            if faults:
-                raise faults[0]
-            w = w[0]
-            w.setflags(write=False)
-            values.append(w)
-            # u[0] is an F-ordered view of a temporary; copy it to own it
-            units.append(None if u is None else u[0].copy(order="F"))
-    return HermitianEigenSystem(tuple(values), AlgebraElement._of(units) if vectors else None)
+        for s in stacks:
+            w, u, block_faults = _jacobi_eigh(s, _JACOBI_OFF_TOL, _MAX_SWEEPS, vectors)
+            for i, exc in block_faults.items():
+                faults.setdefault(i, exc)
+            solved.append((w, u))
+    if faults:
+        raise faults[min(faults)]
+    return solved
+
+
+def _eigh_blocks(blocks, t: ToleranceConfig) -> HermitianEigenSystem:
+    """The eigensystem of one element's blocks, each solved as a stack of
+    one; the first block that fails raises its fault."""
+    values, units = [], []
+    for w, u in _solve([b[None] for b in blocks], vectors=True):
+        w = w[0]
+        w.setflags(write=False)
+        values.append(w)
+        # u[0] is an F-ordered view of a temporary; copy it to own it
+        units.append(u[0].copy(order="F"))
+    return HermitianEigenSystem(tuple(values), AlgebraElement._of(units))
 
 
 def _check_signatures(elements, sig) -> None:
@@ -752,25 +752,19 @@ def _check_signatures(elements, sig) -> None:
 
 
 def _eigh_extremes(stacks, t: ToleranceConfig) -> list:
-    """Eigenvalues-only solves of k elements of one signature, given as one
-    (k, n_b, n_b) stack per block position b, unchecked as _eigh_blocks
-    takes them: one _jacobi_eigh call per block position.
-
-    Per element, (lo, hi), the min_eigenvalue and max_eigenvalue that
-    _eigh_blocks gives on its blocks. It raises the fault of the lowest
-    element that fails, the one _eigh_blocks raises first on its blocks.
-    """
-    los, his, faults = [], [], {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s in stacks:
-            w, _, block_faults = _jacobi_eigh(s, _JACOBI_OFF_TOL, _MAX_SWEEPS, vectors=False)
-            for i, exc in block_faults.items():
-                faults.setdefault(i, exc)
-            los.append(w[:, 0].tolist())
-            his.append(w[:, -1].tolist())
-    if faults:
-        raise faults[min(faults)]
+    """Per element of k given as one (k, n_b, n_b) stack per block position
+    b, (lo, hi): the least and largest eigenvalue over its blocks, the
+    min_eigenvalue and max_eigenvalue of its _eigh_blocks solve, to the bit.
+    Eigenvectors are not accumulated. It raises as _solve does."""
+    solved = _solve(stacks, vectors=False)
+    los = [w[:, 0].tolist() for w, _ in solved]
+    his = [w[:, -1].tolist() for w, _ in solved]
     return [(min(lo), max(hi)) for lo, hi in zip(zip(*los), zip(*his))]
+
+
+def _extremes(blocks, t: ToleranceConfig) -> tuple:
+    """(lo, hi) of _eigh_extremes for the blocks of one element."""
+    return _eigh_extremes([b[None] for b in blocks], t)[0]
 
 
 # the cluster gap's np.linalg.norm, before its rescale, and a compression may
@@ -900,13 +894,35 @@ def _operator_norm(x: AlgebraElement, t: ToleranceConfig) -> float:
 
 def _gram_norm(gram_blocks, t: ToleranceConfig) -> float:
     """sqrt of the top eigenvalue of the Gram matrix x*x, clamped at 0."""
-    return _norm_from_gram(_eigh_blocks(gram_blocks, t, vectors=False).max_eigenvalue)
+    return _norm_from_gram(_extremes(gram_blocks, t)[1])
 
 
 def _gram_norms(stacks, t: ToleranceConfig) -> list:
     """_gram_norm of k Gram matrices x*x given as one (k, n_b, n_b) stack
     per block position: per element ||x||. It raises as _eigh_extremes does."""
     return [_norm_from_gram(hi) for _, hi in _eigh_extremes(stacks, t)]
+
+
+def _adj(a: np.ndarray) -> np.ndarray:
+    """Adjoint of every matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _all_finite(stacks) -> bool:
+    """Every entry of every stack is finite."""
+    return all(np.isfinite(a).all() for a in stacks)
+
+
+def _norms(stacks, t: ToleranceConfig) -> list:
+    """operator_norm of each of k elements given as one (k, n_b, n_b) stack
+    per block position, with its bits. A non-finite element leaves a
+    non-finite entry on its Gram diagonal, so it, or a Gram matrix that
+    overflows, raises BadArgument before any solve."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = [_adj(s) @ s for s in stacks]
+    if not _all_finite(gram):
+        raise BadArgument(_NON_FINITE)
+    return _gram_norms(gram, t)
 
 
 def _norm_from_gram(top: float) -> float:
@@ -990,7 +1006,7 @@ def loewner_leq(
     t = _tol(tol)
     _require_self_adjoint(a, t, "loewner_leq left argument")
     _require_self_adjoint(b, t, "loewner_leq right argument")
-    return _eigh_blocks((b - a).blocks, t, vectors=False).is_positive(t)
+    return _is_positive(*_extremes((b - a).blocks, t), t)
 
 
 def positive_sqrt(
@@ -1005,7 +1021,7 @@ def positive_sqrt(
     """
     t = _tol(tol)
     eig = eigh_hermitian(h, t)
-    if not eig.is_positive(t):
+    if not _is_positive(eig.min_eigenvalue, eig.max_eigenvalue, t):
         raise NotPositive(f"min eigenvalue {eig.min_eigenvalue:.3e} below slack")
     return eig.root(t)
 

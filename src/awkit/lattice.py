@@ -152,11 +152,6 @@ class Subalgebra:
         t = _tol(tol)
         return self.membership_residual(x) <= t.pos_slack * (1.0 + frobenius_norm(x))
 
-    def contains_subalgebra(
-        self, other: "Subalgebra", tol: ToleranceConfig | None = None
-    ) -> bool:
-        return all(self.contains(b, tol) for b in other.basis)
-
     def is_commutative(self, tol: ToleranceConfig | None = None) -> bool:
         return _memoized(self, "is_commutative", _tol(tol), Subalgebra._commutes)
 

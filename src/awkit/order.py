@@ -50,14 +50,17 @@ from .core import (
     AlgebraElement,
     ToleranceConfig,
     _NON_FINITE,
+    _adj,
+    _all_finite,
     _check_signatures,
-    _eigh_blocks,
     _eigh_extremes,
+    _extremes,
     _frobenius,
     _gram_norms,
     _is_positive,
     _is_self_adjoint_blocks,
     _max_abs,
+    _norms,
     _tol,
     adjoint,
     frobenius_norm,
@@ -169,8 +172,8 @@ def build_certificate(
     (int or numpy integers, not bool) are accepted for subsequences such as
     geometric ladders. The terms and the limit are stacked once, one
     (N + 1, n_b, n_b) array per block position, after their signatures are
-    checked. The gaps ||a_n - limit|| come from one stack of Gram matrices
-    per block position, with the values of operator_norm(a_n - limit) term
+    checked. The gaps ||a_n - limit|| are one core._norms call on the
+    stacked differences, with the values of operator_norm(a_n - limit) term
     by term; a non-finite difference or Gram matrix raises before any solve
     (the precedence rule of awkit.core). The components are formed on the
     same stacks and checked for finiteness once; a Hermitian or skew part
@@ -194,14 +197,9 @@ def build_certificate(
     _check_signatures(seq, sig)
     n = len(seq)
     sequence = [np.array([*(a.blocks[b] for a in seq), lim]) for b, lim in enumerate(limit.blocks)]
-    # ||a - limit|| per term, from one stack of Gram matrices per block position
+    # ||a - limit|| per term
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = [s[:n] - s[n] for s in sequence]
-        gram = [_adj(d) @ d for d in diff]
-    # a non-finite entry of a difference leaves one on its Gram diagonal
-    if not _all_finite(gram):
-        raise BadArgument(_NON_FINITE)
-    gaps = _gram_norms(gram, t)
+        gaps = _norms([s[:n] - s[n] for s in sequence], t)
     for i, g in zip(indices, gaps):
         if g > tail_rate / i + t.pos_slack:
             raise EnvelopeViolation(
@@ -273,29 +271,9 @@ def _check_shape(c: OrderLimitCertificate):
         raise SignatureMismatch(f"signatures differ: {parts_sig} vs {sig}")
 
 
-def _adj(a: np.ndarray) -> np.ndarray:
-    """Adjoint of every matrix in a stack."""
-    return a.conj().swapaxes(-1, -2)
-
-
 def _each(test, stacks) -> list:
     """Per slot of the leading axes: test holds at every entry at every block position."""
     return np.logical_and.reduce([test(a).all(axis=(-2, -1)) for a in stacks]).tolist()
-
-
-def _all_finite(stacks) -> bool:
-    """Every entry of every stack is finite."""
-    return all(np.isfinite(a).all() for a in stacks)
-
-
-def _norms(stacks, t: ToleranceConfig) -> list:
-    """operator_norm of each of k elements given as one (k, n_b, n_b) stack
-    per block position; a Gram matrix that overflows raises BadArgument
-    before any solve."""
-    gram = [_adj(s) @ s for s in stacks]
-    if not _all_finite(gram):
-        raise BadArgument(_NON_FINITE)
-    return _gram_norms(gram, t)
 
 
 # Below this modulus no square of an entry, and no sum of fewer than 2^64 of
@@ -496,17 +474,16 @@ def limit_calculus_check(
     # (iv) order preservation where the termwise hypothesis holds
     diffs = (c2.terms[j2] - c1.terms[j1] for j1, j2 in pairs)
     hypothesis = all(
-        is_self_adjoint(d, t)
-        and _eigh_blocks(real_part(d).blocks, t, vectors=False).is_positive(t)
+        is_self_adjoint(d, t) and _is_positive(*_extremes(real_part(d).blocks, t), t)
         for d in diffs
     )
     if hypothesis:
         d = c2.limit - c1.limit
         defect = frobenius_norm(d - adjoint(d))
-        eig = _eigh_blocks(real_part(d).blocks, t, vectors=False)
-        resid = max(0.0, -eig.min_eigenvalue, defect)
+        lo, hi = _extremes(real_part(d).blocks, t)
+        resid = max(0.0, -lo, defect)
         worst = max(worst, resid)
-        if resid > t.pos_slack * (1.0 + eig.max_abs_eigenvalue) and failing is None:
+        if resid > t.pos_slack * (1.0 + _max_abs(lo, hi)) and failing is None:
             failing = LOWER_BOUND
     # (v) norm bound from the prefix
     for c in (c1, c2):

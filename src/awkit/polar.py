@@ -18,11 +18,11 @@ stacked, one (k, n, n) array per block, rather than as k separate elements.
 This changes no bit of any result: elementwise float and complex steps are
 exact or correctly rounded entry by entry, however the arrays are laid
 out, and numpy's stacked matmul makes the same BLAS call on each slice as
-the 2-D matmul on the same layout. The diagnostics' Gram matrices are
-solved the same way, one eigenvalues-only Jacobi call per block over all
-rungs (core._gram_norms), each slice with the bits of its own solve. Both
-routes memoize ||x|| from their solve of x*x, so polar_residuals reads its
-scale without an eigensolve.
+the 2-D matmul on the same layout. The diagnostics' norms are taken the
+same way, one stack of Gram matrices and one eigenvalues-only solve per
+block over all rungs (core._norms), each slice with the bits of its own
+solve. Both routes memoize ||x|| from their solve of x*x, so
+polar_residuals reads its scale without an eigensolve.
 
 Both routes also carry the range projections of |x| and |x*|, read off the
 eigensystems of x*x and x x* they build |x| and |x*| from by the rule of
@@ -49,13 +49,14 @@ from .core import (
     _NON_FINITE,
     _check_signatures,
     _eigh_blocks,
+    _eigh_extremes,
     _gram_against,
-    _gram_norms,
+    _is_positive,
     _norm_against,
+    _norms,
     _remember_norm,
     _tol,
     adjoint,
-    loewner_leq,
     operator_norm,
 )
 from .errors import BadArgument, BadCut, SlowConvergence, ZeroElement
@@ -220,7 +221,7 @@ def polar_regularized(
     the rule of _norm_against, and the rungs after the first that stops are
     dropped unread. Each diagnostic is ||(u_n - u) V||, the norm of u_n - u
     since V is unitary, read off a Gram matrix that V makes diagonal up to
-    roundoff; one _gram_norms call takes all of them. Each slice has the
+    roundoff; one core._norms call takes all of them. Each slice has the
     bits of the rung built on its own (see the module docstring). Up to the
     stop, a rung raises, in rung order, what it raised on its own: the
     BadArgument of a non-finite entry, its stop test's eigensolve error, or
@@ -267,12 +268,8 @@ def polar_regularized(
             raise overflow
 
     u = x * eig.inverse_root(t)
-    gaps = [u_n[: last + 1] - b for u_n, b in zip(terms, u.blocks)]
-    rotated = [g @ v for g, v in zip(gaps, eig.unitary.blocks)]
-    gap_grams = [e.swapaxes(-1, -2).conj() @ e for e in rotated]
-    if _finite_rungs(last + 1, (gaps, rotated, gap_grams)) <= last:
-        raise BadArgument(_NON_FINITE)
-    diagnostics = tuple(zip(ns, _gram_norms(gap_grams, t)))
+    rotated = [(u_n[: last + 1] - b) @ v for u_n, b, v in zip(terms, u.blocks, eig.unitary.blocks)]
+    diagnostics = tuple(zip(ns, _norms(rotated, t)))
     last_n = ns[last]
     if sigma_min is not None:
         bound = (1.0 / last_n) / (1.0 / last_n + sigma_min)
@@ -309,27 +306,25 @@ def polar_residuals(
     Per block position the five defects x - |x*| u, x - u |x|, u u* u - u,
     u*u - initial and u u* - final are one (5, n, n) stack, formed by the
     block steps of the element arithmetic, and their norms are one
-    _gram_norms call on the stacked Gram matrices d*d, each with the bits of
-    operator_norm(d). It raises by the precedence rule of awkit.core: an
-    operand of another signature than u raises SignatureMismatch, then a
-    non-finite defect or Gram matrix raises BadArgument, both before any
-    solve; then the first solve fault in defect order is raised.
+    core._norms call, each with the bits of operator_norm(d). It raises by
+    the precedence rule of awkit.core: an operand of another signature than
+    u raises SignatureMismatch, then a non-finite defect or Gram matrix
+    raises BadArgument, both before any solve; then the first solve fault
+    in defect order is raised.
     """
     t = _tol(tol)
     u = result.u
     operands = (x, result.absxstar, result.absx, result.initial.element, result.final.element)
     _check_signatures(operands, u.signature)
-    grams = []
+    stacks = []
     with np.errstate(over="ignore", invalid="ignore"):
         for ub, xb, asb, ab, ib, fb in zip(*(y.blocks for y in (u, *operands))):
             ustar = ub.T.conj()
             uus = ub @ ustar
-            d = np.stack([xb - asb @ ub, xb - ub @ ab, uus @ ub - ub, ustar @ ub - ib, uus - fb])
-            gram = d.swapaxes(-1, -2).conj() @ d
-            if not (np.isfinite(d).all() and np.isfinite(gram).all()):
-                raise BadArgument(_NON_FINITE)
-            grams.append(gram)
-    defects = dict(zip(_DEFECTS, _gram_norms(grams, t)))
+            stacks.append(
+                np.stack([xb - asb @ ub, xb - ub @ ab, uus @ ub - ub, ustar @ ub - ib, uus - fb])
+            )
+    defects = dict(zip(_DEFECTS, _norms(stacks, t)))
     scale = 1.0 + operator_norm(x, t)
     thr = 10.0 * t.pos_slack * scale
     accepted = all(v <= thr for v in defects.values())
@@ -423,7 +418,11 @@ def resolvent_gap_inequality(
     """Check the squared resolvent-gap bound in the Loewner order.
 
     With R_j = (1/j + |x|)^{-1}, D = R_n - R_m and S = x D + D x*, verifies
-    0 <= S^2 and S^2 <= 2 (x D^2 x* + D x* x D).
+    0 <= S^2 and S^2 <= 2 (x D^2 x* + D x* x D). Both sides are Hermitian by
+    construction, so they are not checked for self-adjointness as operands
+    from outside are (loewner_leq): S^2 and the difference of the sides are
+    solved as one stack per block, and each is tested for positivity within
+    slack by the rule of loewner_leq.
     """
     t = _tol(tol)
     if n < 1 or m < 1:
@@ -438,5 +437,5 @@ def resolvent_gap_inequality(
     s = x * delta + delta * adjoint(x)
     s2 = s * s
     rhs = 2.0 * (x * delta * delta * adjoint(x) + delta * gram * delta)
-    zero = AlgebraElement.zeros(x.signature)
-    return loewner_leq(zero, s2, t) and loewner_leq(s2, rhs, t)
+    stacks = [np.stack(pair) for pair in zip(s2.blocks, (rhs - s2).blocks)]
+    return all(_is_positive(lo, hi, t) for lo, hi in _eigh_extremes(stacks, t))

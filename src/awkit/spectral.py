@@ -63,10 +63,6 @@ class Spectrum:
     points: tuple[complex, ...]
     multiplicities: tuple[int, ...]
 
-    @property
-    def total_dim(self) -> int:
-        return sum(self.multiplicities)
-
 
 @dataclass(frozen=True)
 class SpectralFunction:

@@ -1,9 +1,11 @@
-"""Timing of eigh_hermitian on one random Hermitian block per size, with
-and without eigenvector accumulation, and of the stacked Jacobi driver on k
-random Hermitian blocks of one size, eigenvalues only, as the order-limit
-certificate solves them, and on the 21 near-diagonal 8x8 Gram matrices of
-the resolvent ladder's diagnostics, at unit scale and with every other
-slice at a scale whose squares underflow (solved rescaled).
+"""Timing of the two readers of the one Jacobi driver on one random
+Hermitian block per size: _eigh_blocks, which accumulates eigenvectors, and
+_eigh_extremes, which reads the extreme eigenvalues alone; and of the
+stacked Jacobi kernel on k random Hermitian blocks of one size, eigenvalues
+only, as the order-limit certificate solves them, and on the 21
+near-diagonal 8x8 Gram matrices of the resolvent ladder's diagnostics, at
+unit scale and with every other slice at a scale whose squares underflow
+(solved rescaled).
 
     PYTHONPATH=src python -m pytest tests/bench_eigh.py --benchmark-only
 
@@ -14,18 +16,25 @@ default test run does not collect it.
 import numpy as np
 import pytest
 
-from awkit.core import AlgebraElement, _jacobi_eigh, eigh_hermitian
+from awkit.core import DEFAULT_TOL, _eigh_blocks, _eigh_extremes, _jacobi_eigh
 
 
-@pytest.mark.parametrize("vectors", [True, False])
-@pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32])
-def test_eigh_hermitian(benchmark, n, vectors):
+def _hermitian(n: int) -> np.ndarray:
     rng = np.random.default_rng(n)
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    h = AlgebraElement([m + m.conj().T])
-    eig = benchmark(eigh_hermitian, h, vectors=vectors)
-    assert eig.eigenvalues[0].shape == (n,)
-    assert (eig.unitary is None) is not vectors
+    return m + m.conj().T
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32])
+def test_eigh_blocks(benchmark, n):
+    eig = benchmark(_eigh_blocks, [_hermitian(n)], DEFAULT_TOL)
+    assert eig.eigenvalues[0].shape == (n,) and eig.unitary.blocks[0].shape == (n, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32])
+def test_eigh_extremes(benchmark, n):
+    ((lo, hi),) = benchmark(_eigh_extremes, [_hermitian(n)[None]], DEFAULT_TOL)
+    assert lo <= hi
 
 
 @pytest.mark.parametrize("n", [1, 2, 8])

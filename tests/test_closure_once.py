@@ -4,9 +4,11 @@ replaced.
 ``_reference_monotone_closure`` is an earlier body of
 ``awkit.lattice.monotone_closure``, kept verbatim with its helpers
 ``_support_masks`` and ``_closure_step`` as a named oracle, with local
-copies of the face cap and its exception. It built the closure inside each
-MASA from support masks over the MASA's rank-one projections and iterated
-the face-supremum pass to a fixed point. The masks are nonempty and pairwise
+copies of the face cap and its exception; its containment test, the
+deleted ``Subalgebra.contains_subalgebra``, is the named oracle
+``test_masa_stacks._reference_contains_subalgebra``. It built the closure
+inside each MASA from support masks over the MASA's rank-one projections
+and iterated the face-supremum pass to a fixed point. The masks are nonempty and pairwise
 disjoint, so every pass adjoined the 2^m subset sums of b's minimal
 projections, whichever MASA it ran in, and the loop returned on its first
 pass. The closure is now generated by the m face suprema alone, each read
@@ -40,6 +42,7 @@ from awkit.lattice import (
     spans_equal,
 )
 from awkit.sampling import haar_unitary_block
+from test_masa_stacks import _reference_contains_subalgebra
 
 # --- the earlier body, verbatim -------------------------------------------------
 
@@ -126,7 +129,7 @@ def _reference_monotone_closure(b, masa, tol=None):
         raise NotCommuting("closure requires a commutative subalgebra")
     if not masa.is_masa(t):
         raise ValueError("closure must be taken inside a maximal commutative subalgebra")
-    if not masa.contains_subalgebra(b, t):
+    if not _reference_contains_subalgebra(masa, b, t):
         raise NotContained("subalgebra does not lie inside the MASA")
     current = b
     for _ in range(sum(b.signature) + 1):
@@ -233,7 +236,7 @@ def test_atom_check_rejects_what_membership_accepts():
     atom = np.sqrt(2.0) * np.sin(0.7) / 2.0
     assert member < atom
     t = ToleranceConfig(pos_slack=(member + atom) / 2.0)
-    assert d.is_masa(t) and d.contains_subalgebra(b, t)
+    assert d.is_masa(t) and _reference_contains_subalgebra(d, b, t)
     assert _assert_same(b, d, t) == (
         NotContained,
         "a minimal projection is not a sum of the MASA's rank-one projections",

@@ -12,7 +12,9 @@ the eigenvalues scaled back by 2^e. A slice with a non-finite entry fails
 as before, with a message that names the entry. ``_eigh_blocks`` solves
 one element's blocks as stacks of one and must raise the first failure in
 block order, or return the oracle's bits in read-only eigenvalue arrays
-and owning, F-ordered unitary blocks.
+and owning, F-ordered unitary blocks; ``core._extremes``, the eigenvalues-only
+reading of the same driver, must raise that failure too, or return the
+least and largest of the oracle's eigenvalues.
 """
 
 import math
@@ -165,8 +167,9 @@ def test_stacked_driver_matches_per_block_solve_bit_for_bit(drawn):
 @st.composite
 def elements(draw):
     """(blocks, rel_off_tol, max_sweeps, vectors): 1-4 blocks of sizes 1-8,
-    each of a drawn kind, not yet hermitized; _eigh_blocks is run with the
-    stop rule patched to (rel_off_tol, max_sweeps)."""
+    each of a drawn kind, not yet hermitized; _eigh_blocks (with vectors) or
+    core._extremes (without) is run with the stop rule patched to
+    (rel_off_tol, max_sweeps)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sizes = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4))
     blocks = [_slice(draw(st.sampled_from(KINDS)), n, rng) for n in sizes]
@@ -180,20 +183,22 @@ def test_eigh_blocks_raises_the_first_fault_or_returns_owning_blocks(drawn):
     blocks, rel, max_sweeps, vectors = drawn
     with np.errstate(all="ignore"):
         want = [expected(m, rel, max_sweeps, vectors) for m in blocks]
+        solve = core._eigh_blocks if vectors else core._extremes
         with mock.patch.multiple(core, _JACOBI_OFF_TOL=rel, _MAX_SWEEPS=max_sweeps):
-            got = outcome(lambda: core._eigh_blocks(blocks, core.DEFAULT_TOL, vectors))
+            got = outcome(lambda: solve(blocks, core.DEFAULT_TOL))
     faults = [o for o in want if failed(o)]
     if faults:
         assert got == faults[0]
         return
-    assert (got.unitary is None) is not vectors
+    if not vectors:
+        assert got == (min(w[0] for w, _ in want), max(w[-1] for w, _ in want))
+        return
     for b, (w, u) in enumerate(want):
         assert same_bits(got.eigenvalues[b], w)
         assert not got.eigenvalues[b].flags.writeable
-        if vectors:
-            v = got.unitary.blocks[b]
-            assert same_bits(v, u)
-            assert v.base is None and v.flags.f_contiguous
+        v = got.unitary.blocks[b]
+        assert same_bits(v, u)
+        assert v.base is None and v.flags.f_contiguous
 
 
 def test_an_empty_stack_solves_nothing():

@@ -8,9 +8,10 @@ oracles:
 - ``_reference_commutes``, the body of ``Subalgebra._commutes``: every pair
   of basis elements commutes within 2 pos_slack, formed as elements. It was
   generate_masa's postcondition and is_masa's test on a MASA.
-- ``_reference_contains_subalgebra``, ``Subalgebra.contains_subalgebra``
-  with the ``contains``, ``membership_residual`` and ``project`` it called:
-  each basis element of b is projected on the MASA's vectorized basis.
+- ``_reference_contains_subalgebra``, the deleted
+  ``Subalgebra.contains_subalgebra`` with the ``contains``,
+  ``membership_residual`` and ``project`` it called: each basis element of
+  b is projected on the MASA's vectorized basis.
 - ``_reference_require_atom_sums``, the face suprema of b's minimal
   projections, summed element by element over the overlaps ``_overlap``
   measures.

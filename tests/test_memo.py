@@ -15,7 +15,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from awkit import cli, core, lattice, order, polar
+from awkit import cli, core, lattice, polar
 from awkit.core import AlgebraElement, ToleranceConfig, is_normal, operator_norm
 from awkit.errors import NonConvergence
 from awkit.lattice import Subalgebra, generate_masa, minimal_projections
@@ -76,17 +76,31 @@ def _counting(monkeypatch, module, name):
     return seen
 
 
-def _counting_gram_norms(monkeypatch):
-    """Replace polar._gram_norms by a wrapper that records the shapes of its stacks."""
-    body = polar._gram_norms
+def _counting_norms(monkeypatch):
+    """Replace polar._norms by a wrapper that records the shapes of its stacks."""
+    body = polar._norms
     seen = []
 
     def counted(stacks, t):
         seen.append([s.shape for s in stacks])
         return body(stacks, t)
 
-    monkeypatch.setattr(polar, "_gram_norms", counted)
+    monkeypatch.setattr(polar, "_norms", counted)
     return seen
+
+
+def _counting_blocks(monkeypatch):
+    """Replace _eigh_blocks in core and polar by a wrapper that counts its calls."""
+    body = core._eigh_blocks
+    solves = []
+
+    def counted(blocks, t):
+        solves.append(len(blocks))
+        return body(blocks, t)
+
+    for module in (core, polar):
+        monkeypatch.setattr(module, "_eigh_blocks", counted)
+    return solves
 
 
 def _degenerate_normal():
@@ -143,7 +157,8 @@ def test_closure_call_computes_each_value_once(tmp_path, capsys, monkeypatch):
 
 
 def test_closure_call_eigensolves(tmp_path, capsys, monkeypatch):
-    # eigenvalues only: one for the input's norm in its normality verdict and
+    # counted at the one driver, core._solve, with its vectors flag.
+    # Eigenvalues only: one for the input's norm in its normality verdict and
     # one per gap ||s_i - t_i|| over the 3 pairs of face suprema, which are
     # sums of the MASAs' rank-one projections and take none. In between, with
     # eigenvectors, the 5 compression solves of one joint eigensolve of g,
@@ -152,15 +167,14 @@ def test_closure_call_eigensolves(tmp_path, capsys, monkeypatch):
     # the residuals and the verdict
     f = tmp_path / "g.json"
     f.write_text(json.dumps(cli.element_to_json(_degenerate_normal())))
-    body = core._eigh_blocks
+    body = core._solve
     solves = []
 
-    def counted(blocks, t, vectors=True):
+    def counted(stacks, vectors):
         solves.append(vectors)
-        return body(blocks, t, vectors)
+        return body(stacks, vectors)
 
-    for module in (core, order, polar):
-        monkeypatch.setattr(module, "_eigh_blocks", counted)
+    monkeypatch.setattr(core, "_solve", counted)
     angles = []
     angles_body = lattice.principal_angles
 
@@ -180,7 +194,7 @@ def test_polar_residuals_reads_the_norm_of_x_from_the_route(tmp_path, capsys, mo
     # the route solved x*x and memoized ||x|| on x: the verifier's scale
     # 1 + ||x|| takes no eigensolve, and it reads the range projections of
     # |x| and |x*| off the route's result, so its only solves are the 5
-    # defect norms: one _gram_norms call on a (5, n, n) stack per block
+    # defect norms: one _norms call on a (5, n, n) stack per block
     rng = np.random.default_rng(6)
     x = AlgebraElement([
         (haar_unitary_block(n, rng) * rng.uniform(0.1, 2.0, n)) @ haar_unitary_block(n, rng)
@@ -189,16 +203,8 @@ def test_polar_residuals_reads_the_norm_of_x_from_the_route(tmp_path, capsys, mo
     f = tmp_path / "x.json"
     f.write_text(json.dumps(cli.element_to_json(x)))
     norms = _counting(monkeypatch, core, "_operator_norm")
-    body = core._eigh_blocks
-    solves = []
-
-    def counted(blocks, t, vectors=True):
-        solves.append(vectors)
-        return body(blocks, t, vectors)
-
-    for module in (core, polar):
-        monkeypatch.setattr(module, "_eigh_blocks", counted)
-    grams = _counting_gram_norms(monkeypatch)
+    solves = _counting_blocks(monkeypatch)
+    grams = _counting_norms(monkeypatch)
     residuals_body = polar.polar_residuals
     inside = {}
 
@@ -225,22 +231,14 @@ def test_polar_residuals_reads_the_norm_of_x_from_the_route(tmp_path, capsys, mo
 def test_verify_polar_solves_each_gram_matrix_once(monkeypatch):
     # its own solves of x*x and x x* give |x|, |x*|, their range projections
     # and ||x||; the rest are the 5 defect norms, eigenvalues only, in one
-    # _gram_norms call on a (5, n, n) stack per block
+    # _norms call on a (5, n, n) stack per block
     rng = np.random.default_rng(6)
     x = random_element((3, 4), rng)
     u = polar.polar_direct(AlgebraElement(x.blocks)).u
-    body = core._eigh_blocks
-    solves = []
-
-    def counted(blocks, t, vectors=True):
-        solves.append(vectors)
-        return body(blocks, t, vectors)
-
-    for module in (core, polar):
-        monkeypatch.setattr(module, "_eigh_blocks", counted)
-    grams = _counting_gram_norms(monkeypatch)
+    solves = _counting_blocks(monkeypatch)
+    grams = _counting_norms(monkeypatch)
     assert polar.verify_polar(x, u)
-    assert Counter(solves) == {True: 2}
+    assert solves == [2, 2]
     assert grams == [[(5, 3, 3), (5, 4, 4)]]
 
 

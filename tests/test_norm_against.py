@@ -184,8 +184,8 @@ def _counting(monkeypatch, module, name):
 def test_ladder_loop_makes_no_operator_norm_call(monkeypatch):
     # at unit scale the Gram bounds decide every stop test, made on the
     # stacked Gram matrices by the Gram-level rule: the eigensolves are |x|
-    # and |x*| and one stacked Gram norm call for all diagnostics entries,
-    # and no element's operator_norm runs
+    # and |x*| and one stacked norm call (core._norms) for all diagnostics
+    # entries, and no element's operator_norm runs
     rng = np.random.default_rng(4)
     x = AlgebraElement([
         (haar_unitary_block(n, rng) * rng.uniform(0.5, 2.0, n)) @ haar_unitary_block(n, rng)
@@ -195,7 +195,7 @@ def test_ladder_loop_makes_no_operator_norm_call(monkeypatch):
     solves = _counting(monkeypatch, core, "_eigh_blocks")
     own_solves = _counting(monkeypatch, polar, "_eigh_blocks")
     stop_tests = _counting(monkeypatch, polar, "_gram_against")
-    diagnostics = _counting(monkeypatch, polar, "_gram_norms")
+    diagnostics = _counting(monkeypatch, polar, "_norms")
     result = polar_regularized(x)
     rungs = len(result.diagnostics)
     assert len(stop_tests) == rungs - 1 == 20

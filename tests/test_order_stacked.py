@@ -10,8 +10,10 @@ stacked one. ``_elements`` reads a stacked certificate's element views back.
 
 ``_reference_verify`` is the earlier body of ``awkit.order.verify_certificate``,
 which checked one component at a time on ``AlgebraElement`` intermediates,
-kept verbatim as a named oracle, with ``_reference_check_shape``, the
-earlier per-element signature walk. On built certificates, on certificates
+kept verbatim as a named oracle (its eigenvalues-only solve,
+``eigh_hermitian(real_part(d), t, vectors=False)``, now reads the same
+extreme eigenvalues off ``core._extremes``), with ``_reference_check_shape``,
+the earlier per-element signature walk. On built certificates, on certificates
 tampered toward each failing condition, and on ones whose arithmetic
 overflows or that are not self-adjoint, at the default sweep budget and at
 one sweep, the stacked verifier must return the same report on the
@@ -56,9 +58,11 @@ from awkit.core import (
     AlgebraElement,
     ToleranceConfig,
     _check_signatures,
+    _extremes,
+    _is_positive,
+    _max_abs,
     _tol,
     adjoint,
-    eigh_hermitian,
     frobenius_norm,
     imag_part,
     is_self_adjoint,
@@ -171,14 +175,14 @@ def _reference_verify(c, tol=None):
                 residuals[LOWER_BOUND] = max(residuals[LOWER_BOUND], defect)
                 failing[LOWER_BOUND] = True
                 continue
-            eig = eigh_hermitian(real_part(d), t, vectors=False)
-            residuals[LOWER_BOUND] = max(residuals[LOWER_BOUND], -eig.min_eigenvalue)
-            if not eig.is_positive(t):
+            lo, hi = _extremes(real_part(d).blocks, t)
+            residuals[LOWER_BOUND] = max(residuals[LOWER_BOUND], -lo)
+            if not _is_positive(lo, hi, t):
                 failing[LOWER_BOUND] = True
             bound = 2.0 * eps[j]
-            up_resid = max(0.0, eig.max_eigenvalue - bound)
+            up_resid = max(0.0, hi - bound)
             residuals[UPPER_BOUND] = max(residuals[UPPER_BOUND], up_resid)
-            if up_resid > t.pos_slack * (1.0 + eig.max_abs_eigenvalue + bound):
+            if up_resid > t.pos_slack * (1.0 + _max_abs(lo, hi) + bound):
                 failing[UPPER_BOUND] = True
 
     for j, a in enumerate(c.terms):

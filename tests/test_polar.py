@@ -1,5 +1,7 @@
 """Polar decomposition tests: both routes, uniqueness gate, spectral cuts."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -450,6 +452,48 @@ def test_gap_inequality_random_sweep():
         n = int(rng.integers(1, 64))
         m = int(rng.integers(n + 1, 65))
         assert resolvent_gap_inequality(x, n, m)
+
+
+def test_gap_inequality_holds_at_a_slack_below_roundoff():
+    # s^2 and the right-hand side are Hermitian by construction, so the
+    # roundoff skew of the products does not reject them as operands from
+    # outside would be; the inequality holds on each input
+    t = ToleranceConfig(pos_slack=1e-20)
+    for seed in range(20):
+        x = random_element((4,), np.random.default_rng(seed))
+        assert resolvent_gap_inequality(x, 2, 5, t) is True
+
+
+def _reference_gap_inequality(x, n, m, t):
+    """The two Loewner comparisons the inequality made through loewner_leq,
+    with its check of outside operands left out."""
+    gram = adjoint(x) * x
+    eig = core._eigh_blocks(gram.blocks, t)
+
+    def resolvent(j):
+        return eig.assemble(lambda w: 1.0 / (1.0 / j + np.sqrt(np.maximum(w, 0.0))))
+
+    delta = resolvent(n) - resolvent(m)
+    s = x * delta + delta * adjoint(x)
+    s2 = s * s
+    rhs = 2.0 * (x * delta * delta * adjoint(x) + delta * gram * delta)
+    zero = AlgebraElement.zeros(x.signature)
+    with mock.patch.object(core, "_require_self_adjoint", lambda *args: None):
+        return loewner_leq(zero, s2, t) and loewner_leq(s2, rhs, t)
+
+
+@pytest.mark.parametrize("slack", [1e-10, 1e-16, 1e-20])
+def test_gap_inequality_decides_as_the_loewner_order(slack):
+    # one stacked solve of [s^2, rhs - s^2] per block position gives the
+    # verdicts of the two loewner_leq calls on the same operands
+    t = ToleranceConfig(pos_slack=slack)
+    rng = np.random.default_rng(35)
+    for _ in range(30):
+        sig = random_signature(rng, max_blocks=3, dims=(1, 6))
+        x = random_element(sig, rng) * float(10.0 ** rng.uniform(-3, 3))
+        n = int(rng.integers(1, 16))
+        m = int(rng.integers(1, 64))
+        assert resolvent_gap_inequality(x, n, m, t) == _reference_gap_inequality(x, n, m, t)
 
 
 # --- blockwise reduction -------------------------------------------------------------

@@ -13,7 +13,7 @@ fed that body.
 ``_per_defect_polar_residuals`` is the body that followed it, kept as a
 named oracle: it formed each of the five defects as an element and took its
 operator_norm, one eigensolve per defect. ``polar_residuals`` now stacks the
-five defects per block position and takes their norms in one _gram_norms
+five defects per block position and takes their norms in one core._norms
 call. On the genuine u of either route and on candidates built from it,
 at the default sweep budget and at one sweep, both return the same
 residuals to the bit and the same verdict, or raise the same exception

@@ -34,10 +34,12 @@ bound + 10 pos_slack.
 
 The reference re-checks the self-adjointness and the positivity of the
 matrices it forms, in positive_sqrt and in its snap's
-_pseudo_inverse_on_range (a verbatim copy of the earlier public function
-of that name), which below roundoff (pos_slack 1e-20) fail on roundoff; the ladder checks none of them. Where the reference raises
-NotSelfAdjoint or NotPositive, the ladder must return what the reference
-returns with those checks made no-ops.
+_pseudo_inverse_on_range (a copy of the earlier public function of that
+name, which reads the positivity rule core._is_positive in place of the
+deleted HermitianEigenSystem.is_positive), which below roundoff (pos_slack
+1e-20) fail on roundoff; the ladder checks none of them. Where the
+reference raises NotSelfAdjoint or NotPositive, the ladder must return what
+the reference returns with those checks made no-ops.
 
 The last tests pin the Jacobi sweeps of one ladder call, hold each gap to
 the analytic bound (1/n) / (1/n + sigma_min) that it equals in exact
@@ -72,7 +74,7 @@ def _pseudo_inverse_on_range(
     """Inverse of a positive element on its range, zero on its kernel."""
     t = _tol(tol)
     eig = eigh_hermitian(h, t)
-    if not eig.is_positive(t):
+    if not core._is_positive(eig.min_eigenvalue, eig.max_eigenvalue, t):
         raise NotPositive(f"min eigenvalue {eig.min_eigenvalue:.3e} below slack")
     return eig.inverse(t)
 
@@ -191,7 +193,7 @@ def _assert_same(x, n_max, t):
     expected, ref = _outcome(_reference_polar_regularized, x, n_max, t)
     if expected[0] == "raised" and expected[1] in (NotSelfAdjoint, NotPositive):
         with mock.patch.object(core, "_require_self_adjoint", lambda *args: None), \
-                mock.patch.object(core.HermitianEigenSystem, "is_positive", lambda *args: True):
+                mock.patch.object(core, "_is_positive", lambda *args: True):
             expected, ref = _outcome(_reference_polar_regularized, x, n_max, t)
     got, new = _outcome(polar_regularized, x, n_max, t)
     if {got[0], expected[0]} == {"raised", "result"}:

@@ -336,35 +336,30 @@ def test_diagnostic_faults_are_raised_in_rung_order(monkeypatch, fault_rung, non
     injected = NonConvergence("injected into one rung's diagnostic solve")
 
     # the ladder: the fault goes into slice fault_rung of every driver call
-    # that _gram_norms makes, and _finite_rungs' second call, on the
-    # diagnostics, stops at non_finite_rung
-    inside, finite_calls, solved = [], [], []
-    gram_norms, driver, finite_rungs = polar._gram_norms, core._jacobi_eigh, polar._finite_rungs
+    # that _norms makes on the diagnostics, and an entry of rung
+    # non_finite_rung of the first diagnostic stack is made infinite
+    inside, solved = [], []
+    norms, driver = polar._norms, core._jacobi_eigh
 
     def diagnostics(stacks, tol):
-        solved.append(True)
+        if non_finite_rung is not None:
+            stacks = [s.copy() for s in stacks]
+            stacks[0][non_finite_rung, 0, 0] = np.inf
         inside.append(True)
         try:
-            return gram_norms(stacks, tol)
+            return norms(stacks, tol)
         finally:
             inside.pop()
 
     def faulty_driver(mats, rel_off_tol, max_sweeps, vectors=True):
+        solved.append(bool(inside))
         w, u, faults = driver(mats, rel_off_tol, max_sweeps, vectors)
         if inside and fault_rung < len(mats):
             faults.setdefault(fault_rung, injected)
         return w, u, faults
 
-    def finite(k, stacks):
-        finite_calls.append(k)
-        n = finite_rungs(k, stacks)
-        if len(finite_calls) == 2 and non_finite_rung is not None:
-            return min(n, non_finite_rung)
-        return n
-
-    monkeypatch.setattr(polar, "_gram_norms", diagnostics)
+    monkeypatch.setattr(polar, "_norms", diagnostics)
     monkeypatch.setattr(core, "_jacobi_eigh", faulty_driver)
-    monkeypatch.setattr(polar, "_finite_rungs", finite)
 
     # the per-rung body: rung i's diagnostic is its (i + 1)-th operator_norm
     # call, which forms the rung's element (BadArgument when non-finite) and
@@ -384,7 +379,7 @@ def test_diagnostic_faults_are_raised_in_rung_order(monkeypatch, fault_rung, non
     got, expected = _pair(x, DEFAULT_LADDER_MAX, t)
     if non_finite_rung is not None:
         assert got == ("raised", BadArgument, _NON_FINITE)
-        assert len(finite_calls) == 2 and not solved
+        assert not any(solved)
         return
     assert got == expected
     assert len(rungs) == min(fault_rung, 21) + 1

@@ -5,7 +5,9 @@
 checked per-atom positivity by eigensolve and finite additivity on a 2^n
 table of subset sums, and raised TooManyPoints (kept here as a local copy)
 above 12 points. Its probe of the table against the removed ``measure_of``
-on three subsets is dropped; the table and the single-point checks stay. On a finite discrete spectrum both regularity identities
+on three subsets is dropped; the table and the single-point checks stay.
+Its per-atom solve, ``_eigh_blocks(..., vectors=False)``, now reads the
+least eigenvalue off ``core._extremes``, with the same bits. On a finite discrete spectrum both regularity identities
 hold exactly when the atoms are pairwise orthogonal projections summing to
 1, which is what check_regularity now accepts. On normal elements with at
 most 12 spectrum points both must give the same verdict.
@@ -23,7 +25,7 @@ from awkit.core import (
     AlgebraElement,
     Projection,
     ToleranceConfig,
-    _eigh_blocks,
+    _extremes,
     _tol,
     adjoint,
     frobenius_norm,
@@ -66,8 +68,8 @@ def _reference_check_regularity(m, tol=None):
             f"subset enumeration is limited to {REGULARITY_POINT_LIMIT} points"
         )
     for p in points:
-        eig = _eigh_blocks(m.atoms[p].element.blocks, t, vectors=False)
-        if eig.min_eigenvalue < -t.pos_slack:
+        lo, _ = _extremes(m.atoms[p].element.blocks, t)
+        if lo < -t.pos_slack:
             return False
     atom_vecs = np.array(
         [np.concatenate([b.ravel() for b in m.atoms[p].element.blocks]) for p in points]
