@@ -15,8 +15,9 @@ step per stack; the sweep runs slice by slice, and each slice gets the bits,
 or the failure, a stack of it alone gets. Its one caller is the driver
 ``_solve``: it takes k elements of one signature as one stack per block
 position, passes the stop rule _JACOBI_OFF_TOL and _MAX_SWEEPS, and raises
-the fault of the lowest element that fails. Two thin readers of it answer
-every question:
+the fault of the lowest element that fails. The stop rule is the module's,
+not a ToleranceConfig's, so neither the driver nor the two thin readers of
+it, which answer every question, take a tolerance:
 
 - ``_eigh_blocks`` gives the eigensystem, eigenvectors included, of one
   element's blocks; every assembled function of a Hermitian element (a
@@ -710,7 +711,7 @@ def eigh_hermitian(h: AlgebraElement, tol: ToleranceConfig | None = None) -> Her
     its blocks by _eigh_blocks."""
     t = _tol(tol)
     _require_self_adjoint(h, t, "eigh_hermitian input")
-    return _eigh_blocks(h.blocks, t)
+    return _eigh_blocks(h.blocks)
 
 
 def _solve(stacks, vectors: bool) -> list:
@@ -731,7 +732,7 @@ def _solve(stacks, vectors: bool) -> list:
     return solved
 
 
-def _eigh_blocks(blocks, t: ToleranceConfig) -> HermitianEigenSystem:
+def _eigh_blocks(blocks) -> HermitianEigenSystem:
     """The eigensystem of one element's blocks, each solved as a stack of
     one; the first block that fails raises its fault."""
     values, units = [], []
@@ -751,7 +752,7 @@ def _check_signatures(elements, sig) -> None:
             raise SignatureMismatch(f"signatures differ: {x.signature} vs {sig}")
 
 
-def _eigh_extremes(stacks, t: ToleranceConfig) -> list:
+def _eigh_extremes(stacks) -> list:
     """Per element of k given as one (k, n_b, n_b) stack per block position
     b, (lo, hi): the least and largest eigenvalue over its blocks, the
     min_eigenvalue and max_eigenvalue of its _eigh_blocks solve, to the bit.
@@ -762,9 +763,9 @@ def _eigh_extremes(stacks, t: ToleranceConfig) -> list:
     return [(min(lo), max(hi)) for lo, hi in zip(zip(*los), zip(*his))]
 
 
-def _extremes(blocks, t: ToleranceConfig) -> tuple:
+def _extremes(blocks) -> tuple:
     """(lo, hi) of _eigh_extremes for the blocks of one element."""
-    return _eigh_extremes([b[None] for b in blocks], t)[0]
+    return _eigh_extremes([b[None] for b in blocks])[0]
 
 
 # the cluster gap's np.linalg.norm, before its rescale, and a compression may
@@ -797,7 +798,7 @@ def simultaneous_eigh(
                 continue
             v = basis[:, idx]
             comp = v.conj().T @ m @ v
-            eig = _eigh_blocks([comp], t)
+            eig = _eigh_blocks([comp])
             w = eig.eigenvalues[0]
             basis[:, idx] = v @ eig.unitary.blocks[0]
             start = 0
@@ -889,18 +890,18 @@ def operator_norm(x: AlgebraElement, tol: ToleranceConfig | None = None) -> floa
 
 
 def _operator_norm(x: AlgebraElement, t: ToleranceConfig) -> float:
-    return _gram_norm((adjoint(x) * x).blocks, t)
+    return _gram_norm((adjoint(x) * x).blocks)
 
 
-def _gram_norm(gram_blocks, t: ToleranceConfig) -> float:
+def _gram_norm(gram_blocks) -> float:
     """sqrt of the top eigenvalue of the Gram matrix x*x, clamped at 0."""
-    return _norm_from_gram(_extremes(gram_blocks, t)[1])
+    return _norm_from_gram(_extremes(gram_blocks)[1])
 
 
-def _gram_norms(stacks, t: ToleranceConfig) -> list:
+def _gram_norms(stacks) -> list:
     """_gram_norm of k Gram matrices x*x given as one (k, n_b, n_b) stack
     per block position: per element ||x||. It raises as _eigh_extremes does."""
-    return [_norm_from_gram(hi) for _, hi in _eigh_extremes(stacks, t)]
+    return [_norm_from_gram(hi) for _, hi in _eigh_extremes(stacks)]
 
 
 def _adj(a: np.ndarray) -> np.ndarray:
@@ -913,7 +914,7 @@ def _all_finite(stacks) -> bool:
     return all(np.isfinite(a).all() for a in stacks)
 
 
-def _norms(stacks, t: ToleranceConfig) -> list:
+def _norms(stacks) -> list:
     """operator_norm of each of k elements given as one (k, n_b, n_b) stack
     per block position, with its bits. A non-finite element leaves a
     non-finite entry on its Gram diagonal, so it, or a Gram matrix that
@@ -922,7 +923,7 @@ def _norms(stacks, t: ToleranceConfig) -> list:
         gram = [_adj(s) @ s for s in stacks]
     if not _all_finite(gram):
         raise BadArgument(_NON_FINITE)
-    return _gram_norms(gram, t)
+    return _gram_norms(gram)
 
 
 def _norm_from_gram(top: float) -> float:
@@ -952,10 +953,10 @@ def _norm_against(x: AlgebraElement, bound: float, t: ToleranceConfig) -> float:
     known = getattr(x, "_memo", {}).get(("operator_norm", t), _MISSING)
     if known is not _MISSING:
         return known
-    return _gram_against((adjoint(x) * x).blocks, bound, t)
+    return _gram_against((adjoint(x) * x).blocks, bound)
 
 
-def _gram_against(gram_blocks, bound: float, t: ToleranceConfig) -> float:
+def _gram_against(gram_blocks, bound: float) -> float:
     """A value that compares with bound as ||x|| does, given the blocks of
     the Gram matrix x*x.
 
@@ -967,7 +968,7 @@ def _gram_against(gram_blocks, bound: float, t: ToleranceConfig) -> float:
     included, gives the exact norm's verdict. In between, and whenever lo
     lies outside [1e-150, 1e150] (near where the eigensolve's Frobenius
     scale underflows or overflows, and its answer may leave the bracket),
-    it returns the eigensolved norm, _gram_norm(gram_blocks, t).
+    it returns the eigensolved norm, _gram_norm(gram_blocks).
 
     The one difference from operator_norm: a NonConvergence that only a
     skipped eigensolve would have raised (a Gram matrix the sweep cannot
@@ -981,7 +982,7 @@ def _gram_against(gram_blocks, bound: float, t: ToleranceConfig) -> float:
         hi = max(float(d.sum()) for d in diagonals)
         if hi < 0.25 * bound * bound:
             return math.sqrt(hi)
-    return _gram_norm(gram_blocks, t)
+    return _gram_norm(gram_blocks)
 
 
 def is_normal(a: AlgebraElement, tol: ToleranceConfig | None = None) -> bool:
@@ -1006,7 +1007,7 @@ def loewner_leq(
     t = _tol(tol)
     _require_self_adjoint(a, t, "loewner_leq left argument")
     _require_self_adjoint(b, t, "loewner_leq right argument")
-    return _is_positive(*_extremes((b - a).blocks, t), t)
+    return _is_positive(*_extremes((b - a).blocks), t)
 
 
 def positive_sqrt(

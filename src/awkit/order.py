@@ -199,7 +199,7 @@ def build_certificate(
     sequence = [np.array([*(a.blocks[b] for a in seq), lim]) for b, lim in enumerate(limit.blocks)]
     # ||a - limit|| per term
     with np.errstate(over="ignore", invalid="ignore"):
-        gaps = _norms([s[:n] - s[n] for s in sequence], t)
+        gaps = _norms([s[:n] - s[n] for s in sequence])
     for i, g in zip(indices, gaps):
         if g > tail_rate / i + t.pos_slack:
             raise EnvelopeViolation(
@@ -360,7 +360,7 @@ def verify_certificate(
         if not _all_finite(solved):
             raise BadArgument(_NON_FINITE)
 
-        for j, (lo, hi) in zip(cols, _eigh_extremes(solved, t)):
+        for j, (lo, hi) in zip(cols, _eigh_extremes(solved)):
             residuals[LOWER_BOUND] = max(residuals[LOWER_BOUND], -lo)
             if not _is_positive(lo, hi, t):
                 failing[LOWER_BOUND] = True
@@ -373,9 +373,9 @@ def verify_certificate(
         # operator_norm(total - a), from the Gram matrix it would form; the
         # threshold pos_slack (1 + ||a||) >= pos_slack, so ||a|| is only
         # needed where r exceeds pos_slack
-        sums = _gram_norms(gram, t)
+        sums = _gram_norms(gram)
         over = [j for j, r in enumerate(sums) if r > t.pos_slack]
-        norms = dict(zip(over, _norms([s[over] for s in c.sequence], t))) if over else {}
+        norms = dict(zip(over, _norms([s[over] for s in c.sequence]))) if over else {}
         for j, r in enumerate(sums):
             residuals[SUM_DECOMPOSITION] = max(residuals[SUM_DECOMPOSITION], r)
             if j in norms and r > t.pos_slack * (1.0 + norms[j]):
@@ -474,13 +474,13 @@ def limit_calculus_check(
     # (iv) order preservation where the termwise hypothesis holds
     diffs = (c2.terms[j2] - c1.terms[j1] for j1, j2 in pairs)
     hypothesis = all(
-        is_self_adjoint(d, t) and _is_positive(*_extremes(real_part(d).blocks, t), t)
+        is_self_adjoint(d, t) and _is_positive(*_extremes(real_part(d).blocks), t)
         for d in diffs
     )
     if hypothesis:
         d = c2.limit - c1.limit
         defect = frobenius_norm(d - adjoint(d))
-        lo, hi = _extremes(real_part(d).blocks, t)
+        lo, hi = _extremes(real_part(d).blocks)
         resid = max(0.0, -lo, defect)
         worst = max(worst, resid)
         if resid > t.pos_slack * (1.0 + _max_abs(lo, hi)) and failing is None:

@@ -49,7 +49,7 @@ from .core import (
     _NON_FINITE,
     _check_signatures,
     _eigh_blocks,
-    _eigh_extremes,
+    _extremes,
     _gram_against,
     _is_positive,
     _norm_against,
@@ -153,9 +153,9 @@ def _polar_frame(x: AlgebraElement, t: ToleranceConfig):
     """The solves every polar route starts from: x*x, which memoizes ||x||,
     then x x*. Returns the eigensystem of x*x and, as a dict, the
     PolarResult fields absx, absxstar, initial and final read off the two."""
-    eig = _eigh_blocks((adjoint(x) * x).blocks, t)
+    eig = _eigh_blocks((adjoint(x) * x).blocks)
     _remember_norm(x, eig, t)
-    eig_star = _eigh_blocks((x * adjoint(x)).blocks, t)
+    eig_star = _eigh_blocks((x * adjoint(x)).blocks)
     return eig, dict(
         absx=eig.root(t),
         absxstar=eig_star.root(t),
@@ -176,7 +176,7 @@ def polar_direct(
     """
     t = _tol(tol)
     _, frame = _polar_frame(x, t)
-    inverse = _eigh_blocks(frame["absx"].blocks, t).inverse(t)
+    inverse = _eigh_blocks(frame["absx"].blocks).inverse(t)
     return PolarResult(u=x * inverse, **frame)
 
 
@@ -261,7 +261,7 @@ def polar_regularized(
     for last in range(k):
         if last == finite:
             raise BadArgument(_NON_FINITE)
-        if last and _gram_against([g[last - 1] for g in grams], t.rank_cutoff, t) < t.rank_cutoff:
+        if last and _gram_against([g[last - 1] for g in grams], t.rank_cutoff) < t.rank_cutoff:
             break
     else:
         if overflow is not None:
@@ -269,7 +269,7 @@ def polar_regularized(
 
     u = x * eig.inverse_root(t)
     rotated = [(u_n[: last + 1] - b) @ v for u_n, b, v in zip(terms, u.blocks, eig.unitary.blocks)]
-    diagnostics = tuple(zip(ns, _norms(rotated, t)))
+    diagnostics = tuple(zip(ns, _norms(rotated)))
     last_n = ns[last]
     if sigma_min is not None:
         bound = (1.0 / last_n) / (1.0 / last_n + sigma_min)
@@ -324,7 +324,7 @@ def polar_residuals(
             stacks.append(
                 np.stack([xb - asb @ ub, xb - ub @ ab, uus @ ub - ub, ustar @ ub - ib, uus - fb])
             )
-    defects = dict(zip(_DEFECTS, _norms(stacks, t)))
+    defects = dict(zip(_DEFECTS, _norms(stacks)))
     scale = 1.0 + operator_norm(x, t)
     thr = 10.0 * t.pos_slack * scale
     accepted = all(v <= thr for v in defects.values())
@@ -374,7 +374,7 @@ def spectral_cut(
         raise ZeroElement("spectral cut needs a nonzero element")
     if mu is not None and not 0.0 < mu < norm_x:
         raise BadCut(f"cut point must lie strictly between 0 and {norm_x:.6g}")
-    eig = _eigh_blocks((x * adjoint(x)).blocks, t)
+    eig = _eigh_blocks((x * adjoint(x)).blocks)
     cutoff = eig.rank_cutoff(t)
 
     def sigma(w):
@@ -402,7 +402,7 @@ def cut_residuals(
     inner = a * (x * adjoint(x)) * a
     residuals = {
         "cut_identity": operator_norm(a * absxstar - p, t),
-        "sqrt_identity": operator_norm(_eigh_blocks(inner.blocks, t).root(t) - p, t),
+        "sqrt_identity": operator_norm(_eigh_blocks(inner.blocks).root(t) - p, t),
         "commutator_ap": operator_norm(a * p - p * a, t),
         "commutator_a_absxstar": operator_norm(a * absxstar - absxstar * a, t),
         "commutator_p_absxstar": operator_norm(p * absxstar - absxstar * p, t),
@@ -420,15 +420,16 @@ def resolvent_gap_inequality(
     With R_j = (1/j + |x|)^{-1}, D = R_n - R_m and S = x D + D x*, verifies
     0 <= S^2 and S^2 <= 2 (x D^2 x* + D x* x D). Both sides are Hermitian by
     construction, so they are not checked for self-adjointness as operands
-    from outside are (loewner_leq): S^2 and the difference of the sides are
-    solved as one stack per block, and each is tested for positivity within
-    slack by the rule of loewner_leq.
+    from outside are (loewner_leq), but each is tested for positivity within
+    slack by the rule of loewner_leq: S^2 first, and the difference of the
+    sides only when S^2 passes, so a failing 0 <= S^2 returns False without
+    forming or solving it.
     """
     t = _tol(tol)
     if n < 1 or m < 1:
         raise BadArgument("resolvent indices must be positive")
     gram = adjoint(x) * x
-    eig = _eigh_blocks(gram.blocks, t)
+    eig = _eigh_blocks(gram.blocks)
 
     def resolvent(j: int) -> AlgebraElement:
         return eig.assemble(lambda w: 1.0 / (1.0 / j + np.sqrt(np.maximum(w, 0.0))))
@@ -437,5 +438,6 @@ def resolvent_gap_inequality(
     s = x * delta + delta * adjoint(x)
     s2 = s * s
     rhs = 2.0 * (x * delta * delta * adjoint(x) + delta * gram * delta)
-    stacks = [np.stack(pair) for pair in zip(s2.blocks, (rhs - s2).blocks)]
-    return all(_is_positive(lo, hi, t) for lo, hi in _eigh_extremes(stacks, t))
+    return _is_positive(*_extremes(s2.blocks), t) and _is_positive(
+        *_extremes((rhs - s2).blocks), t
+    )

@@ -16,7 +16,7 @@ default test run does not collect it.
 import numpy as np
 import pytest
 
-from awkit.core import DEFAULT_TOL, _eigh_blocks, _eigh_extremes, _jacobi_eigh
+from awkit.core import _eigh_blocks, _eigh_extremes, _jacobi_eigh
 
 
 def _hermitian(n: int) -> np.ndarray:
@@ -27,13 +27,13 @@ def _hermitian(n: int) -> np.ndarray:
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32])
 def test_eigh_blocks(benchmark, n):
-    eig = benchmark(_eigh_blocks, [_hermitian(n)], DEFAULT_TOL)
+    eig = benchmark(_eigh_blocks, [_hermitian(n)])
     assert eig.eigenvalues[0].shape == (n,) and eig.unitary.blocks[0].shape == (n, n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32])
 def test_eigh_extremes(benchmark, n):
-    ((lo, hi),) = benchmark(_eigh_extremes, [_hermitian(n)[None]], DEFAULT_TOL)
+    ((lo, hi),) = benchmark(_eigh_extremes, [_hermitian(n)[None]])
     assert lo <= hi
 
 

@@ -351,7 +351,7 @@ def test_block_whose_norm_overflows_is_solved_rescaled():
     eig = eigh_hermitian(el(h))
     assert np.allclose(eig.eigenvalues[0], want, rtol=1e-15, atol=1e185)
     w = eig.eigenvalues[0]
-    assert core._extremes(el(h).blocks, ToleranceConfig()) == (w[0], w[-1])
+    assert core._extremes(el(h).blocks) == (w[0], w[-1])
     assert np.allclose(eig.assemble(lambda w: w).blocks[0], h, rtol=1e-14)
     basis, groups = simultaneous_eigh([np.array(h, dtype=complex)])
     assert np.allclose(basis.conj().T @ basis, np.eye(2), atol=1e-15)
@@ -377,7 +377,7 @@ def test_eigenvalue_past_the_float_range_raises_bad_argument():
         with pytest.raises(BadArgument, match=past):
             eigh_hermitian(el(h))
         with pytest.raises(BadArgument, match=past):
-            core._extremes(el(h).blocks, ToleranceConfig())
+            core._extremes(el(h).blocks)
     # just inside the range the same kind of block solves
     w = eigh_hermitian(el([[8e307] * 2] * 2)).eigenvalues[0]
     assert np.allclose(w, [0.0, 1.6e308], rtol=1e-15, atol=1e293)
@@ -440,7 +440,7 @@ def test_block_whose_squares_underflow_is_solved_rescaled():
     eig = eigh_hermitian(h)
     assert eig.eigenvalues[0].tolist() == [1e-170, 3e-170]
     assert eig.assemble(lambda w: w) == h
-    assert core._extremes(h.blocks, ToleranceConfig()) == (1e-170, 3e-170)
+    assert core._extremes(h.blocks) == (1e-170, 3e-170)
     # subnormal entries too
     w = eigh_hermitian(el([[0.0, 1e-310], [1e-310, 0.0]])).eigenvalues[0]
     assert w.tolist() == [-1e-310, 1e-310]

@@ -160,8 +160,8 @@ def test_list_kernel_matches_numpy_scalar_kernel_bit_for_bit(block):
 
     with mock.patch.multiple(core, _JACOBI_OFF_TOL=rel, _MAX_SWEEPS=max_sweeps):
         with mock.patch.object(core, "_jacobi_sweeps", _reference_sweeps):
-            want = outcome(lambda: core._eigh_blocks([m], core.DEFAULT_TOL))
-        got = outcome(lambda: core._eigh_blocks([m], core.DEFAULT_TOL))
+            want = outcome(lambda: core._eigh_blocks([m]))
+        got = outcome(lambda: core._eigh_blocks([m]))
     if isinstance(want, tuple):
         assert got == want
     else:
@@ -190,7 +190,7 @@ def test_eigenvalues_only_mode_matches_full_solve_bit_for_bit(drawn):
         full = outcome(lambda: eigh_hermitian(h))
         vals = [core._jacobi_eigh(b[None], core._JACOBI_OFF_TOL, max_sweeps, vectors=False)
                 for b in h.blocks]
-        extremes = outcome(lambda: core._extremes(h.blocks, core.DEFAULT_TOL))
+        extremes = outcome(lambda: core._extremes(h.blocks))
         if isinstance(full, tuple):
             assert full[0] is NonConvergence
             first = next(faults[0] for _, _, faults in vals if faults)

@@ -185,7 +185,7 @@ def test_eigh_blocks_raises_the_first_fault_or_returns_owning_blocks(drawn):
         want = [expected(m, rel, max_sweeps, vectors) for m in blocks]
         solve = core._eigh_blocks if vectors else core._extremes
         with mock.patch.multiple(core, _JACOBI_OFF_TOL=rel, _MAX_SWEEPS=max_sweeps):
-            got = outcome(lambda: solve(blocks, core.DEFAULT_TOL))
+            got = outcome(lambda: solve(blocks))
     faults = [o for o in want if failed(o)]
     if faults:
         assert got == faults[0]

@@ -81,25 +81,25 @@ def _counting_norms(monkeypatch):
     body = polar._norms
     seen = []
 
-    def counted(stacks, t):
+    def counted(stacks):
         seen.append([s.shape for s in stacks])
-        return body(stacks, t)
+        return body(stacks)
 
     monkeypatch.setattr(polar, "_norms", counted)
     return seen
 
 
-def _counting_blocks(monkeypatch):
-    """Replace _eigh_blocks in core and polar by a wrapper that counts its calls."""
-    body = core._eigh_blocks
+def _counting_solves(monkeypatch):
+    """Replace core._solve, the one driver of every eigensolve, by a wrapper
+    that records its vectors flag per call."""
+    body = core._solve
     solves = []
 
-    def counted(blocks, t):
-        solves.append(len(blocks))
-        return body(blocks, t)
+    def counted(stacks, vectors):
+        solves.append(vectors)
+        return body(stacks, vectors)
 
-    for module in (core, polar):
-        monkeypatch.setattr(module, "_eigh_blocks", counted)
+    monkeypatch.setattr(core, "_solve", counted)
     return solves
 
 
@@ -167,14 +167,7 @@ def test_closure_call_eigensolves(tmp_path, capsys, monkeypatch):
     # the residuals and the verdict
     f = tmp_path / "g.json"
     f.write_text(json.dumps(cli.element_to_json(_degenerate_normal())))
-    body = core._solve
-    solves = []
-
-    def counted(stacks, vectors):
-        solves.append(vectors)
-        return body(stacks, vectors)
-
-    monkeypatch.setattr(core, "_solve", counted)
+    solves = _counting_solves(monkeypatch)
     angles = []
     angles_body = lattice.principal_angles
 
@@ -193,8 +186,9 @@ def test_closure_call_eigensolves(tmp_path, capsys, monkeypatch):
 def test_polar_residuals_reads_the_norm_of_x_from_the_route(tmp_path, capsys, monkeypatch, method):
     # the route solved x*x and memoized ||x|| on x: the verifier's scale
     # 1 + ||x|| takes no eigensolve, and it reads the range projections of
-    # |x| and |x*| off the route's result, so its only solves are the 5
-    # defect norms: one _norms call on a (5, n, n) stack per block
+    # |x| and |x*| off the route's result, so its only solve is of the 5
+    # defect norms, eigenvalues only: one _norms call on a (5, n, n) stack
+    # per block
     rng = np.random.default_rng(6)
     x = AlgebraElement([
         (haar_unitary_block(n, rng) * rng.uniform(0.1, 2.0, n)) @ haar_unitary_block(n, rng)
@@ -203,7 +197,7 @@ def test_polar_residuals_reads_the_norm_of_x_from_the_route(tmp_path, capsys, mo
     f = tmp_path / "x.json"
     f.write_text(json.dumps(cli.element_to_json(x)))
     norms = _counting(monkeypatch, core, "_operator_norm")
-    solves = _counting_blocks(monkeypatch)
+    solves = _counting_solves(monkeypatch)
     grams = _counting_norms(monkeypatch)
     residuals_body = polar.polar_residuals
     inside = {}
@@ -213,7 +207,7 @@ def test_polar_residuals_reads_the_norm_of_x_from_the_route(tmp_path, capsys, mo
         solves.clear()
         grams.clear()
         check = residuals_body(y, result, tol)
-        inside["norms"], inside["solves"] = list(norms), len(solves)
+        inside["norms"], inside["solves"] = list(norms), list(solves)
         inside["grams"] = list(grams)
         inside["scale"] = (y, operator_norm(y, tol))
         return check
@@ -223,22 +217,23 @@ def test_polar_residuals_reads_the_norm_of_x_from_the_route(tmp_path, capsys, mo
     assert doc["accepted"] is True
     y, norm = inside["scale"]
     assert inside["norms"] == []
-    assert inside["solves"] == 0
+    assert inside["solves"] == [False]
     assert inside["grams"] == [[(5, 3, 3), (5, 4, 4)]]
     assert np.isclose(norm, max(np.linalg.norm(b, 2) for b in x.blocks), rtol=1e-12)
 
 
 def test_verify_polar_solves_each_gram_matrix_once(monkeypatch):
-    # its own solves of x*x and x x* give |x|, |x*|, their range projections
-    # and ||x||; the rest are the 5 defect norms, eigenvalues only, in one
+    # counted at the one driver, core._solve, with its vectors flag: its own
+    # solves of x*x and x x* give |x|, |x*|, their range projections and
+    # ||x||; the one other is of the 5 defect norms, eigenvalues only, in one
     # _norms call on a (5, n, n) stack per block
     rng = np.random.default_rng(6)
     x = random_element((3, 4), rng)
     u = polar.polar_direct(AlgebraElement(x.blocks)).u
-    solves = _counting_blocks(monkeypatch)
+    solves = _counting_solves(monkeypatch)
     grams = _counting_norms(monkeypatch)
     assert polar.verify_polar(x, u)
-    assert solves == [2, 2]
+    assert solves == [True, True, False]
     assert grams == [[(5, 3, 3), (5, 4, 4)]]
 
 

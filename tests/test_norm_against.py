@@ -183,22 +183,30 @@ def _counting(monkeypatch, module, name):
 
 def test_ladder_loop_makes_no_operator_norm_call(monkeypatch):
     # at unit scale the Gram bounds decide every stop test, made on the
-    # stacked Gram matrices by the Gram-level rule: the eigensolves are |x|
+    # stacked Gram matrices by the Gram-level rule: counted at the one
+    # driver, core._solve, with its vectors flag, the eigensolves are |x|
     # and |x*| and one stacked norm call (core._norms) for all diagnostics
-    # entries, and no element's operator_norm runs
+    # entries; no stop test falls back to an eigensolve, and no element's
+    # operator_norm runs
     rng = np.random.default_rng(4)
     x = AlgebraElement([
         (haar_unitary_block(n, rng) * rng.uniform(0.5, 2.0, n)) @ haar_unitary_block(n, rng)
         for n in (3, 5)
     ])
     norms = _counting(monkeypatch, core, "_operator_norm")
-    solves = _counting(monkeypatch, core, "_eigh_blocks")
-    own_solves = _counting(monkeypatch, polar, "_eigh_blocks")
+    solve = core._solve
+    solves = []
+
+    def counted_solve(stacks, vectors):
+        solves.append(vectors)
+        return solve(stacks, vectors)
+
+    monkeypatch.setattr(core, "_solve", counted_solve)
     stop_tests = _counting(monkeypatch, polar, "_gram_against")
     diagnostics = _counting(monkeypatch, polar, "_norms")
     result = polar_regularized(x)
     rungs = len(result.diagnostics)
     assert len(stop_tests) == rungs - 1 == 20
     assert len(norms) == 0
-    assert len(solves) + len(own_solves) == 2
+    assert solves == [True, True, False]
     assert [[len(g) for g in stacks] for stacks in diagnostics] == [[rungs, rungs]]

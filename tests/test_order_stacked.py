@@ -175,7 +175,7 @@ def _reference_verify(c, tol=None):
                 residuals[LOWER_BOUND] = max(residuals[LOWER_BOUND], defect)
                 failing[LOWER_BOUND] = True
                 continue
-            lo, hi = _extremes(real_part(d).blocks, t)
+            lo, hi = _extremes(real_part(d).blocks)
             residuals[LOWER_BOUND] = max(residuals[LOWER_BOUND], -lo)
             if not _is_positive(lo, hi, t):
                 failing[LOWER_BOUND] = True

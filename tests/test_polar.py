@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from awkit import core
+from awkit import core, polar
 from awkit.core import (
     AlgebraElement,
     HermitianEigenSystem,
@@ -468,7 +468,7 @@ def _reference_gap_inequality(x, n, m, t):
     """The two Loewner comparisons the inequality made through loewner_leq,
     with its check of outside operands left out."""
     gram = adjoint(x) * x
-    eig = core._eigh_blocks(gram.blocks, t)
+    eig = core._eigh_blocks(gram.blocks)
 
     def resolvent(j):
         return eig.assemble(lambda w: 1.0 / (1.0 / j + np.sqrt(np.maximum(w, 0.0))))
@@ -484,8 +484,8 @@ def _reference_gap_inequality(x, n, m, t):
 
 @pytest.mark.parametrize("slack", [1e-10, 1e-16, 1e-20])
 def test_gap_inequality_decides_as_the_loewner_order(slack):
-    # one stacked solve of [s^2, rhs - s^2] per block position gives the
-    # verdicts of the two loewner_leq calls on the same operands
+    # the solves of s^2 and then of rhs - s^2 give the verdicts of the two
+    # loewner_leq calls on the same operands
     t = ToleranceConfig(pos_slack=slack)
     rng = np.random.default_rng(35)
     for _ in range(30):
@@ -494,6 +494,31 @@ def test_gap_inequality_decides_as_the_loewner_order(slack):
         n = int(rng.integers(1, 16))
         m = int(rng.integers(1, 64))
         assert resolvent_gap_inequality(x, n, m, t) == _reference_gap_inequality(x, n, m, t)
+
+
+def test_gap_inequality_that_fails_on_s_squared_solves_nothing_more(monkeypatch):
+    # as loewner_leq(0, s^2) and loewner_leq(s^2, rhs) did: when 0 <= s^2
+    # fails, rhs - s^2 is neither formed nor solved
+    x = random_element((3, 2), np.random.default_rng(36))
+    solved = []
+    extremes = core._extremes
+
+    def counted(blocks):
+        solved.append(blocks)
+        return extremes(blocks)
+
+    monkeypatch.setattr(polar, "_extremes", counted)
+    monkeypatch.setattr(polar, "_is_positive", lambda lo, hi, t: False)
+    subtract = AlgebraElement.__sub__
+    differences = []
+
+    def counted_subtract(a, b):
+        differences.append(b)
+        return subtract(a, b)
+
+    monkeypatch.setattr(AlgebraElement, "__sub__", counted_subtract)
+    assert resolvent_gap_inequality(x, 2, 5) is False
+    assert len(solved) == 1 and len(differences) == 1
 
 
 # --- blockwise reduction -------------------------------------------------------------

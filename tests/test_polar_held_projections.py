@@ -104,8 +104,8 @@ def _range_projection_verify_polar(
     """The earlier verify_polar: |x| and |x*| from its own solves, handed
     with u to the range-projection body."""
     t = _tol(tol)
-    absx = _eigh_blocks((adjoint(x) * x).blocks, t).root(t)
-    absxstar = _eigh_blocks((x * adjoint(x)).blocks, t).root(t)
+    absx = _eigh_blocks((adjoint(x) * x).blocks).root(t)
+    absxstar = _eigh_blocks((x * adjoint(x)).blocks).root(t)
     # the old body never reads the projections: pass absx's own as fillers
     filler = range_projection(absx, t)
     result = PolarResult(u=u, absx=absx, absxstar=absxstar, initial=filler, final=filler)

@@ -280,9 +280,9 @@ def test_ladder_matches_reference_near_the_stop_threshold(sig, seed, rung, facto
     _assert_same(x, DEFAULT_LADDER_MAX, t)
     seen = []
 
-    def spy(gram_blocks, bound, tol):
+    def spy(gram_blocks, bound):
         seen.append(_undecided(gram_blocks, bound))
-        return gram_against(gram_blocks, bound, tol)
+        return gram_against(gram_blocks, bound)
 
     gram_against = polar._gram_against
     with mock.patch.object(polar, "_gram_against", spy):

@@ -71,13 +71,13 @@ def _per_rung_polar_regularized(
     if n_max < 1:
         raise BadArgument("n_max must be at least 1")
     gram = adjoint(x) * x
-    eig = _eigh_blocks(gram.blocks, t)
+    eig = _eigh_blocks(gram.blocks)
     cutoff = eig.rank_cutoff(t)
     sigma = [np.sqrt(np.maximum(w, 0.0)) for w in eig.eigenvalues]
     kept = [s[s * s > cutoff] for s in sigma]
     sigma_min = min((float(s.min()) for s in kept if s.size), default=None)
     absx = eig.root(t)
-    eig_star = _eigh_blocks((x * adjoint(x)).blocks, t)
+    eig_star = _eigh_blocks((x * adjoint(x)).blocks)
 
     terms: list[tuple[int, AlgebraElement]] = []
     prev = None
@@ -263,11 +263,9 @@ def _early(sig, seed):
 
 
 def _stop_breaking(monkeypatch, breakage):
-    """Route the ladder's stop tests through breakage(gram_blocks, bound, t, body)."""
+    """Route the ladder's stop tests through breakage(gram_blocks, bound, body)."""
     body = polar._gram_against
-    monkeypatch.setattr(
-        polar, "_gram_against", lambda g, bound, t: breakage(g, bound, t, body)
-    )
+    monkeypatch.setattr(polar, "_gram_against", lambda g, bound: breakage(g, bound, body))
 
 
 @pytest.mark.parametrize("sig,seed", BROKEN_INPUTS)
@@ -276,8 +274,8 @@ def test_stopping_one_rung_late_is_caught(monkeypatch, sig, seed):
     _assert_same(x, DEFAULT_LADDER_MAX, TOLS["default"])
     stopped = []
 
-    def late(g, bound, t, body):
-        value = body(g, bound, t)
+    def late(g, bound, body):
+        value = body(g, bound)
         if value < bound and not stopped:
             stopped.append(value)
             return bound
@@ -293,11 +291,11 @@ def test_stop_test_on_the_wrong_rung_is_caught(monkeypatch, sig, seed):
     x = _early(sig, seed)
     previous = []
 
-    def stale(g, bound, t, body):
+    def stale(g, bound, body):
         # the Gram matrix of the rung before, except at the first test
         read = previous[-1] if previous else g
         previous.append(g)
-        return body(read, bound, t)
+        return body(read, bound)
 
     _stop_breaking(monkeypatch, stale)
     got, expected = _pair(x, DEFAULT_LADDER_MAX, TOLS["default"])
@@ -341,13 +339,13 @@ def test_diagnostic_faults_are_raised_in_rung_order(monkeypatch, fault_rung, non
     inside, solved = [], []
     norms, driver = polar._norms, core._jacobi_eigh
 
-    def diagnostics(stacks, tol):
+    def diagnostics(stacks):
         if non_finite_rung is not None:
             stacks = [s.copy() for s in stacks]
             stacks[0][non_finite_rung, 0, 0] = np.inf
         inside.append(True)
         try:
-            return norms(stacks, tol)
+            return norms(stacks)
         finally:
             inside.pop()
 

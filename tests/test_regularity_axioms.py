@@ -68,7 +68,7 @@ def _reference_check_regularity(m, tol=None):
             f"subset enumeration is limited to {REGULARITY_POINT_LIMIT} points"
         )
     for p in points:
-        lo, _ = _extremes(m.atoms[p].element.blocks, t)
+        lo, _ = _extremes(m.atoms[p].element.blocks)
         if lo < -t.pos_slack:
             return False
     atom_vecs = np.array(
