@@ -26,7 +26,7 @@ it, which answer every question, take a tolerance:
 - ``_eigh_extremes`` gives the least and largest eigenvalue of each of k
   elements, without accumulating eigenvectors and with the eigenvalues of
   the full solve to the bit. Every question about eigenvalues alone reads
-  it: operator norms (``_gram_norm``, and ``_norms`` for a stacked family),
+  it: operator norms (``_gram_norms``, and ``_norms`` for a stacked family),
   Loewner comparisons, and the positivity and bound checks of the
   verifiers.
 
@@ -76,9 +76,10 @@ an element that may come from outside.
 
 Derived data is memoized on the immutable object it is derived from, keyed
 by its name and the resolved ToleranceConfig (see _memoized): an element
-keeps its operator norm, its normality verdict and its joint eigensolve,
-which its spectral atoms and the MASAs generated around it share. A raised
-exception is never cached.
+keeps its operator norm, its normality verdict and its atoms (_joint_atoms),
+held with the read-only joint eigenbasis they are read off and the atom of
+each basis column, which its spectral measure, C*(g) and the MASAs
+generated around it share. A raised exception is never cached.
 
 A norm that only feeds a threshold test is decided, where it can be, from
 bounds on the Gram matrix rather than by an eigensolve (see _norm_against):
@@ -124,7 +125,6 @@ __all__ = [
     "loewner_leq",
     "eigh_hermitian",
     "simultaneous_eigh",
-    "joint_eigenspaces",
     "positive_sqrt",
     "range_projection",
     "is_self_adjoint",
@@ -167,10 +167,11 @@ class ToleranceConfig:
     _orthonormal_rows cuts singular values relative to the largest: it
     decides the dimension of Subalgebra.from_generators, and so of a
     closure, but not of b = C*(g) (Subalgebra.of_normal), the span of g's
-    spectral atoms, which the cluster gap of _joint_atoms decides; the
-    cluster gap is cluster_tol max(1, ||m||_F) in simultaneous_eigh and
-    cluster_tol max(1, largest value tuple norm) in _joint_atoms, the atoms
-    spectral_measure and minimal_projections both read. The limit step of
+    spectral atoms, which the cluster gap of _joint_atoms decides. That gap,
+    cluster_tol max(1, largest value tuple norm), groups the eigenvectors of
+    spectral_measure, minimal_projections and generate_masa alike;
+    simultaneous_eigh's gap, cluster_tol max(1, ||m||_F), now decides only
+    which subspaces each later part is compressed on. The limit step of
     limit_calculus_check's order preservation accepts d = lim c2 - lim c1
     when max(0, -min w, ||d - d*||_F) <= pos_slack (1 + max |w|) over the
     eigenvalues w of Re d. relative_commutant skips a block with
@@ -768,8 +769,8 @@ def _extremes(blocks) -> tuple:
     return _eigh_extremes([b[None] for b in blocks])[0]
 
 
-# the cluster gap's np.linalg.norm, before its rescale, and a compression may
-# overflow; _eigh_blocks then raises the compression's fault without a warning
+# a compression may overflow; _eigh_blocks then raises its fault without a
+# warning
 @np.errstate(over="ignore", invalid="ignore")
 def simultaneous_eigh(
     mats: Sequence[np.ndarray], tol: ToleranceConfig | None = None
@@ -785,12 +786,7 @@ def simultaneous_eigh(
     basis = np.eye(n, dtype=np.complex128)
     groups = [np.arange(n)]
     for m in mats:
-        norm = float(np.linalg.norm(m))
-        if not math.isfinite(norm):
-            s = _largest_part([m])
-            if math.isfinite(s):
-                norm = s * float(np.linalg.norm(m / s))
-        gap = t.cluster_tol * max(1.0, norm)
+        gap = t.cluster_tol * max(1.0, _frobenius([m]))
         refined = []
         for idx in groups:
             if len(idx) == 1:
@@ -810,52 +806,38 @@ def simultaneous_eigh(
     return basis, groups
 
 
-def joint_eigenspaces(
-    family: Sequence[AlgebraElement], tol: ToleranceConfig | None = None
-) -> list[tuple[np.ndarray, list[np.ndarray]]]:
-    """simultaneous_eigh per block over the real and imaginary parts of a
-    commuting normal family, in family order."""
-    parts = [p for x in family for p in (real_part(x), imag_part(x))]
-    return [
-        simultaneous_eigh([p.blocks[k] for p in parts], tol)
-        for k in range(len(family[0].blocks))
-    ]
-
-
-def _eigenspaces(family: Sequence[AlgebraElement], t: ToleranceConfig):
-    """joint_eigenspaces of the family. For a lone element it is memoized on
-    the element, so its spectral atoms and the MASAs generated around it
-    share one solve; its bases are then read-only, and a caller that refines
-    them refines a copy."""
-    if len(family) > 1:
-        return joint_eigenspaces(family, t)
-    return _memoized(family[0], "joint_eigenspaces", t, _frozen_eigenspaces)
-
-
-def _frozen_eigenspaces(g: AlgebraElement, t: ToleranceConfig):
-    spaces = joint_eigenspaces([g], t)
-    for basis, _ in spaces:
-        basis.flags.writeable = False
-    return spaces
-
-
-def _joint_atoms(
-    family: Sequence[AlgebraElement], t: ToleranceConfig
-) -> list[tuple[np.ndarray, "Projection"]]:
+def _joint_atoms(family: Sequence[AlgebraElement], t: ToleranceConfig):
     """The atoms of a commuting normal family: its joint eigenvector columns
     merged by single link on their value tuples.
 
-    Column v of block k carries the tuple of its Rayleigh values v* f_k v
-    over the family f. Two columns are linked when their tuples lie within
-    cluster_tol max(1, the largest tuple norm). Per atom, in the order of
-    its first column (block by block, then column by column), returns the
-    (columns, len(family)) array of its columns' tuples in column order and
-    the atom itself: sum v v* per block in column order, hermitized once.
-    The joint eigensolve of a lone element is the one memoized on it
-    (_eigenspaces).
+    Returns (bases, labels, atoms). Per block k, bases[k] is the read-only
+    joint eigenbasis simultaneous_eigh finds for the real and imaginary
+    parts of the family, in family order, and labels[k] the tuple of the
+    atom index of each of its columns. Column v of block k carries the
+    tuple of its Rayleigh values v* f_k v over the family f. Two columns are
+    linked when their tuples lie within cluster_tol max(1, the largest tuple
+    norm). Per atom, in the order of its first column (block by block, then
+    column by column), atoms holds the (columns, len(family)) array of its
+    columns' tuples in column order and the atom itself: sum v v* per block
+    in column order, hermitized once.
+
+    For a lone element the result is memoized on the element, so its
+    spectral measure, C*(g) and the MASAs generated around it share one
+    solve and one grouping.
     """
-    columns, tuples = [], []
-    for k, (basis, _) in enumerate(_eigenspaces(family, t)):
+    if len(family) > 1:
+        return _atoms_of(family, t)
+    return _memoized(family[0], "joint_atoms", t, lambda g, t: _atoms_of([g], t))
+
+
+def _atoms_of(family: Sequence[AlgebraElement], t: ToleranceConfig):
+    """_joint_atoms of the family, computed afresh."""
+    parts = [p for x in family for p in (real_part(x), imag_part(x))]
+    bases, columns, tuples = [], [], []
+    for k in range(len(family[0].blocks)):
+        basis, _ = simultaneous_eigh([p.blocks[k] for p in parts], t)
+        basis.flags.writeable = False
+        bases.append(basis)
         values = [np.diagonal(basis.conj().T @ f.blocks[k] @ basis) for f in family]
         for c in range(basis.shape[1]):
             columns.append((k, basis[:, c : c + 1]))
@@ -881,7 +863,10 @@ def _joint_atoms(
             sums[k] = sums[k] + vec @ vec.conj().T
         atom = Projection._of(AlgebraElement._of([0.5 * (m + m.conj().T) for m in sums]))
         atoms.append((tuples[members], atom))
-    return atoms
+    labels = [[] for _ in bases]
+    for (k, _), a in zip(columns, label):
+        labels[k].append(a)
+    return tuple(bases), tuple(map(tuple, labels)), tuple(atoms)
 
 
 def operator_norm(x: AlgebraElement, tol: ToleranceConfig | None = None) -> float:
@@ -890,18 +875,14 @@ def operator_norm(x: AlgebraElement, tol: ToleranceConfig | None = None) -> floa
 
 
 def _operator_norm(x: AlgebraElement, t: ToleranceConfig) -> float:
-    return _gram_norm((adjoint(x) * x).blocks)
-
-
-def _gram_norm(gram_blocks) -> float:
-    """sqrt of the top eigenvalue of the Gram matrix x*x, clamped at 0."""
-    return _norm_from_gram(_extremes(gram_blocks)[1])
+    return _gram_norms([b[None] for b in (adjoint(x) * x).blocks])[0]
 
 
 def _gram_norms(stacks) -> list:
-    """_gram_norm of k Gram matrices x*x given as one (k, n_b, n_b) stack
-    per block position: per element ||x||. It raises as _eigh_extremes does."""
-    return [_norm_from_gram(hi) for _, hi in _eigh_extremes(stacks)]
+    """||x|| of k Gram matrices x*x given as one (k, n_b, n_b) stack per
+    block position: per element the square root of the top eigenvalue,
+    clamped at 0. It raises as _eigh_extremes does."""
+    return [math.sqrt(max(hi, 0.0)) for _, hi in _eigh_extremes(stacks)]
 
 
 def _adj(a: np.ndarray) -> np.ndarray:
@@ -924,18 +905,6 @@ def _norms(stacks) -> list:
     if not _all_finite(gram):
         raise BadArgument(_NON_FINITE)
     return _gram_norms(gram)
-
-
-def _norm_from_gram(top: float) -> float:
-    """||x|| read off top, the largest eigenvalue of the Gram matrix x*x."""
-    return math.sqrt(max(top, 0.0))
-
-
-def _remember_norm(x: AlgebraElement, gram_eig: HermitianEigenSystem, t: ToleranceConfig):
-    """Memoize ||x|| read off gram_eig, a solve of adjoint(x) * x: the value
-    operator_norm(x, t) computes, since the eigenvalues do not depend on
-    whether the solve accumulated eigenvectors."""
-    _remember(x, "operator_norm", t, _norm_from_gram(gram_eig.max_eigenvalue))
 
 
 # the range of max_i (x*x)_ii in which _norm_against decides from the bounds
@@ -968,7 +937,7 @@ def _gram_against(gram_blocks, bound: float) -> float:
     included, gives the exact norm's verdict. In between, and whenever lo
     lies outside [1e-150, 1e150] (near where the eigensolve's Frobenius
     scale underflows or overflows, and its answer may leave the bracket),
-    it returns the eigensolved norm, _gram_norm(gram_blocks).
+    it returns the eigensolved norm, the _gram_norms of gram_blocks.
 
     The one difference from operator_norm: a NonConvergence that only a
     skipped eigensolve would have raised (a Gram matrix the sweep cannot
@@ -982,7 +951,7 @@ def _gram_against(gram_blocks, bound: float) -> float:
         hi = max(float(d.sum()) for d in diagonals)
         if hi < 0.25 * bound * bound:
             return math.sqrt(hi)
-    return _gram_norm(gram_blocks)
+    return _gram_norms([b[None] for b in gram_blocks])[0]
 
 
 def is_normal(a: AlgebraElement, tol: ToleranceConfig | None = None) -> bool:

@@ -2,15 +2,15 @@
 
 Subalgebras are stored as orthonormal bases under the trace inner product.
 Maximal commutative subalgebras (MASAs) arise from jointly diagonalizing
-commuting normal generators and refining each degenerate eigenspace with a
-seeded random orthonormal basis. A monotone closure is computed inside a
-MASA from the m face suprema of the subalgebra's minimal projections, each a
-sum of the MASA's rank-one projections; at finite dimension the closure of a
-unital closed commutative subalgebra is itself, asserted on the result. The
-closure correspondence computes the closure in each of two MASAs and pairs
-their face suprema atom by atom: m pairs, each within 2 pos_slack, so every
-projection of the closure, a sum of distinct atoms, lies within m delta of
-its partner.
+commuting normal generators and refining the eigenvectors of each of their
+atoms with a seeded random orthonormal basis. A monotone closure is computed
+inside a MASA from the m face suprema of the subalgebra's minimal
+projections, each a sum of the MASA's rank-one projections; at finite
+dimension the closure of a unital closed commutative subalgebra is itself,
+asserted on the result. The closure correspondence computes the closure in
+each of two MASAs and pairs their face suprema atom by atom: m pairs, each
+within 2 pos_slack, so every projection of the closure, a sum of distinct
+atoms, lies within m delta of its partner.
 
 A MASA is handled as its rank-one projections, held as one read-only
 (n_k, n_k, n_k) stack per block position k, and its three checks are array
@@ -20,9 +20,12 @@ within one block (pairs in different blocks commute exactly), containment
 of b's basis by projecting each basis element on the stack, and the face
 suprema as masked sums of the stack's slices. generate_masa builds the
 stacks from its refined eigenvectors; any other MASA reads them off its
-minimal projections. The MASAs generated around one element share one
-joint eigensolve, memoized on the element with read-only bases that each
-MASA refines a copy of.
+minimal projections. generate_masa refines the joint eigenbasis of its
+seeds within each of their atoms (core._joint_atoms), the grouping by which
+spectral_measure finds atoms, so each atom of the seeds is a sum of the
+MASA's rank-one projections. The MASAs generated around one element share
+its atoms, memoized on the element with read-only bases that each MASA
+refines a copy of.
 
 The minimal projections of a commutative subalgebra are the atoms of its
 basis (core._joint_atoms): the joint eigenvectors of the basis elements,
@@ -31,12 +34,12 @@ the one rule by which spectral_measure finds the atoms of a normal element.
 
 The algebra C*(g) of a normal g is the span of g's spectral atoms e_i
 (Subalgebra.of_normal), with the orthonormal basis e_i / sqrt(rank e_i):
-the atoms are read off the joint eigensolve memoized on g, which its MASAs
-share, and are stored as its minimal projections, so its dimension is
-decided by the cluster gap of spectral_measure, not by a rank cut. The
-closures are still generated from their face suprema by the generic
-Subalgebra.from_generators (products and an SVD per round), so the check
-that a closure spans b compares two different constructions.
+the atoms are those memoized on g, which its MASAs refine within, and are
+stored as its minimal projections, so its dimension is decided by the
+cluster gap of spectral_measure, not by a rank cut. The closures are still
+generated from their face suprema by the generic Subalgebra.from_generators
+(products and an SVD per round), so the check that a closure spans b
+compares two different constructions.
 
 A Subalgebra memoizes its commutativity verdict, its minimal projections
 and, for a MASA, its stacks, keyed by name and the resolved ToleranceConfig
@@ -56,7 +59,6 @@ from .core import (
     AlgebraElement,
     Projection,
     ToleranceConfig,
-    _eigenspaces,
     _joint_atoms,
     _memoized,
     _norm_against,
@@ -200,11 +202,11 @@ class Subalgebra:
         """C*(g) of a normal g: the span of its spectral atoms e_i, with the
         orthonormal basis e_i / sqrt(rank e_i).
 
-        The atoms are those of spectral_measure(g), read off the joint
-        eigensolve memoized on g; distinct atoms are orthogonal, so no SVD
-        is needed. The result is stored commutative, with the atoms as its
-        minimal projections. Raises NotNormal unless g is normal, and
-        PostconditionFailed unless g lies in the span by the rule
+        The atoms are those of spectral_measure(g), memoized on g with the
+        joint eigenbasis they are read off; distinct atoms are orthogonal,
+        so no SVD is needed. The result is stored commutative, with the
+        atoms as its minimal projections. Raises NotNormal unless g is
+        normal, and PostconditionFailed unless g lies in the span by the rule
         spectral_residuals accepts: ||sum z_i e_i - g|| <=
         SPECTRAL_RESIDUAL_TOL (1 + ||g||) over the spectrum points z_i.
         """
@@ -346,10 +348,12 @@ def generate_masa(
 ) -> Subalgebra:
     """Maximal commutative subalgebra containing the commuting normal seeds.
 
-    Jointly diagonalizes the seeds blockwise, then completes every joint
-    eigenspace with a seeded random orthonormal basis; the result is the
-    diagonal algebra of the refined basis, spanned by its rank-one
-    projections.
+    Reads the joint eigenbasis and the atoms of the seeds (core._joint_atoms),
+    then completes the columns of every atom within each block with a seeded
+    random orthonormal basis, block by block and atom by atom in the order
+    of their first column; the result is the diagonal algebra of the refined
+    basis, spanned by its rank-one projections. Each atom is a sum of them,
+    so the algebra the seeds generate lies inside the MASA.
     """
     t = _tol(tol)
     if not seed_commuting:
@@ -358,9 +362,15 @@ def generate_masa(
     sig = seed_commuting[0].signature
     rng = np.random.default_rng(refinement_seed)
     stacks = []
-    for basis, groups in _eigenspaces(seed_commuting, t):
+    bases, labels, _ = _joint_atoms(seed_commuting, t)
+    for basis, label in zip(bases, labels):
         basis = basis.copy()
-        for idx in groups:
+        # each atom's columns in this block, the atoms in the order of their
+        # first column
+        columns = {}
+        for c, atom in enumerate(label):
+            columns.setdefault(atom, []).append(c)
+        for idx in columns.values():
             if len(idx) > 1:
                 g = rng.standard_normal((len(idx), len(idx))) + 1j * rng.standard_normal(
                     (len(idx), len(idx))
@@ -454,7 +464,7 @@ def _sorted_by_rank(projections: list[Projection]) -> tuple[Projection, ...]:
 def _minimal_projections(s: Subalgebra, t: ToleranceConfig) -> tuple[Projection, ...]:
     if not s.is_commutative(t):
         raise NotCommuting("minimal projections require a commutative subalgebra")
-    projections = [atom for _, atom in _joint_atoms(s.basis, t)]
+    projections = [atom for _, atom in _joint_atoms(s.basis, t)[2]]
     if len(projections) != s.dim:
         raise PostconditionFailed(
             f"found {len(projections)} minimal projections in a {s.dim}-dimensional algebra"

@@ -21,10 +21,10 @@ Per block position, the differences, skew and Hermitian parts, the sums of
 the four components and their residuals against the sequence, and the
 Gram matrices are one numpy expression each, and the eigenvalues of the
 components and of the Gram matrices are one stacked Jacobi driver call
-each. Elements are made only where a caller asks for them: the ``terms``,
-``limit``, ``components`` and ``component_limits`` of a certificate are
-views of its stacks (AlgebraElement._of_stacks), made on first use. Every
-value and decision is the one the element-by-element checks give.
+each. Elements are made only where a caller asks for them: the ``terms``
+and ``limit`` of a certificate are views of its sequence stacks
+(AlgebraElement._of_stacks), made on first use. Every value and decision is
+the one the element-by-element checks give.
 
 The builder stacks its terms and limit once and forms the components on
 that stack: the Hermitian and skew parts of all rows and the envelope times
@@ -113,9 +113,8 @@ class OrderLimitCertificate:
     j, and row N holds the k-th component limit. The dominator is 2 eps_j 1,
     shared across components.
 
-    ``terms``, ``limit``, ``components`` and ``component_limits`` are
-    elements whose blocks are views of the stacks, made on first use;
-    components[k][j] is the k-th component sequence at prefix position j.
+    ``terms`` and ``limit`` are elements whose blocks are views of the
+    sequence stacks, made on first use.
     """
 
     indices: tuple[int, ...]
@@ -127,11 +126,6 @@ class OrderLimitCertificate:
     def _sequence_elements(self) -> list[AlgebraElement]:
         return AlgebraElement._of_stacks(self.sequence)
 
-    @cached_property
-    def _part_elements(self) -> list[AlgebraElement]:
-        # row k (N + 1) + j of the flattened stacks is parts[b][k, j]
-        return AlgebraElement._of_stacks([p.reshape(-1, *p.shape[2:]) for p in self.parts])
-
     @property
     def terms(self) -> tuple[AlgebraElement, ...]:
         return tuple(self._sequence_elements[:-1])
@@ -139,16 +133,6 @@ class OrderLimitCertificate:
     @property
     def limit(self) -> AlgebraElement:
         return self._sequence_elements[-1]
-
-    @property
-    def components(self) -> tuple[tuple[AlgebraElement, ...], ...]:
-        rows, step = self._part_elements, self.parts[0].shape[1]
-        return tuple(tuple(rows[k * step : (k + 1) * step - 1]) for k in range(4))
-
-    @property
-    def component_limits(self) -> tuple[AlgebraElement, ...]:
-        rows, step = self._part_elements, self.parts[0].shape[1]
-        return tuple(rows[(k + 1) * step - 1] for k in range(4))
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ inverts them there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,7 @@ from .core import (
     _is_positive,
     _norm_against,
     _norms,
-    _remember_norm,
+    _remember,
     _tol,
     adjoint,
     operator_norm,
@@ -154,7 +155,9 @@ def _polar_frame(x: AlgebraElement, t: ToleranceConfig):
     then x x*. Returns the eigensystem of x*x and, as a dict, the
     PolarResult fields absx, absxstar, initial and final read off the two."""
     eig = _eigh_blocks((adjoint(x) * x).blocks)
-    _remember_norm(x, eig, t)
+    # the value operator_norm computes: the eigenvalues do not depend on
+    # whether the solve accumulated eigenvectors
+    _remember(x, "operator_norm", t, math.sqrt(max(eig.max_eigenvalue, 0.0)))
     eig_star = _eigh_blocks((x * adjoint(x)).blocks)
     return eig, dict(
         absx=eig.root(t),

@@ -113,7 +113,7 @@ def spectral_measure(
     if not is_normal(a, t):
         raise NotNormal("spectral decomposition needs a normal element")
     found = []
-    for values, atom in _joint_atoms([a], t):
+    for values, atom in _joint_atoms([a], t)[2]:
         z = [complex(v) for v in values[:, 0]]
         found.append((sum(z) / len(z), len(z), atom))
     found.sort(key=lambda f: (f[0].real, f[0].imag))

@@ -201,13 +201,15 @@ def test_closure_report_reads_correspondence_residuals(tmp_path, capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("d", [3e-10, 1e-9, 5e-9, 9e-9, 2e-8, 1e-7, 1e-6, 1e-5, 1e-4])
+@pytest.mark.parametrize("d", [3e-10, 1e-9, 5e-9, 9e-9, 2e-8, 2.4e-8, 1e-7, 1e-6, 1e-5, 1e-4])
 def test_closure_agrees_with_spectral_on_near_degenerate_input(tmp_path, capsys, d):
     # U diag(1, 1 + d, 2, -i) U*, U Haar: b = C*(g) is the span of g's
     # spectral atoms, so closure accepts exactly when spectral does, with one
     # dimension per spectrum point. For d from 9e-9 to 2e-8 the eigenvalues
     # near 1 merge into one atom whose point misses both by more than the
-    # reconstruction allows, and both reject
+    # reconstruction allows, and both reject. At 2.4e-8 a MASA refined on a
+    # grouping other than the atoms' mixes two atoms, and closure rejects a
+    # draw that spectral accepts
     rng = np.random.default_rng(0)
     f = tmp_path / "g.json"
     for _ in range(4):

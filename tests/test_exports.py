@@ -34,12 +34,6 @@ KEEP = {
     "Subalgebra.contains": "ROADMAP item 15",
     "Subalgebra.project": "ROADMAP item 15",
     "Subalgebra.membership_residual": "ROADMAP item 15",
-    "OrderLimitCertificate.components": "element view read by the named oracle of "
-    "tests/test_order_stacked.py",
-    "OrderLimitCertificate.component_limits": "element view read by the named oracle of "
-    "tests/test_order_stacked.py",
-    "OrderLimitCertificate._part_elements": "the element views components and "
-    "component_limits read",
     "random_self_adjoint": "test helper",
     "random_unitary": "test helper",
 }

@@ -36,7 +36,6 @@ from awkit.core import (
     ToleranceConfig,
     _tol,
     frobenius_norm,
-    joint_eigenspaces,
 )
 from awkit.errors import NotContained
 from awkit.lattice import Subalgebra, _unvec, _vec, generate_masa, minimal_projections
@@ -230,24 +229,25 @@ def test_generated_masa_passes_the_element_commutation_rule(seed):
 
 def test_masas_of_one_element_share_one_joint_eigensolve(monkeypatch):
     g = _fixed(7)
-    fresh = joint_eigenspaces([g])
-    calls = []
+    fresh_bases, fresh_labels, _ = core._joint_atoms([_fixed(7)], DEFAULT_TOL)
+    solve, calls = core.simultaneous_eigh, []
 
-    def counted(family, tol=None):
-        calls.append(len(family))
-        return joint_eigenspaces(family, tol)
+    def counted(mats, tol=None):
+        calls.append(len(mats))
+        return solve(mats, tol)
 
-    monkeypatch.setattr(core, "joint_eigenspaces", counted)
+    monkeypatch.setattr(core, "simultaneous_eigh", counted)
     d1, d2 = generate_masa([g], 1), generate_masa([g], 2)
-    # g's spectral atoms, and C*(g) built from them, read the same solve
+    # g's spectral atoms, and C*(g) built from them, read the same solve:
+    # one joint solve of g's real and imaginary parts per block
     spectral_measure(g)
     Subalgebra.of_normal(g)
-    assert calls == [1]
+    assert calls == [2] * len(g.blocks)
     # the refinement worked on copies: the shared bases are read-only and
-    # still the solve's, and the two MASAs differ
-    shared = g._memo[("joint_eigenspaces", DEFAULT_TOL)]
-    for (basis, groups), (want, want_groups) in zip(shared, fresh):
+    # still the solve's, with the solve's atom labels, and the two MASAs differ
+    bases, labels, _ = g._memo[("joint_atoms", DEFAULT_TOL)]
+    assert labels == fresh_labels
+    for basis, want in zip(bases, fresh_bases):
         assert not basis.flags.writeable
         assert np.array_equal(basis, want)
-        assert [i.tolist() for i in groups] == [i.tolist() for i in want_groups]
     assert not all(np.array_equal(x, y) for x, y in zip(d1.basis[0].blocks, d2.basis[0].blocks))

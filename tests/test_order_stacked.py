@@ -6,7 +6,8 @@ Its named oracle here is the element-built certificate it replaced:
 ``_ElementCertificate`` holds the same data as ``AlgebraElement``s, and
 ``_gather`` stacks elements of one signature, one np.array per block
 position, so ``_stacked`` turns an element-built certificate into the
-stacked one. ``_elements`` reads a stacked certificate's element views back.
+stacked one. ``_elements`` reads a stacked certificate back as elements,
+views of its stacks made by ``AlgebraElement._of_stacks``.
 
 ``_reference_verify`` is the earlier body of ``awkit.order.verify_certificate``,
 which checked one component at a time on ``AlgebraElement`` intermediates,
@@ -119,13 +120,17 @@ def _stacked(e: _ElementCertificate) -> OrderLimitCertificate:
 
 
 def _elements(c: OrderLimitCertificate) -> _ElementCertificate:
-    """The element views of a stacked certificate."""
+    """The element views of a stacked certificate: its terms and limit, and
+    views of its part stacks, row k (N + 1) + j of the flattened stacks
+    being parts[b][k, j]."""
+    rows = AlgebraElement._of_stacks([p.reshape(-1, *p.shape[2:]) for p in c.parts])
+    step = c.parts[0].shape[1]
     return _ElementCertificate(
         indices=c.indices,
         terms=c.terms,
         limit=c.limit,
-        components=c.components,
-        component_limits=c.component_limits,
+        components=tuple(tuple(rows[k * step : (k + 1) * step - 1]) for k in range(4)),
+        component_limits=tuple(rows[(k + 1) * step - 1] for k in range(4)),
         envelope=c.envelope,
     )
 
@@ -546,6 +551,8 @@ def _build_outcome(build, seq, limit, t):
         c = build(seq, limit, 1.0, t)
     except Exception as exc:  # the exception is part of the outcome compared
         return ("raised", type(exc), str(exc))
+    if isinstance(c, OrderLimitCertificate):
+        c = _elements(c)
     return (
         "built",
         c.indices,
@@ -651,16 +658,18 @@ def test_built_stacks_are_read_only_and_the_elements_are_views_of_them(sig):
     # row N of the sequence is the limit, rows 0..N-1 the terms, bit for bit
     assert _bits(c.limit) == _bits(limit)
     assert [_bits(a) for a in c.terms] == [_bits(a) for a in seq]
+    e = _elements(c)
     for b in range(len(sig)):
         for k in range(4):
-            assert c.component_limits[k].blocks[b].base is not None
-            assert np.shares_memory(c.component_limits[k].blocks[b], c.parts[b])
+            assert e.component_limits[k].blocks[b].base is not None
+            assert np.shares_memory(e.component_limits[k].blocks[b], c.parts[b])
             for j in range(5):
-                view = c.components[k][j].blocks[b]
+                view = e.components[k][j].blocks[b]
                 assert np.array_equal(view, c.parts[b][k, j]) and not view.flags.writeable
                 assert np.shares_memory(view, c.parts[b])
+        assert np.shares_memory(c.limit.blocks[b], c.sequence[b])
     # the views are made once and kept
-    assert c.components[0][0] is c.components[0][0] and c.limit is c.limit
+    assert c.terms[0] is c.terms[0] and c.limit is c.limit
 
 
 def test_verify_makes_no_element():

@@ -6,9 +6,15 @@ For each seed and each workload of ``perfbench/workloads.py`` the inputs are
 written to a fresh temporary directory by ``build_inputs``, and every case is
 run in process through ``awkit.cli.main`` with ``awkit`` imported from
 SRC_DIR. Each polar input is also run through ``cut``, ``ineq --n 3 --m 9``
-and ``polar --method direct``. Each call prints one line: the seed, the
-argv, the exit code (or the name of an exception that escaped ``main``), and
-the sha256 of its stdout and of its stderr.
+and ``polar --method direct``. A near-degenerate family follows the
+workloads: U diag(1, 1 + d, 2, -i) U* for d in NEAR_GAPS, from NEAR_DRAWS
+Haar unitaries U drawn from numpy's ``default_rng(SEED)`` by the QR of
+``perfbench/workloads.py`` (never by ``awkit.sampling``, so the program
+cannot change its inputs), each run through ``spectral`` and through
+``closure --seed1 1 --seed2 2``; there the eigenvalues 1 and 1 + d lie near
+the cluster gap, and the two commands should agree. Each call prints one
+line: the seed, the argv, the exit code (or the name of an exception that
+escaped ``main``), and the sha256 of its stdout and of its stderr.
 
 Paths are relative to the temporary directory, so the lines do not depend on
 where it lies: ``diff`` of the output for two source trees shows every call
@@ -25,11 +31,17 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 # one BLAS thread, as in the benchmark
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# the near-degenerate family: the gaps d, and the unitaries drawn per seed
+NEAR_GAPS = (2.1e-8, 2.2e-8, 2.3e-8, 2.4e-8)
+NEAR_DRAWS = 10
 
 
 def _sha(text: str) -> str:
@@ -55,6 +67,33 @@ def _argvs(case):
         yield ("polar", path, "--method", "direct")
 
 
+@contextlib.contextmanager
+def _fresh_directory():
+    """Work in a fresh temporary directory, removed on exit."""
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            yield
+        finally:
+            os.chdir(home)
+
+
+def _near_degenerate(seed, haar_unitary, write_element):
+    """The argvs of the near-degenerate family, its inputs written under the
+    working directory."""
+    out = Path("near_degenerate")
+    out.mkdir()
+    rng = np.random.default_rng(seed)
+    unitaries = [haar_unitary(rng, 4) for _ in range(NEAR_DRAWS)]
+    for d in NEAR_GAPS:
+        values = np.array([1.0, 1.0 + d, 2.0, -1j])
+        for i, u in enumerate(unitaries):
+            path = write_element(out / f"d{d:.1e}_{i}.json", [(u * values) @ u.conj().T])
+            yield ("spectral", path)
+            yield ("closure", path, "--seed1", "1", "--seed2", "2")
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) < 2:
@@ -63,20 +102,17 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(Path(args[0]).resolve()))
     sys.path.insert(0, str(ROOT / "perfbench"))
     import awkit.cli
-    from workloads import WORKLOADS, build_inputs
+    from workloads import WORKLOADS, build_inputs, haar_unitary, write_element
 
-    home = os.getcwd()
     for seed in map(int, args[1:]):
         for name, workload in WORKLOADS.items():
-            with tempfile.TemporaryDirectory() as tmp:
-                os.chdir(tmp)
-                try:
-                    cases, _ = build_inputs(workload, seed, Path(name))
-                    for case in cases:
-                        for call in _argvs(case):
-                            print(f"{seed}\t{_call(awkit.cli.main, call)}", flush=True)
-                finally:
-                    os.chdir(home)
+            with _fresh_directory():
+                cases, _ = build_inputs(workload, seed, Path(name))
+                for call in (argv for case in cases for argv in _argvs(case)):
+                    print(f"{seed}\t{_call(awkit.cli.main, call)}", flush=True)
+        with _fresh_directory():
+            for call in _near_degenerate(seed, haar_unitary, write_element):
+                print(f"{seed}\t{_call(awkit.cli.main, call)}", flush=True)
     return 0
 
 
