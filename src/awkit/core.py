@@ -165,13 +165,17 @@ class ToleranceConfig:
     check_regularity test against an absolute 2 pos_slack; the ladder stops
     once ||u_n - u_{n-1}|| < rank_cutoff;
     _orthonormal_rows cuts singular values relative to the largest: it
-    decides the dimension of Subalgebra.from_generators, and so of a
-    closure, but not of b = C*(g) (Subalgebra.of_normal), the span of g's
-    spectral atoms, which the cluster gap of _joint_atoms decides. That gap,
-    cluster_tol max(1, largest value tuple norm), groups the eigenvectors of
-    spectral_measure, minimal_projections and generate_masa alike;
-    simultaneous_eigh's gap, cluster_tol max(1, ||m||_F), now decides only
-    which subspaces each later part is compressed on. The limit step of
+    decides the dimension of Subalgebra.from_generators, but neither that
+    of b = C*(g) (Subalgebra.of_normal), the span of g's spectral atoms,
+    which the cluster gap of _joint_atoms decides, nor that of a closure,
+    the span of its nonzero face suprema. That gap, cluster_tol max(1,
+    largest value tuple norm), groups the eigenvectors of spectral_measure,
+    minimal_projections and generate_masa alike; simultaneous_eigh's gap,
+    cluster_tol max(1, ||m||_F), decides only which subspaces each later
+    part is compressed on. A compression whose eigenvalues w spread by
+    w[-1] - w[0] <= that gap leaves its subspace whole and its basis
+    unrotated: its eigenvectors could only mix the eigenvectors that the
+    earlier parts separated. The limit step of
     limit_calculus_check's order preservation accepts d = lim c2 - lim c1
     when max(0, -min w, ||d - d*||_F) <= pos_slack (1 + max |w|) over the
     eigenvalues w of Re d. relative_commutant skips a block with
@@ -778,8 +782,10 @@ def simultaneous_eigh(
     """Jointly diagonalize pairwise-commuting Hermitian matrices of one block.
 
     Recursive splitting: diagonalize the first matrix, then refine each
-    eigenvalue cluster with the compression of the next, and so on. Returns
-    the common unitary and the list of joint eigenspace column-index groups.
+    eigenvalue cluster with the compression of the next, and so on. A
+    compression whose eigenvalues spread by at most the gap leaves its
+    cluster whole and unrotated. Returns the common unitary and the list of
+    joint eigenspace column-index groups.
     """
     t = _tol(tol)
     n = mats[0].shape[0]
@@ -796,6 +802,11 @@ def simultaneous_eigh(
             comp = v.conj().T @ m @ v
             eig = _eigh_blocks([comp])
             w = eig.eigenvalues[0]
+            if w[-1] - w[0] <= gap:
+                # scalar within the gap: it splits nothing, and its rotation
+                # could only mix eigenvectors the earlier parts separated
+                refined.append(idx)
+                continue
             basis[:, idx] = v @ eig.unitary.blocks[0]
             start = 0
             for i in range(1, len(w) + 1):

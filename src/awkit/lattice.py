@@ -36,10 +36,13 @@ The algebra C*(g) of a normal g is the span of g's spectral atoms e_i
 (Subalgebra.of_normal), with the orthonormal basis e_i / sqrt(rank e_i):
 the atoms are those memoized on g, which its MASAs refine within, and are
 stored as its minimal projections, so its dimension is decided by the
-cluster gap of spectral_measure, not by a rank cut. The closures are still
-generated from their face suprema by the generic Subalgebra.from_generators
-(products and an SVD per round), so the check that a closure spans b
-compares two different constructions.
+cluster gap of spectral_measure, not by a rank cut. A closure is built the
+same way from its face suprema s_i, orthogonal projections read in a MASA:
+it is their span, with the orthonormal basis s_i / ||s_i||_F, and no product
+or SVD is formed. The check that a closure spans b still compares two
+constructions, the suprema read in a MASA against the atoms read off g.
+Subalgebra.from_generators, the generic closure under products with an SVD
+per round, is kept as their oracle in the closure-agreement suite.
 
 A Subalgebra memoizes its commutativity verdict, its minimal projections
 and, for a MASA, its stacks, keyed by name and the resolved ToleranceConfig
@@ -62,6 +65,7 @@ from .core import (
     _joint_atoms,
     _memoized,
     _norm_against,
+    _norms,
     _remember,
     _tol,
     adjoint,
@@ -536,10 +540,12 @@ def monotone_closure(
     The closure adjoins, for every projection p of the MASA, the supremum of
     the face {x in b, 0 <= x <= 1, x <= p}. Each minimal projection e_i of b
     is a sum of the MASA's rank-one projections, so every face supremum is a
-    sum of the suprema s_i of the faces of the e_i, and the closure is
-    generated by s_1..s_m, read off the MASA's own rank-one projections. At
-    finite dimension the closure of a unital closed subalgebra is the
-    subalgebra itself; this is asserted on the result.
+    sum of the suprema s_i of the faces of the e_i, read off the MASA's own
+    rank-one projections. The s_i are pairwise orthogonal projections, so
+    the closure is their span, with the orthonormal basis s_i / ||s_i||_F
+    (Berberian, Baer *-Rings). At finite dimension the closure of a unital
+    closed subalgebra is the subalgebra itself; this is asserted on the
+    result.
     """
     return _closure_in(b, masa, _tol(tol))[0]
 
@@ -548,7 +554,14 @@ def _closure_in(
     b: Subalgebra, masa: Subalgebra, t: ToleranceConfig
 ) -> tuple[Subalgebra, list[AlgebraElement]]:
     """The monotone closure of b in the MASA and the face suprema s_1..s_m
-    that generate it."""
+    it spans.
+
+    The tr(e_i p_j) of a rank-one projection p_j of the MASA sum to 1 over
+    i, so p_j lies under at most one s_i: distinct s_i are orthogonal, and
+    s_i / ||s_i||_F, over the nonzero s_i, is an orthonormal basis of their
+    span. Raises PostconditionFailed unless the span equals b by
+    spans_equal.
+    """
     if not b.is_commutative(t):
         raise NotCommuting("closure requires a commutative subalgebra")
     if not masa.is_masa(t):
@@ -559,7 +572,12 @@ def _closure_in(
     if not _stacks_contain(stacks, b, t):
         raise NotContained("subalgebra does not lie inside the MASA")
     sups = _face_suprema(minimal_projections(b, t), stacks, t)
-    closure = Subalgebra.from_generators(sups, t)
+    basis = []
+    for s in sups:
+        r = frobenius_norm(s)
+        if r > 0.0:
+            basis.append(AlgebraElement._of([blk / r for blk in s.blocks]))
+    closure = Subalgebra(b.signature, tuple(basis))
     if not spans_equal(closure, b):
         raise PostconditionFailed(
             "closure of a unital closed subalgebra moved at finite dimension"
@@ -580,19 +598,20 @@ def closure_correspondence(
     from that MASA's rank-one projections. The supremum s_i of the face of
     b's minimal projection e_i in the first MASA is paired with its
     supremum in the second, m pairs. The pairing, the identity map at finite
-    dimension, is checked within 2 pos_slack on each pair. Every projection
-    of the closure is a sum of distinct s_i and its partner the same sum in
-    the second MASA, so its gap is at most m delta.
+    dimension, is checked within 2 pos_slack on each pair. The m gaps
+    ||s_i - t_i|| are taken in one stacked solve (core._norms), each with
+    the bits of operator_norm(s_i - t_i). Every projection of the closure is
+    a sum of distinct s_i and its partner the same sum in the second MASA,
+    so its gap is at most m delta.
     """
     t = _tol(tol)
     c1, sups1 = _closure_in(b, masa1, t)
     c2, sups2 = _closure_in(b, masa2, t)
-    pairs = []
-    delta = 0.0
-    for p, partner in zip(sups1, sups2):
-        gap = operator_norm(p - partner, t)
-        if gap > t.pos_slack * 2.0:
-            raise PostconditionFailed("closure correspondence is not the identity map")
-        delta = max(delta, gap)
-        pairs.append((Projection._of(p), Projection._of(partner)))
-    return ClosureCorrespondence(pairs=tuple(pairs), closures=(c1, c2), delta=delta)
+    gaps = _norms([
+        np.array([p.blocks[k] for p in sups1]) - np.array([q.blocks[k] for q in sups2])
+        for k in range(len(b.signature))
+    ])
+    if any(gap > t.pos_slack * 2.0 for gap in gaps):
+        raise PostconditionFailed("closure correspondence is not the identity map")
+    pairs = tuple((Projection._of(p), Projection._of(q)) for p, q in zip(sups1, sups2))
+    return ClosureCorrespondence(pairs=pairs, closures=(c1, c2), delta=max(0.0, *gaps))

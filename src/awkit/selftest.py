@@ -20,7 +20,7 @@ from .core import (
     operator_norm,
 )
 from .errors import BadArgument
-from .lattice import Subalgebra, closure_correspondence, generate_masa
+from .lattice import Subalgebra, closure_correspondence, generate_masa, spans_equal
 from .order import (
     DominatorEnvelope,
     ENVELOPE_MONOTONICITY,
@@ -268,10 +268,13 @@ def _degenerate_normal_generator(sig, rng):
 
 def check_closure_agreement(trials=50, seed=0, dims=(2, 5), tol=None) -> CriterionResult:
     """Closures inside two refinements agree and the correspondence is the
-    identity on projections and preserves products."""
+    identity on projections and preserves products. Each closure, the span
+    of its face suprema, equals the closure under products that the oracle
+    Subalgebra.from_generators builds from the same suprema."""
     t = _tol(tol)
     rng = np.random.default_rng(seed + 707)
     worst = 0.0
+    matched = 0
     for k in range(trials):
         sig = random_signature(rng, max_blocks=2, dims=_dim_range(dims, lo_floor=2, hi_cap=5))
         g = _degenerate_normal_generator(sig, rng)
@@ -290,7 +293,16 @@ def check_closure_agreement(trials=50, seed=0, dims=(2, 5), tol=None) -> Criteri
                     prod = qi.element * qj.element
                     defect = prod - qi.element if i == j else prod
                     worst = max(worst, operator_norm(defect, t))
-    return CriterionResult("monotone closure agreement", worst <= RESIDUAL_TOL, trials, worst)
+        for side, closure in zip(zip(*corr.pairs), corr.closures):
+            oracle = Subalgebra.from_generators([q.element for q in side], t)
+            matched += oracle.dim == closure.dim and spans_equal(oracle, closure)
+    return CriterionResult(
+        "monotone closure agreement",
+        worst <= RESIDUAL_TOL and matched == 2 * trials,
+        trials,
+        worst,
+        detail=f"{matched}/{2 * trials} closures match from_generators",
+    )
 
 
 def _shifted(stacks, at, delta):

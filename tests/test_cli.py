@@ -207,9 +207,8 @@ def test_closure_agrees_with_spectral_on_near_degenerate_input(tmp_path, capsys,
     # spectral atoms, so closure accepts exactly when spectral does, with one
     # dimension per spectrum point. For d from 9e-9 to 2e-8 the eigenvalues
     # near 1 merge into one atom whose point misses both by more than the
-    # reconstruction allows, and both reject. At 2.4e-8 a MASA refined on a
-    # grouping other than the atoms' mixes two atoms, and closure rejects a
-    # draw that spectral accepts
+    # reconstruction allows, and both reject (all four draws at 9e-9, three
+    # of them at 2e-8)
     rng = np.random.default_rng(0)
     f = tmp_path / "g.json"
     for _ in range(4):
@@ -223,6 +222,27 @@ def test_closure_agrees_with_spectral_on_near_degenerate_input(tmp_path, capsys,
             assert json.loads(out)["artifacts"]["closure_dim"] == points
         else:
             assert err.startswith("rejected: generator does not lie in the span"), err
+
+
+@pytest.mark.parametrize("d", [2.1e-8, 2.2e-8, 2.3e-8, 2.4e-8])
+def test_spectral_accepts_eigenvalues_the_real_part_groups(tmp_path, capsys, d):
+    # the draws above, with d between the atoms' gap cluster_tol max(1, 2)
+    # = 2e-8 and simultaneous_eigh's gap cluster_tol ||Re g||_F = 2.45e-8:
+    # the real part puts 1 and 1 + d in one group, on which the imaginary
+    # part's compression is roundoff. That group keeps the real part's
+    # eigenvectors, so 1 and 1 + d are two atoms, spectral accepts with four
+    # points, and closure agrees with four dimensions
+    rng = np.random.default_rng(0)
+    f = tmp_path / "g.json"
+    for _ in range(4):
+        u = haar_unitary_block(4, rng)
+        write_matrix(f, AlgebraElement([(u * np.array([1.0, 1.0 + d, 2.0, -1j])) @ u.conj().T]))
+        code, out, err = run_cli(capsys, "spectral", str(f))
+        assert code == 0, err
+        assert len(json.loads(out)["artifacts"]["spectrum"]) == 4
+        code, out, err = run_cli(capsys, "closure", str(f), "--seed1", "1", "--seed2", "2")
+        assert code == 0, err
+        assert json.loads(out)["artifacts"]["closure_dim"] == 4
 
 
 def test_certify_subcommand(tmp_path, capsys):

@@ -103,13 +103,13 @@ REJECTIONS = {
         [np.array([[1.0]]), np.array([[2.0j]])],
         ("closure", "--seed1", "1", "--seed2", "2", "--rank-cutoff", "0.5", "--cluster-tol", "1.5"),
     ),
-    # b spans the two block units; from_generators builds the closure from
-    # them with an SVD cut at half the largest singular value, and the unit
-    # of the 1x1 block, 1/sqrt(8) of the other's norm, falls below it: the
-    # closure is 1-dimensional
-    "closure-moved": (
-        [np.zeros((1, 1)), np.eye(8)],
-        ("closure", "--seed1", "1", "--seed2", "2", "--rank-cutoff", "0.5", "--cluster-tol", "0.9"),
+    # the refined MASA's commutators (at most 1.8e-16) pass 2 pos_slack =
+    # 3e-16, but the roundoff of projecting b's basis on its rank-one
+    # projections (2.9e-16 (1 + ||x||_F)) fails the containment rule
+    # pos_slack (1 + ||x||_F) of the closure
+    "closure-not-inside-masa": (
+        [np.diag([1.0, 1.0, 2.0, 2.0])],
+        ("closure", "--seed1", "1", "--seed2", "2", "--pos-slack", "1.5e-16"),
     ),
     # 0.6^2 lies below the cutoff 0.5 of x x*: no singular value is kept
     "cut-no-point-above-cutoff": (

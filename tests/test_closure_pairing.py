@@ -294,3 +294,40 @@ def test_pairing_rejects_a_perturbed_supremum(monkeypatch):
     with pytest.raises(PostconditionFailed, match="not the identity map"):
         closure_correspondence(b, d1, d2)
     assert closure_correspondence(b, d1, d1).delta == 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_delta_is_the_largest_pair_gap_to_the_bit(seed):
+    # the m gaps are taken in one stacked solve; delta keeps the bits of the
+    # largest operator_norm(s_i - t_i) taken pair by pair
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for n in (4, 3):
+        vals = np.array([POOL[i] for i in rng.integers(0, 4, n)])
+        u = haar_unitary_block(n, rng)
+        blocks.append((u * vals) @ u.conj().T)
+    g = AlgebraElement(blocks)
+    corr = closure_correspondence(
+        Subalgebra.of_normal(g), *(generate_masa([g], s) for s in (2 * seed + 1, 2 * seed + 2))
+    )
+    gaps = [operator_norm(p.element - q.element) for p, q in corr.pairs]
+    assert max(gaps) > 0.0
+    assert corr.delta == max(0.0, *gaps)
+
+
+def test_face_with_no_rank_one_projection_under_it_moves_the_closure():
+    # b = C*(diag(1, 2, 2)) in the MASA of the cyclic shift, whose rank-one
+    # projections f_j (on the Fourier basis) have tr(e_1 f_j) = 1/3 for
+    # e_1 = diag(1, 0, 0): no f_j lies under e_1, so its face supremum is 0,
+    # and e_2 = diag(0, 1, 1) takes all three. At pos_slack 0.9 b passes the
+    # containment and the atom checks; the closure, spanned by the one
+    # nonzero supremum 1, has dimension 1, and the postcondition rejects it
+    shift = AlgebraElement([np.roll(np.eye(3), 1, axis=0)])
+    t = ToleranceConfig(pos_slack=0.9)
+    b = Subalgebra.of_normal(diag_el([1, 2, 2]), t)
+    masa = generate_masa([shift], 0, t)
+    sups = lattice._face_suprema(minimal_projections(b, t), lattice._rank_one_stacks(masa, t), t)
+    # minimal projections come largest first: e_2, then e_1
+    assert [float(np.abs(s.blocks[0]).max()) for s in sups] == [pytest.approx(1.0), 0.0]
+    with pytest.raises(PostconditionFailed, match="moved at finite dimension"):
+        monotone_closure(b, masa, t)

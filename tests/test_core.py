@@ -433,6 +433,18 @@ def test_cluster_gap_past_the_float_range_splits_distinct_eigenvalues():
         assert np.allclose(basis.conj().T @ basis, np.eye(2), atol=1e-15)
 
 
+def test_compression_scalar_within_the_gap_keeps_its_group_unrotated():
+    # the first part's eigenvalues 1 and 1 + 1e-9 lie in one group (gap
+    # 1e-8 ||m||_F); the second part is roundoff on it, and its eigenvectors
+    # would mix the first part's: the group stays whole and unrotated
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    first = np.diag([1.0, 1.0 + 1e-9, 2.0]).astype(complex)
+    basis, groups = simultaneous_eigh([first, 1e-20 * (a + a.conj().T)])
+    assert [g.tolist() for g in groups] == [[0, 1], [2]]
+    assert np.array_equal(basis, simultaneous_eigh([first])[0])
+
+
 def test_block_whose_squares_underflow_is_solved_rescaled():
     # every entry squares to 0, so ||h||_F underflows; the block is solved
     # at the scale of its largest entry and its eigenvalues scaled back

@@ -144,9 +144,9 @@ def test_closure_call_computes_each_value_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(Subalgebra, "of_normal", classmethod(counted_of_normal))
     doc = _run(capsys, "closure", str(f), "--seed1", "1", "--seed2", "2")
     assert doc["accepted"] is True
-    # b is the span of g's atoms; only its closure in each MASA, from the 3
-    # face suprema there, is built by from_generators
-    assert built == [3, 3]
+    # b is the span of g's atoms and each closure the span of its 3 face
+    # suprema: from_generators builds neither
+    assert built == []
     (b,) = made
     # b is stored commutative with its atoms as its minimal projections, and
     # each MASA with its rank-one projections: no subalgebra is decomposed
@@ -159,10 +159,10 @@ def test_closure_call_computes_each_value_once(tmp_path, capsys, monkeypatch):
 def test_closure_call_eigensolves(tmp_path, capsys, monkeypatch):
     # counted at the one driver, core._solve, with its vectors flag.
     # Eigenvalues only: one for the input's norm in its normality verdict and
-    # one per gap ||s_i - t_i|| over the 3 pairs of face suprema, which are
-    # sums of the MASAs' rank-one projections and take none. In between, with
-    # eigenvectors, the 5 compression solves of one joint eigensolve of g,
-    # shared by b and both MASAs. principal_angles runs once in each
+    # one stacked solve of the 3 gaps ||s_i - t_i|| of the pairs of face
+    # suprema, which are sums of the MASAs' rank-one projections and take
+    # none. In between, with eigenvectors, the 5 compression solves of one
+    # joint eigensolve of g, shared by b and both MASAs. principal_angles runs once in each
     # closure's own check against b and once for the two closures, shared by
     # the residuals and the verdict
     f = tmp_path / "g.json"
@@ -178,7 +178,7 @@ def test_closure_call_eigensolves(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(lattice, "principal_angles", counted_angles)
     doc = _run(capsys, "closure", str(f), "--seed1", "1", "--seed2", "2")
     assert doc["artifacts"]["projection_pairs"] == 3
-    assert solves == [False] + [True] * 5 + [False] * 3
+    assert solves == [False] + [True] * 5 + [False]
     assert len(angles) == 3
 
 

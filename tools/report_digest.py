@@ -18,7 +18,9 @@ escaped ``main``), and the sha256 of its stdout and of its stderr.
 
 Paths are relative to the temporary directory, so the lines do not depend on
 where it lies: ``diff`` of the output for two source trees shows every call
-whose exit code, report or message differs.
+whose exit code, report or message differs. ``reports`` yields the calls
+with their full output; ``tools/residual_moves.py`` compares two source
+trees on them report by report.
 """
 
 from __future__ import annotations
@@ -48,14 +50,16 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _call(main, argv) -> str:
+def _call(main, argv) -> tuple[str, str, str]:
+    """The exit code (or the name of an escaped exception), stdout and
+    stderr of one in-process call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = str(main(list(argv)))
         except Exception as exc:  # an escaped exception is reported by name
             code = type(exc).__name__
-    return f"{' '.join(argv)}\t{code}\t{_sha(out.getvalue())}\t{_sha(err.getvalue())}"
+    return code, out.getvalue(), err.getvalue()
 
 
 def _argvs(case):
@@ -94,25 +98,32 @@ def _near_degenerate(seed, haar_unitary, write_element):
             yield ("closure", path, "--seed1", "1", "--seed2", "2")
 
 
+def reports(src_dir, seeds):
+    """Per call, in digest order, (seed, argv, code, stdout, stderr), with
+    ``awkit`` imported from src_dir."""
+    sys.path.insert(0, str(Path(src_dir).resolve()))
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import awkit.cli
+    from workloads import WORKLOADS, build_inputs, haar_unitary, write_element
+
+    for seed in seeds:
+        for name, workload in WORKLOADS.items():
+            with _fresh_directory():
+                cases, _ = build_inputs(workload, seed, Path(name))
+                for call in (argv for case in cases for argv in _argvs(case)):
+                    yield (seed, call, *_call(awkit.cli.main, call))
+        with _fresh_directory():
+            for call in _near_degenerate(seed, haar_unitary, write_element):
+                yield (seed, call, *_call(awkit.cli.main, call))
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) < 2:
         sys.stderr.write("usage: report_digest.py SRC_DIR SEED [SEED ...]\n")
         return 2
-    sys.path.insert(0, str(Path(args[0]).resolve()))
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import awkit.cli
-    from workloads import WORKLOADS, build_inputs, haar_unitary, write_element
-
-    for seed in map(int, args[1:]):
-        for name, workload in WORKLOADS.items():
-            with _fresh_directory():
-                cases, _ = build_inputs(workload, seed, Path(name))
-                for call in (argv for case in cases for argv in _argvs(case)):
-                    print(f"{seed}\t{_call(awkit.cli.main, call)}", flush=True)
-        with _fresh_directory():
-            for call in _near_degenerate(seed, haar_unitary, write_element):
-                print(f"{seed}\t{_call(awkit.cli.main, call)}", flush=True)
+    for seed, call, code, out, err in reports(args[0], map(int, args[1:])):
+        print(f"{seed}\t{' '.join(call)}\t{code}\t{_sha(out)}\t{_sha(err)}", flush=True)
     return 0
 
 
