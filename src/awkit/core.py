@@ -172,10 +172,15 @@ class ToleranceConfig:
     largest value tuple norm), groups the eigenvectors of spectral_measure,
     minimal_projections and generate_masa alike; simultaneous_eigh's gap,
     cluster_tol max(1, ||m||_F), decides only which subspaces each later
-    part is compressed on. A compression whose eigenvalues w spread by
-    w[-1] - w[0] <= that gap leaves its subspace whole and its basis
-    unrotated: its eigenvectors could only mix the eigenvectors that the
-    earlier parts separated. The limit step of
+    part is compressed on. A later part leaves a subspace whole and its
+    basis unrotated when its compression's eigenvalues w spread by
+    w[-1] - w[0] < sep gap. Here sep is the smallest step between the
+    consecutive eigenvalues of the solve that last rotated that subspace,
+    divided by that solve's gap: it separated every pair of the columns by
+    more, relative to its gap, than this part varies on them, so this
+    part's eigenvectors could only mix them. The identity basis separates
+    nothing (sep = 0), so the first part, and a later part on a subspace
+    the earlier ones leave degenerate, always rotate. The limit step of
     limit_calculus_check's order preservation accepts d = lim c2 - lim c1
     when max(0, -min w, ||d - d*||_F) <= pos_slack (1 + max |w|) over the
     eigenvalues w of Re d. relative_commutant skips a block with
@@ -783,38 +788,42 @@ def simultaneous_eigh(
 
     Recursive splitting: diagonalize the first matrix, then refine each
     eigenvalue cluster with the compression of the next, and so on. A
-    compression whose eigenvalues spread by at most the gap leaves its
-    cluster whole and unrotated. Returns the common unitary and the list of
-    joint eigenspace column-index groups.
+    cluster stays unrotated when the next compression spreads by less than
+    the solve that last rotated it separated its columns (ToleranceConfig).
+    Returns the common unitary and the list of joint eigenspace column-index
+    groups.
     """
     t = _tol(tol)
     n = mats[0].shape[0]
     basis = np.eye(n, dtype=np.complex128)
-    groups = [np.arange(n)]
+    # per group, the smallest step between consecutive eigenvalues, over the
+    # gap, of the solve that last rotated it; the identity separates nothing
+    groups = [(np.arange(n), 0.0)]
     for m in mats:
         gap = t.cluster_tol * max(1.0, _frobenius([m]))
         refined = []
-        for idx in groups:
+        for idx, sep in groups:
             if len(idx) == 1:
-                refined.append(idx)
+                refined.append((idx, sep))
                 continue
             v = basis[:, idx]
             comp = v.conj().T @ m @ v
             eig = _eigh_blocks([comp])
             w = eig.eigenvalues[0]
-            if w[-1] - w[0] <= gap:
-                # scalar within the gap: it splits nothing, and its rotation
-                # could only mix eigenvectors the earlier parts separated
-                refined.append(idx)
+            if w[-1] - w[0] < sep * gap:
+                # the earlier solve separated the columns by more than this
+                # part varies on them: its rotation could only mix them
+                refined.append((idx, sep))
                 continue
             basis[:, idx] = v @ eig.unitary.blocks[0]
             start = 0
             for i in range(1, len(w) + 1):
                 if i == len(w) or w[i] - w[i - 1] > gap:
-                    refined.append(idx[start:i])
+                    steps = np.diff(w[start:i])
+                    refined.append((idx[start:i], steps.min() / gap if len(steps) else 0.0))
                     start = i
         groups = refined
-    return basis, groups
+    return basis, [idx for idx, _ in groups]
 
 
 def _joint_atoms(family: Sequence[AlgebraElement], t: ToleranceConfig):

@@ -33,16 +33,17 @@ merged where their value tuples over the basis lie within the cluster gap,
 the one rule by which spectral_measure finds the atoms of a normal element.
 
 The algebra C*(g) of a normal g is the span of g's spectral atoms e_i
-(Subalgebra.of_normal), with the orthonormal basis e_i / sqrt(rank e_i):
-the atoms are those memoized on g, which its MASAs refine within, and are
+(Subalgebra.of_normal), with the orthonormal basis e_i / ||e_i||_F: the
+atoms are those memoized on g, which its MASAs refine within, and are
 stored as its minimal projections, so its dimension is decided by the
-cluster gap of spectral_measure, not by a rank cut. A closure is built the
-same way from its face suprema s_i, orthogonal projections read in a MASA:
-it is their span, with the orthonormal basis s_i / ||s_i||_F, and no product
-or SVD is formed. The check that a closure spans b still compares two
-constructions, the suprema read in a MASA against the atoms read off g.
-Subalgebra.from_generators, the generic closure under products with an SVD
-per round, is kept as their oracle in the closure-agreement suite.
+cluster gap of spectral_measure, not by a rank cut. A closure is built by
+the same helper, _span_of_orthogonal_projections, from its face suprema
+s_i, orthogonal projections read in a MASA: it is their span, with the
+orthonormal basis s_i / ||s_i||_F, and no product or SVD is formed. The
+check that a closure spans b still compares two constructions, the suprema
+read in a MASA against the atoms read off g. Subalgebra.from_generators,
+the generic closure under products with an SVD per round, is kept as their
+oracle in the closure-agreement suite.
 
 A Subalgebra memoizes its commutativity verdict, its minimal projections
 and, for a MASA, its stacks, keyed by name and the resolved ToleranceConfig
@@ -204,7 +205,7 @@ class Subalgebra:
     @classmethod
     def of_normal(cls, g: AlgebraElement, tol: ToleranceConfig | None = None) -> "Subalgebra":
         """C*(g) of a normal g: the span of its spectral atoms e_i, with the
-        orthonormal basis e_i / sqrt(rank e_i).
+        orthonormal basis e_i / ||e_i||_F, ||e_i||_F = sqrt(rank e_i).
 
         The atoms are those of spectral_measure(g), memoized on g with the
         joint eigenbasis they are read off; distinct atoms are orthogonal,
@@ -221,14 +222,23 @@ class Subalgebra:
         if _norm_against(recon - g, bound, t) > bound:
             raise PostconditionFailed("generator does not lie in the span of its spectral atoms")
         atoms = [m.atoms[z] for z in m.domain_spectrum.points]
-        basis = [
-            AlgebraElement._of([blk / np.sqrt(r) for blk in e.element.blocks])
-            for e, r in zip(atoms, m.domain_spectrum.multiplicities)
-        ]
-        out = cls(g.signature, tuple(basis))
+        out = _span_of_orthogonal_projections(g.signature, [e.element for e in atoms])
         _remember(out, "is_commutative", t, True)
         _remember(out, "minimal_projections", t, _sorted_by_rank(atoms))
         return out
+
+
+def _span_of_orthogonal_projections(
+    signature: tuple[int, ...], projs: Sequence[AlgebraElement]
+) -> Subalgebra:
+    """The span of pairwise orthogonal projections, with the orthonormal
+    basis p / ||p||_F over the nonzero p: no product or SVD is formed."""
+    basis = []
+    for p in projs:
+        r = frobenius_norm(p)
+        if r > 0.0:
+            basis.append(AlgebraElement._of([blk / r for blk in p.blocks]))
+    return Subalgebra(signature, tuple(basis))
 
 
 @dataclass(frozen=True)
@@ -510,11 +520,11 @@ def _stacks_contain(stacks: Sequence[np.ndarray], b: Subalgebra, t: ToleranceCon
 
 def _face_suprema(
     minimal: Sequence[Projection], stacks: Sequence[np.ndarray], t: ToleranceConfig
-) -> list[AlgebraElement]:
+) -> list[np.ndarray]:
     """The face suprema s_1..s_m of b's minimal projections e_1..e_m in the
-    MASA of the rank-one projections p_j: s_i sums the p_j with Re tr(e_i
-    p_j) > 1/2. Raise NotContained unless each s_i is e_i within pos_slack
-    (1 + ||e_i||_F)."""
+    MASA of the rank-one projections p_j, as one (m, n, n) stack per block
+    position: s_i sums the p_j with Re tr(e_i p_j) > 1/2. Raise NotContained
+    unless each s_i is e_i within pos_slack (1 + ||e_i||_F)."""
     pairs = []
     for k, p in enumerate(stacks):
         n = p.shape[-1]
@@ -526,10 +536,7 @@ def _face_suprema(
         raise NotContained(
             "a minimal projection is not a sum of the MASA's rank-one projections"
         )
-    # one (m, n, n) stack of the suprema per block position
-    return AlgebraElement._of_stacks(
-        [s.reshape(-1, *p.shape[1:]) for (s, _), p in zip(pairs, stacks)]
-    )
+    return [s.reshape(-1, *p.shape[1:]) for (s, _), p in zip(pairs, stacks)]
 
 
 def monotone_closure(
@@ -542,19 +549,19 @@ def monotone_closure(
     is a sum of the MASA's rank-one projections, so every face supremum is a
     sum of the suprema s_i of the faces of the e_i, read off the MASA's own
     rank-one projections. The s_i are pairwise orthogonal projections, so
-    the closure is their span, with the orthonormal basis s_i / ||s_i||_F
-    (Berberian, Baer *-Rings). At finite dimension the closure of a unital
-    closed subalgebra is the subalgebra itself; this is asserted on the
-    result.
+    the closure is their span (Berberian, Baer *-Rings), built as b = C*(g)
+    is, with the orthonormal basis s_i / ||s_i||_F. At finite dimension the
+    closure of a unital closed subalgebra is the subalgebra itself; this is
+    asserted on the result.
     """
     return _closure_in(b, masa, _tol(tol))[0]
 
 
 def _closure_in(
     b: Subalgebra, masa: Subalgebra, t: ToleranceConfig
-) -> tuple[Subalgebra, list[AlgebraElement]]:
-    """The monotone closure of b in the MASA and the face suprema s_1..s_m
-    it spans.
+) -> tuple[Subalgebra, list[AlgebraElement], list[np.ndarray]]:
+    """The monotone closure of b in the MASA, the face suprema s_1..s_m it
+    spans, and their (m, n, n) stacks per block position.
 
     The tr(e_i p_j) of a rank-one projection p_j of the MASA sum to 1 over
     i, so p_j lies under at most one s_i: distinct s_i are orthogonal, and
@@ -571,18 +578,14 @@ def _closure_in(
     stacks = _rank_one_stacks(masa, t)
     if not _stacks_contain(stacks, b, t):
         raise NotContained("subalgebra does not lie inside the MASA")
-    sups = _face_suprema(minimal_projections(b, t), stacks, t)
-    basis = []
-    for s in sups:
-        r = frobenius_norm(s)
-        if r > 0.0:
-            basis.append(AlgebraElement._of([blk / r for blk in s.blocks]))
-    closure = Subalgebra(b.signature, tuple(basis))
+    sup_stacks = _face_suprema(minimal_projections(b, t), stacks, t)
+    sups = AlgebraElement._of_stacks(sup_stacks)
+    closure = _span_of_orthogonal_projections(b.signature, sups)
     if not spans_equal(closure, b):
         raise PostconditionFailed(
             "closure of a unital closed subalgebra moved at finite dimension"
         )
-    return closure, sups
+    return closure, sups, sup_stacks
 
 
 def closure_correspondence(
@@ -605,12 +608,9 @@ def closure_correspondence(
     so its gap is at most m delta.
     """
     t = _tol(tol)
-    c1, sups1 = _closure_in(b, masa1, t)
-    c2, sups2 = _closure_in(b, masa2, t)
-    gaps = _norms([
-        np.array([p.blocks[k] for p in sups1]) - np.array([q.blocks[k] for q in sups2])
-        for k in range(len(b.signature))
-    ])
+    c1, sups1, stacks1 = _closure_in(b, masa1, t)
+    c2, sups2, stacks2 = _closure_in(b, masa2, t)
+    gaps = _norms([s1 - s2 for s1, s2 in zip(stacks1, stacks2)])
     if any(gap > t.pos_slack * 2.0 for gap in gaps):
         raise PostconditionFailed("closure correspondence is not the identity map")
     pairs = tuple((Projection._of(p), Projection._of(q)) for p, q in zip(sups1, sups2))

@@ -245,6 +245,25 @@ def test_spectral_accepts_eigenvalues_the_real_part_groups(tmp_path, capsys, d):
         assert json.loads(out)["artifacts"]["closure_dim"] == 4
 
 
+def test_spectral_accepts_eigenvalues_only_the_imaginary_part_separates(tmp_path, capsys):
+    # U diag(i, i (1 + 1.3e-8)) U*, U Haar: the real part is roundoff and
+    # separates nothing, and the imaginary part's eigenvalues lie within
+    # simultaneous_eigh's gap cluster_tol ||Im g||_F = 1.41e-8 but past the
+    # atoms' gap 1e-8; its rotation resolves them, so spectral accepts two
+    # points and closure agrees with two dimensions
+    rng = np.random.default_rng(0)
+    f = tmp_path / "g.json"
+    for _ in range(6):
+        u = haar_unitary_block(2, rng)
+        write_matrix(f, AlgebraElement([(u * np.array([1j, 1j * (1.0 + 1.3e-8)])) @ u.conj().T]))
+        code, out, err = run_cli(capsys, "spectral", str(f))
+        assert code == 0, err
+        assert len(json.loads(out)["artifacts"]["spectrum"]) == 2
+        code, out, err = run_cli(capsys, "closure", str(f), "--seed1", "1", "--seed2", "2")
+        assert code == 0, err
+        assert json.loads(out)["artifacts"]["closure_dim"] == 2
+
+
 def test_certify_subcommand(tmp_path, capsys):
     d = tmp_path / "seq"
     d.mkdir()

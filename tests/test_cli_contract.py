@@ -88,12 +88,14 @@ def test_bad_number_gives_one_report(paths, capsys, command, flag, value):
 
 
 # valid tolerance flags on which a construction fails its own check: each is
-# a rejection with one report, never an escaped exception
+# a rejection with one report, never an escaped exception, and with the
+# message of the check it is named for
 REJECTIONS = {
     # refining the degenerate eigenspace leaves commutators above 2e-20
     "masa-postcondition": (
         [np.diag([1.0, 1.0, 1.0, 2.0])],
         ("closure", "--seed1", "1", "--seed2", "2", "--pos-slack", "1e-20"),
+        "refined diagonal algebra failed the MASA postcondition",
     ),
     # the eigenvalues 1 and 2i, sqrt(5) apart, cluster into one spectral
     # atom at a gap of 1.5 max(1, 2): its point (1 + 2i)/2 misses the input
@@ -102,31 +104,35 @@ REJECTIONS = {
     "atom-span-postcondition": (
         [np.array([[1.0]]), np.array([[2.0j]])],
         ("closure", "--seed1", "1", "--seed2", "2", "--rank-cutoff", "0.5", "--cluster-tol", "1.5"),
+        "generator does not lie in the span of its spectral atoms",
     ),
-    # the refined MASA's commutators (at most 1.8e-16) pass 2 pos_slack =
-    # 3e-16, but the roundoff of projecting b's basis on its rank-one
-    # projections (2.9e-16 (1 + ||x||_F)) fails the containment rule
-    # pos_slack (1 + ||x||_F) of the closure
+    # the first refined MASA's commutators (at most 1.8e-16) pass 2
+    # pos_slack = 3.2e-16, but the roundoff of projecting b's basis on its
+    # rank-one projections (2.9e-16 (1 + ||x||_F)) fails the containment
+    # rule pos_slack (1 + ||x||_F) of the closure. The slack sits at the
+    # geometric mean of the two, about 1.8x from each
     "closure-not-inside-masa": (
         [np.diag([1.0, 1.0, 2.0, 2.0])],
-        ("closure", "--seed1", "1", "--seed2", "2", "--pos-slack", "1.5e-16"),
+        ("closure", "--seed1", "1", "--seed2", "2", "--pos-slack", "1.6e-16"),
+        "subalgebra does not lie inside the MASA",
     ),
     # 0.6^2 lies below the cutoff 0.5 of x x*: no singular value is kept
     "cut-no-point-above-cutoff": (
         [np.diag([0.0, 0.6])],
         ("cut", "--rank-cutoff", "0.5", "--cluster-tol", "0.9"),
+        "no singular value of x lies above the rank cutoff",
     ),
 }
 
 
-@pytest.mark.parametrize("blocks, argv", REJECTIONS.values(), ids=REJECTIONS.keys())
-def test_failed_postcondition_is_one_rejection(tmp_path, capsys, blocks, argv):
+@pytest.mark.parametrize("blocks, argv, message", REJECTIONS.values(), ids=REJECTIONS.keys())
+def test_failed_postcondition_is_one_rejection(tmp_path, capsys, blocks, argv, message):
     path = tmp_path / "x.json"
     path.write_text(json.dumps(element_to_json(AlgebraElement(blocks))))
     code = main([argv[0], str(path), *argv[1:]])
     out, err = capsys.readouterr()
     assert code == 1
-    assert err.startswith("rejected:"), err
+    assert err == f"rejected: {message}\n", err
     (line,) = out.splitlines()
     doc = json.loads(line, parse_constant=_reject_constant)
     assert doc["command"] == argv[0]

@@ -286,7 +286,8 @@ def test_pairing_rejects_a_perturbed_supremum(monkeypatch):
     def perturbed(minimal, stacks, t):
         sums = body(minimal, stacks, t)
         if stacks is lattice._rank_one_stacks(d2, t):
-            sums[0] = 1.001 * sums[0]
+            for s in sums:
+                s[0] *= 1.001
         return sums
 
     monkeypatch.setattr(lattice, "_face_suprema", perturbed)
@@ -326,8 +327,10 @@ def test_face_with_no_rank_one_projection_under_it_moves_the_closure():
     t = ToleranceConfig(pos_slack=0.9)
     b = Subalgebra.of_normal(diag_el([1, 2, 2]), t)
     masa = generate_masa([shift], 0, t)
-    sups = lattice._face_suprema(minimal_projections(b, t), lattice._rank_one_stacks(masa, t), t)
+    (sups,) = lattice._face_suprema(
+        minimal_projections(b, t), lattice._rank_one_stacks(masa, t), t
+    )
     # minimal projections come largest first: e_2, then e_1
-    assert [float(np.abs(s.blocks[0]).max()) for s in sups] == [pytest.approx(1.0), 0.0]
+    assert [float(np.abs(s).max()) for s in sups] == [pytest.approx(1.0), 0.0]
     with pytest.raises(PostconditionFailed, match="moved at finite dimension"):
         monotone_closure(b, masa, t)

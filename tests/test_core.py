@@ -32,7 +32,7 @@ from awkit.errors import (
     NotSelfAdjoint,
     SignatureMismatch,
 )
-from awkit.sampling import random_element, random_self_adjoint, random_signature
+from awkit.sampling import haar_unitary_block, random_element, random_self_adjoint, random_signature
 
 
 def el(*blocks):
@@ -443,6 +443,22 @@ def test_compression_scalar_within_the_gap_keeps_its_group_unrotated():
     basis, groups = simultaneous_eigh([first, 1e-20 * (a + a.conj().T)])
     assert [g.tolist() for g in groups] == [[0, 1], [2]]
     assert np.array_equal(basis, simultaneous_eigh([first])[0])
+
+
+def test_later_part_rotates_a_group_the_earlier_part_leaves_degenerate():
+    # the first part is roundoff, so its solve separates nothing; the second
+    # has eigenvalues 1 and 1 + 1.3e-8 in a Haar basis, within its gap 1e-8
+    # ||m||_F, and only its rotation resolves its eigenvectors
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        u = haar_unitary_block(2, rng)
+        second = (u * np.array([1.0, 1.0 + 1.3e-8])) @ u.conj().T
+        basis, groups = simultaneous_eigh([1e-17 * (a + a.conj().T), second])
+        assert [g.tolist() for g in groups] == [[0, 1]]
+        rotated = basis.conj().T @ second @ basis
+        assert abs(rotated[0, 1]) <= 1e-15
+        assert abs(rotated[1, 1] - rotated[0, 0]) == pytest.approx(1.3e-8, rel=1e-6)
 
 
 def test_block_whose_squares_underflow_is_solved_rescaled():

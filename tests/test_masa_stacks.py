@@ -184,7 +184,9 @@ def test_stacked_checks_match_element_bodies(g, seed, tilt, skew, slack):
 
     masa_minimal = [Projection._of(e) for e in cand.basis]
     want = _outcome(_reference_require_atom_sums, minimal, masa_minimal, t)
-    got = _outcome(lattice._face_suprema, minimal, stacks, t)
+    got = _outcome(
+        lambda *a: AlgebraElement._of_stacks(lattice._face_suprema(*a)), minimal, stacks, t
+    )
     if isinstance(want, tuple):
         assert got == want
         return

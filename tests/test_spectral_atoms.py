@@ -56,7 +56,8 @@ def test_spectral_atoms_are_the_minimal_projections_inside_every_masa(a, seeds):
         assert min(operator_norm(p.element - q) for q in minimal) <= CLOSURE_RESIDUAL_TOL
     for seed in seeds:
         stacks = lattice._rank_one_stacks(generate_masa([a], seed), DEFAULT_TOL)
-        for p, s in zip(projections, lattice._face_suprema(projections, stacks, DEFAULT_TOL)):
+        sups = AlgebraElement._of_stacks(lattice._face_suprema(projections, stacks, DEFAULT_TOL))
+        for p, s in zip(projections, sups):
             assert operator_norm(s - p.element) <= CLOSURE_RESIDUAL_TOL
 
 
