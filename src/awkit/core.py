@@ -14,10 +14,12 @@ the Frobenius scales, the read-off of 1x1 slices and the sort are one numpy
 step per stack; the sweep runs slice by slice, and each slice gets the bits,
 or the failure, a stack of it alone gets. Its one caller is the driver
 ``_solve``: it takes k elements of one signature as one stack per block
-position, passes the stop rule _JACOBI_OFF_TOL and _MAX_SWEEPS, and raises
-the fault of the lowest element that fails. The stop rule is the module's,
-not a ToleranceConfig's, so neither the driver nor the two thin readers of
-it, which answer every question, take a tolerance:
+position, solves the stacks of each block size as one (one driver call per
+size, not per position), passes the stop rule _JACOBI_OFF_TOL and
+_MAX_SWEEPS, and raises the fault of the lowest element that fails. The
+stop rule is the module's, not a ToleranceConfig's, so neither the driver
+nor the two thin readers of it, which answer every question, take a
+tolerance:
 
 - ``_eigh_blocks`` gives the eigensystem, eigenvectors included, of one
   element's blocks; every assembled function of a Hermitian element (a
@@ -582,12 +584,13 @@ def _jacobi_sweeps(a, vecs, target, skip, max_sweeps):
     abs() in 35%; real arithmetic on the parts and np.hypot matched in all.
     """
     rows = a.tolist()
+    off = _off_mass(rows)
+    if off <= target:
+        # nothing to rotate (a diagonal block among them): a and vecs stand
+        return off
     vrows = None if vecs is None else vecs.tolist()
     n = len(rows)
     for _ in range(max_sweeps):
-        off = _off_mass(rows)
-        if off <= target:
-            break
         for p in range(n - 1):
             for q in range(p + 1, n):
                 rp, rq = rows[p], rows[q]
@@ -627,8 +630,9 @@ def _jacobi_sweeps(a, vecs, target, skip, max_sweeps):
                 rq[p] = 0j
                 rp[p] = complex(rp[p].real, 0.0)
                 rq[q] = complex(rq[q].real, 0.0)
-    else:
         off = _off_mass(rows)
+        if off <= target:
+            break
     a[...] = rows
     if vecs is not None:
         vecs[...] = vrows
@@ -724,27 +728,60 @@ def eigh_hermitian(h: AlgebraElement, tol: ToleranceConfig | None = None) -> Her
     return _eigh_blocks(h.blocks)
 
 
+def _size_groups(stacks) -> list:
+    """The block positions of stacks grouped by block size: one ascending
+    list of positions per size, the sizes in order of first occurrence."""
+    groups = {}
+    for b, s in enumerate(stacks):
+        groups.setdefault(s.shape[-1], []).append(b)
+    return list(groups.values())
+
+
+def _slots(groups) -> list:
+    """Per block position, its (group, slot) in the position lists groups."""
+    where = [None] * sum(map(len, groups))
+    for g, positions in enumerate(groups):
+        for i, b in enumerate(positions):
+            where[b] = (g, i)
+    return where
+
+
+def _grouped(stacks, groups) -> list:
+    """Per group of block positions, its stacks on a new leading axis; a
+    lone stack is a view."""
+    return [np.array([stacks[b] for b in p]) if len(p) > 1 else stacks[p[0]][None] for p in groups]
+
+
 def _solve(stacks, vectors: bool) -> list:
     """The one caller of _jacobi_eigh: per block position, the (w, u) of its
     stack of k elements' blocks, unchecked (checked by eigh_hermitian, or
     formed Hermitian), by the stop rule _JACOBI_OFF_TOL and _MAX_SWEEPS and
-    without a numpy warning. It raises the fault of the lowest element that
-    fails, and of that element's first failing block."""
-    solved, faults = [], {}
+    without a numpy warning. The stacks of one block size are solved as one
+    stack, concatenated in position order, and split back; each slice keeps
+    the bits it gets alone (see _jacobi_eigh). It raises the fault of the
+    lowest element that fails, and of that element's first failing block."""
+    solved, faults = [None] * len(stacks), {}
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in stacks:
-            w, u, block_faults = _jacobi_eigh(s, _JACOBI_OFF_TOL, _MAX_SWEEPS, vectors)
-            for i, exc in block_faults.items():
-                faults.setdefault(i, exc)
-            solved.append((w, u))
+        for positions in _size_groups(stacks):
+            members = [stacks[b] for b in positions]
+            k = len(members[0])
+            mats = members[0] if len(members) == 1 else np.concatenate(members)
+            w, u, group_faults = _jacobi_eigh(mats, _JACOBI_OFF_TOL, _MAX_SWEEPS, vectors)
+            for slot, b in enumerate(positions):
+                rows = slice(slot * k, (slot + 1) * k)
+                solved[b] = (w[rows], None if u is None else u[rows])
+            for i, exc in group_faults.items():
+                slot, element = divmod(i, k)
+                faults[element, positions[slot]] = exc
     if faults:
         raise faults[min(faults)]
     return solved
 
 
 def _eigh_blocks(blocks) -> HermitianEigenSystem:
-    """The eigensystem of one element's blocks, each solved as a stack of
-    one; the first block that fails raises its fault."""
+    """The eigensystem of one element's blocks, each a stack of one (the
+    blocks of one size share a driver call); the first block that fails
+    raises its fault."""
     values, units = [], []
     for w, u in _solve([b[None] for b in blocks], vectors=True):
         w = w[0]
@@ -766,7 +803,8 @@ def _eigh_extremes(stacks) -> list:
     """Per element of k given as one (k, n_b, n_b) stack per block position
     b, (lo, hi): the least and largest eigenvalue over its blocks, the
     min_eigenvalue and max_eigenvalue of its _eigh_blocks solve, to the bit.
-    Eigenvectors are not accumulated. It raises as _solve does."""
+    Eigenvectors are not accumulated, and the stacks of one block size are
+    one solve (_solve), whose fault it raises."""
     solved = _solve(stacks, vectors=False)
     los = [w[:, 0].tolist() for w, _ in solved]
     his = [w[:, -1].tolist() for w, _ in solved]
@@ -917,14 +955,16 @@ def _all_finite(stacks) -> bool:
 
 def _norms(stacks) -> list:
     """operator_norm of each of k elements given as one (k, n_b, n_b) stack
-    per block position, with its bits. A non-finite element leaves a
+    per block position, with its bits; the Gram matrices of the positions of
+    one block size are one stacked product. A non-finite element leaves a
     non-finite entry on its Gram diagonal, so it, or a Gram matrix that
     overflows, raises BadArgument before any solve."""
+    groups = _size_groups(stacks)
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = [_adj(s) @ s for s in stacks]
+        gram = [_adj(s) @ s for s in _grouped(stacks, groups)]
     if not _all_finite(gram):
         raise BadArgument(_NON_FINITE)
-    return _gram_norms(gram)
+    return _gram_norms([gram[g][i] for g, i in _slots(groups)])
 
 
 # the range of max_i (x*x)_ii in which _norm_against decides from the bounds

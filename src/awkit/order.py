@@ -16,24 +16,26 @@ stacks, two per block position b:
   is block b of the k-th component at prefix position j, and row N holds
   block b of the k-th component limit.
 
-The builder writes both, read-only; the verifier reads them as they are.
-Per block position, the differences, skew and Hermitian parts, the sums of
-the four components and their residuals against the sequence, and the
+The builder writes both, read-only. Builder and verifier work per block
+size: the positions of one size are stacked on a leading axis
+(core._size_groups, and core._slots maps each position to its group and
+slot). Per block size, the differences, skew and Hermitian parts, the sums
+of the four components and their residuals against the sequence, and the
 Gram matrices are one numpy expression each, and the eigenvalues of the
 components and of the Gram matrices are one stacked Jacobi driver call
 each. Elements are made only where a caller asks for them: the ``terms``
 and ``limit`` of a certificate are views of its sequence stacks
-(AlgebraElement._of_stacks), made on first use. Every value and decision is
-the one the element-by-element checks give.
+(AlgebraElement._of_stacks), made on first use. Every value and decision
+is the one the element-by-element checks give.
 
-The builder stacks its terms and limit once and forms the components on
-that stack: the Hermitian and skew parts of all rows and the envelope times
-the identity are one numpy expression each, the elementwise steps of
-real_part, imag_part, e * 1 and + with their bits, and all stacks are
-checked for finiteness once. On malformed input the builder and verifier
-raise by the precedence rule of awkit.core: an operand of another
-signature than the limit first, then a non-finite intermediate, then the
-first solve fault in element order.
+The builder forms the components on its per-size stacks: the Hermitian
+and skew parts of all rows and the envelope times the identity are one
+numpy expression each, the elementwise steps of real_part, imag_part,
+e * 1 and + with their bits, and all stacks are checked for finiteness
+once; ``parts[b]`` is a view of its size's stack. On malformed input the
+builder and verifier raise by the precedence rule of awkit.core: an
+operand of another signature than the limit first, then a non-finite
+intermediate, then the first solve fault in element order.
 """
 
 from __future__ import annotations
@@ -57,10 +59,13 @@ from .core import (
     _extremes,
     _frobenius,
     _gram_norms,
+    _grouped,
     _is_positive,
     _is_self_adjoint_blocks,
     _max_abs,
     _norms,
+    _size_groups,
+    _slots,
     _tol,
     adjoint,
     frobenius_norm,
@@ -156,7 +161,8 @@ def build_certificate(
     (int or numpy integers, not bool) are accepted for subsequences such as
     geometric ladders. The terms and the limit are stacked once, one
     (N + 1, n_b, n_b) array per block position, after their signatures are
-    checked. The gaps ||a_n - limit|| are one core._norms call on the
+    checked, and the stacks of each block size once more for the stacked
+    steps. The gaps ||a_n - limit|| are one core._norms call on the
     stacked differences, with the values of operator_norm(a_n - limit) term
     by term; a non-finite difference or Gram matrix raises before any solve
     (the precedence rule of awkit.core). The components are formed on the
@@ -181,9 +187,14 @@ def build_certificate(
     _check_signatures(seq, sig)
     n = len(seq)
     sequence = [np.array([*(a.blocks[b] for a in seq), lim]) for b, lim in enumerate(limit.blocks)]
+    # per group of m block positions of one size n_b, (m, N + 1, n_b, n_b)
+    groups = _size_groups(sequence)
+    where = _slots(groups)
+    stacked = _grouped(sequence, groups)
     # ||a - limit|| per term
     with np.errstate(over="ignore", invalid="ignore"):
-        gaps = _norms([s[:n] - s[n] for s in sequence])
+        diff = [s[:, :n] - s[:, n:] for s in stacked]
+        gaps = _norms([diff[g][i] for g, i in where])
     for i, g in zip(indices, gaps):
         if g > tail_rate / i + t.pos_slack:
             raise EnvelopeViolation(
@@ -201,19 +212,21 @@ def build_certificate(
     scaled = np.array(eps)[:, None, None]
     parts = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for s, n_b in zip(sequence, sig):
-            e1 = scaled * np.eye(n_b, dtype=np.complex128)
-            p = np.zeros((4, n + 1, n_b, n_b), dtype=np.complex128)
-            p[0] = (-0.5j) * (s - _adj(s))
-            p[0, :n] += e1
-            p[1, :n] = p[2, :n] = e1
-            p[3] = 0.5 * (s + _adj(s))
-            p[3, :n] += e1
+        for s in stacked:
+            e1 = scaled * np.eye(s.shape[-1], dtype=np.complex128)
+            p = np.zeros((len(s), 4, *s.shape[1:]), dtype=np.complex128)
+            p[:, 0] = (-0.5j) * (s - _adj(s))
+            p[:, 0, :n] += e1
+            p[:, 1, :n] = p[:, 2, :n] = e1
+            p[:, 3] = 0.5 * (s + _adj(s))
+            p[:, 3, :n] += e1
             parts.append(p)
     if not _all_finite(parts):
         raise BadArgument(_NON_FINITE)
+    # the certificate's component stacks are views of the groups'
     for a in sequence + parts:
         a.flags.writeable = False
+    parts = [parts[g][i] for g, i in where]
     return OrderLimitCertificate(
         indices=indices,
         sequence=tuple(sequence),
@@ -256,8 +269,10 @@ def _check_shape(c: OrderLimitCertificate):
 
 
 def _each(test, stacks) -> list:
-    """Per slot of the leading axes: test holds at every entry at every block position."""
-    return np.logical_and.reduce([test(a).all(axis=(-2, -1)) for a in stacks]).tolist()
+    """Per slot of the axes between the position axis and the matrix axes of
+    stacks grouped by block size: test holds at every entry at every block
+    position."""
+    return np.logical_and.reduce([test(a).all(axis=(0, -2, -1)) for a in stacks]).tolist()
 
 
 # Below this modulus no square of an entry, and no sum of fewer than 2^64 of
@@ -276,13 +291,13 @@ def verify_certificate(
     priority order: lower-bound, upper-bound, sum-decomposition,
     envelope-monotonicity, tail.
 
-    The checks read the certificate's stacks as they are. For each block
-    position the differences of the components from their limits, their
+    The checks stack the certificate's stacks of each block size once. Per
+    block size the differences of the components from their limits, their
     skew and Hermitian parts, and the N + 1 sum-decomposition residuals
     against the sequence with their Gram matrices are one numpy expression
     each, and the eigenvalues of the components and of the Gram matrices
-    are one stacked solve per block position each. Every value and decision
-    is the one the same checks give on elements, one component at a time:
+    are one stacked solve per block size each. Every value and decision is
+    the one the same checks give on elements, one component at a time:
     a component whose skew part is not exactly zero, or that has an entry
     of 2^480 or more, is tested with the is_self_adjoint rule. A norm ||a||
     of a term or the limit is solved only where the sum-decomposition
@@ -311,14 +326,23 @@ def verify_certificate(
     }
     failing = {tag: False for tag in residuals}
 
+    # the stacks of each block size stacked on a leading position axis:
+    # parts (m, 4, N + 1, n_b, n_b) and sequence (m, N + 1, n_b, n_b) for m
+    # positions of size n_b; block position b is slot i of group g, where
+    # (g, i) = where[b]
+    groups = _size_groups(c.sequence)
+    where = _slots(groups)
+    parts = _grouped(c.parts, groups)
+    sequence = _grouped(c.sequence, groups)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = [p[:, :n] - p[:, n:] for p in c.parts]
+        diff = [p[:, :, :n] - p[:, :, n:] for p in parts]
         skew = [d - _adj(d) for d in diff]
         herm = [0.5 * (d + _adj(d)) for d in diff]
-        total = [np.zeros_like(p[0]) for p in c.parts]
+        total = [np.zeros_like(p[:, 0]) for p in parts]
         for k in range(4):
-            total = [s + _I_POWERS[k] * p[k] for s, p in zip(total, c.parts)]
-        residual = [s - a for s, a in zip(total, c.sequence)]
+            total = [s + _I_POWERS[k] * p[:, k] for s, p in zip(total, parts)]
+        residual = [s - a for s, a in zip(total, sequence)]
         gram = [_adj(d) @ d for d in residual]
         # a non-finite difference leaves a non-finite entry in its skew
         # part, and a non-finite sum or residual one on the Gram diagonal
@@ -326,25 +350,27 @@ def verify_certificate(
             raise BadArgument(_NON_FINITE)
 
         # the is_self_adjoint rule per component, unless its skew part is
-        # exactly zero and its entries lie below 2^480
+        # exactly zero and its entries lie below 2^480; its norms sum in
+        # block order
         exact = _each(lambda a: a == 0, skew)
         small = _each(lambda a: np.abs(a) < _SQUARES_FINITE, diff)
         rows, cols = [], []
         for k in range(4):
             for j in range(n):
                 if not (exact[k][j] and small[k][j]):
-                    skew_kj = [s[k, j] for s in skew]
-                    if not _is_self_adjoint_blocks([d[k, j] for d in diff], skew_kj, t):
+                    skew_kj = [skew[g][i, k, j] for g, i in where]
+                    diff_kj = [diff[g][i, k, j] for g, i in where]
+                    if not _is_self_adjoint_blocks(diff_kj, skew_kj, t):
                         residuals[LOWER_BOUND] = max(residuals[LOWER_BOUND], _frobenius(skew_kj))
                         failing[LOWER_BOUND] = True
                         continue
                 rows.append(k)
                 cols.append(j)
-        solved = [h[rows, cols] for h in herm]
+        solved = [h[:, rows, cols] for h in herm]
         if not _all_finite(solved):
             raise BadArgument(_NON_FINITE)
 
-        for j, (lo, hi) in zip(cols, _eigh_extremes(solved)):
+        for j, (lo, hi) in zip(cols, _eigh_extremes([solved[g][i] for g, i in where])):
             residuals[LOWER_BOUND] = max(residuals[LOWER_BOUND], -lo)
             if not _is_positive(lo, hi, t):
                 failing[LOWER_BOUND] = True
@@ -357,7 +383,7 @@ def verify_certificate(
         # operator_norm(total - a), from the Gram matrix it would form; the
         # threshold pos_slack (1 + ||a||) >= pos_slack, so ||a|| is only
         # needed where r exceeds pos_slack
-        sums = _gram_norms(gram)
+        sums = _gram_norms([gram[g][i] for g, i in where])
         over = [j for j, r in enumerate(sums) if r > t.pos_slack]
         norms = dict(zip(over, _norms([s[over] for s in c.sequence]))) if over else {}
         for j, r in enumerate(sums):

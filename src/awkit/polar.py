@@ -19,9 +19,9 @@ This changes no bit of any result: elementwise float and complex steps are
 exact or correctly rounded entry by entry, however the arrays are laid
 out, and numpy's stacked matmul makes the same BLAS call on each slice as
 the 2-D matmul on the same layout. The diagnostics' norms are taken the
-same way, one stack of Gram matrices and one eigenvalues-only solve per
-block over all rungs (core._norms), each slice with the bits of its own
-solve. Both routes memoize ||x|| from their solve of x*x, so
+same way, one stack of Gram matrices per block over all rungs and one
+eigenvalues-only solve per block size (core._norms), each slice with the
+bits of its own solve. Both routes memoize ||x|| from their solve of x*x, so
 polar_residuals reads its scale without an eigensolve.
 
 Both routes also carry the range projections of |x| and |x*|, read off the

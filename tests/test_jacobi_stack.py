@@ -9,12 +9,14 @@ on that slice: so the same slices fail. Two slice kinds changed on purpose.
 A slice whose Frobenius norm overflows, which the oracle rejected, is now
 solved at scale 2^-e: it must match the oracle on the scaled slice, with
 the eigenvalues scaled back by 2^e. A slice with a non-finite entry fails
-as before, with a message that names the entry. ``_eigh_blocks`` solves
-one element's blocks as stacks of one and must raise the first failure in
-block order, or return the oracle's bits in read-only eigenvalue arrays
-and owning, F-ordered unitary blocks; ``core._extremes``, the eigenvalues-only
-reading of the same driver, must raise that failure too, or return the
-least and largest of the oracle's eigenvalues.
+as before, with a message that names the entry. A slice whose Hermitian
+part has only zeros off the diagonal leaves the sweeps before their first
+rotation, and must still match. ``_eigh_blocks`` solves one element's
+blocks as stacks of one and must raise the first failure in block order,
+or return the oracle's bits in read-only eigenvalue arrays and owning,
+F-ordered unitary blocks; ``core._extremes``, the eigenvalues-only reading
+of the same driver, must raise that failure too, or return the least and
+largest of the oracle's eigenvalues.
 """
 
 import math
@@ -72,8 +74,13 @@ def _reference_jacobi_eigh(mat, rel_off_tol, max_sweeps, vectors=True):
 
 
 # per slice: 1e-170 makes every square of an entry underflow, 1e160 makes
-# them overflow (||slice||_F reads inf): both are solved rescaled
-KINDS = ("random", "near-diagonal", "degenerate", "zero", "underflow", "overflow", "non-finite")
+# them overflow (||slice||_F reads inf): both are solved rescaled; a
+# "diagonal" slice has a Hermitian part with only zeros off the diagonal,
+# which the sweeps return without rotating or writing back
+KINDS = (
+    "random", "near-diagonal", "degenerate", "zero", "underflow", "overflow", "non-finite",
+    "diagonal",
+)
 
 
 def _slice(kind, n, rng):
@@ -90,6 +97,10 @@ def _slice(kind, n, rng):
         return 1e-170 * m
     if kind == "overflow":
         return 1e160 * m
+    if kind == "diagonal":
+        # a skew-Hermitian part off the diagonal cancels in m + m*
+        skew = 0.5 * (m - m.conj().T)
+        return np.diag(np.diag(m)) + skew - np.diag(np.diag(skew))
     if kind == "non-finite":
         m[rng.integers(n), rng.integers(n)] = rng.choice([np.nan, np.inf, -np.inf])
         return m
@@ -191,7 +202,8 @@ def test_eigh_blocks_raises_the_first_fault_or_returns_owning_blocks(drawn):
         assert got == faults[0]
         return
     if not vectors:
-        assert got == (min(w[0] for w, _ in want), max(w[-1] for w, _ in want))
+        # to the bit: a 1x1 block is read off as is, a non-finite one too
+        assert same_bits(got, (min(w[0] for w, _ in want), max(w[-1] for w, _ in want)))
         return
     for b, (w, u) in enumerate(want):
         assert same_bits(got.eigenvalues[b], w)

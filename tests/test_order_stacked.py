@@ -31,6 +31,10 @@ limit near 1e308 that the term equals, whose Hermitian part overflows) the
 stacked builder must return a certificate with the same bits or raise the
 same exception.
 
+Both comparisons also run on signatures of 3-6 block positions drawn from
+the sizes 1 and 2, so every such example repeats a size and the stacked
+code works on groups of positions of one size.
+
 The oracles met a malformed operand where their element loops reached it,
 after the solves of the elements before it; the stacked code checks its
 operands first (the precedence rule of ``awkit.core``). So those cases are
@@ -395,15 +399,13 @@ def _outcome(verify, c, t):
     return ("report", r.accepted, r.failing_condition, struct.pack("<d", r.worst_residual))
 
 
-@pytest.mark.parametrize("tamper", TAMPERS)
-@settings(max_examples=15)
-@given(
-    sig=st.lists(st.integers(1, 8), min_size=1, max_size=4).map(tuple),
-    n_terms=st.integers(1, 4),
-    seed=st.integers(0, 2**32 - 1),
-    tol=st.sampled_from(sorted(TOLS)),
-)
-def test_stacked_verifier_matches_reference(tamper, sig, n_terms, seed, tol):
+SIGNATURES = st.lists(st.integers(1, 8), min_size=1, max_size=4).map(tuple)
+# sizes 1 and 2 over 3-6 block positions: every signature repeats a size, so
+# each example runs the stacked steps and solves on groups of positions
+REPEATED_SIZES = st.lists(st.sampled_from((1, 2)), min_size=3, max_size=6).map(tuple)
+
+
+def _check_verifier(tamper, sig, n_terms, seed, tol):
     e = _certificate(sig, n_terms, seed, tamper)
     if tamper in SIGNATURE_TAMPERS:
         c = _resigned(_stacked(_certificate(sig, n_terms, seed, "none")), seed, tamper)
@@ -429,6 +431,30 @@ def test_stacked_verifier_matches_reference(tamper, sig, n_terms, seed, tol):
     with mock.patch.object(core, "_MAX_SWEEPS", sweeps):
         with np.errstate(over="ignore", invalid="ignore"):
             assert got == _outcome(_reference_verify, e, t)
+
+
+@pytest.mark.parametrize("tamper", TAMPERS)
+@settings(max_examples=15)
+@given(
+    sig=SIGNATURES,
+    n_terms=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    tol=st.sampled_from(sorted(TOLS)),
+)
+def test_stacked_verifier_matches_reference(tamper, sig, n_terms, seed, tol):
+    _check_verifier(tamper, sig, n_terms, seed, tol)
+
+
+@pytest.mark.parametrize("tamper", TAMPERS)
+@settings(max_examples=15)
+@given(
+    sig=REPEATED_SIZES,
+    n_terms=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    tol=st.sampled_from(sorted(TOLS)),
+)
+def test_stacked_verifier_matches_reference_on_repeated_sizes(tamper, sig, n_terms, seed, tol):
+    _check_verifier(tamper, sig, n_terms, seed, tol)
 
 
 def _reference_build_certificate(seq, limit, tail_rate, tol=None, indices=None):
@@ -564,15 +590,7 @@ def _build_outcome(build, seq, limit, t):
     )
 
 
-@pytest.mark.parametrize("tamper", SEQUENCE_TAMPERS)
-@settings(max_examples=15)
-@given(
-    sig=st.lists(st.integers(1, 8), min_size=1, max_size=4).map(tuple),
-    n_terms=st.integers(1, 8),
-    seed=st.integers(0, 2**32 - 1),
-    tol=st.sampled_from(sorted(TOLS)),
-)
-def test_stacked_builder_matches_reference(tamper, sig, n_terms, seed, tol):
+def _check_builder(tamper, sig, n_terms, seed, tol):
     seq, limit = _sequence(sig, n_terms, seed, tamper)
     t, sweeps = TOLS[tol]
     with mock.patch.object(core, "_MAX_SWEEPS", sweeps):
@@ -592,6 +610,30 @@ def test_stacked_builder_matches_reference(tamper, sig, n_terms, seed, tol):
     with mock.patch.object(core, "_MAX_SWEEPS", sweeps):
         with np.errstate(over="ignore", invalid="ignore"):
             assert got == _build_outcome(_reference_build_certificate, seq, limit, t)
+
+
+@pytest.mark.parametrize("tamper", SEQUENCE_TAMPERS)
+@settings(max_examples=15)
+@given(
+    sig=SIGNATURES,
+    n_terms=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    tol=st.sampled_from(sorted(TOLS)),
+)
+def test_stacked_builder_matches_reference(tamper, sig, n_terms, seed, tol):
+    _check_builder(tamper, sig, n_terms, seed, tol)
+
+
+@pytest.mark.parametrize("tamper", SEQUENCE_TAMPERS)
+@settings(max_examples=15)
+@given(
+    sig=REPEATED_SIZES,
+    n_terms=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    tol=st.sampled_from(sorted(TOLS)),
+)
+def test_stacked_builder_matches_reference_on_repeated_sizes(tamper, sig, n_terms, seed, tol):
+    _check_builder(tamper, sig, n_terms, seed, tol)
 
 
 @pytest.mark.parametrize("sig", [(1,), (2, 2), (3,)])

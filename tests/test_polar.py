@@ -390,16 +390,17 @@ def test_cut_residuals_names_and_accept_rule(kind):
 
 
 def _count_solves(monkeypatch):
-    """Record, for each Jacobi driver call, whether it accumulates
-    eigenvectors."""
-    body = core._jacobi_eigh
+    """Record, for each call of the eigensolve driver core._solve, the block
+    sizes of its stacks and whether it accumulates eigenvectors. The driver
+    makes one Jacobi call per distinct block size (tests/test_solve_groups.py)."""
+    body = core._solve
     solves = []
 
-    def counted(mats, rel_off_tol, max_sweeps, vectors=True):
-        solves.append(vectors)
-        return body(mats, rel_off_tol, max_sweeps, vectors)
+    def counted(stacks, vectors):
+        solves.append((tuple(s.shape[-1] for s in stacks), vectors))
+        return body(stacks, vectors)
 
-    monkeypatch.setattr(core, "_jacobi_eigh", counted)
+    monkeypatch.setattr(core, "_solve", counted)
     return solves
 
 
@@ -409,20 +410,34 @@ def test_cut_solves_the_norm_and_x_x_star_only(monkeypatch, kind):
     x = _cut_inputs()[kind]
     solves = _count_solves(monkeypatch)
     spectral_cut(x)
-    assert solves == [False, True]
+    assert solves == [(x.signature, False), (x.signature, True)]
 
 
 @pytest.mark.parametrize("values", [[[0.5, 1.0, 1.7]], [[0.5, 1.0, 1.7], [1.2], [0.8, 1.4]]])
 def test_regularized_solves_x_star_x_x_x_star_and_the_diagnostics(monkeypatch, values):
     # at unit scale the Gram bounds decide every stop test: one full solve
-    # per block of x*x and of x x*, and one eigenvalues-only driver call per
-    # block position for all 21 diagnostics
+    # of the blocks of x*x and of x x*, and one eigenvalues-only solve of
+    # every block position for all 21 diagnostics
     sig = tuple(map(len, values))
     x = element_with_singular_values(sig, [np.array(v) for v in values], np.random.default_rng(33))
     solves = _count_solves(monkeypatch)
     result = polar_regularized(x)
     assert len(result.diagnostics) == 21
-    assert solves == [True] * 2 * len(sig) + [False] * len(sig)
+    assert solves == [(sig, True), (sig, True), (sig, False)]
+
+
+def test_regularized_solves_blocks_of_one_size_in_one_driver_call(monkeypatch):
+    # both 2x2 blocks of x*x, of x x* and of the 21 diagnostics go to one
+    # Jacobi driver call each
+    values = [np.array([0.5, 1.0]), np.array([1.2, 0.7])]
+    x = element_with_singular_values((2, 2), values, np.random.default_rng(33))
+    solves = _count_solves(monkeypatch)
+    with mock.patch.object(core, "_jacobi_eigh", wraps=core._jacobi_eigh) as driver:
+        result = polar_regularized(x)
+    assert len(result.diagnostics) == 21
+    assert solves == [((2, 2), True), ((2, 2), True), ((2, 2), False)]
+    stacks = [(call.args[0].shape, call.args[3]) for call in driver.call_args_list]
+    assert stacks == [((2, 2, 2), True), ((2, 2, 2), True), ((42, 2, 2), False)]
 
 
 def test_cut_rejections():

@@ -50,13 +50,13 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _call(main, argv) -> tuple[str, str, str]:
+def _call(main, argv) -> tuple[int | str, str, str]:
     """The exit code (or the name of an escaped exception), stdout and
     stderr of one in-process call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = str(main(list(argv)))
+            code = main(list(argv))
         except Exception as exc:  # an escaped exception is reported by name
             code = type(exc).__name__
     return code, out.getvalue(), err.getvalue()
@@ -100,21 +100,37 @@ def _near_degenerate(seed, haar_unitary, write_element):
 
 def reports(src_dir, seeds):
     """Per call, in digest order, (seed, argv, code, stdout, stderr), with
-    ``awkit`` imported from src_dir."""
-    sys.path.insert(0, str(Path(src_dir).resolve()))
+    ``awkit`` imported from src_dir; code is the exit code as an int, or the
+    name of an exception that escaped ``main``.
+
+    An interpreter imports ``awkit`` once, so one process reads one source
+    tree: a call with another src_dir than the first raises RuntimeError
+    (``tools/residual_moves.py`` runs one child process per tree).
+    """
+    src = Path(src_dir).resolve()
+    loaded = sys.modules.get("awkit")
+    if loaded is not None and Path(loaded.__file__).resolve().parents[1] != src:
+        raise RuntimeError(
+            f"awkit is already imported from {Path(loaded.__file__).resolve().parents[1]},"
+            f" not {src}: read one source tree per process"
+        )
+    sys.path.insert(0, str(src))
     sys.path.insert(0, str(ROOT / "perfbench"))
     import awkit.cli
     from workloads import WORKLOADS, build_inputs, haar_unitary, write_element
 
-    for seed in seeds:
-        for name, workload in WORKLOADS.items():
+    def calls():
+        for seed in seeds:
+            for name, workload in WORKLOADS.items():
+                with _fresh_directory():
+                    cases, _ = build_inputs(workload, seed, Path(name))
+                    for call in (argv for case in cases for argv in _argvs(case)):
+                        yield (seed, call, *_call(awkit.cli.main, call))
             with _fresh_directory():
-                cases, _ = build_inputs(workload, seed, Path(name))
-                for call in (argv for case in cases for argv in _argvs(case)):
+                for call in _near_degenerate(seed, haar_unitary, write_element):
                     yield (seed, call, *_call(awkit.cli.main, call))
-        with _fresh_directory():
-            for call in _near_degenerate(seed, haar_unitary, write_element):
-                yield (seed, call, *_call(awkit.cli.main, call))
+
+    return calls()
 
 
 def main(argv=None) -> int:
