@@ -13,13 +13,13 @@ and raises nothing: it hands back each slice's failure. The hermitization,
 the Frobenius scales, the read-off of 1x1 slices and the sort are one numpy
 step per stack; the sweep runs slice by slice, and each slice gets the bits,
 or the failure, a stack of it alone gets. Its one caller is the driver
-``_solve``: it takes k elements of one signature as one stack per block
-position, solves the stacks of each block size as one (one driver call per
-size, not per position), passes the stop rule _JACOBI_OFF_TOL and
-_MAX_SWEEPS, and raises the fault of the lowest element that fails. The
-stop rule is the module's, not a ToleranceConfig's, so neither the driver
-nor the two thin readers of it, which answer every question, take a
-tolerance:
+``_solve``: it takes k elements of one signature as one (m, k, n, n) stack
+per block size, the blocks of the m positions of that size (``_grouped``
+stacks the blocks of each position once), makes one call per size, passes
+the stop rule _JACOBI_OFF_TOL and _MAX_SWEEPS, and raises the fault of the
+lowest element that fails. The stop rule is the module's, not a
+ToleranceConfig's, so neither the driver nor the two thin readers of it,
+which answer every question, take a tolerance:
 
 - ``_eigh_blocks`` gives the eigensystem, eigenvectors included, of one
   element's blocks; every assembled function of a Hermitian element (a
@@ -728,51 +728,46 @@ def eigh_hermitian(h: AlgebraElement, tol: ToleranceConfig | None = None) -> Her
     return _eigh_blocks(h.blocks)
 
 
-def _size_groups(stacks) -> list:
-    """The block positions of stacks grouped by block size: one ascending
-    list of positions per size, the sizes in order of first occurrence."""
-    groups = {}
+def _grouped(stacks) -> tuple:
+    """The block positions of stacks, one per position, grouped by block
+    size, the sizes in order of first occurrence: (positions, groups), per
+    size its ascending positions and their stacks on a new leading axis (a
+    lone stack as a view). _solve and its readers take this pair."""
+    positions = {}
     for b, s in enumerate(stacks):
-        groups.setdefault(s.shape[-1], []).append(b)
-    return list(groups.values())
+        positions.setdefault(s.shape[-1], []).append(b)
+    positions = list(positions.values())
+    return positions, [
+        stacks[p[0]][None] if len(p) == 1 else np.array([stacks[b] for b in p]) for p in positions
+    ]
 
 
-def _slots(groups) -> list:
-    """Per block position, its (group, slot) in the position lists groups."""
-    where = [None] * sum(map(len, groups))
-    for g, positions in enumerate(groups):
-        for i, b in enumerate(positions):
+def _slots(positions) -> list:
+    """Per block position, its (group, slot) in the position lists of _grouped."""
+    where = [None] * sum(map(len, positions))
+    for g, p in enumerate(positions):
+        for i, b in enumerate(p):
             where[b] = (g, i)
     return where
 
 
-def _grouped(stacks, groups) -> list:
-    """Per group of block positions, its stacks on a new leading axis; a
-    lone stack is a view."""
-    return [np.array([stacks[b] for b in p]) if len(p) > 1 else stacks[p[0]][None] for p in groups]
-
-
-def _solve(stacks, vectors: bool) -> list:
-    """The one caller of _jacobi_eigh: per block position, the (w, u) of its
-    stack of k elements' blocks, unchecked (checked by eigh_hermitian, or
-    formed Hermitian), by the stop rule _JACOBI_OFF_TOL and _MAX_SWEEPS and
-    without a numpy warning. The stacks of one block size are solved as one
-    stack, concatenated in position order, and split back; each slice keeps
-    the bits it gets alone (see _jacobi_eigh). It raises the fault of the
+def _solve(positions, groups, vectors: bool) -> list:
+    """The one caller of _jacobi_eigh, once per _grouped (m, k, n_b, n_b)
+    stack of k elements' blocks: its (w, u), (m, k, n_b) and (m, k, n_b,
+    n_b) or None, unchecked (checked by eigh_hermitian, or formed
+    Hermitian), by the stop rule _JACOBI_OFF_TOL and _MAX_SWEEPS and
+    without a numpy warning. It raises the fault of the
     lowest element that fails, and of that element's first failing block."""
-    solved, faults = [None] * len(stacks), {}
+    solved, faults = [], {}
     with np.errstate(over="ignore", invalid="ignore"):
-        for positions in _size_groups(stacks):
-            members = [stacks[b] for b in positions]
-            k = len(members[0])
-            mats = members[0] if len(members) == 1 else np.concatenate(members)
+        for p, s in zip(positions, groups):
+            m, k, n = s.shape[:3]
+            mats = s.reshape(m * k, n, n)
             w, u, group_faults = _jacobi_eigh(mats, _JACOBI_OFF_TOL, _MAX_SWEEPS, vectors)
-            for slot, b in enumerate(positions):
-                rows = slice(slot * k, (slot + 1) * k)
-                solved[b] = (w[rows], None if u is None else u[rows])
+            solved.append((w.reshape(m, k, n), None if u is None else u.reshape(m, k, n, n)))
             for i, exc in group_faults.items():
                 slot, element = divmod(i, k)
-                faults[element, positions[slot]] = exc
+                faults[element, p[slot]] = exc
     if faults:
         raise faults[min(faults)]
     return solved
@@ -782,13 +777,14 @@ def _eigh_blocks(blocks) -> HermitianEigenSystem:
     """The eigensystem of one element's blocks, each a stack of one (the
     blocks of one size share a driver call); the first block that fails
     raises its fault."""
-    values, units = [], []
-    for w, u in _solve([b[None] for b in blocks], vectors=True):
-        w = w[0]
-        w.setflags(write=False)
-        values.append(w)
-        # u[0] is an F-ordered view of a temporary; copy it to own it
-        units.append(u[0].copy(order="F"))
+    values, units = [None] * len(blocks), [None] * len(blocks)
+    positions, groups = _grouped([b[None] for b in blocks])
+    for p, (w, u) in zip(positions, _solve(positions, groups, vectors=True)):
+        for b, wb, ub in zip(p, w[:, 0], u[:, 0]):
+            wb.setflags(write=False)
+            values[b] = wb
+            # ub is an F-ordered view of a temporary; copy it to own it
+            units[b] = ub.copy(order="F")
     return HermitianEigenSystem(tuple(values), AlgebraElement._of(units))
 
 
@@ -799,21 +795,21 @@ def _check_signatures(elements, sig) -> None:
             raise SignatureMismatch(f"signatures differ: {x.signature} vs {sig}")
 
 
-def _eigh_extremes(stacks) -> list:
-    """Per element of k given as one (k, n_b, n_b) stack per block position
-    b, (lo, hi): the least and largest eigenvalue over its blocks, the
-    min_eigenvalue and max_eigenvalue of its _eigh_blocks solve, to the bit.
-    Eigenvectors are not accumulated, and the stacks of one block size are
-    one solve (_solve), whose fault it raises."""
-    solved = _solve(stacks, vectors=False)
-    los = [w[:, 0].tolist() for w, _ in solved]
-    his = [w[:, -1].tolist() for w, _ in solved]
+def _eigh_extremes(positions, groups) -> list:
+    """Per element of k given as _grouped (m, k, n_b, n_b) stacks, (lo, hi):
+    the least and largest eigenvalue over its blocks, the min_eigenvalue and
+    max_eigenvalue of its _eigh_blocks solve, to the bit (read in position
+    order). Eigenvectors are not accumulated; it raises as _solve does."""
+    los, his = [None] * sum(map(len, positions)), [None] * sum(map(len, positions))
+    for p, (w, _) in zip(positions, _solve(positions, groups, vectors=False)):
+        for b, lo, hi in zip(p, w[..., 0].tolist(), w[..., -1].tolist()):
+            los[b], his[b] = lo, hi
     return [(min(lo), max(hi)) for lo, hi in zip(zip(*los), zip(*his))]
 
 
 def _extremes(blocks) -> tuple:
     """(lo, hi) of _eigh_extremes for the blocks of one element."""
-    return _eigh_extremes([b[None] for b in blocks])[0]
+    return _eigh_extremes(*_grouped([b[None] for b in blocks]))[0]
 
 
 # a compression may overflow; _eigh_blocks then raises its fault without a
@@ -933,14 +929,14 @@ def operator_norm(x: AlgebraElement, tol: ToleranceConfig | None = None) -> floa
 
 
 def _operator_norm(x: AlgebraElement, t: ToleranceConfig) -> float:
-    return _gram_norms([b[None] for b in (adjoint(x) * x).blocks])[0]
+    return _gram_norms(*_grouped([b[None] for b in (adjoint(x) * x).blocks]))[0]
 
 
-def _gram_norms(stacks) -> list:
-    """||x|| of k Gram matrices x*x given as one (k, n_b, n_b) stack per
-    block position: per element the square root of the top eigenvalue,
-    clamped at 0. It raises as _eigh_extremes does."""
-    return [math.sqrt(max(hi, 0.0)) for _, hi in _eigh_extremes(stacks)]
+def _gram_norms(positions, groups) -> list:
+    """||x|| of k Gram matrices x*x given as _grouped (m, k, n_b, n_b)
+    stacks: per element the square root of the top eigenvalue, clamped at 0.
+    It raises as _eigh_extremes does."""
+    return [math.sqrt(max(hi, 0.0)) for _, hi in _eigh_extremes(positions, groups)]
 
 
 def _adj(a: np.ndarray) -> np.ndarray:
@@ -953,18 +949,17 @@ def _all_finite(stacks) -> bool:
     return all(np.isfinite(a).all() for a in stacks)
 
 
-def _norms(stacks) -> list:
-    """operator_norm of each of k elements given as one (k, n_b, n_b) stack
-    per block position, with its bits; the Gram matrices of the positions of
-    one block size are one stacked product. A non-finite element leaves a
-    non-finite entry on its Gram diagonal, so it, or a Gram matrix that
-    overflows, raises BadArgument before any solve."""
-    groups = _size_groups(stacks)
+def _norms(positions, groups) -> list:
+    """operator_norm of each of k elements given as _grouped (m, k, n_b, n_b)
+    stacks, with its bits; the Gram matrices of a group are one stacked
+    product. A non-finite element leaves a non-finite entry on its Gram
+    diagonal, so it, or a Gram matrix that overflows, raises BadArgument
+    before any solve."""
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = [_adj(s) @ s for s in _grouped(stacks, groups)]
+        gram = [_adj(s) @ s for s in groups]
     if not _all_finite(gram):
         raise BadArgument(_NON_FINITE)
-    return _gram_norms([gram[g][i] for g, i in _slots(groups)])
+    return _gram_norms(positions, gram)
 
 
 # the range of max_i (x*x)_ii in which _norm_against decides from the bounds
@@ -1011,7 +1006,7 @@ def _gram_against(gram_blocks, bound: float) -> float:
         hi = max(float(d.sum()) for d in diagonals)
         if hi < 0.25 * bound * bound:
             return math.sqrt(hi)
-    return _gram_norms([b[None] for b in gram_blocks])[0]
+    return _gram_norms(*_grouped([b[None] for b in gram_blocks]))[0]
 
 
 def is_normal(a: AlgebraElement, tol: ToleranceConfig | None = None) -> bool:

@@ -63,6 +63,7 @@ from .core import (
     AlgebraElement,
     Projection,
     ToleranceConfig,
+    _grouped,
     _joint_atoms,
     _memoized,
     _norm_against,
@@ -610,7 +611,7 @@ def closure_correspondence(
     t = _tol(tol)
     c1, sups1, stacks1 = _closure_in(b, masa1, t)
     c2, sups2, stacks2 = _closure_in(b, masa2, t)
-    gaps = _norms([s1 - s2 for s1, s2 in zip(stacks1, stacks2)])
+    gaps = _norms(*_grouped([s1 - s2 for s1, s2 in zip(stacks1, stacks2)]))
     if any(gap > t.pos_slack * 2.0 for gap in gaps):
         raise PostconditionFailed("closure correspondence is not the identity map")
     pairs = tuple((Projection._of(p), Projection._of(q)) for p, q in zip(sups1, sups2))

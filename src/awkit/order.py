@@ -16,26 +16,26 @@ stacks, two per block position b:
   is block b of the k-th component at prefix position j, and row N holds
   block b of the k-th component limit.
 
-The builder writes both, read-only. Builder and verifier work per block
-size: the positions of one size are stacked on a leading axis
-(core._size_groups, and core._slots maps each position to its group and
-slot). Per block size, the differences, skew and Hermitian parts, the sums
-of the four components and their residuals against the sequence, and the
-Gram matrices are one numpy expression each, and the eigenvalues of the
-components and of the Gram matrices are one stacked Jacobi driver call
-each. Elements are made only where a caller asks for them: the ``terms``
-and ``limit`` of a certificate are views of its sequence stacks
-(AlgebraElement._of_stacks), made on first use. Every value and decision
-is the one the element-by-element checks give.
+The builder writes both, read-only. Builder and verifier stack the
+positions of each block size once (core._grouped). Per block size, the
+differences, skew and Hermitian parts, the sums of the four components
+and their residuals against the sequence, and the Gram matrices are one
+numpy expression each, and the eigenvalues of the components and of the
+Gram matrices are one stacked Jacobi driver call each. Elements are made
+only where a caller asks for them: the ``terms`` and ``limit`` of a
+certificate are views of its sequence stacks (AlgebraElement._of_stacks),
+made on first use. Every value and decision is the one the
+element-by-element checks give.
 
-The builder forms the components on its per-size stacks: the Hermitian
-and skew parts of all rows and the envelope times the identity are one
-numpy expression each, the elementwise steps of real_part, imag_part,
-e * 1 and + with their bits, and all stacks are checked for finiteness
-once; ``parts[b]`` is a view of its size's stack. On malformed input the
-builder and verifier raise by the precedence rule of awkit.core: an
-operand of another signature than the limit first, then a non-finite
-intermediate, then the first solve fault in element order.
+The builder stacks its terms and limit once and forms the components on
+that stack: the Hermitian and skew parts of all rows and the envelope times
+the identity are one numpy expression each, the elementwise steps of
+real_part, imag_part, e * 1 and + with their bits, and all stacks are
+checked for finiteness once. On malformed input the builder and verifier
+raise by the precedence rule of awkit.core: an operand of another
+signature than the limit first, then a non-finite intermediate, then the
+first solve fault in element order. Each ``parts[b]`` is a view of the
+builder's stack of its block size.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ from .core import (
     _is_self_adjoint_blocks,
     _max_abs,
     _norms,
-    _size_groups,
     _slots,
     _tol,
     adjoint,
@@ -188,13 +187,10 @@ def build_certificate(
     n = len(seq)
     sequence = [np.array([*(a.blocks[b] for a in seq), lim]) for b, lim in enumerate(limit.blocks)]
     # per group of m block positions of one size n_b, (m, N + 1, n_b, n_b)
-    groups = _size_groups(sequence)
-    where = _slots(groups)
-    stacked = _grouped(sequence, groups)
+    positions, stacked = _grouped(sequence)
     # ||a - limit|| per term
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = [s[:, :n] - s[:, n:] for s in stacked]
-        gaps = _norms([diff[g][i] for g, i in where])
+        gaps = _norms(positions, [s[:, :n] - s[:, n:] for s in stacked])
     for i, g in zip(indices, gaps):
         if g > tail_rate / i + t.pos_slack:
             raise EnvelopeViolation(
@@ -226,7 +222,7 @@ def build_certificate(
     # the certificate's component stacks are views of the groups'
     for a in sequence + parts:
         a.flags.writeable = False
-    parts = [parts[g][i] for g, i in where]
+    parts = [parts[g][i] for g, i in _slots(positions)]
     return OrderLimitCertificate(
         indices=indices,
         sequence=tuple(sequence),
@@ -326,14 +322,11 @@ def verify_certificate(
     }
     failing = {tag: False for tag in residuals}
 
-    # the stacks of each block size stacked on a leading position axis:
-    # parts (m, 4, N + 1, n_b, n_b) and sequence (m, N + 1, n_b, n_b) for m
-    # positions of size n_b; block position b is slot i of group g, where
-    # (g, i) = where[b]
-    groups = _size_groups(c.sequence)
-    where = _slots(groups)
-    parts = _grouped(c.parts, groups)
-    sequence = _grouped(c.sequence, groups)
+    # per block size, parts (m, 4, N + 1, n_b, n_b) and sequence
+    # (m, N + 1, n_b, n_b) of its m positions
+    positions, parts = _grouped(c.parts)
+    _, sequence = _grouped(c.sequence)
+    where = _slots(positions)
 
     with np.errstate(over="ignore", invalid="ignore"):
         diff = [p[:, :, :n] - p[:, :, n:] for p in parts]
@@ -370,7 +363,7 @@ def verify_certificate(
         if not _all_finite(solved):
             raise BadArgument(_NON_FINITE)
 
-        for j, (lo, hi) in zip(cols, _eigh_extremes([solved[g][i] for g, i in where])):
+        for j, (lo, hi) in zip(cols, _eigh_extremes(positions, solved)):
             residuals[LOWER_BOUND] = max(residuals[LOWER_BOUND], -lo)
             if not _is_positive(lo, hi, t):
                 failing[LOWER_BOUND] = True
@@ -383,9 +376,9 @@ def verify_certificate(
         # operator_norm(total - a), from the Gram matrix it would form; the
         # threshold pos_slack (1 + ||a||) >= pos_slack, so ||a|| is only
         # needed where r exceeds pos_slack
-        sums = _gram_norms([gram[g][i] for g, i in where])
+        sums = _gram_norms(positions, gram)
         over = [j for j, r in enumerate(sums) if r > t.pos_slack]
-        norms = dict(zip(over, _norms([s[over] for s in c.sequence]))) if over else {}
+        norms = dict(zip(over, _norms(positions, [s[:, over] for s in sequence]))) if over else {}
         for j, r in enumerate(sums):
             residuals[SUM_DECOMPOSITION] = max(residuals[SUM_DECOMPOSITION], r)
             if j in norms and r > t.pos_slack * (1.0 + norms[j]):

@@ -19,9 +19,9 @@ This changes no bit of any result: elementwise float and complex steps are
 exact or correctly rounded entry by entry, however the arrays are laid
 out, and numpy's stacked matmul makes the same BLAS call on each slice as
 the 2-D matmul on the same layout. The diagnostics' norms are taken the
-same way, one stack of Gram matrices per block over all rungs and one
-eigenvalues-only solve per block size (core._norms), each slice with the
-bits of its own solve. Both routes memoize ||x|| from their solve of x*x, so
+same way, one stack of Gram matrices and one eigenvalues-only solve per
+block size over all rungs (core._norms), each slice with the bits of its
+own solve. Both routes memoize ||x|| from their solve of x*x, so
 polar_residuals reads its scale without an eigensolve.
 
 Both routes also carry the range projections of |x| and |x*|, read off the
@@ -52,6 +52,7 @@ from .core import (
     _eigh_blocks,
     _extremes,
     _gram_against,
+    _grouped,
     _is_positive,
     _norm_against,
     _norms,
@@ -272,7 +273,7 @@ def polar_regularized(
 
     u = x * eig.inverse_root(t)
     rotated = [(u_n[: last + 1] - b) @ v for u_n, b, v in zip(terms, u.blocks, eig.unitary.blocks)]
-    diagnostics = tuple(zip(ns, _norms(rotated)))
+    diagnostics = tuple(zip(ns, _norms(*_grouped(rotated))))
     last_n = ns[last]
     if sigma_min is not None:
         bound = (1.0 / last_n) / (1.0 / last_n + sigma_min)
@@ -327,7 +328,7 @@ def polar_residuals(
             stacks.append(
                 np.stack([xb - asb @ ub, xb - ub @ ab, uus @ ub - ub, ustar @ ub - ib, uus - fb])
             )
-    defects = dict(zip(_DEFECTS, _norms(stacks)))
+    defects = dict(zip(_DEFECTS, _norms(*_grouped(stacks))))
     scale = 1.0 + operator_norm(x, t)
     thr = 10.0 * t.pos_slack * scale
     accepted = all(v <= thr for v in defects.values())

@@ -16,7 +16,7 @@ default test run does not collect it.
 import numpy as np
 import pytest
 
-from awkit.core import _eigh_blocks, _eigh_extremes, _jacobi_eigh
+from awkit.core import _eigh_blocks, _eigh_extremes, _grouped, _jacobi_eigh
 
 
 def _hermitian(n: int) -> np.ndarray:
@@ -33,7 +33,7 @@ def test_eigh_blocks(benchmark, n):
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32])
 def test_eigh_extremes(benchmark, n):
-    ((lo, hi),) = benchmark(_eigh_extremes, [_hermitian(n)[None]])
+    ((lo, hi),) = benchmark(_eigh_extremes, *_grouped([_hermitian(n)[None]]))
     assert lo <= hi
 
 

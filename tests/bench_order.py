@@ -3,11 +3,11 @@ converging at rate 1/n, by signature, of loading one such sequence's term
 directory into one stack per block position, and of the whole `awkit
 certify` call (loading the JSON files, building and verifying).
 
-The K sweep times build_certificate plus verify_certificate on K block
-positions of dim 2, and on K/2 positions each of dims 1 and 2, for K = 2,
-8, 32 and 128; ``extra_info["per_position_us"]`` is the median time
-divided by K. The positions of one block size share their stacked steps
-and their solves, so the cost per position should fall as K grows.
+The K sweep times build_certificate and verify_certificate, each alone,
+on K block positions of dim 2, and on K/2 positions each of dims 1 and 2,
+for K = 2, 8, 32 and 128; ``extra_info["per_position_us"]`` is the median
+time divided by K. The positions of one block size share their stacked
+steps and their solves, so the cost per position should fall as K grows.
 
     PYTHONPATH=src python -m pytest tests/bench_order.py --benchmark-only
 
@@ -62,14 +62,13 @@ SWEEP = [sig for k in (2, 8, 32, 128) for sig in ((2,) * k, (1, 2) * (k // 2))]
 @pytest.mark.parametrize(
     "sig", SWEEP, ids=lambda sig: f"K{len(sig)}-dims{''.join(map(str, sorted(set(sig))))}"
 )
-def test_certificate_per_block_position(benchmark, sig):
+@pytest.mark.parametrize("step", ["build", "verify"])
+def test_certificate_per_block_position(benchmark, step, sig):
     seq, limit = _sequence(sig)
-
-    def certify():
-        return verify_certificate(build_certificate(seq, limit, 1.0))
-
-    report = benchmark(certify)
-    assert report.accepted
+    if step == "build":
+        benchmark(build_certificate, seq, limit, 1.0)
+    else:
+        assert benchmark(verify_certificate, build_certificate(seq, limit, 1.0)).accepted
     if benchmark.stats:
         benchmark.extra_info["per_position_us"] = benchmark.stats.stats.median / len(sig) * 1e6
 

@@ -77,13 +77,14 @@ def _counting(monkeypatch, module, name):
 
 
 def _counting_norms(monkeypatch):
-    """Replace polar._norms by a wrapper that records the shapes of its stacks."""
+    """Replace polar._norms by a wrapper that records, per size group, its
+    block positions and the shape of its stack."""
     body = polar._norms
     seen = []
 
-    def counted(stacks):
-        seen.append([s.shape for s in stacks])
-        return body(stacks)
+    def counted(positions, groups):
+        seen.append([(p, g.shape) for p, g in zip(positions, groups)])
+        return body(positions, groups)
 
     monkeypatch.setattr(polar, "_norms", counted)
     return seen
@@ -95,9 +96,9 @@ def _counting_solves(monkeypatch):
     body = core._solve
     solves = []
 
-    def counted(stacks, vectors):
+    def counted(positions, groups, vectors):
         solves.append(vectors)
-        return body(stacks, vectors)
+        return body(positions, groups, vectors)
 
     monkeypatch.setattr(core, "_solve", counted)
     return solves
@@ -188,7 +189,7 @@ def test_polar_residuals_reads_the_norm_of_x_from_the_route(tmp_path, capsys, mo
     # 1 + ||x|| takes no eigensolve, and it reads the range projections of
     # |x| and |x*| off the route's result, so its only solve is of the 5
     # defect norms, eigenvalues only: one _norms call on a (5, n, n) stack
-    # per block
+    # per block, one size group per block here
     rng = np.random.default_rng(6)
     x = AlgebraElement([
         (haar_unitary_block(n, rng) * rng.uniform(0.1, 2.0, n)) @ haar_unitary_block(n, rng)
@@ -218,7 +219,7 @@ def test_polar_residuals_reads_the_norm_of_x_from_the_route(tmp_path, capsys, mo
     y, norm = inside["scale"]
     assert inside["norms"] == []
     assert inside["solves"] == [False]
-    assert inside["grams"] == [[(5, 3, 3), (5, 4, 4)]]
+    assert inside["grams"] == [[([0], (1, 5, 3, 3)), ([1], (1, 5, 4, 4))]]
     assert np.isclose(norm, max(np.linalg.norm(b, 2) for b in x.blocks), rtol=1e-12)
 
 
@@ -226,7 +227,8 @@ def test_verify_polar_solves_each_gram_matrix_once(monkeypatch):
     # counted at the one driver, core._solve, with its vectors flag: its own
     # solves of x*x and x x* give |x|, |x*|, their range projections and
     # ||x||; the one other is of the 5 defect norms, eigenvalues only, in one
-    # _norms call on a (5, n, n) stack per block
+    # _norms call on a (5, n, n) stack per block, one size group per block
+    # here
     rng = np.random.default_rng(6)
     x = random_element((3, 4), rng)
     u = polar.polar_direct(AlgebraElement(x.blocks)).u
@@ -234,7 +236,7 @@ def test_verify_polar_solves_each_gram_matrix_once(monkeypatch):
     grams = _counting_norms(monkeypatch)
     assert polar.verify_polar(x, u)
     assert solves == [True, True, False]
-    assert grams == [[(5, 3, 3), (5, 4, 4)]]
+    assert grams == [[([0], (1, 5, 3, 3)), ([1], (1, 5, 4, 4))]]
 
 
 def test_spectral_call_tests_normality_once(tmp_path, capsys, monkeypatch):

@@ -197,16 +197,24 @@ def test_ladder_loop_makes_no_operator_norm_call(monkeypatch):
     solve = core._solve
     solves = []
 
-    def counted_solve(stacks, vectors):
+    def counted_solve(positions, groups, vectors):
         solves.append(vectors)
-        return solve(stacks, vectors)
+        return solve(positions, groups, vectors)
 
     monkeypatch.setattr(core, "_solve", counted_solve)
     stop_tests = _counting(monkeypatch, polar, "_gram_against")
-    diagnostics = _counting(monkeypatch, polar, "_norms")
+    diagnostics = []
+    norms_body = polar._norms
+
+    def counted_norms(positions, groups):
+        diagnostics.append(groups)
+        return norms_body(positions, groups)
+
+    monkeypatch.setattr(polar, "_norms", counted_norms)
     result = polar_regularized(x)
     rungs = len(result.diagnostics)
     assert len(stop_tests) == rungs - 1 == 20
     assert len(norms) == 0
     assert solves == [True, True, False]
-    assert [[len(g) for g in stacks] for stacks in diagnostics] == [[rungs, rungs]]
+    # one size group per block here, each of the rungs' stacks
+    assert [[g.shape[:2] for g in groups] for groups in diagnostics] == [[(1, rungs), (1, rungs)]]

@@ -391,14 +391,16 @@ def test_cut_residuals_names_and_accept_rule(kind):
 
 def _count_solves(monkeypatch):
     """Record, for each call of the eigensolve driver core._solve, the block
-    sizes of its stacks and whether it accumulates eigenvectors. The driver
+    size at each position of its groups, in position order, and whether it
+    accumulates eigenvectors. The driver
     makes one Jacobi call per distinct block size (tests/test_solve_groups.py)."""
     body = core._solve
     solves = []
 
-    def counted(stacks, vectors):
-        solves.append((tuple(s.shape[-1] for s in stacks), vectors))
-        return body(stacks, vectors)
+    def counted(positions, groups, vectors):
+        sizes = {b: g.shape[-1] for p, g in zip(positions, groups) for b in p}
+        solves.append((tuple(sizes[b] for b in sorted(sizes)), vectors))
+        return body(positions, groups, vectors)
 
     monkeypatch.setattr(core, "_solve", counted)
     return solves

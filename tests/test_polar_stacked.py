@@ -339,13 +339,13 @@ def test_diagnostic_faults_are_raised_in_rung_order(monkeypatch, fault_rung, non
     inside, solved = [], []
     norms, driver = polar._norms, core._jacobi_eigh
 
-    def diagnostics(stacks):
+    def diagnostics(positions, groups):
         if non_finite_rung is not None:
-            stacks = [s.copy() for s in stacks]
-            stacks[0][non_finite_rung, 0, 0] = np.inf
+            groups = [g.copy() for g in groups]
+            groups[0][0, non_finite_rung, 0, 0] = np.inf
         inside.append(True)
         try:
-            return norms(stacks)
+            return norms(positions, groups)
         finally:
             inside.pop()
 

@@ -1,10 +1,11 @@
 """The grouped eigensolve driver against the per-position one it replaced.
 
-``core._solve`` takes k elements of one signature as one (k, n_b, n_b) stack
-per block position b. It solves the stacks of each block size as one
-concatenated stack, one ``_jacobi_eigh`` call per size, and splits the
-results back per position. ``_per_position_solve`` is its earlier body, one
-driver call per block position, kept verbatim as a named oracle. On
+``core._solve`` takes k elements of one signature as one (m, k, n_b, n_b)
+stack per block size, the m positions of that size stacked by
+``core._grouped``, and makes one ``_jacobi_eigh`` call per size.
+``_grouped_solve`` groups per-position stacks, solves them and splits the
+results back per position. ``_per_position_solve`` is the driver's earlier
+body, one driver call per block position, kept verbatim as a named oracle. On
 signatures that repeat block sizes, with slices whose entries are
 non-finite or whose Frobenius squares underflow or overflow (the 2^-e
 rescale), at the default sweep budget and at one sweep, the grouped driver
@@ -45,6 +46,16 @@ def _per_position_solve(stacks, vectors: bool) -> list:
     return solved
 
 
+def _grouped_solve(stacks, vectors: bool) -> list:
+    """core._solve on stacks grouped by block size, split back per position."""
+    positions, groups = core._grouped(stacks)
+    solved = [None] * len(stacks)
+    for p, (w, u) in zip(positions, core._solve(positions, groups, vectors)):
+        for i, b in enumerate(p):
+            solved[b] = (w[i], None if u is None else u[i])
+    return solved
+
+
 @st.composite
 def families(draw):
     """(stacks, vectors, max_sweeps): k in 0..5 elements over 1-6 block
@@ -74,7 +85,7 @@ def test_grouped_solve_matches_the_per_position_solve_bit_for_bit(drawn):
     with mock.patch.object(core, "_MAX_SWEEPS", max_sweeps):
         with np.errstate(all="ignore"):
             want = outcome(lambda: _per_position_solve(stacks, vectors))
-        got = outcome(lambda: core._solve(stacks, vectors))
+        got = outcome(lambda: _grouped_solve(stacks, vectors))
     if isinstance(want, tuple):
         assert got == want
         return
@@ -100,13 +111,13 @@ def test_a_fault_maps_to_the_lowest_element_then_its_first_block():
     stacks[1][1] = 1.5e308
     stacks[0][2, 0, 1] = np.inf
     with mock.patch.object(core, "_jacobi_eigh", wraps=core._jacobi_eigh) as driver:
-        got = outcome(lambda: core._solve(stacks, vectors=False))
+        got = outcome(lambda: _grouped_solve(stacks, vectors=False))
     assert [call.args[0].shape for call in driver.call_args_list] == [(6, 3, 3), (6, 2, 2)]
     assert got == (BadArgument, "an eigenvalue of a block lies past the float range")
     assert got == outcome(lambda: _per_position_solve(stacks, vectors=False))
     # at one sweep, element 0 fails first: its 3x3 blocks do not converge
     with mock.patch.object(core, "_MAX_SWEEPS", 1):
-        got = outcome(lambda: core._solve(stacks, vectors=True))
+        got = outcome(lambda: _grouped_solve(stacks, vectors=True))
         assert got[0] is NonConvergence
         assert got == outcome(lambda: _per_position_solve(stacks, vectors=True))
 
@@ -114,6 +125,6 @@ def test_a_fault_maps_to_the_lowest_element_then_its_first_block():
 def test_no_elements_solve_to_empty_rows():
     stacks = [np.zeros((0, n, n), np.complex128) for n in (2, 1, 2)]
     for vectors in (False, True):
-        solved = core._solve(stacks, vectors)
+        solved = _grouped_solve(stacks, vectors)
         assert [w.shape for w, _ in solved] == [(0, 2), (0, 1), (0, 2)]
         assert [u is None for _, u in solved] == [not vectors] * 3
